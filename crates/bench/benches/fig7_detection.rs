@@ -1,6 +1,6 @@
 //! Criterion bench over the Fig. 7 attack-campaign machinery: how fast one
 //! seeded campaign (golden run + N attacks with full checking) executes per
-//! workload. The printed figure itself comes from `exp_fig7`.
+//! workload. The printed figure itself comes from `exp_all fig7`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

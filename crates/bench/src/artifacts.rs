@@ -1,6 +1,6 @@
 //! Process-wide cache of expensive campaign artifacts.
 //!
-//! The experiment drivers (`exp_fig7`, `exp_ablation`, `exp_all`) repeat
+//! The experiment driver's phases (`exp_all fig7`, `ablation`, …) repeat
 //! the same two costly steps across figures: compiling a workload's
 //! analysis ([`ipds::Protected`]) and capturing its golden run for a given
 //! benign input script. Neither depends on the campaign parameters, so this

@@ -1,18 +1,34 @@
-//! Runs every experiment in sequence (the full paper reproduction) and
-//! emits campaign-engine throughput plus telemetry numbers to
-//! `results/bench_campaign.json`.
+//! The experiment driver: runs every experiment in sequence (the full paper
+//! reproduction) and emits campaign-engine throughput plus telemetry
+//! numbers to `results/bench_campaign.json`, or runs one phase of it.
 //!
-//! Usage: `cargo run --release -p ipds-bench --bin exp_all -- [attacks] [--quick]`
+//! Usage: `cargo run --release -p ipds-bench --bin exp_all -- [PHASE] [ATTACKS] [--threads T] [--quick]`
 //!
-//! `--quick` shrinks the campaigns and sweeps to CI-smoke size (seconds,
-//! not minutes) while still exercising every phase and emitting the full
-//! JSON schema.
+//! * `PHASE` — one of [`PHASES`]. A phase runs exactly the code and
+//!   arguments the full run uses for its section, so its stdout is that
+//!   section of `results/exp_all.txt` verbatim; it writes no JSON. `fig7`
+//!   additionally prints the contiguous-overflow comparison.
+//! * `ATTACKS` — Fig. 7 attacks per workload (default 100; the ablation
+//!   grid runs at most 50).
+//! * `--threads T` — campaign, fault and fleet workers (default: the
+//!   machine's parallelism, capped at 8). Results are bit-identical for
+//!   every `T`.
+//! * `--quick` shrinks the campaigns and sweeps to CI-smoke size (seconds,
+//!   not minutes) while still exercising every phase and emitting the full
+//!   JSON schema.
+//!
+//! Every seeded protocol runs at the constant seed 2006 the results files
+//! are generated at.
 
 use std::time::Instant;
 
 use ipds_runtime::HwConfig;
 use ipds_sim::attack::{aggregate, attack_rng, AttackRunner, Campaign};
 use ipds_telemetry::{phases, CounterSnapshot, CountingSink, NULL_SINK};
+
+/// The sections of the full run, in the order it prints them.
+const PHASES: &str =
+    "table1 fig7 fig8 fig9 latency ablation promotion feasibility context micro faults fleet";
 
 /// Wall-clock for one experiment phase.
 struct Phase {
@@ -30,14 +46,44 @@ fn timed<T>(phases: &mut Vec<Phase>, name: &'static str, f: impl FnOnce() -> T) 
     out
 }
 
+fn usage_error(msg: &str) -> ! {
+    eprintln!(
+        "exp_all: {msg}\nusage: exp_all [PHASE] [ATTACKS] [--threads T] [--quick]\n\
+         phases: {PHASES}"
+    );
+    std::process::exit(2)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let attacks: u32 = args
-        .iter()
-        .find_map(|s| s.parse().ok())
-        .unwrap_or(if quick { 10 } else { 100 });
-    let threads = ipds_sim::default_threads();
+    let mut phase: Option<String> = None;
+    let mut attacks: Option<u32> = None;
+    let mut threads = ipds_sim::default_threads();
+    let mut quick = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--threads" => {
+                threads = args
+                    .next()
+                    .and_then(|t| t.parse().ok())
+                    .unwrap_or_else(|| usage_error("--threads takes a number"))
+            }
+            a if attacks.is_none() && a.parse::<u32>().is_ok() => attacks = a.parse().ok(),
+            a if phase.is_none() && PHASES.split(' ').any(|p| p == a) => phase = Some(arg),
+            a => usage_error(&format!("unexpected argument `{a}`")),
+        }
+    }
+    let attacks = attacks.unwrap_or(if quick { 10 } else { 100 });
+    let phase = phase.as_deref();
+    let runs = |name: &str| phase.is_none_or(|p| p == name);
+    // The full run separates its sections with a blank line; a single
+    // phase prints its section alone.
+    let gap = || {
+        if phase.is_none() {
+            println!();
+        }
+    };
     let hw = HwConfig::table1_default();
     let mut wall: Vec<Phase> = Vec::new();
     // Pipeline spans (compile/analyze/golden/campaign) accumulate in the
@@ -45,85 +91,121 @@ fn main() {
     // drivers do their work; start from a clean slate.
     phases().reset();
 
-    ipds_bench::table1::print(&hw);
-    println!();
-    let f7 = timed(&mut wall, "fig7", || {
-        ipds_bench::fig7::run_threaded(attacks, 2006, 2006, None, threads)
+    if runs("table1") {
+        ipds_bench::table1::print(&hw);
+        gap();
+    }
+    if runs("fig7") {
+        let f7 = timed(&mut wall, "fig7", || {
+            ipds_bench::fig7::run_threaded(attacks, 2006, 2006, None, threads)
+        });
+        ipds_bench::fig7::print(&f7);
+        gap();
+        if phase == Some("fig7") {
+            print_contiguous_overflow(attacks, threads);
+        }
+    }
+    if runs("fig8") {
+        let f8 = timed(&mut wall, "fig8", ipds_bench::fig8::run);
+        ipds_bench::fig8::print(&f8);
+        gap();
+    }
+    if runs("fig9") {
+        let f9 = timed(&mut wall, "fig9", || ipds_bench::fig9::run(&hw, 2006));
+        ipds_bench::fig9::print(&f9);
+        gap();
+    }
+    if runs("latency") {
+        let lat = timed(&mut wall, "latency", || ipds_bench::latency::run(&hw, 2006));
+        ipds_bench::latency::print(&lat);
+        gap();
+    }
+    if runs("ablation") {
+        let ab = timed(&mut wall, "ablation", || {
+            ipds_bench::ablation::run(attacks.min(50), 2006, 2006)
+        });
+        let buf = timed(&mut wall, "buffer_sweep", || {
+            ipds_bench::ablation::buffer_sweep(2006)
+        });
+        ipds_bench::ablation::print(&ab, &buf);
+        gap();
+    }
+    let promotion = runs("promotion").then(|| {
+        let rows = timed(
+            &mut wall,
+            "promotion",
+            ipds_bench::ablation::promotion_sweep,
+        );
+        ipds_bench::ablation::print_promotion(&rows);
+        gap();
+        rows
     });
-    ipds_bench::fig7::print(&f7);
-    println!();
-    let f8 = timed(&mut wall, "fig8", ipds_bench::fig8::run);
-    ipds_bench::fig8::print(&f8);
-    println!();
-    let f9 = timed(&mut wall, "fig9", || ipds_bench::fig9::run(&hw, 2006));
-    ipds_bench::fig9::print(&f9);
-    println!();
-    let lat = timed(&mut wall, "latency", || ipds_bench::latency::run(&hw, 2006));
-    ipds_bench::latency::print(&lat);
-    println!();
-    let ab = timed(&mut wall, "ablation", || {
-        ipds_bench::ablation::run(attacks.min(50), 2006, 2006)
+    let feasibility = runs("feasibility").then(|| {
+        let rows = timed(
+            &mut wall,
+            "feasibility",
+            ipds_bench::ablation::feasibility_sweep,
+        );
+        ipds_bench::ablation::print_feasibility(&rows);
+        gap();
+        rows
     });
-    let buf = timed(&mut wall, "buffer_sweep", || {
-        ipds_bench::ablation::buffer_sweep(2006)
+    if runs("context") {
+        let ctx = timed(&mut wall, "context", || ipds_bench::context::run(&hw));
+        ipds_bench::context::print(&ctx);
+        gap();
+    }
+    if runs("micro") {
+        let micro = timed(&mut wall, "micro", || ipds_bench::micro::run(&hw));
+        ipds_bench::micro::print(&micro);
+    }
+    let faults = runs("faults").then(|| {
+        let faults = timed(&mut wall, "faults", || {
+            fault_campaigns(if quick { 6 } else { 24 }, threads)
+        });
+        println!(
+            "fault injection: {} faults, {} detected, {} masked, {} crashed, \
+             {} image flips undetected, p50 latency {} branches",
+            faults.injected,
+            faults.detected,
+            faults.masked,
+            faults.crashed,
+            faults.image_undetected,
+            faults.p50
+        );
+        gap();
+        faults
     });
-    ipds_bench::ablation::print(&ab, &buf);
-    println!();
-    let promotion = timed(
-        &mut wall,
-        "promotion",
-        ipds_bench::ablation::promotion_sweep,
-    );
-    ipds_bench::ablation::print_promotion(&promotion);
-    println!();
-    let feasibility = timed(
-        &mut wall,
-        "feasibility",
-        ipds_bench::ablation::feasibility_sweep,
-    );
-    ipds_bench::ablation::print_feasibility(&feasibility);
-    println!();
-    let ctx = timed(&mut wall, "context", || ipds_bench::context::run(&hw));
-    ipds_bench::context::print(&ctx);
-    println!();
-    let micro = timed(&mut wall, "micro", || ipds_bench::micro::run(&hw));
-    ipds_bench::micro::print(&micro);
-
-    let faults = timed(&mut wall, "faults", || {
-        fault_campaigns(if quick { 6 } else { 24 }, threads)
+    let fleet = runs("fleet").then(|| {
+        let fleet = timed(&mut wall, "fleet", || fleet_phase(quick, threads));
+        println!(
+            "fleet service: {} sessions ({} rejected), {} events, {} incidents -> \
+             {} root causes ({} tampered image, {} hot region, {} isolated noise), \
+             every injected tamper surfaced",
+            fleet.sessions,
+            fleet.rejected,
+            fleet.events,
+            fleet.incidents,
+            fleet.root_causes,
+            fleet.tampered_images,
+            fleet.hot_regions,
+            fleet.isolated_noise,
+        );
+        // Throughput is wall-clock-dependent, so stderr like the overhead probe.
+        eprintln!(
+            "fleet throughput: {:.0} sessions/s, {:.0} events/s ({} ingestion workers)",
+            fleet.sessions_per_sec, fleet.events_per_sec, fleet.workers
+        );
+        gap();
+        fleet
     });
-    println!(
-        "fault injection: {} faults, {} detected, {} masked, {} crashed, \
-         {} image flips undetected, p50 latency {} branches",
-        faults.injected,
-        faults.detected,
-        faults.masked,
-        faults.crashed,
-        faults.image_undetected,
-        faults.p50
-    );
-    println!();
-
-    let fleet = timed(&mut wall, "fleet", || fleet_phase(quick, threads));
-    println!(
-        "fleet service: {} sessions ({} rejected), {} events, {} incidents -> \
-         {} root causes ({} tampered image, {} hot region, {} isolated noise), \
-         every injected tamper surfaced",
-        fleet.sessions,
-        fleet.rejected,
-        fleet.events,
-        fleet.incidents,
-        fleet.root_causes,
-        fleet.tampered_images,
-        fleet.hot_regions,
-        fleet.isolated_noise,
-    );
-    // Throughput is wall-clock-dependent, so stderr like the overhead probe.
-    eprintln!(
-        "fleet throughput: {:.0} sessions/s, {:.0} events/s ({} ingestion workers)",
-        fleet.sessions_per_sec, fleet.events_per_sec, fleet.workers
-    );
-    println!();
+    // A single phase ends here: the sweep, the probes and the JSON need
+    // every section's results.
+    let (Some(promotion), Some(feasibility), Some(faults), Some(fleet)) =
+        (promotion, feasibility, faults, fleet)
+    else {
+        return;
+    };
 
     let scaling = scaling_sweep(attacks, threads, quick);
     // Wall-clock-dependent, so stderr: stdout stays byte-identical run-to-run.
@@ -140,7 +222,7 @@ fn main() {
          (bare engine {:.0} attacks/s, instrumented {:.0} attacks/s)",
         overhead.percent, overhead.bare_aps, overhead.instrumented_aps
     );
-    let counters = campaign_counters(attacks.min(50));
+    let counters = campaign_counters(attacks.min(50), threads);
     let compiles = compile_reports();
     match write_bench_json(
         attacks,
@@ -158,6 +240,29 @@ fn main() {
         Ok(path) => println!("campaign throughput written to {path}"),
         Err(e) => eprintln!("warning: could not write bench_campaign.json: {e}"),
     }
+}
+
+/// The `fig7` phase's extra section: the same protocol with every
+/// workload's model overridden by the contiguous-block overflow (the
+/// unrefined shape §6 says real overflows take) — smashing a run of cells
+/// hits correlated state more often.
+fn print_contiguous_overflow(attacks: u32, threads: usize) {
+    let rows = ipds_bench::fig7::run_threaded(
+        attacks,
+        2006,
+        2006,
+        Some(ipds_sim::AttackModel::ContiguousOverflow),
+        threads,
+    );
+    println!();
+    println!("(extra) same protocol with contiguous 2-8 cell overflows:");
+    let (cf, det, given) = ipds_bench::fig7::averages(&rows);
+    println!(
+        "  cf-changed {:.1}%  detected {:.1}%  detected|cf {:.1}%",
+        100.0 * cf,
+        100.0 * det,
+        100.0 * given
+    );
 }
 
 /// One row of the thread-scaling sweep.
@@ -252,9 +357,9 @@ fn scaling_sweep(attacks: u32, default_threads: usize, quick: bool) -> Vec<Scali
     rows
 }
 
-/// The telemetry zero-cost claim, measured: attacks/sec of the serial
-/// engine as a bare loop (the pre-telemetry shape: runner + RNG + fold,
-/// no sink anywhere in sight) vs the instrumented engine carrying a
+/// The telemetry zero-cost claim, measured: attacks/sec of a bare
+/// single-threaded loop (the pre-telemetry shape: runner + RNG + fold, no
+/// sink anywhere in sight) vs the campaign engine at one thread carrying a
 /// [`NULL_SINK`]. Best-of-`reps` to shed scheduler noise.
 struct Overhead {
     bare_aps: f64,
@@ -310,13 +415,15 @@ fn null_sink_overhead(attacks: u32, reps: u32) -> Overhead {
 
         // Instrumented engine, NullSink: must compile down to the same.
         let start = Instant::now();
-        let (instr_result, _) = ipds_sim::attack::run_campaign_instrumented(
+        let (instr_result, _) = ipds_sim::run_campaign(
             &art.protected.program,
             &art.protected.analysis,
             &art.inputs,
             &art.golden,
             &campaign,
+            1,
             &NULL_SINK,
+            None,
         );
         instr_best = instr_best.min(start.elapsed().as_secs_f64());
         assert_eq!(
@@ -436,7 +543,7 @@ fn fleet_phase(quick: bool, threads: usize) -> FleetSummary {
 /// One instrumented campaign with a [`CountingSink`], for the event-count
 /// section of the JSON (what the checker actually did, not how long it
 /// took).
-fn campaign_counters(attacks: u32) -> CounterSnapshot {
+fn campaign_counters(attacks: u32, threads: usize) -> CounterSnapshot {
     let w = ipds_workloads::all()
         .into_iter()
         .find(|w| w.name == "telnetd")
@@ -450,7 +557,7 @@ fn campaign_counters(attacks: u32) -> CounterSnapshot {
         .attacks(attacks)
         .seed(0x0bed)
         .model(w.vuln)
-        .threads(ipds_sim::default_threads())
+        .threads(threads)
         .sink(&sink)
         .run();
     sink.snapshot()

@@ -28,33 +28,17 @@ pub struct Fig7Row {
 ///
 /// `attacks` is per workload (paper: 100); `seed` controls the campaign,
 /// `input_seed` the benign traffic. Uses every available core — the
-/// parallel engine is bit-identical to the serial one, so the figure does
-/// not depend on the thread count.
+/// campaign engine is bit-identical at every thread count, so the figure
+/// does not depend on it.
 pub fn run(attacks: u32, seed: u64, input_seed: u64) -> Vec<Fig7Row> {
     run_threaded(attacks, seed, input_seed, None, ipds_sim::default_threads())
 }
 
-/// Like [`run`], but overriding every workload's attack model — used for
-/// the contiguous-overflow comparison (the block-smash shape §6 says real
-/// overflows take before the paper refines to single locations).
-pub fn run_with_model(
-    attacks: u32,
-    seed: u64,
-    input_seed: u64,
-    model: Option<ipds_sim::AttackModel>,
-) -> Vec<Fig7Row> {
-    run_threaded(
-        attacks,
-        seed,
-        input_seed,
-        model,
-        ipds_sim::default_threads(),
-    )
-}
-
 /// The fully parameterized driver behind [`run`]: explicit attack model
-/// override and worker-thread count. Compiles and golden-runs each
-/// workload at most once per process via the [`crate::artifacts`] cache.
+/// override (the contiguous-overflow comparison, the block-smash shape §6
+/// says real overflows take before the paper refines to single locations)
+/// and worker-thread count. Compiles and golden-runs each workload at most
+/// once per process via the [`crate::artifacts`] cache.
 pub fn run_threaded(
     attacks: u32,
     seed: u64,

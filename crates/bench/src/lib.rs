@@ -2,19 +2,21 @@
 //!
 //! One module per table/figure of the evaluation section (§6), each with a
 //! `run()` producing structured rows and a `print()` rendering the same
-//! table the paper reports. The `exp_*` binaries in `src/bin` are thin
-//! wrappers; the Criterion benches in `benches/` measure the costs (compile
-//! time, checking throughput, simulation speed) on the same drivers.
+//! table the paper reports. The one binary, `exp_all`, runs them all in
+//! sequence or one phase at a time (`exp_all <phase>`); the Criterion
+//! benches in `benches/` measure the costs (compile time, checking
+//! throughput, simulation speed) on the same drivers.
 //!
-//! | Paper artifact | Module | Binary |
+//! | Paper artifact | Module | `exp_all` phase |
 //! |---|---|---|
-//! | Fig. 7 detection rates | [`fig7`] | `exp_fig7` |
-//! | Fig. 8 table sizes | [`fig8`] | `exp_fig8` |
-//! | Fig. 9 normalized performance | [`fig9`] | `exp_fig9` |
-//! | Table 1 processor config | [`table1`] | `exp_table1` |
-//! | §6 detection latency (11.7 cycles) | [`latency`] | `exp_latency` |
-//! | Ablations (ours) | [`ablation`] | `exp_ablation` |
-//! | §5.4 context-switch costs | [`context`] | `exp_context` |
+//! | Table 1 processor config | [`table1`] | `table1` |
+//! | Fig. 7 detection rates | [`fig7`] | `fig7` |
+//! | Fig. 8 table sizes | [`fig8`] | `fig8` |
+//! | Fig. 9 normalized performance | [`fig9`] | `fig9` |
+//! | §6 detection latency (11.7 cycles) | [`latency`] | `latency` |
+//! | Ablations (ours) | [`ablation`] | `ablation`, `promotion`, `feasibility` |
+//! | §5.4 context-switch costs | [`context`] | `context` |
+//! | Timing-model microbenchmarks | [`micro`] | `micro` |
 
 pub mod ablation;
 pub mod artifacts;

@@ -400,23 +400,6 @@ impl Protected {
         Ok(Protected::from_program(program, &AnalysisConfig::default()))
     }
 
-    /// Compiles with explicit analysis settings (ablation switches etc.).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`CompileError`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Protected::compile` for defaults, or \
-                `Protected::from_program(ipds::ir::parse(src)?, &config)` \
-                for explicit analysis settings"
-    )]
-    pub fn compile_with(source: &str, config: &AnalysisConfig) -> Result<Protected, CompileError> {
-        let program = ipds_ir::parse(source)?;
-        let analysis = analyze_program(&program, config);
-        Ok(Protected { program, analysis })
-    }
-
     /// Wraps an already-built IR program.
     pub fn from_program(program: Program, config: &AnalysisConfig) -> Protected {
         let analysis = analyze_program(&program, config);
@@ -488,63 +471,9 @@ impl Protected {
         }
     }
 
-    /// Runs a seeded fault-injection campaign, serially.
-    ///
-    /// Shorthand for
-    /// `self.fault_spec().inputs(..).flips(..).seed(..).run()`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `fault_spec().inputs(..).flips(..).seed(..).run()`"
-    )]
-    pub fn faults(&self, inputs: &[Input], flips: u32, seed: u64) -> FaultCampaignResult {
-        self.fault_spec()
-            .inputs(inputs)
-            .flips(flips)
-            .seed(seed)
-            .run()
-    }
-
     /// Executes cleanly under IPDS checking.
     pub fn run(&self, inputs: &[Input]) -> RunReport {
         self.run_impl(inputs, ExecLimits::default(), None, &NULL_SINK)
-    }
-
-    /// Executes cleanly under IPDS checking with explicit limits.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `session().inputs(..).limits(..).run()` (or \
-                `session_config` with a shared `SessionConfig`)"
-    )]
-    pub fn run_limited(&self, inputs: &[Input], limits: ExecLimits) -> RunReport {
-        self.run_impl(inputs, limits, None, &NULL_SINK)
-    }
-
-    /// Executes with a single targeted tamper: after `trigger_step`
-    /// interpreter steps, the named scalar variable of `main`'s frame (or a
-    /// global) is overwritten with `value`.
-    ///
-    /// Equivalent to `self.session().inputs(..).tamper(..).run()`.
-    ///
-    /// # Errors
-    ///
-    /// [`TamperError::UnknownVar`] if `var_name` names no variable of
-    /// `main` or global scope — reported before anything executes, whether
-    /// or not the trigger would ever fire.
-    #[deprecated(since = "0.2.0", note = "use `session().inputs(..).tamper(..).run()`")]
-    pub fn run_with_tamper(
-        &self,
-        inputs: &[Input],
-        trigger_step: u64,
-        var_name: &str,
-        value: i64,
-    ) -> Result<RunReport, TamperError> {
-        let var = self.resolve_var(var_name)?;
-        Ok(self.run_impl(
-            inputs,
-            ExecLimits::default(),
-            Some((trigger_step, var, value)),
-            &NULL_SINK,
-        ))
     }
 
     /// Resolves a variable name against `main`'s frame, then the globals.
@@ -572,8 +501,8 @@ impl Protected {
         })
     }
 
-    /// The one execution engine behind [`RunSession`], `run*` and the CLI:
-    /// optional single tamper, any sink.
+    /// The one execution engine behind [`RunSession`], [`Protected::run`]
+    /// and the CLI: optional single tamper, any sink.
     fn run_impl<S: EventSink>(
         &self,
         inputs: &[Input],
@@ -601,29 +530,6 @@ impl Protected {
             alarms: obs.checker.alarms().to_vec(),
             stats: *obs.checker.stats(),
         }
-    }
-
-    /// Runs a seeded attack campaign (the Fig. 7 protocol), serially.
-    ///
-    /// Shorthand for
-    /// `self.campaign_spec().inputs(..).attacks(..).seed(..).model(..).run()`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `campaign_spec().inputs(..).attacks(..).seed(..).model(..).run()`"
-    )]
-    pub fn campaign(
-        &self,
-        inputs: &[Input],
-        attacks: u32,
-        seed: u64,
-        model: AttackModel,
-    ) -> CampaignResult {
-        self.campaign_spec()
-            .inputs(inputs)
-            .attacks(attacks)
-            .seed(seed)
-            .model(model)
-            .run()
     }
 
     /// Captures the golden (clean) run once and derives the campaign
@@ -706,12 +612,6 @@ impl BuildSpec {
     pub fn analysis(mut self, config: AnalysisConfig) -> Self {
         self.options.config = config;
         self
-    }
-
-    /// Analysis tuning (ablation switches, hash-space cap).
-    #[deprecated(since = "0.2.0", note = "renamed to `BuildSpec::analysis`")]
-    pub fn config(self, config: AnalysisConfig) -> Self {
-        self.analysis(config)
     }
 
     /// Applies the shared [`SessionConfig`] vocabulary. For a build only
@@ -1041,7 +941,7 @@ impl<'a, S: EventSink> CampaignSpec<'a, S> {
             model: self.model,
             limits,
         };
-        ipds_sim::run_campaign_threaded_instrumented_warm(
+        ipds_sim::run_campaign(
             &self.protected.program,
             &self.protected.analysis,
             self.inputs,
@@ -1139,7 +1039,7 @@ impl<'a> FaultSpec<'a> {
             checksum: self.checksum,
             limits,
         };
-        ipds_sim::run_fault_campaign_threaded(
+        ipds_sim::run_fault_campaign(
             &self.protected.program,
             &self.protected.analysis,
             &image,
@@ -1187,64 +1087,14 @@ mod tests {
         assert!(a.actual);
     }
 
-    /// The deprecated shims must stay behaviorally identical to the
-    /// builders that replaced them for as long as they exist — this is the
-    /// one place in the tree allowed to call them.
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_builders() {
+    fn plain_run_matches_the_session_builder() {
         let p = Protected::compile(SRC).unwrap();
         let inputs = [Input::Int(0), Input::Int(9)];
         let plain = p.run(&inputs);
         let built = p.session().inputs(&inputs).run().unwrap();
         assert_eq!(plain.output, built.output);
         assert_eq!(plain.status, built.status);
-
-        let shim = p.run_with_tamper(&inputs, 8, "user", 1).unwrap();
-        let built = p
-            .session()
-            .inputs(&inputs)
-            .tamper(8, "user", 1)
-            .run()
-            .unwrap();
-        assert_eq!(shim.output, built.output);
-        assert_eq!(shim.alarms, built.alarms);
-
-        let shim = p.run_limited(&inputs, ExecLimits::default());
-        let built = p
-            .session()
-            .inputs(&inputs)
-            .limits(ExecLimits::default())
-            .run()
-            .unwrap();
-        assert_eq!(shim.output, built.output);
-
-        let shim = p.campaign(&inputs, 20, 3, AttackModel::FormatString);
-        let built = p
-            .campaign_spec()
-            .inputs(&inputs)
-            .attacks(20)
-            .seed(3)
-            .model(AttackModel::FormatString)
-            .run();
-        assert_eq!(shim, built);
-
-        let shim = p.faults(&inputs, 4, 3);
-        let built = p.fault_spec().inputs(&inputs).flips(4).seed(3).run();
-        assert_eq!(shim, built);
-
-        let shim = Protected::compile_with(SRC, &AnalysisConfig::default()).unwrap();
-        assert_eq!(
-            TableImage::build(&shim.analysis).as_bytes(),
-            TableImage::build(&p.analysis).as_bytes()
-        );
-
-        let shim = Protected::build().config(AnalysisConfig::default());
-        let renamed = Protected::build().analysis(AnalysisConfig::default());
-        assert_eq!(
-            shim.compile(SRC).unwrap().image.as_bytes(),
-            renamed.compile(SRC).unwrap().image.as_bytes()
-        );
     }
 
     #[test]

@@ -329,8 +329,8 @@ pub fn golden_run(
 
 /// Reusable attack executor: one interpreter arena, one checker, one trace
 /// buffer, recycled across every attack it runs (§6's 100-attack protocol
-/// allocates its scratch once instead of per attack). Each worker thread of
-/// the parallel engine owns one `AttackRunner`; the borrowed program,
+/// allocates its scratch once instead of per attack). Each worker of
+/// [`run_campaign`] owns one `AttackRunner`; the borrowed program,
 /// analysis and golden trace are shared by all of them.
 #[derive(Debug)]
 pub struct AttackRunner<'a, S: EventSink = NullSink> {
@@ -614,8 +614,9 @@ pub fn attack_seed(campaign: &Campaign, i: u32) -> u64 {
 }
 
 /// Derives attack `i`'s RNG stream and trigger step: the per-attack seeding
-/// protocol, shared verbatim by the serial and parallel engines so their
-/// results are bit-identical.
+/// protocol. It depends on nothing but the campaign and the index, so
+/// [`run_campaign`] (at any thread count) and a hand-driven
+/// [`AttackRunner`] loop produce bit-identical outcomes.
 pub fn attack_rng(campaign: &Campaign, golden_steps: u64, i: u32) -> (StdRng, u64) {
     let mut rng = StdRng::seed_from_u64(attack_seed(campaign, i));
     // Trigger anywhere in the first 95% of the run so the attack has room
@@ -626,8 +627,8 @@ pub fn attack_rng(campaign: &Campaign, golden_steps: u64, i: u32) -> (StdRng, u6
 }
 
 /// Reports one completed attack to the sink and the worker-local metrics
-/// registry. Both engines call this per attack, so the folded telemetry is
-/// identical whichever engine ran.
+/// registry. Every worker calls this per attack, so the folded telemetry is
+/// identical whatever the thread count.
 pub(crate) fn record_attack<S: EventSink>(
     sink: &S,
     metrics: &mut MetricsRegistry,
@@ -662,7 +663,7 @@ pub(crate) fn record_attack<S: EventSink>(
 }
 
 /// Folds per-attack outcomes (in seed order) into a [`CampaignResult`].
-/// Both engines aggregate through this one function — same fold, same
+/// Every thread count folds through this one function — same fold, same
 /// floating-point association order, bit-identical means.
 pub fn aggregate(attacks: u32, outcomes: &[AttackOutcome]) -> CampaignResult {
     let mut result = CampaignResult {
@@ -689,70 +690,54 @@ pub fn aggregate(attacks: u32, outcomes: &[AttackOutcome]) -> CampaignResult {
     result
 }
 
-/// Runs a full campaign against one program with the given input script.
-pub fn run_campaign(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    inputs: &[Input],
-    campaign: &Campaign,
-) -> CampaignResult {
-    let golden = GoldenRun::capture(program, inputs, campaign.limits);
-    run_campaign_with_golden(program, analysis, inputs, &golden, campaign)
-}
-
-/// Runs a full campaign against a precomputed golden run (the artifact the
-/// benchmark layer caches per (program, input script)).
+/// The campaign engine: runs `campaign.attacks` seeded attacks against
+/// `program` over a precomputed golden run, across up to `threads` workers
+/// of the persistent [`ipds_parallel`] pool. Every checked branch and
+/// every finished attack go to `sink`; with [`NullSink`] the event path
+/// compiles away.
 ///
-/// # Panics
+/// A campaign is embarrassingly parallel: every attack is seeded
+/// independently ([`attack_seed`]), runs against the same immutable
+/// artifacts (program, analysis, inputs, golden trace) and contributes one
+/// [`AttackOutcome`]. Each worker owns one reusable [`AttackRunner`] arena
+/// plus a private [`MetricsRegistry`]; the pool hands out attack indices
+/// dynamically (attack durations vary wildly — a tamper that sends the
+/// victim into a budget-exhausting loop costs orders of magnitude more
+/// than one that crashes it immediately) and merges the outcomes back
+/// into seed order, so the one [`aggregate`] fold sees the same sequence
+/// whatever the thread count. A batch too small to split (`threads <= 1`,
+/// or below the pool's per-worker work floor) runs inline on the calling
+/// thread as a plain loop.
 ///
-/// Panics if the golden run faulted — benign traffic must be fault-free.
-pub fn run_campaign_with_golden(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    inputs: &[Input],
-    golden: &GoldenRun,
-    campaign: &Campaign,
-) -> CampaignResult {
-    run_campaign_instrumented(program, analysis, inputs, golden, campaign, &NULL_SINK).0
-}
-
-/// The serial campaign engine with telemetry attached: every checked branch
-/// goes to `sink` and the per-attack metrics (counters plus the step-count
-/// histogram) come back in a [`MetricsRegistry`]. With [`NullSink`] the
-/// event path compiles away and the result is identical to
-/// [`run_campaign_with_golden`].
+/// The [`CampaignResult`] is therefore **bit-identical** for every thread
+/// count (including the `f64` lag mean, which is sensitive to summation
+/// order), and so is the merged registry (and any
+/// [`CountingSink`](ipds_telemetry::CountingSink) snapshot) — with one
+/// documented exception: the pool's chunk-accounting counters
+/// (`pool.chunks_claimed`, `pool.chunks_stolen`) describe how the
+/// scheduler happened to carve the index space and legitimately vary with
+/// thread count and timing. See `docs/PERF.md`.
 ///
-/// # Panics
-///
-/// Panics if the golden run faulted — benign traffic must be fault-free.
-pub fn run_campaign_instrumented<S: EventSink>(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    inputs: &[Input],
-    golden: &GoldenRun,
-    campaign: &Campaign,
-    sink: &S,
-) -> (CampaignResult, MetricsRegistry) {
-    run_campaign_instrumented_warm(program, analysis, inputs, golden, campaign, sink, None)
-}
-
-/// [`run_campaign_instrumented`] over a precomputed [`WarmStart`], so a
-/// driver running many campaigns against the same artifacts (the scaling
-/// sweep, the ablation grid) captures the golden snapshots once instead of
-/// once per campaign. `warm.is_none()` captures on demand exactly as
-/// before; either way the warm path is subject to the same gating (detail
-/// sinks and single-attack campaigns run cold), so results stay
+/// `warm` is a precomputed [`WarmStart`], so a driver running many
+/// campaigns against the same artifacts (the scaling sweep, the ablation
+/// grid) captures the golden snapshots once instead of once per campaign;
+/// `None` captures on demand. Either way the warm path is skipped for
+/// detail sinks (which need every prefix branch record) and single-attack
+/// campaigns (capture costs about one clean run), so results are
 /// bit-identical with and without a precomputed warm start.
 ///
 /// # Panics
 ///
-/// Panics if the golden run faulted — benign traffic must be fault-free.
-pub fn run_campaign_instrumented_warm<S: EventSink>(
+/// Panics if the golden run faulted — benign traffic must be fault-free —
+/// or if a worker thread panics.
+#[allow(clippy::too_many_arguments)]
+pub fn run_campaign<S: EventSink>(
     program: &Program,
     analysis: &ProgramAnalysis,
     inputs: &[Input],
     golden: &GoldenRun,
     campaign: &Campaign,
+    threads: usize,
     sink: &S,
     warm: Option<&WarmStart>,
 ) -> (CampaignResult, MetricsRegistry) {
@@ -761,9 +746,8 @@ pub fn run_campaign_instrumented_warm<S: EventSink>(
         "golden run must not fault: {:?}",
         golden.status
     );
-    // One golden-snapshot set amortized over the whole campaign — skipped
-    // for detail sinks (which need every prefix branch record) and for
-    // single-attack campaigns (capture costs about one clean run).
+    // One golden-snapshot set, captured (or taken precomputed) here and
+    // shared immutably by every worker.
     let use_warm = !sink.wants_branch_stream() && campaign.attacks > 1;
     let owned = (use_warm && warm.is_none())
         .then(|| WarmStart::capture(program, analysis, inputs, golden.steps, campaign.limits));
@@ -772,35 +756,46 @@ pub fn run_campaign_instrumented_warm<S: EventSink>(
     } else {
         None
     };
-    let mut runner = AttackRunner::with_sink(
-        program,
-        analysis,
-        inputs,
-        &golden.trace,
-        campaign.limits,
-        sink,
+
+    let (outcomes, states, pool) = ipds_parallel::map_indexed_stats(
+        campaign.attacks,
+        threads,
+        |_| {
+            let mut runner = AttackRunner::with_sink(
+                program,
+                analysis,
+                inputs,
+                &golden.trace,
+                campaign.limits,
+                sink,
+            );
+            if let Some(warm) = warm {
+                runner = runner.with_warm_start(warm);
+            }
+            (runner, MetricsRegistry::new())
+        },
+        |(runner, local_metrics), i| {
+            let (mut rng, trigger) = attack_rng(campaign, golden.steps, i);
+            let outcome = runner.run(trigger, campaign.model, &mut rng);
+            record_attack(sink, local_metrics, campaign, i, trigger, &outcome);
+            outcome
+        },
     );
-    if let Some(warm) = warm {
-        runner = runner.with_warm_start(warm);
-    }
     let mut metrics = MetricsRegistry::new();
-    let mut outcomes = Vec::with_capacity(campaign.attacks as usize);
-    for i in 0..campaign.attacks {
-        let (mut rng, trigger) = attack_rng(campaign, golden.steps, i);
-        let outcome = runner.run(trigger, campaign.model, &mut rng);
-        record_attack(sink, &mut metrics, campaign, i, trigger, &outcome);
-        outcomes.push(outcome);
+    for (_, local_metrics) in &states {
+        metrics.merge(local_metrics);
     }
-    // Mirror the worker pool's degenerate single-worker accounting (one
-    // worker, one chunk, nothing stolen) so the deterministic telemetry
-    // keys match the threaded engine bit for bit.
-    metrics.add("pool.tasks_executed", u64::from(campaign.attacks));
-    metrics.add("pool.chunks_claimed", u64::from(campaign.attacks > 0));
-    metrics.add("pool.chunks_stolen", 0);
-    metrics.add(
-        "checker.bsv_pool_high_water",
-        runner.bsv_pool_high_water() as u64,
-    );
+    metrics.add("pool.tasks_executed", pool.tasks_executed);
+    metrics.add("pool.chunks_claimed", pool.chunks_claimed);
+    metrics.add("pool.chunks_stolen", pool.chunks_stolen);
+    // The BSV-pool high water is a max, and a max over per-worker maxima
+    // equals the whole-campaign max, so it too is thread-count-invariant.
+    let high_water = states
+        .iter()
+        .map(|(runner, _)| runner.bsv_pool_high_water())
+        .max()
+        .unwrap_or(0);
+    metrics.add("checker.bsv_pool_high_water", high_water as u64);
     (aggregate(campaign.attacks, &outcomes), metrics)
 }
 
@@ -819,10 +814,33 @@ mod tests {
         if (user == 1) { print_int(200); } else { print_int(300); } \
         return 0; }";
 
+    /// A looping variant of [`VICTIM`]: enough branches per run that a
+    /// 40-attack campaign splits across several pool workers.
+    const LOOP_VICTIM: &str = "fn main() -> int { int user; int req; int i; \
+        user = read_int(); \
+        for (i = 0; i < 6; i = i + 1) { \
+          if (user == 1) { print_int(100); } \
+          req = read_int(); \
+          print_int(req); \
+          if (user == 1) { print_int(200); } else { print_int(300); } \
+        } return 0; }";
+
     fn setup(src: &str) -> (Program, ProgramAnalysis) {
         let p = ipds_ir::parse(src).unwrap();
         let a = analyze_program(&p, &AnalysisConfig::default());
         (p, a)
+    }
+
+    /// Captures the golden run and runs `c` across `threads` workers.
+    fn campaign(
+        p: &Program,
+        a: &ProgramAnalysis,
+        inputs: &[Input],
+        c: &Campaign,
+        threads: usize,
+    ) -> CampaignResult {
+        let golden = GoldenRun::capture(p, inputs, c.limits);
+        run_campaign(p, a, inputs, &golden, c, threads, &NULL_SINK, None).0
     }
 
     #[test]
@@ -885,7 +903,7 @@ mod tests {
             model: AttackModel::FormatString,
             limits: ExecLimits::default(),
         };
-        let r = run_campaign(&p, &a, &inputs, &c);
+        let r = campaign(&p, &a, &inputs, &c, 1);
         assert_eq!(r.attacks, 50);
         assert!(r.detected <= r.cf_changed, "detected ⊆ cf-changed: {r:?}");
         assert!(r.cf_changed <= r.attacks);
@@ -954,8 +972,8 @@ mod tests {
             model: AttackModel::BufferOverflow,
             limits: ExecLimits::default(),
         };
-        let r1 = run_campaign(&p, &a, &inputs, &c);
-        let r2 = run_campaign(&p, &a, &inputs, &c);
+        let r1 = campaign(&p, &a, &inputs, &c, 1);
+        let r2 = campaign(&p, &a, &inputs, &c, 1);
         assert_eq!(r1, r2);
     }
 
@@ -975,11 +993,70 @@ mod tests {
             model,
             limits: ExecLimits::default(),
         };
-        let fs = run_campaign(&p, &a, &inputs, &mk(AttackModel::FormatString));
-        let bo = run_campaign(&p, &a, &inputs, &mk(AttackModel::BufferOverflow));
+        let fs = campaign(&p, &a, &inputs, &mk(AttackModel::FormatString), 1);
+        let bo = campaign(&p, &a, &inputs, &mk(AttackModel::BufferOverflow), 1);
         assert!(
             fs.detected >= bo.detected,
             "format-string reaches the global, overflow does not: {fs:?} vs {bo:?}"
+        );
+    }
+
+    fn loop_setup() -> (Program, ProgramAnalysis, Vec<Input>) {
+        let (p, a) = setup(LOOP_VICTIM);
+        let inputs: Vec<Input> = (0..7).map(|i| Input::Int(i % 3)).collect();
+        (p, a, inputs)
+    }
+
+    #[test]
+    fn every_thread_count_is_bit_identical_to_one() {
+        let (p, a, inputs) = loop_setup();
+        for model in [AttackModel::FormatString, AttackModel::ContiguousOverflow] {
+            let c = Campaign {
+                attacks: 40,
+                seed: 99,
+                model,
+                limits: ExecLimits::default(),
+            };
+            let one = campaign(&p, &a, &inputs, &c, 1);
+            for threads in [2, 3, 4, 7] {
+                let many = campaign(&p, &a, &inputs, &c, threads);
+                assert_eq!(one, many, "{model:?} with {threads} threads");
+                assert_eq!(
+                    one.mean_lag_branches.to_bits(),
+                    many.mean_lag_branches.to_bits(),
+                    "{model:?} lag mean must be bit-identical"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn more_threads_than_attacks_is_fine() {
+        let (p, a, inputs) = loop_setup();
+        let c = Campaign {
+            attacks: 3,
+            seed: 5,
+            model: AttackModel::BufferOverflow,
+            limits: ExecLimits::default(),
+        };
+        let one = campaign(&p, &a, &inputs, &c, 1);
+        for threads in [4, 16] {
+            assert_eq!(one, campaign(&p, &a, &inputs, &c, threads), "{threads}");
+        }
+    }
+
+    #[test]
+    fn zero_threads_is_one_thread() {
+        let (p, a, inputs) = loop_setup();
+        let c = Campaign {
+            attacks: 10,
+            seed: 1,
+            model: AttackModel::FormatString,
+            limits: ExecLimits::default(),
+        };
+        assert_eq!(
+            campaign(&p, &a, &inputs, &c, 0),
+            campaign(&p, &a, &inputs, &c, 1),
         );
     }
 }

@@ -236,8 +236,8 @@ impl FaultCampaignResult {
 }
 
 /// The derived RNG seed of fault `i` — the same xor-splitmix stream
-/// protocol the attack engine uses, so serial and parallel campaigns are
-/// bit-identical.
+/// protocol the attack engine uses, so campaigns are bit-identical at every
+/// thread count.
 pub fn fault_seed(campaign: &FaultCampaign, i: u32) -> u64 {
     campaign.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1))
 }
@@ -253,7 +253,7 @@ pub fn fault_site(i: u32) -> FaultSite {
 }
 
 /// Derives fault `i`'s complete plan from the campaign seed. Pure function
-/// of `(campaign, golden_steps, i)` — the shared protocol both engines run.
+/// of `(campaign, golden_steps, i)`, whichever worker runs it.
 pub fn fault_plan(campaign: &FaultCampaign, golden_steps: u64, i: u32) -> FaultPlan {
     let mut rng = StdRng::seed_from_u64(fault_seed(campaign, i));
     match fault_site(i) {
@@ -311,8 +311,8 @@ fn trigger_in_run(rng: &mut StdRng, golden_steps: u64) -> u64 {
 }
 
 /// Reusable fault executor: one interpreter arena plus one checker, recycled
-/// across every live-state fault it runs. Each worker thread of the parallel
-/// engine owns one `FaultRunner`; the borrowed program, analysis, image and
+/// across every live-state fault it runs. Each worker of
+/// [`run_fault_campaign`] owns one `FaultRunner`; the borrowed program, analysis, image and
 /// inputs are shared by all of them.
 #[derive(Debug)]
 pub struct FaultRunner<'a> {
@@ -535,8 +535,9 @@ fn register_fault_counters(metrics: &mut MetricsRegistry) {
     }
 }
 
-/// Folds one fault's outcome into the worker-local metrics. Both engines
-/// record through this function, so merged telemetry is engine-independent.
+/// Folds one fault's outcome into the worker-local metrics. Every worker
+/// records through this function, so merged telemetry is
+/// thread-count-independent.
 fn record_fault(
     metrics: &mut MetricsRegistry,
     campaign: &FaultCampaign,
@@ -572,8 +573,8 @@ fn record_fault(
 }
 
 /// Folds per-fault outcomes (in index order) into a
-/// [`FaultCampaignResult`]. Shared by both engines — same fold, same
-/// latency order.
+/// [`FaultCampaignResult`]. Every thread count folds through this one
+/// function — same fold, same latency order.
 pub fn aggregate_faults(
     campaign: &FaultCampaign,
     outcomes: &[FaultOutcome],
@@ -615,35 +616,20 @@ pub fn aggregate_faults(
     result
 }
 
-/// Runs a fault campaign serially.
-///
-/// # Panics
-///
-/// Panics if the golden (clean) run faults — benign traffic must be
-/// fault-free.
-pub fn run_fault_campaign(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    image: &TableImage,
-    inputs: &[Input],
-    campaign: &FaultCampaign,
-) -> (FaultCampaignResult, MetricsRegistry) {
-    run_fault_campaign_threaded(program, analysis, image, inputs, campaign, 1)
-}
-
-/// Runs a fault campaign across `threads` workers (`0`/`1` = serial, zero
-/// spawned threads). Results — including the latency vector and the merged
+/// Runs a fault campaign across up to `threads` workers of the persistent
+/// [`ipds_parallel`] pool (a batch too small to split runs inline as a
+/// plain loop). Results — including the latency vector and the merged
 /// metrics — are bit-identical for every thread count: faults are
-/// independently seeded, outcomes merge in index order, and the fold is
-/// shared with the serial path. The one exception is the pool's
-/// chunk-accounting telemetry (`pool.chunks_claimed`, `pool.chunks_stolen`),
-/// which describes how the scheduler carved the index space and varies with
-/// thread count and timing (see `docs/PERF.md`).
+/// independently seeded, outcomes merge in index order, and one fold
+/// aggregates them. The one exception is the pool's chunk-accounting
+/// telemetry (`pool.chunks_claimed`, `pool.chunks_stolen`), which describes
+/// how the scheduler carved the index space and varies with thread count
+/// and timing (see `docs/PERF.md`).
 ///
 /// # Panics
 ///
 /// Panics if the golden (clean) run faults, or if a worker thread panics.
-pub fn run_fault_campaign_threaded(
+pub fn run_fault_campaign(
     program: &Program,
     analysis: &ProgramAnalysis,
     image: &TableImage,
@@ -657,50 +643,27 @@ pub fn run_fault_campaign_threaded(
         "golden run must not fault: {:?}",
         golden.status
     );
-    let total = campaign.total();
-    let workers = threads.max(1).min(total.max(1) as usize);
-
-    let (outcomes, mut metrics) = if workers <= 1 {
-        let mut runner = FaultRunner::new(program, analysis, image, inputs, campaign.limits);
-        let mut metrics = MetricsRegistry::new();
-        let mut outcomes = Vec::with_capacity(total as usize);
-        for i in 0..total {
+    let (outcomes, states, pool) = ipds_parallel::map_indexed_stats(
+        campaign.total(),
+        threads,
+        |_| {
+            let runner = FaultRunner::new(program, analysis, image, inputs, campaign.limits);
+            (runner, MetricsRegistry::new())
+        },
+        |(runner, local_metrics), i| {
             let plan = fault_plan(campaign, golden.steps, i);
             let outcome = runner.run(campaign, &plan);
-            record_fault(&mut metrics, campaign, &plan, &outcome);
-            outcomes.push(outcome);
-        }
-        // Degenerate single-worker pool accounting, mirroring the worker
-        // pool's own serial path so `pool.tasks_executed` is
-        // engine-independent.
-        metrics.add("pool.tasks_executed", u64::from(total));
-        metrics.add("pool.chunks_claimed", u64::from(total > 0));
-        metrics.add("pool.chunks_stolen", 0);
-        (outcomes, metrics)
-    } else {
-        let (outcomes, states, pool) = ipds_parallel::map_indexed_stats(
-            total,
-            workers,
-            |_| {
-                let runner = FaultRunner::new(program, analysis, image, inputs, campaign.limits);
-                (runner, MetricsRegistry::new())
-            },
-            |(runner, local_metrics), i| {
-                let plan = fault_plan(campaign, golden.steps, i);
-                let outcome = runner.run(campaign, &plan);
-                record_fault(local_metrics, campaign, &plan, &outcome);
-                outcome
-            },
-        );
-        let mut metrics = MetricsRegistry::new();
-        for (_, local_metrics) in &states {
-            metrics.merge(local_metrics);
-        }
-        metrics.add("pool.tasks_executed", pool.tasks_executed);
-        metrics.add("pool.chunks_claimed", pool.chunks_claimed);
-        metrics.add("pool.chunks_stolen", pool.chunks_stolen);
-        (outcomes, metrics)
-    };
+            record_fault(local_metrics, campaign, &plan, &outcome);
+            outcome
+        },
+    );
+    let mut metrics = MetricsRegistry::new();
+    for (_, local_metrics) in &states {
+        metrics.merge(local_metrics);
+    }
+    metrics.add("pool.tasks_executed", pool.tasks_executed);
+    metrics.add("pool.chunks_claimed", pool.chunks_claimed);
+    metrics.add("pool.chunks_stolen", pool.chunks_stolen);
     register_fault_counters(&mut metrics);
     (aggregate_faults(campaign, &outcomes), metrics)
 }
@@ -750,7 +713,7 @@ mod tests {
             checksum: true,
             limits: ExecLimits::default(),
         };
-        let (r, metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c);
+        let (r, metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c, 1);
         assert_eq!(r.injected, 48);
         assert_eq!(r.image, 16);
         assert_eq!(r.image_undetected, 0, "checksum must catch every flip");
@@ -770,10 +733,9 @@ mod tests {
                 checksum,
                 limits: ExecLimits::default(),
             };
-            let (serial, serial_metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c);
+            let (serial, serial_metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c, 1);
             for threads in [2, 4, 8] {
-                let (par, par_metrics) =
-                    run_fault_campaign_threaded(&p, &a, &image, &inputs, &c, threads);
+                let (par, par_metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c, threads);
                 assert_eq!(serial, par, "checksum={checksum} threads={threads}");
                 // Chunk accounting describes the scheduler, not the
                 // computation: it is the one telemetry pair allowed to vary
@@ -802,7 +764,7 @@ mod tests {
             checksum: true,
             limits: ExecLimits::default(),
         };
-        let (r, metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c);
+        let (r, metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c, 1);
         assert_eq!(r.detected + r.masked + r.crashed, r.injected);
         assert_eq!(r.image + r.checker + r.memory, r.injected);
         assert_eq!(metrics.counter("faults.injected"), u64::from(r.injected));
@@ -827,7 +789,7 @@ mod tests {
             checksum: false,
             limits: ExecLimits::default(),
         };
-        let (r, _) = run_fault_campaign(&p, &a, &image, &inputs, &c);
+        let (r, _) = run_fault_campaign(&p, &a, &image, &inputs, &c, 1);
         // Restamped images load (unless structurally broken), so not every
         // image fault can be a load-time rejection — the masked/detected
         // split comes from the runtime.
@@ -844,7 +806,7 @@ mod tests {
             checksum: true,
             limits: ExecLimits::default(),
         };
-        let (_, metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c);
+        let (_, metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c, 1);
         let emitted: Vec<&str> = metrics.counters().map(|(k, _)| k).collect();
         let mut canonical: Vec<&str> = FAULT_COUNTERS.to_vec();
         canonical.extend_from_slice(ipds_parallel::POOL_COUNTERS);

@@ -13,11 +13,10 @@
 //! * [`attack`] — the §6 experiment protocol: golden run, single-location
 //!   memory tampering at a chosen instant (format-string = any live cell,
 //!   buffer-overflow = stack cells), control-flow diffing and detection
-//!   measurement over seeded campaigns;
-//! * [`parallel`] — campaign sharding over the persistent
-//!   [`ipds_parallel`] worker pool, with results bit-identical to the
-//!   serial path (attacks are independently seeded; outcomes merge in seed
-//!   order);
+//!   measurement over seeded campaigns, sharded over the persistent
+//!   [`ipds_parallel`] worker pool with results bit-identical at every
+//!   thread count (attacks are independently seeded; outcomes merge in
+//!   seed order);
 //! * [`faults`] — a deterministic seeded fault-injection engine striking
 //!   the table image, live checker state and guest memory, grading each
 //!   fault detected/masked/crashed and measuring detection latency in
@@ -29,40 +28,34 @@
 //!   spill-fill costs, producing the Fig. 9 normalized-performance numbers
 //!   and the mean detection latency.
 //!
-//! Every engine also comes in an `*_instrumented` flavour threading an
-//! [`EventSink`] (re-exported from [`ipds-telemetry`](ipds_telemetry))
-//! through the hot path; with the default [`NullSink`] the hooks
-//! monomorphize away and the uninstrumented behaviour — and performance —
-//! is preserved bit-for-bit.
+//! The campaign engine is generic over an [`EventSink`] (re-exported from
+//! [`ipds-telemetry`](ipds_telemetry)) threaded through the hot path; with
+//! [`NullSink`] the hooks monomorphize away and the uninstrumented
+//! behaviour — and performance — is preserved bit-for-bit.
 
 pub mod attack;
 pub mod faults;
 pub mod interp;
 pub mod memory;
 pub mod observer;
-pub mod parallel;
 pub mod pipeline;
 pub mod rng;
 
 pub use ipds_telemetry as telemetry;
 
 pub use attack::{
-    attack_seed, run_campaign_instrumented, run_campaign_instrumented_warm, AttackModel,
-    AttackOutcome, AttackRunner, Campaign, CampaignResult, GoldenRun, WarmStart,
+    attack_seed, run_campaign, AttackModel, AttackOutcome, AttackRunner, Campaign, CampaignResult,
+    GoldenRun, WarmStart,
 };
 pub use faults::{
-    fault_plan, fault_seed, fault_site, run_fault_campaign, run_fault_campaign_threaded,
-    AnomalyReport, FaultCampaign, FaultCampaignResult, FaultMutation, FaultOutcome, FaultPlan,
-    FaultRunner, FaultSite, FAULT_COUNTERS, FAULT_HISTOGRAMS,
+    fault_plan, fault_seed, fault_site, run_fault_campaign, AnomalyReport, FaultCampaign,
+    FaultCampaignResult, FaultMutation, FaultOutcome, FaultPlan, FaultRunner, FaultSite,
+    FAULT_COUNTERS, FAULT_HISTOGRAMS,
 };
 pub use interp::{ExecLimits, ExecStatus, Input, Interp};
-pub use ipds_parallel::POOL_COUNTERS;
+pub use ipds_parallel::{default_threads, POOL_COUNTERS};
 pub use memory::Memory;
 pub use observer::{expectation_of, ExecObserver, IpdsObserver, NullObserver};
-pub use parallel::{
-    default_threads, run_campaign_threaded, run_campaign_threaded_instrumented,
-    run_campaign_threaded_instrumented_warm,
-};
 pub use pipeline::{PerfReport, TimingModel};
 pub use rng::{SplitMix64, StdRng};
 pub use telemetry::{

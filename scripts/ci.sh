@@ -69,8 +69,8 @@ echo "==> bench harness compiles (vendored mini-criterion)"
 cargo build --release -p ipds-bench --benches --features bench-harness
 cargo build --release -p ipds-runtime --benches --features bench-harness
 
-echo "==> campaign smoke (parallel engine, 10 attacks/workload)"
-cargo run -q --release -p ipds-bench --bin exp_fig7 -- --attacks 10
+echo "==> campaign smoke (fig7 phase, 10 attacks/workload)"
+cargo run -q --release -p ipds-bench --bin exp_all -- fig7 10
 
 echo "==> fault-injection gate (every checksummed image flip must be rejected)"
 cargo run -q --release -p ipds --bin ipdsc -- \
@@ -83,6 +83,15 @@ cargo run -q --release -p ipds --bin ipdsc -- \
     serve --workloads all --sessions 32 --threads 1
 cargo run -q --release -p ipds --bin ipdsc -- \
     serve --workloads all --sessions 32 --threads 4
+
+echo "==> results gate (exp_all 100 must regenerate results/exp_all.txt byte-for-byte)"
+# The full run's stdout is deterministic; only its trailing "written to"
+# line (absent from the checked-in file) is dropped before comparing.
+written='^campaign throughput written to '
+diff <(cargo run -q --release -p ipds-bench --bin exp_all -- 100 | grep -v "$written") \
+     <(grep -v "$written" results/exp_all.txt) \
+    || { echo "exp_all 100 no longer reproduces results/exp_all.txt"; exit 1; }
+echo "results/exp_all.txt reproduced"
 
 echo "==> telemetry smoke (exp_all --quick must emit phase spans)"
 cargo run -q --release -p ipds-bench --bin exp_all -- --quick
