@@ -39,7 +39,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ipds_dataflow::{AccessClass, AliasAnalysis, BranchAnchor, MemVar, Range, Summaries};
+use ipds_dataflow::{
+    AccessClass, AliasAnalysis, BranchAnchor, MemVar, PrunedCfg, PrunedFunction, Range, Summaries,
+};
 use ipds_ir::{
     Address, BinOp, BlockId, Function, Inst, Operand, Pred, Program, Reg, Terminator, VarKind,
 };
@@ -202,37 +204,28 @@ pub struct IntervalAnalysis {
 }
 
 impl IntervalAnalysis {
-    /// Runs the interval abstract interpretation over `func`.
+    /// Runs the interval abstract interpretation over `func`, seeded with
+    /// the branch anchors found over `view`.
     ///
     /// The alias analysis and call summaries come from the same
     /// whole-program facts the correlation passes use, so the two analyses
     /// agree on which accesses are uniquely-aliased scalars and on what a
-    /// call may clobber.
+    /// call may clobber. Under feasibility pruning they are the pruned-view
+    /// facts.
     pub fn analyze(
         program: &Program,
         func: &Function,
         alias: &AliasAnalysis,
         summaries: &Summaries,
+        view: &PrunedFunction,
     ) -> IntervalAnalysis {
-        let anchors = ipds_dataflow::find_anchors(program, func, alias, summaries);
-        Self::analyze_with_anchors(program, func, alias, summaries, &anchors)
-    }
-
-    /// Like [`IntervalAnalysis::analyze`], reusing branch anchors the
-    /// caller already computed.
-    pub fn analyze_with_anchors(
-        program: &Program,
-        func: &Function,
-        alias: &AliasAnalysis,
-        summaries: &Summaries,
-        anchors: &BTreeMap<BlockId, Vec<BranchAnchor>>,
-    ) -> IntervalAnalysis {
+        let anchors = ipds_dataflow::find_anchors(program, func, alias, summaries, view);
         let cx = Ctx {
             program,
             func,
             alias,
             summaries,
-            anchors,
+            anchors: &anchors,
             defs: collect_defs(func),
         };
         let n = func.blocks.len();
@@ -367,18 +360,19 @@ impl IntervalAnalysis {
     }
 }
 
-/// Analyzes every function of `program` serially, in `FuncId` order.
-/// Callers that want parallelism shard [`IntervalAnalysis::analyze`] over
-/// `ipds-parallel` themselves and merge in the same order.
+/// Analyzes every function of `program` serially, in `FuncId` order, over
+/// `view`. Callers that want parallelism shard [`IntervalAnalysis::analyze`]
+/// over `ipds-parallel` themselves and merge in the same order.
 pub fn analyze_program(
     program: &Program,
     alias: &AliasAnalysis,
     summaries: &Summaries,
+    view: &PrunedCfg,
 ) -> Vec<IntervalAnalysis> {
     program
         .functions
         .iter()
-        .map(|f| IntervalAnalysis::analyze(program, f, alias, summaries))
+        .map(|f| IntervalAnalysis::analyze(program, f, alias, summaries, view.function(f.id)))
         .collect()
 }
 
@@ -767,19 +761,19 @@ pub fn cmp_range(pred: Pred, lhs: Range, rhs: Range) -> Range {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipds_dataflow::Facts;
     use ipds_ir::VarId;
 
     fn setup(src: &str) -> (Program, AliasAnalysis, Summaries) {
         let p = ipds_ir::parse(src).unwrap();
-        let a = AliasAnalysis::analyze(&p);
-        let s = Summaries::compute(&p, &a);
-        (p, a, s)
+        let Facts { alias, summaries } = Facts::compute(&p);
+        (p, alias, summaries)
     }
 
     fn analyze_main(src: &str) -> (Program, IntervalAnalysis) {
         let (p, a, s) = setup(src);
         let f = p.main().unwrap();
-        let ia = IntervalAnalysis::analyze(&p, f, &a, &s);
+        let ia = IntervalAnalysis::analyze(&p, f, &a, &s, &PrunedFunction::default());
         (p, ia)
     }
 
@@ -934,10 +928,9 @@ mod tests {
         let form = ipds_ir::build_ssa(&mut p, 100);
         ipds_ir::mark_promoted(&mut p, &form);
         ipds_ir::deconstruct_ssa(&mut p, &form);
-        let a = AliasAnalysis::analyze(&p);
-        let s = Summaries::compute(&p, &a);
+        let Facts { alias, summaries } = Facts::compute(&p);
         let f = p.main().unwrap();
-        let ia = IntervalAnalysis::analyze(&p, f, &a, &s);
+        let ia = IntervalAnalysis::analyze(&p, f, &alias, &summaries, &PrunedFunction::default());
         let m = local(&p, "main", "m");
         assert_eq!(m.kind(&p), VarKind::Promoted, "promotion must cover m");
         // The `m > 5` guard is the last branch in block order; `m` is 3 on

@@ -11,7 +11,7 @@
 //!   where widening has to earn its keep.
 
 use ipds_absint::{binop_range, cmp_range, IntervalAnalysis};
-use ipds_dataflow::{AliasAnalysis, Range, Summaries};
+use ipds_dataflow::{Facts, PrunedFunction, Range};
 use ipds_ir::{BinOp, Pred};
 use proptest::prelude::*;
 
@@ -268,10 +268,9 @@ proptest! {
         let src = loop_program(&descs);
         let program = ipds_ir::parse(&src)
             .unwrap_or_else(|e| panic!("generated program must parse: {e}\n{src}"));
-        let alias = AliasAnalysis::analyze(&program);
-        let summaries = Summaries::compute(&program, &alias);
+        let Facts { alias, summaries } = Facts::compute(&program);
         for func in &program.functions {
-            let ia = IntervalAnalysis::analyze(&program, func, &alias, &summaries);
+            let ia = IntervalAnalysis::analyze(&program, func, &alias, &summaries, &PrunedFunction::default());
             let cap = 64 * (func.blocks.len() as u64 + 1);
             prop_assert!(
                 ia.stats.block_updates <= cap,

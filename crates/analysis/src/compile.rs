@@ -1,19 +1,20 @@
 //! The whole-program analysis driver.
 //!
-//! The plain entry points ([`analyze_program`], [`analyze_function`]) keep
-//! the original serial, panicking contract; the `try_*`/`*_threaded`
-//! variants underneath are what the [`crate::pipeline`] pass manager runs —
-//! fallible, counted, and sharded per function over the shared
-//! [`ipds_parallel`] pool with results merged in function-id order (so the
-//! [`ProgramAnalysis`] is bit-identical at any thread count).
+//! [`analyze_program`] is the one-shot convenience: stock facts, the
+//! identity view, serial, panicking. The [`crate::pipeline`] pass manager
+//! runs what sits underneath: [`analyze_program_threaded`] over
+//! [`try_analyze_function`], fallible, counted, taking the
+//! feasibility-pruned view as an argument, and sharded per function over
+//! the shared [`ipds_parallel`] pool with results merged in function-id
+//! order (so the [`ProgramAnalysis`] is bit-identical at any thread count).
 
 use std::error::Error;
 use std::fmt;
 
-use ipds_dataflow::{AliasAnalysis, Facts, PrunedCfg, Summaries};
+use ipds_dataflow::{AliasAnalysis, Facts, PrunedCfg, PrunedFunction, Summaries};
 use ipds_ir::{FuncId, Function, Program};
 
-use crate::correlate::build_tables_view;
+use crate::correlate::build_tables;
 use crate::encode::table_sizes;
 use crate::hash::{find_perfect_hash_counted, PerfectHashError};
 use crate::tables::{BranchInfo, FunctionAnalysis};
@@ -119,27 +120,11 @@ impl AnalysisCounters {
     }
 }
 
-/// Analyzes one function given shared whole-program facts.
-///
-/// # Panics
-///
-/// Panics if the perfect-hash search fails within `config.max_hash_log2`
-/// (possible only for pathological functions with more than `2^24`
-/// instructions).
-pub fn analyze_function(
-    program: &Program,
-    func: &Function,
-    alias: &AliasAnalysis,
-    summaries: &Summaries,
-    config: &AnalysisConfig,
-) -> FunctionAnalysis {
-    try_analyze_function(program, func, alias, summaries, config)
-        .map(|(analysis, _)| analysis)
-        .expect("perfect hash search must succeed within the identity fallback")
-}
-
 /// Fallible, counted per-function analysis: correlate → hash → encode for
-/// one function.
+/// one function over the feasibility-pruned `view`
+/// (`PrunedFunction::default()` for the stock tables). Correlation
+/// discovery skips proved-dead edges and blocks, while the branch
+/// inventory, PCs and perfect hash stay those of the full function.
 ///
 /// # Errors
 ///
@@ -152,29 +137,9 @@ pub fn try_analyze_function(
     alias: &AliasAnalysis,
     summaries: &Summaries,
     config: &AnalysisConfig,
+    view: &PrunedFunction,
 ) -> Result<(FunctionAnalysis, AnalysisCounters), FunctionHashError> {
-    try_analyze_function_view(
-        program,
-        func,
-        alias,
-        summaries,
-        config,
-        &ipds_dataflow::PrunedFunction::default(),
-    )
-}
-
-/// [`try_analyze_function`] over the feasibility-pruned view: correlation
-/// discovery skips proved-dead edges and blocks, while the branch inventory,
-/// PCs and perfect hash stay those of the full function.
-pub fn try_analyze_function_view(
-    program: &Program,
-    func: &Function,
-    alias: &AliasAnalysis,
-    summaries: &Summaries,
-    config: &AnalysisConfig,
-    view: &ipds_dataflow::PrunedFunction,
-) -> Result<(FunctionAnalysis, AnalysisCounters), FunctionHashError> {
-    let raw = build_tables_view(program, func, alias, summaries, config, view);
+    let raw = build_tables(program, func, alias, summaries, config, view);
     let pcs: Vec<u64> = raw
         .branch_blocks
         .iter()
@@ -215,43 +180,32 @@ pub fn try_analyze_function_view(
 }
 
 /// Runs alias analysis, summaries and per-function correlation over the
-/// whole program.
+/// whole program (the identity view), serially.
+///
+/// # Panics
+///
+/// Panics if a perfect-hash search fails within `config.max_hash_log2`
+/// (possible only for pathological functions with more than `2^24`
+/// instructions).
 pub fn analyze_program(program: &Program, config: &AnalysisConfig) -> ProgramAnalysis {
     let facts = Facts::compute(program);
-    analyze_program_threaded(program, &facts.alias, &facts.summaries, config, 1)
+    let full = PrunedCfg::full(program);
+    analyze_program_threaded(program, &facts.alias, &facts.summaries, config, 1, &full)
         .map(|(analysis, _)| analysis)
         .expect("perfect hash search must succeed within the identity fallback")
 }
 
 /// Per-function correlation/hash/encode over precomputed whole-program
-/// facts, sharded by [`FuncId`] across `threads` workers and merged in id
-/// order — the result (and the summed counters) are **bit-identical** to
-/// the serial path for any thread count.
+/// facts and the feasibility-pruned `view` ([`PrunedCfg::full`] for the
+/// stock tables), sharded by [`FuncId`] across `threads` workers and merged
+/// in id order — the result (and the summed counters) are
+/// **bit-identical** to the serial path for any thread count.
 ///
 /// # Errors
 ///
 /// The first (in function-id order) [`FunctionHashError`], if any function's
 /// hash search fails.
 pub fn analyze_program_threaded(
-    program: &Program,
-    alias: &AliasAnalysis,
-    summaries: &Summaries,
-    config: &AnalysisConfig,
-    threads: usize,
-) -> Result<(ProgramAnalysis, AnalysisCounters), FunctionHashError> {
-    let full = PrunedCfg::full(program);
-    analyze_program_threaded_view(program, alias, summaries, config, threads, &full)
-}
-
-/// [`analyze_program_threaded`] over the feasibility-pruned view — the
-/// sharding and id-order merge are identical, so the result stays
-/// bit-identical to the serial path at any thread count.
-///
-/// # Errors
-///
-/// The first (in function-id order) [`FunctionHashError`], if any function's
-/// hash search fails.
-pub fn analyze_program_threaded_view(
     program: &Program,
     alias: &AliasAnalysis,
     summaries: &Summaries,
@@ -265,7 +219,7 @@ pub fn analyze_program_threaded_view(
         |_| (),
         |(), i| {
             let func = &program.functions[i as usize];
-            try_analyze_function_view(
+            try_analyze_function(
                 program,
                 func,
                 alias,

@@ -29,8 +29,7 @@
 use std::collections::BTreeMap;
 
 use ipds_dataflow::{
-    find_anchors_view, AliasAnalysis, AnchorKind, BranchAnchor, MemVar, PrunedFunction, Range,
-    Summaries,
+    find_anchors, AliasAnalysis, AnchorKind, BranchAnchor, MemVar, PrunedFunction, Range, Summaries,
 };
 use ipds_ir::{BlockId, Function, Inst, Operand, Program, Terminator};
 
@@ -52,35 +51,18 @@ pub struct RawTables {
     pub bat: BTreeMap<(u32, bool), Vec<BatEntry>>,
 }
 
-/// Builds the raw BCV/BAT for one function.
-pub fn build_tables(
-    program: &Program,
-    func: &Function,
-    alias: &AliasAnalysis,
-    summaries: &Summaries,
-    config: &AnalysisConfig,
-) -> RawTables {
-    build_tables_view(
-        program,
-        func,
-        alias,
-        summaries,
-        config,
-        &PrunedFunction::default(),
-    )
-}
-
-/// [`build_tables`] over the feasibility-pruned view of `func`.
+/// Builds the raw BCV/BAT for one function over the feasibility-pruned
+/// `view` (`PrunedFunction::default()` for the stock tables).
 ///
 /// The branch inventory (and hence the BCV length and the PCs fed to the
 /// perfect hash) stays the **full** inventory — the runtime still observes
 /// every branch, and traversing a pruned edge is itself the anomaly. What
-/// changes is discovery: anchors in dead blocks do not exist, BAT rows are
-/// never attached to proved-dead trigger edges, and region kills ignore
-/// stores that only feasible-path-unreachable code performs. The `alias`
-/// and `summaries` passed here should be the pruned-view facts so
-/// store-freedom checks agree with the view.
-pub fn build_tables_view(
+/// the view changes is discovery: anchors in dead blocks do not exist, BAT
+/// rows are never attached to proved-dead trigger edges, and region kills
+/// ignore stores that only feasible-path-unreachable code performs. Under
+/// pruning, the `alias` and `summaries` passed here should be the
+/// pruned-view facts so store-freedom checks agree with the view.
+pub fn build_tables(
     program: &Program,
     func: &Function,
     alias: &AliasAnalysis,
@@ -99,7 +81,7 @@ pub fn build_tables_view(
         .map(|(i, b)| (*b, i as u32))
         .collect();
 
-    let mut anchors = find_anchors_view(program, func, alias, summaries, view);
+    let mut anchors = find_anchors(program, func, alias, summaries, view);
     // Ablation switches: drop whole anchor classes.
     for list in anchors.values_mut() {
         list.retain(|a| match a.kind {
@@ -362,13 +344,20 @@ fn store_free_after(
 mod tests {
     use super::*;
     use crate::compile::AnalysisConfig;
+    use ipds_dataflow::Facts;
 
     fn tables(src: &str) -> (Program, RawTables) {
         let p = ipds_ir::parse(src).unwrap();
-        let alias = AliasAnalysis::analyze(&p);
-        let summaries = Summaries::compute(&p, &alias);
+        let Facts { alias, summaries } = Facts::compute(&p);
         let f = p.main().unwrap();
-        let t = build_tables(&p, f, &alias, &summaries, &AnalysisConfig::default());
+        let t = build_tables(
+            &p,
+            f,
+            &alias,
+            &summaries,
+            &AnalysisConfig::default(),
+            &PrunedFunction::default(),
+        );
         (p, t)
     }
 
@@ -563,15 +552,21 @@ mod tests {
              if (y < 3) { print_int(2); } \
              if (f == 1) { print_int(1); } return 0; }";
         let p = ipds_ir::parse(src).unwrap();
-        let alias = AliasAnalysis::analyze(&p);
-        let summaries = Summaries::compute(&p, &alias);
+        let Facts { alias, summaries } = Facts::compute(&p);
         let f = p.main().unwrap();
-        let base = build_tables(&p, f, &alias, &summaries, &AnalysisConfig::default());
+        let base = build_tables(
+            &p,
+            f,
+            &alias,
+            &summaries,
+            &AnalysisConfig::default(),
+            &PrunedFunction::default(),
+        );
         let cfg = AnalysisConfig {
             const_store: true,
             ..AnalysisConfig::default()
         };
-        let ext = build_tables(&p, f, &alias, &summaries, &cfg);
+        let ext = build_tables(&p, f, &alias, &summaries, &cfg, &PrunedFunction::default());
         // The extension must add SET_T entries (f = 1 forces the second
         // test taken) beyond the baseline.
         let count = |t: &RawTables| -> usize {

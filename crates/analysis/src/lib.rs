@@ -55,22 +55,18 @@ pub mod verify_tables;
 
 pub use action::{BrAction, BranchStatus};
 pub use compile::{
-    analyze_function, analyze_program, analyze_program_threaded, analyze_program_threaded_view,
-    try_analyze_function, try_analyze_function_view, AnalysisConfig, AnalysisCounters,
-    FunctionHashError, ProgramAnalysis,
+    analyze_program, analyze_program_threaded, try_analyze_function, AnalysisConfig,
+    AnalysisCounters, FunctionHashError, ProgramAnalysis,
 };
 pub use encode::{BitReader, BitWriter, TableSizes};
 pub use hash::{find_perfect_hash, find_perfect_hash_counted, HashParams, PerfectHashError};
 pub use image::{ImageError, TableImage};
-pub use lint::{
-    lint_function, lint_program, lint_program_view, LintDiagnostic, LintReport, LintRule,
-    LintSeverity,
-};
+pub use lint::{lint_function, lint_program, LintDiagnostic, LintReport, LintRule, LintSeverity};
 pub use pipeline::{
     build_program, build_source, BuildOptions, BuildOutput, CompilationSession, Pass, PassManager,
-    PassSpan, PipelineError, PrunedProducts, PIPELINE_COUNTERS,
+    PassSpan, PipelineError, PIPELINE_COUNTERS,
 };
-pub use refine::{refine_function, refine_function_view, RefineStats};
+pub use refine::{refine_function, RefineStats};
 pub use stats::SizeStats;
 pub use tables::{BatEntry, BranchInfo, FunctionAnalysis};
 pub use verify_tables::{verify_tables, TableVerifyError};

@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use ipds_absint::IntervalAnalysis;
-use ipds_dataflow::{find_anchors_view, AliasAnalysis, PrunedCfg, PrunedFunction, Summaries};
+use ipds_dataflow::{find_anchors, AliasAnalysis, PrunedCfg, PrunedFunction, Summaries};
 use ipds_ir::{BlockId, FuncId, Function, Program, Terminator};
 
 use crate::action::BrAction;
@@ -180,35 +180,16 @@ impl fmt::Display for LintReport {
     }
 }
 
-/// Audits one function's tables against its interval analysis. Findings
-/// come back in (severity, trigger, direction, target) order.
-pub fn lint_function(
-    program: &Program,
-    func: &Function,
-    alias: &AliasAnalysis,
-    summaries: &Summaries,
-    intervals: &IntervalAnalysis,
-    tables: &FunctionAnalysis,
-) -> Vec<LintDiagnostic> {
-    lint_function_view(
-        program,
-        func,
-        alias,
-        summaries,
-        intervals,
-        tables,
-        &PrunedFunction::default(),
-    )
-}
-
-/// [`lint_function`] with the feasibility-pruned view as its oracle:
-/// anchors are discovered on the pruned graph (so actions only the pruned
-/// facts justify still re-prove), and a trigger edge the view pruned is
-/// treated exactly like a statically infeasible one. Witness paths always
-/// respect the interval feasibility oracle — they never traverse a
-/// proved-dead edge, in any mode.
+/// Audits one function's tables against its interval analysis, with the
+/// feasibility-pruned `view` as its oracle (`PrunedFunction::default()`
+/// for the stock world): anchors are discovered on the pruned graph (so
+/// actions only the pruned facts justify still re-prove), and a trigger
+/// edge the view pruned is treated exactly like a statically infeasible
+/// one. Witness paths always respect the interval feasibility oracle —
+/// they never traverse a proved-dead edge, in any mode. Findings come back
+/// in (severity, trigger, direction, target) order.
 #[allow(clippy::too_many_arguments)]
-pub fn lint_function_view(
+pub fn lint_function(
     program: &Program,
     func: &Function,
     alias: &AliasAnalysis,
@@ -217,7 +198,7 @@ pub fn lint_function_view(
     tables: &FunctionAnalysis,
     view: &PrunedFunction,
 ) -> Vec<LintDiagnostic> {
-    let anchors = find_anchors_view(program, func, alias, summaries, view);
+    let anchors = find_anchors(program, func, alias, summaries, view);
     let oracle = DirectionOracle {
         anchors: &anchors,
         intervals,
@@ -286,27 +267,12 @@ pub fn lint_function_view(
     out
 }
 
-/// Audits every function, sharding over `threads` workers and merging in
-/// `FuncId` order — the report is bit-identical at any thread count.
-pub fn lint_program(
-    program: &Program,
-    alias: &AliasAnalysis,
-    summaries: &Summaries,
-    intervals: &[IntervalAnalysis],
-    analysis: &ProgramAnalysis,
-    threads: usize,
-) -> LintReport {
-    let full = PrunedCfg::full(program);
-    lint_program_view(
-        program, alias, summaries, intervals, analysis, threads, &full,
-    )
-}
-
-/// [`lint_program`] with the feasibility-pruned view as its oracle — what
-/// the pipeline runs under `--prune`. Sharding and merge order are
-/// unchanged, so the report stays bit-identical at any thread count.
+/// Audits every function with the feasibility-pruned `view` as the oracle
+/// ([`PrunedCfg::full`] for the stock world), sharding over `threads`
+/// workers and merging in `FuncId` order — the report is bit-identical at
+/// any thread count.
 #[allow(clippy::too_many_arguments)]
-pub fn lint_program_view(
+pub fn lint_program(
     program: &Program,
     alias: &AliasAnalysis,
     summaries: &Summaries,
@@ -321,7 +287,7 @@ pub fn lint_program_view(
         |_| (),
         |(), i| {
             let func = &program.functions[i as usize];
-            lint_function_view(
+            lint_function(
                 program,
                 func,
                 alias,
@@ -437,14 +403,28 @@ mod tests {
     use super::*;
     use crate::compile::{analyze_program, AnalysisConfig};
     use crate::tables::BatEntry;
-    use ipds_absint::analyze_program as analyze_intervals;
+    use ipds_dataflow::Facts;
 
     fn setup(src: &str) -> (Program, AliasAnalysis, Summaries, ProgramAnalysis) {
         let program = ipds_ir::parse(src).unwrap();
-        let alias = AliasAnalysis::analyze(&program);
-        let summaries = Summaries::compute(&program, &alias);
+        let Facts { alias, summaries } = Facts::compute(&program);
         let analysis = analyze_program(&program, &AnalysisConfig::default());
         (program, alias, summaries, analysis)
+    }
+
+    /// Intervals plus the audit, both over the identity view.
+    fn lint(
+        program: &Program,
+        alias: &AliasAnalysis,
+        summaries: &Summaries,
+        analysis: &ProgramAnalysis,
+        threads: usize,
+    ) -> LintReport {
+        let full = PrunedCfg::full(program);
+        let intervals = ipds_absint::analyze_program(program, alias, summaries, &full);
+        lint_program(
+            program, alias, summaries, &intervals, analysis, threads, &full,
+        )
     }
 
     const CORRELATED: &str = "int mode; \
@@ -456,8 +436,7 @@ mod tests {
     #[test]
     fn stock_tables_lint_clean() {
         let (program, alias, summaries, analysis) = setup(CORRELATED);
-        let intervals = analyze_intervals(&program, &alias, &summaries);
-        let report = lint_program(&program, &alias, &summaries, &intervals, &analysis, 1);
+        let report = lint(&program, &alias, &summaries, &analysis, 1);
         assert_eq!(report.error_count(), 0, "{report}");
     }
 
@@ -479,8 +458,7 @@ mod tests {
             target: 1,
             action: BrAction::SetTaken,
         });
-        let intervals = analyze_intervals(&program, &alias, &summaries);
-        let report = lint_program(&program, &alias, &summaries, &intervals, &analysis, 1);
+        let report = lint(&program, &alias, &summaries, &analysis, 1);
         assert_eq!(report.error_count(), 1, "{report}");
         let d = report.errors().next().unwrap();
         assert_eq!(d.rule, LintRule::UnprovableAction);
@@ -510,8 +488,7 @@ mod tests {
             BrAction::SetTaken => BrAction::SetNotTaken,
             _ => BrAction::SetTaken,
         };
-        let intervals = analyze_intervals(&program, &alias, &summaries);
-        let report = lint_program(&program, &alias, &summaries, &intervals, &analysis, 1);
+        let report = lint(&program, &alias, &summaries, &analysis, 1);
         assert!(
             report
                 .errors()
@@ -531,8 +508,7 @@ mod tests {
              if (mode > 5) { print_int(2); } \
              return 0; }",
         );
-        let intervals = analyze_intervals(&program, &alias, &summaries);
-        let report = lint_program(&program, &alias, &summaries, &intervals, &analysis, 1);
+        let report = lint(&program, &alias, &summaries, &analysis, 1);
         assert_eq!(report.error_count(), 0, "{report}");
         assert!(
             report.warnings().any(|d| d.rule == LintRule::DeadTrigger),
@@ -559,8 +535,7 @@ mod tests {
             target: 2,
             action: BrAction::SetTaken,
         });
-        let intervals = analyze_intervals(&program, &alias, &summaries);
-        let report = lint_program(&program, &alias, &summaries, &intervals, &analysis, 1);
+        let report = lint(&program, &alias, &summaries, &analysis, 1);
         let d = report
             .errors()
             .find(|d| d.rule == LintRule::UnprovableAction)
@@ -584,10 +559,9 @@ mod tests {
                 target: 0,
                 action: BrAction::SetTaken,
             });
-        let intervals = analyze_intervals(&program, &alias, &summaries);
-        let serial = lint_program(&program, &alias, &summaries, &intervals, &analysis, 1);
+        let serial = lint(&program, &alias, &summaries, &analysis, 1);
         for threads in [2, 4, 8] {
-            let par = lint_program(&program, &alias, &summaries, &intervals, &analysis, threads);
+            let par = lint(&program, &alias, &summaries, &analysis, threads);
             assert_eq!(serial, par, "{threads} threads");
             assert_eq!(serial.to_string(), par.to_string());
         }

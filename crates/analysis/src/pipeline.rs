@@ -17,6 +17,12 @@
 //! `ipdsc build --determinism` and the pipeline tests assert by comparing
 //! image bytes.
 //!
+//! Every analysis pass reads the session's one set of facts and its CFG
+//! view ([`CompilationSession::view`]). The view starts as the identity;
+//! when `prune-cfg` runs it replaces the view, the alias facts, the
+//! summaries and the intervals in place, and the later passes run
+//! unchanged over the pruned world.
+//!
 //! Each pass also feeds the session's [`MetricsRegistry`] (branches seen,
 //! correlations emitted, hash retries, image bytes, loads forwarded), which
 //! the bench layer surfaces per workload.
@@ -34,19 +40,18 @@ use std::time::Instant;
 use std::collections::BTreeSet;
 
 use ipds_absint::IntervalAnalysis;
-use ipds_dataflow::{find_anchors_view, AliasAnalysis, PrunedCfg, Summaries};
+use ipds_dataflow::{AliasAnalysis, PrunedCfg, Summaries};
 use ipds_ir::ast::Item;
 use ipds_ir::opt::OptStats;
 use ipds_ir::{BlockId, CompileError, Program};
 use ipds_telemetry::MetricsRegistry;
 
 use crate::compile::{
-    analyze_program_threaded, analyze_program_threaded_view, AnalysisConfig, AnalysisCounters,
-    FunctionHashError, ProgramAnalysis,
+    analyze_program_threaded, AnalysisConfig, AnalysisCounters, FunctionHashError, ProgramAnalysis,
 };
 use crate::image::TableImage;
-use crate::lint::{lint_program_view, LintReport};
-use crate::refine::{refine_function_view, RefineStats};
+use crate::lint::{lint_program, LintReport};
+use crate::refine::{refine_function, RefineStats};
 use crate::verify_tables::{verify_tables, TableVerifyError};
 
 /// Every `pipeline.*` counter the passes can emit, in pipeline order. This
@@ -65,7 +70,6 @@ pub const PIPELINE_COUNTERS: &[&str] = &[
     "pipeline.checked_branches",
     "pipeline.bat_entries",
     "pipeline.hash_retries",
-    "pipeline.coverage_lift",
     "pipeline.refine_proved",
     "pipeline.refine_demoted",
     "pipeline.image_bytes",
@@ -156,18 +160,21 @@ pub struct CompilationSession {
     pub ssa: Option<ipds_ir::SsaForm>,
     /// Optimizer statistics (`opt` output, when the pass runs).
     pub opt_stats: Option<OptStats>,
-    /// Whole-program points-to facts (`alias` output).
+    /// The CFG view every analysis runs over. It starts as the identity
+    /// view; `prune-cfg` replaces it with the interval-proved dead edges
+    /// (and the blocks they orphan). The branch inventory downstream
+    /// encoding works from is never pruned.
+    pub view: PrunedCfg,
+    /// Whole-program points-to facts over [`view`](Self::view) (`alias`
+    /// output, replaced by `prune-cfg`).
     pub alias: Option<AliasAnalysis>,
-    /// Callee side-effect summaries (`summaries` output).
+    /// Callee side-effect summaries over the view (`summaries` output,
+    /// replaced by `prune-cfg`).
     pub summaries: Option<Summaries>,
     /// Per-function interval analyses in `FuncId` order (`intervals`
-    /// output, present when refine, lint or prune runs).
+    /// output, present when refine, lint or prune runs; replaced by
+    /// `prune-cfg`).
     pub intervals: Option<Vec<IntervalAnalysis>>,
-    /// Feasibility-pruned facts (`prune-cfg` output, present when
-    /// `prune_feasibility` is set). Downstream passes (analyze-functions,
-    /// refine-correlations, lint-tables) consume these instead of the stock
-    /// facts when present.
-    pub pruned: Option<PrunedProducts>,
     /// Per-function tables (`analyze-functions` output).
     pub analysis: Option<ProgramAnalysis>,
     /// Work counters summed over all functions.
@@ -564,7 +571,7 @@ impl Pass for AliasPass {
 
     fn run(&self, session: &mut CompilationSession) -> Result<(), PipelineError> {
         let program = session.need_program("alias")?;
-        session.alias = Some(AliasAnalysis::analyze(program));
+        session.alias = Some(AliasAnalysis::analyze(program, &session.view));
         Ok(())
     }
 }
@@ -583,7 +590,7 @@ impl Pass for SummariesPass {
             pass: "summaries",
             needs: "alias",
         })?;
-        session.summaries = Some(Summaries::compute(program, alias));
+        session.summaries = Some(Summaries::compute(program, alias, &session.view));
         Ok(())
     }
 }
@@ -601,46 +608,49 @@ impl Pass for IntervalsPass {
     fn run(&self, session: &mut CompilationSession) -> Result<(), PipelineError> {
         let program = session.need_program("intervals")?;
         let (alias, summaries) = need_facts(session, "intervals")?;
-        let (intervals, _) = ipds_parallel::map_indexed(
-            program.functions.len() as u32,
+        let intervals = analyze_intervals(
+            program,
+            alias,
+            summaries,
+            &session.view,
             session.options.threads,
-            |_| (),
-            |(), i| {
-                let func = &program.functions[i as usize];
-                IntervalAnalysis::analyze(program, func, alias, summaries)
-            },
         );
         session.intervals = Some(intervals);
         Ok(())
     }
 }
 
-/// Everything the `prune-cfg` pass deposits: the pruned CFG view plus the
-/// whole-program facts recomputed over it. The view only ever removes
-/// conditional-branch edges the interval oracle proved infeasible (and the
-/// blocks those edges orphaned) — the branch inventory downstream encoding
-/// works from is untouched.
-#[derive(Debug)]
-pub struct PrunedProducts {
-    /// Dead edges and newly-unreachable blocks, per function.
-    pub view: PrunedCfg,
-    /// Points-to facts recomputed with dead blocks excluded.
-    pub alias: AliasAnalysis,
-    /// Call summaries recomputed with dead blocks excluded.
-    pub summaries: Summaries,
-    /// Interval analyses re-run over the pruned facts (and pruned anchors).
-    pub intervals: Vec<IntervalAnalysis>,
-    /// Fixpoint rounds executed (0 when nothing was provably dead; capped
-    /// at [`MAX_PRUNE_ROUNDS`]).
-    pub rounds: u64,
+/// Per-function intervals over `view`, sharded by function id and merged
+/// in id order.
+fn analyze_intervals(
+    program: &Program,
+    alias: &AliasAnalysis,
+    summaries: &Summaries,
+    view: &PrunedCfg,
+    threads: usize,
+) -> Vec<IntervalAnalysis> {
+    let (intervals, _) = ipds_parallel::map_indexed(
+        program.functions.len() as u32,
+        threads,
+        |_| (),
+        |(), i| {
+            let func = &program.functions[i as usize];
+            IntervalAnalysis::analyze(program, func, alias, summaries, view.function(func.id))
+        },
+    );
+    intervals
 }
 
 /// The feasibility-aware analysis loop: collects interval-proved dead
 /// edges into a [`PrunedCfg`] view, recomputes alias facts, summaries,
 /// anchors and intervals over the pruned graph, and repeats while the
 /// sharper facts expose new dead edges (capped at [`MAX_PRUNE_ROUNDS`]
-/// rounds). Every recomputation shards by function id and merges in id
-/// order, so the loop is bit-identical at any thread count.
+/// rounds). Each round replaces the session's view and its alias,
+/// summaries and intervals in place, so every later pass reads the pruned
+/// world through the same fields an unpruned build uses. When nothing is
+/// provably dead the session is left untouched. Every recomputation shards
+/// by function id and merges in id order, so the loop is bit-identical at
+/// any thread count.
 pub struct PruneCfgPass;
 
 impl PruneCfgPass {
@@ -668,29 +678,6 @@ impl PruneCfgPass {
         }
         grew
     }
-
-    /// Recomputes the whole-program facts over `view`: pruned alias, pruned
-    /// summaries, and per-function intervals seeded with pruned anchors.
-    fn recompute(
-        program: &Program,
-        view: &PrunedCfg,
-        threads: usize,
-    ) -> (AliasAnalysis, Summaries, Vec<IntervalAnalysis>) {
-        let alias = AliasAnalysis::analyze_view(program, view);
-        let summaries = Summaries::compute_view(program, &alias, view);
-        let (intervals, _) = ipds_parallel::map_indexed(
-            program.functions.len() as u32,
-            threads,
-            |_| (),
-            |(), i| {
-                let func = &program.functions[i as usize];
-                let anchors =
-                    find_anchors_view(program, func, &alias, &summaries, view.function(func.id));
-                IntervalAnalysis::analyze_with_anchors(program, func, &alias, &summaries, &anchors)
-            },
-        );
-        (alias, summaries, intervals)
-    }
 }
 
 impl Pass for PruneCfgPass {
@@ -700,15 +687,15 @@ impl Pass for PruneCfgPass {
 
     fn run(&self, session: &mut CompilationSession) -> Result<(), PipelineError> {
         let threads = session.options.threads;
-        let program = session.need_program("prune-cfg")?;
-        let _ = need_facts(session, "prune-cfg")?;
-        let stock_intervals = session
-            .intervals
+        // A field borrow, so the loop below can replace the facts beside it.
+        let program = session
+            .program
             .as_ref()
             .ok_or(PipelineError::MissingStage {
                 pass: "prune-cfg",
-                needs: "intervals",
+                needs: "program",
             })?;
+        need_facts(session, "prune-cfg")?;
 
         // The dead-edge set only ever grows across rounds: an edge proved
         // infeasible against the stock facts stays pruned even if a later
@@ -717,13 +704,8 @@ impl Pass for PruneCfgPass {
         let mut dead: Vec<BTreeSet<(BlockId, bool)>> =
             vec![BTreeSet::new(); program.functions.len()];
         let mut rounds = 0u64;
-        let mut current: Option<(PrunedCfg, AliasAnalysis, Summaries, Vec<IntervalAnalysis>)> =
-            None;
         while rounds < MAX_PRUNE_ROUNDS {
-            let intervals = current
-                .as_ref()
-                .map(|(_, _, _, ia)| ia.as_slice())
-                .unwrap_or(stock_intervals);
+            let intervals = need_intervals(session, "prune-cfg")?;
             if !Self::collect_dead(program, intervals, &mut dead) {
                 break;
             }
@@ -731,35 +713,21 @@ impl Pass for PruneCfgPass {
             let view = PrunedCfg::from_oracle(program, |fid, b, dir| {
                 dead[fid.0 as usize].contains(&(b, dir))
             });
-            let (alias, summaries, intervals) = Self::recompute(program, &view, threads);
-            current = Some((view, alias, summaries, intervals));
+            let alias = AliasAnalysis::analyze(program, &view);
+            let summaries = Summaries::compute(program, &alias, &view);
+            let intervals = analyze_intervals(program, &alias, &summaries, &view, threads);
+            session.view = view;
+            session.alias = Some(alias);
+            session.summaries = Some(summaries);
+            session.intervals = Some(intervals);
         }
-
-        let pruned = match current {
-            Some((view, alias, summaries, intervals)) => PrunedProducts {
-                view,
-                alias,
-                summaries,
-                intervals,
-                rounds,
-            },
-            // Nothing provably dead: the pruned world is the stock world.
-            None => PrunedProducts {
-                view: PrunedCfg::full(program),
-                alias: session.alias.clone().expect("checked above"),
-                summaries: session.summaries.clone().expect("checked above"),
-                intervals: stock_intervals.clone(),
-                rounds: 0,
-            },
-        };
         session
             .metrics
-            .add("pipeline.pruned_edges", pruned.view.pruned_edges());
+            .add("pipeline.pruned_edges", session.view.pruned_edges());
         session
             .metrics
-            .add("pipeline.pruned_blocks", pruned.view.pruned_blocks());
-        session.metrics.add("pipeline.prune_rounds", pruned.rounds);
-        session.pruned = Some(pruned);
+            .add("pipeline.pruned_blocks", session.view.pruned_blocks());
+        session.metrics.add("pipeline.prune_rounds", rounds);
         Ok(())
     }
 }
@@ -781,24 +749,8 @@ impl Pass for RefineCorrelationsPass {
         })?;
         let program = session.need_program("refine-correlations")?;
         let (alias, summaries) = need_facts(session, "refine-correlations")?;
-        let intervals = session
-            .intervals
-            .as_ref()
-            .ok_or(PipelineError::MissingStage {
-                pass: "refine-correlations",
-                needs: "intervals",
-            })?;
-        // When prune-cfg ran, refinement reads the pruned world: pruned
-        // facts, pruned-fact intervals, and the pruned view as its edge
-        // oracle.
-        let full;
-        let (alias, summaries, intervals, view) = match &session.pruned {
-            Some(p) => (&p.alias, &p.summaries, p.intervals.as_slice(), &p.view),
-            None => {
-                full = PrunedCfg::full(program);
-                (alias, summaries, intervals.as_slice(), &full)
-            }
-        };
+        let intervals = need_intervals(session, "refine-correlations")?;
+        let view = &session.view;
         let functions = std::mem::take(&mut analysis.functions);
         let (refined, _) = ipds_parallel::map_indexed(
             functions.len() as u32,
@@ -807,7 +759,7 @@ impl Pass for RefineCorrelationsPass {
             |(), i| {
                 let mut tables = functions[i as usize].clone();
                 let func = &program.functions[tables.func.0 as usize];
-                let stats = refine_function_view(
+                let stats = refine_function(
                     program,
                     func,
                     alias,
@@ -851,13 +803,7 @@ impl Pass for LintTablesPass {
     fn run(&self, session: &mut CompilationSession) -> Result<(), PipelineError> {
         let program = session.need_program("lint-tables")?;
         let (alias, summaries) = need_facts(session, "lint-tables")?;
-        let intervals = session
-            .intervals
-            .as_ref()
-            .ok_or(PipelineError::MissingStage {
-                pass: "lint-tables",
-                needs: "intervals",
-            })?;
+        let intervals = need_intervals(session, "lint-tables")?;
         let analysis = session
             .analysis
             .as_ref()
@@ -868,22 +814,14 @@ impl Pass for LintTablesPass {
         // Under pruning the auditor's oracle is the pruned graph: witness
         // paths may not traverse a proved-dead edge, and actions the
         // pruned-fact intervals justify are accepted.
-        let full;
-        let (alias, summaries, intervals, view) = match &session.pruned {
-            Some(p) => (&p.alias, &p.summaries, p.intervals.as_slice(), &p.view),
-            None => {
-                full = PrunedCfg::full(program);
-                (alias, summaries, intervals.as_slice(), &full)
-            }
-        };
-        let report = lint_program_view(
+        let report = lint_program(
             program,
             alias,
             summaries,
             intervals,
             analysis,
             session.options.threads,
-            view,
+            &session.view,
         );
         session
             .metrics
@@ -894,6 +832,20 @@ impl Pass for LintTablesPass {
         session.lint = Some(report);
         Ok(())
     }
+}
+
+/// The per-function intervals, or the pass's `MissingStage` error.
+fn need_intervals<'a>(
+    session: &'a CompilationSession,
+    pass: &'static str,
+) -> Result<&'a [IntervalAnalysis], PipelineError> {
+    session
+        .intervals
+        .as_deref()
+        .ok_or(PipelineError::MissingStage {
+            pass,
+            needs: "intervals",
+        })
 }
 
 /// Both whole-program fact products, or the pass's `MissingStage` error.
@@ -925,63 +877,16 @@ impl Pass for AnalyzeFunctionsPass {
     }
 
     fn run(&self, session: &mut CompilationSession) -> Result<(), PipelineError> {
-        let program = session
-            .program
-            .as_ref()
-            .ok_or(PipelineError::MissingStage {
-                pass: "analyze-functions",
-                needs: "program",
-            })?;
-        let (alias, summaries) = match (&session.alias, &session.summaries) {
-            (Some(a), Some(s)) => (a, s),
-            (None, _) => {
-                return Err(PipelineError::MissingStage {
-                    pass: "analyze-functions",
-                    needs: "alias",
-                })
-            }
-            (_, None) => {
-                return Err(PipelineError::MissingStage {
-                    pass: "analyze-functions",
-                    needs: "summaries",
-                })
-            }
-        };
-        let (analysis, counters) = match &session.pruned {
-            Some(pruned) => {
-                // Baseline run over the stock facts first: the coverage
-                // lift is the checked-branch delta pruning bought, and the
-                // stock run is what an unpruned build of the same program
-                // would have produced.
-                let (_, baseline) = analyze_program_threaded(
-                    program,
-                    alias,
-                    summaries,
-                    &session.options.config,
-                    session.options.threads,
-                )?;
-                let (analysis, counters) = analyze_program_threaded_view(
-                    program,
-                    &pruned.alias,
-                    &pruned.summaries,
-                    &session.options.config,
-                    session.options.threads,
-                    &pruned.view,
-                )?;
-                session.metrics.add(
-                    "pipeline.coverage_lift",
-                    counters.checked.saturating_sub(baseline.checked),
-                );
-                (analysis, counters)
-            }
-            None => analyze_program_threaded(
-                program,
-                alias,
-                summaries,
-                &session.options.config,
-                session.options.threads,
-            )?,
-        };
+        let program = session.need_program("analyze-functions")?;
+        let (alias, summaries) = need_facts(session, "analyze-functions")?;
+        let (analysis, counters) = analyze_program_threaded(
+            program,
+            alias,
+            summaries,
+            &session.options.config,
+            session.options.threads,
+            &session.view,
+        )?;
         session.metrics.add("pipeline.branches", counters.branches);
         session
             .metrics

@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ipds_absint::IntervalAnalysis;
 use ipds_dataflow::{
-    find_anchors_view, AliasAnalysis, AnchorKind, BranchAnchor, PrunedFunction, Summaries,
+    find_anchors, AliasAnalysis, AnchorKind, BranchAnchor, PrunedFunction, Summaries,
 };
 use ipds_ir::{BlockId, Function, Program};
 
@@ -108,33 +108,15 @@ impl DirectionOracle<'_> {
     }
 }
 
-/// Refines one function's tables in place against its interval analysis.
-/// Returns what changed; recomputes the encoded sizes if anything did.
-pub fn refine_function(
-    program: &Program,
-    func: &Function,
-    alias: &AliasAnalysis,
-    summaries: &Summaries,
-    intervals: &IntervalAnalysis,
-    tables: &mut FunctionAnalysis,
-) -> RefineStats {
-    refine_function_view(
-        program,
-        func,
-        alias,
-        summaries,
-        intervals,
-        tables,
-        &PrunedFunction::default(),
-    )
-}
-
-/// [`refine_function`] over the feasibility-pruned view: anchors are
-/// discovered on the pruned graph and promotions never attach to a
-/// proved-dead trigger edge. The facts and intervals should be the
-/// pruned-round ones so both oracles agree with the view.
+/// Refines one function's tables in place against its interval analysis,
+/// over the feasibility-pruned `view` (`PrunedFunction::default()` for the
+/// stock world): anchors are discovered on the pruned graph and promotions
+/// never attach to a proved-dead trigger edge. Under pruning, the facts and
+/// intervals should be the pruned-round ones so both oracles agree with the
+/// view. Returns what changed; recomputes the encoded sizes if anything
+/// did.
 #[allow(clippy::too_many_arguments)]
-pub fn refine_function_view(
+pub fn refine_function(
     program: &Program,
     func: &Function,
     alias: &AliasAnalysis,
@@ -143,7 +125,7 @@ pub fn refine_function_view(
     tables: &mut FunctionAnalysis,
     view: &PrunedFunction,
 ) -> RefineStats {
-    let anchors = find_anchors_view(program, func, alias, summaries, view);
+    let anchors = find_anchors(program, func, alias, summaries, view);
     let oracle = DirectionOracle {
         anchors: &anchors,
         intervals,
@@ -246,12 +228,26 @@ pub fn refine_function_view(
 mod tests {
     use super::*;
     use crate::compile::{analyze_program, AnalysisConfig};
+    use ipds_dataflow::Facts;
 
     fn facts(src: &str) -> (Program, AliasAnalysis, Summaries) {
         let program = ipds_ir::parse(src).unwrap();
-        let alias = AliasAnalysis::analyze(&program);
-        let summaries = Summaries::compute(&program, &alias);
+        let Facts { alias, summaries } = Facts::compute(&program);
         (program, alias, summaries)
+    }
+
+    /// Intervals plus refinement of one function, both over the identity
+    /// view.
+    fn refine(
+        program: &Program,
+        alias: &AliasAnalysis,
+        summaries: &Summaries,
+        func: &Function,
+        tables: &mut FunctionAnalysis,
+    ) -> RefineStats {
+        let full = PrunedFunction::default();
+        let ia = IntervalAnalysis::analyze(program, func, alias, summaries, &full);
+        refine_function(program, func, alias, summaries, &ia, tables, &full)
     }
 
     #[test]
@@ -269,10 +265,7 @@ mod tests {
         let mut analysis = analyze_program(&program, &AnalysisConfig::default());
         let mut total = RefineStats::default();
         for (func, tables) in program.functions.iter().zip(&mut analysis.functions) {
-            let ia = IntervalAnalysis::analyze(&program, func, &alias, &summaries);
-            total.merge(refine_function(
-                &program, func, &alias, &summaries, &ia, tables,
-            ));
+            total.merge(refine(&program, &alias, &summaries, func, tables));
         }
         assert_eq!(total.demoted, 0, "stock tables must re-prove");
         crate::verify_tables::verify_tables(&program, &analysis)
@@ -299,8 +292,7 @@ mod tests {
         let func = &program.functions[0];
         let tables = &mut analysis.functions[0];
         let before = tables.bat_entry_count();
-        let ia = IntervalAnalysis::analyze(&program, func, &alias, &summaries);
-        let stats = refine_function(&program, func, &alias, &summaries, &ia, tables);
+        let stats = refine(&program, &alias, &summaries, func, tables);
         assert!(stats.proved > 0, "interval facts must add entries");
         assert_eq!(stats.demoted, 0);
         assert!(tables.bat_entry_count() > before);
@@ -333,8 +325,7 @@ mod tests {
             target: victim,
             action: BrAction::SetTaken,
         });
-        let ia = IntervalAnalysis::analyze(&program, func, &alias, &summaries);
-        let stats = refine_function(&program, func, &alias, &summaries, &ia, tables);
+        let stats = refine(&program, &alias, &summaries, func, tables);
         assert!(stats.demoted >= 1, "forged action must be demoted");
         let row = &tables.bat[&(0, true)];
         assert!(row

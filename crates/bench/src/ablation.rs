@@ -275,6 +275,9 @@ pub fn feasibility_sweep() -> Vec<FeasibilityRow> {
     let mut rows = Vec::new();
     for w in ipds_workloads::extended() {
         for pct in FEASIBILITY_PROMOTE {
+            // The prune-off build runs first; its checked count is the
+            // baseline the pruned build's coverage lift is measured from.
+            let mut base_checked = None;
             for prune in [false, true] {
                 let build = ipds::Protected::build()
                     .promote(pct)
@@ -284,6 +287,8 @@ pub fn feasibility_sweep() -> Vec<FeasibilityRow> {
                     .compile(w.source)
                     .unwrap_or_else(|e| panic!("{} @ {pct}% prune={prune}: {e}", w.name));
                 let lint = build.lint.as_ref().expect("lint requested");
+                let checked = build.counters.checked;
+                let base_checked = *base_checked.get_or_insert(checked);
                 rows.push(FeasibilityRow {
                     workload: w.name,
                     promote: pct,
@@ -292,8 +297,8 @@ pub fn feasibility_sweep() -> Vec<FeasibilityRow> {
                     pruned_blocks: build.metrics.counter("pipeline.pruned_blocks"),
                     prune_rounds: build.metrics.counter("pipeline.prune_rounds"),
                     branches: build.counters.branches,
-                    checked: build.counters.checked,
-                    coverage_lift: build.metrics.counter("pipeline.coverage_lift"),
+                    checked,
+                    coverage_lift: checked.saturating_sub(base_checked),
                     refine_proved: build.metrics.counter("pipeline.refine_proved"),
                     lint_errors: lint.error_count(),
                     lint_warnings: lint.warning_count(),

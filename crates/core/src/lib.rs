@@ -293,66 +293,6 @@ impl From<&ipds_workloads::Workload> for Source {
     }
 }
 
-/// The shared execution vocabulary every spec consumes through its
-/// `session_config` method: worker `threads`, master `seed`, execution
-/// `limits`. Configure once, apply to [`BuildSpec`], [`RunSession`],
-/// [`CampaignSpec`] and [`FaultSpec`] alike — each spec picks up the
-/// knobs that apply to it and documents the ones that do not.
-///
-/// ```
-/// # fn main() -> Result<(), ipds::Error> {
-/// use ipds::{Protected, SessionConfig};
-///
-/// let cfg = SessionConfig::new().threads(2).seed(7);
-/// let p = Protected::compile("fn main() -> int { return 0; }")?;
-/// let r = p.campaign_spec().session_config(cfg).attacks(10).run();
-/// assert!(r.detected <= 10);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionConfig {
-    threads: usize,
-    seed: u64,
-    limits: ExecLimits,
-}
-
-impl Default for SessionConfig {
-    fn default() -> SessionConfig {
-        SessionConfig {
-            threads: 1,
-            seed: 0x1bd5,
-            limits: ExecLimits::default(),
-        }
-    }
-}
-
-impl SessionConfig {
-    /// Starts from the spec defaults: serial, seed `0x1bd5`, default
-    /// execution limits.
-    pub fn new() -> SessionConfig {
-        SessionConfig::default()
-    }
-
-    /// Worker threads for whatever the consuming spec parallelizes.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Master seed for whatever the consuming spec randomizes.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Execution budget (steps, call depth) for interpreted runs.
-    pub fn limits(mut self, limits: ExecLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-}
-
 /// Result of one protected execution.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -614,13 +554,6 @@ impl BuildSpec {
         self
     }
 
-    /// Applies the shared [`SessionConfig`] vocabulary. For a build only
-    /// `threads` applies (seed and limits concern executions, not
-    /// analysis).
-    pub fn session_config(self, config: SessionConfig) -> Self {
-        self.threads(config.threads)
-    }
-
     /// Run the load-forwarding optimizer before analysis (default off).
     pub fn optimize(mut self, on: bool) -> Self {
         self.options.optimize = on;
@@ -764,13 +697,6 @@ impl<'a, S: EventSink> RunSession<'a, S> {
         self
     }
 
-    /// Applies the shared [`SessionConfig`] vocabulary. For a single
-    /// session only `limits` applies (threads and seed concern campaigns,
-    /// not one run).
-    pub fn session_config(self, config: SessionConfig) -> Self {
-        self.limits(config.limits)
-    }
-
     /// Schedules a single tamper: after `trigger_step` interpreter steps,
     /// overwrite `var` (a `main` local or a global) with `value`.
     pub fn tamper(mut self, trigger_step: u64, var: &'a str, value: i64) -> Self {
@@ -875,13 +801,6 @@ impl<'a, S: EventSink> CampaignSpec<'a, S> {
     pub fn warm_start(mut self, warm: &'a WarmStart) -> Self {
         self.warm = Some(warm);
         self
-    }
-
-    /// Applies the shared [`SessionConfig`] vocabulary: `threads` and
-    /// `seed` (limits are derived from the golden run, see
-    /// [`Protected::campaign_artifacts`]).
-    pub fn session_config(self, config: SessionConfig) -> Self {
-        self.threads(config.threads).seed(config.seed)
     }
 
     /// Attaches an event sink shared by every worker.
@@ -1008,12 +927,6 @@ impl<'a> FaultSpec<'a> {
         self
     }
 
-    /// Applies the shared [`SessionConfig`] vocabulary: `threads` and
-    /// `seed` (limits are derived from the golden run).
-    pub fn session_config(self, config: SessionConfig) -> Self {
-        self.threads(config.threads).seed(config.seed)
-    }
-
     /// Runs the campaign.
     ///
     /// # Panics
@@ -1032,7 +945,7 @@ impl<'a> FaultSpec<'a> {
     /// Panics if the golden run faults or a worker thread panics.
     pub fn run_metered(&self) -> (FaultCampaignResult, MetricsRegistry) {
         let image = TableImage::build(&self.protected.analysis);
-        let (_, limits) = self.protected.campaign_artifacts(self.inputs);
+        let (golden, limits) = self.protected.campaign_artifacts(self.inputs);
         let campaign = FaultCampaign {
             flips: self.flips,
             seed: self.seed,
@@ -1044,6 +957,7 @@ impl<'a> FaultSpec<'a> {
             &self.protected.analysis,
             &image,
             self.inputs,
+            &golden,
             &campaign,
             self.threads,
         )
@@ -1117,59 +1031,46 @@ mod tests {
     }
 
     #[test]
-    fn session_config_reaches_every_spec() {
+    fn spec_setters_reach_every_spec() {
         let p = Protected::compile(SRC).unwrap();
         let inputs = [Input::Int(0), Input::Int(9)];
-        let cfg = SessionConfig::new().threads(2).seed(3);
 
-        // CampaignSpec: threads+seed from the shared config == explicit.
-        let explicit = p
-            .campaign_spec()
-            .inputs(&inputs)
-            .attacks(20)
-            .seed(3)
-            .threads(2)
-            .run();
-        let shared = p
-            .campaign_spec()
-            .inputs(&inputs)
-            .attacks(20)
-            .session_config(cfg)
-            .run();
-        assert_eq!(explicit, shared);
-
-        // FaultSpec: same equivalence.
-        let explicit = p
-            .fault_spec()
-            .inputs(&inputs)
-            .flips(4)
-            .seed(3)
-            .threads(2)
-            .run();
-        let shared = p
-            .fault_spec()
-            .inputs(&inputs)
-            .flips(4)
-            .session_config(cfg)
-            .run();
-        assert_eq!(explicit, shared);
+        // CampaignSpec and FaultSpec take threads and seed directly; the
+        // thread count never changes the result.
+        let campaign = |threads, seed| {
+            p.campaign_spec()
+                .inputs(&inputs)
+                .attacks(20)
+                .seed(seed)
+                .threads(threads)
+                .run()
+        };
+        assert_eq!(campaign(1, 3), campaign(2, 3));
+        let faults = |threads, seed| {
+            p.fault_spec()
+                .inputs(&inputs)
+                .flips(4)
+                .seed(seed)
+                .threads(threads)
+                .run()
+        };
+        assert_eq!(faults(1, 3), faults(2, 3));
 
         // RunSession picks up the limits; a starved budget must show.
-        let tight = SessionConfig::new().limits(ExecLimits {
-            max_steps: 1,
-            max_depth: 4,
-        });
         let r = p
             .session()
             .inputs(&inputs)
-            .session_config(tight)
+            .limits(ExecLimits {
+                max_steps: 1,
+                max_depth: 4,
+            })
             .run()
             .unwrap();
         assert!(matches!(r.status, ExecStatus::OutOfBudget));
 
         // BuildSpec picks up the threads (output bit-identical anyway).
         let serial = Protected::build().compile(SRC).unwrap();
-        let threaded = Protected::build().session_config(cfg).compile(SRC).unwrap();
+        let threaded = Protected::build().threads(2).compile(SRC).unwrap();
         assert_eq!(serial.image.as_bytes(), threaded.image.as_bytes());
     }
 

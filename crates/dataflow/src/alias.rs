@@ -89,17 +89,12 @@ pub struct AliasAnalysis {
 }
 
 impl AliasAnalysis {
-    /// Runs the analysis to fixpoint over `program`.
-    pub fn analyze(program: &Program) -> AliasAnalysis {
-        Self::analyze_view(program, &crate::prune::PrunedCfg::full(program))
-    }
-
-    /// Runs the analysis over the feasibility-pruned view: instructions in
-    /// blocks the pruning proved unreachable contribute nothing, so
-    /// address-taken sets and points-to solutions shrink to what feasible
-    /// paths can actually establish. With the identity view this is exactly
-    /// [`AliasAnalysis::analyze`].
-    pub fn analyze_view(program: &Program, view: &crate::prune::PrunedCfg) -> AliasAnalysis {
+    /// Runs the analysis to fixpoint over `program` as seen through `view`:
+    /// instructions in blocks the feasibility pruning proved unreachable
+    /// contribute nothing, so address-taken sets and points-to solutions
+    /// shrink to what feasible paths can actually establish. Pass
+    /// [`PrunedCfg::full`](crate::PrunedCfg::full) for the stock analysis.
+    pub fn analyze(program: &Program, view: &crate::prune::PrunedCfg) -> AliasAnalysis {
         let mut a = AliasAnalysis {
             reg_pts: HashMap::new(),
             mem_pts: HashMap::new(),
@@ -387,7 +382,7 @@ mod tests {
 
     fn analyze(src: &str) -> (Program, AliasAnalysis) {
         let p = ipds_ir::parse(src).unwrap();
-        let a = AliasAnalysis::analyze(&p);
+        let a = AliasAnalysis::analyze(&p, &crate::PrunedCfg::full(&p));
         (p, a)
     }
 

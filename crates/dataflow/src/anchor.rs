@@ -82,25 +82,16 @@ impl BranchAnchor {
     }
 }
 
-/// Finds all anchors for every conditional branch of `func`.
+/// Finds all anchors for every conditional branch of `func` that survives
+/// `view`: branches in proved-unreachable blocks grow no anchors (they
+/// cannot commit on any feasible path). Under pruning, the facts passed in
+/// should be the pruned-view facts so store-freedom checks see the pruned
+/// may-write sets.
 ///
 /// Returns a map from branch block to its (possibly several) anchors. A
 /// branch with no entry is unanalyzable and will be excluded from checking
 /// (left out of the BCV).
 pub fn find_anchors(
-    program: &Program,
-    func: &Function,
-    alias: &AliasAnalysis,
-    summaries: &Summaries,
-) -> BTreeMap<BlockId, Vec<BranchAnchor>> {
-    find_anchors_view(program, func, alias, summaries, &PrunedFunction::default())
-}
-
-/// [`find_anchors`] restricted to the feasibility-pruned view: branches in
-/// proved-unreachable blocks grow no anchors (they cannot commit on any
-/// feasible path). The facts passed in should be the pruned-view facts so
-/// store-freedom checks see the pruned may-write sets.
-pub fn find_anchors_view(
     program: &Program,
     func: &Function,
     alias: &AliasAnalysis,
@@ -376,19 +367,19 @@ fn dedup(mut anchors: Vec<BranchAnchor>) -> Vec<BranchAnchor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Facts;
     use ipds_ir::VarId;
 
     fn setup(src: &str) -> (Program, AliasAnalysis, Summaries) {
         let p = ipds_ir::parse(src).unwrap();
-        let a = AliasAnalysis::analyze(&p);
-        let s = Summaries::compute(&p, &a);
-        (p, a, s)
+        let Facts { alias, summaries } = Facts::compute(&p);
+        (p, alias, summaries)
     }
 
     fn anchors_of(src: &str, fname: &str) -> Vec<BranchAnchor> {
         let (p, a, s) = setup(src);
         let f = p.function_by_name(fname).unwrap();
-        find_anchors(&p, f, &a, &s)
+        find_anchors(&p, f, &a, &s, &PrunedFunction::default())
             .into_values()
             .flatten()
             .collect()
@@ -460,7 +451,7 @@ mod tests {
         let (p, a, s) = setup(src);
         let f = p.main().unwrap();
         let user = local(&p, "main", "user");
-        let anchors: Vec<BranchAnchor> = find_anchors(&p, f, &a, &s)
+        let anchors: Vec<BranchAnchor> = find_anchors(&p, f, &a, &s, &PrunedFunction::default())
             .into_values()
             .flatten()
             .collect();
@@ -487,7 +478,7 @@ mod tests {
         let f = p.main().unwrap();
         let x = local(&p, "main", "x");
         let y = local(&p, "main", "y");
-        let anchors: Vec<BranchAnchor> = find_anchors(&p, f, &a, &s)
+        let anchors: Vec<BranchAnchor> = find_anchors(&p, f, &a, &s, &PrunedFunction::default())
             .into_values()
             .flatten()
             .collect();
@@ -504,7 +495,7 @@ mod tests {
         let (p, a, s) = setup(src);
         let f = p.main().unwrap();
         let x = local(&p, "main", "x");
-        let anchors: Vec<BranchAnchor> = find_anchors(&p, f, &a, &s)
+        let anchors: Vec<BranchAnchor> = find_anchors(&p, f, &a, &s, &PrunedFunction::default())
             .into_values()
             .flatten()
             .collect();

@@ -32,7 +32,7 @@ pub mod range;
 pub mod summary;
 
 pub use alias::{AccessClass, AliasAnalysis};
-pub use anchor::{find_anchors, find_anchors_view, AnchorKind, BranchAnchor};
+pub use anchor::{find_anchors, AnchorKind, BranchAnchor};
 pub use memvar::MemVar;
 pub use prune::{PrunedCfg, PrunedFunction};
 pub use range::Range;
@@ -56,10 +56,12 @@ pub struct Facts {
 }
 
 impl Facts {
-    /// Runs both analyses in their required order.
+    /// Runs both analyses in their required order over the whole program
+    /// (the identity [`PrunedCfg`] view).
     pub fn compute(program: &Program) -> Facts {
-        let alias = AliasAnalysis::analyze(program);
-        let summaries = Summaries::compute(program, &alias);
+        let full = PrunedCfg::full(program);
+        let alias = AliasAnalysis::analyze(program, &full);
+        let summaries = Summaries::compute(program, &alias, &full);
         Facts { alias, summaries }
     }
 }

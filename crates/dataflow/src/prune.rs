@@ -13,6 +13,11 @@
 //! edges are dead and which blocks became unreachable once those edges are
 //! removed. Only conditional-branch edges are ever pruned, so a live
 //! block's `Jump` successor is always live.
+//!
+//! Every analysis takes the view as an ordinary argument; there is no
+//! separate unpruned entry point. The identity view ([`PrunedCfg::full`],
+//! the empty `PrunedCfg::default()`, or `PrunedFunction::default()` for one
+//! function) gives the stock analysis.
 
 use std::collections::BTreeSet;
 
@@ -127,9 +132,15 @@ impl PrunedCfg {
         PrunedCfg { functions }
     }
 
-    /// The pruned view of one function.
+    /// The pruned view of one function. A function the view holds no entry
+    /// for is unpruned, so the empty `PrunedCfg::default()` is the identity
+    /// view of every program.
     pub fn function(&self, id: FuncId) -> &PrunedFunction {
-        &self.functions[id.0 as usize]
+        static FULL: PrunedFunction = PrunedFunction {
+            dead_edges: BTreeSet::new(),
+            dead_blocks: BTreeSet::new(),
+        };
+        self.functions.get(id.0 as usize).unwrap_or(&FULL)
     }
 
     /// True if `block` of `func` survives the pruning.
@@ -176,13 +187,16 @@ mod tests {
     fn full_view_prunes_nothing() {
         let p =
             parse("fn main() -> int { int x; x = read_int(); if (x < 5) { return 1; } return 0; }");
-        let v = PrunedCfg::full(&p);
-        assert!(v.is_full());
-        assert_eq!(v.pruned_edges(), 0);
-        assert_eq!(v.pruned_blocks(), 0);
-        let f = p.main().unwrap();
-        for (bid, _) in f.iter_blocks() {
-            assert!(v.block_live(f.id, bid));
+        // The empty default view is the identity of any program too.
+        for v in [PrunedCfg::full(&p), PrunedCfg::default()] {
+            assert!(v.is_full());
+            assert_eq!(v.pruned_edges(), 0);
+            assert_eq!(v.pruned_blocks(), 0);
+            let f = p.main().unwrap();
+            for (bid, _) in f.iter_blocks() {
+                assert!(v.block_live(f.id, bid));
+                assert!(v.edge_live(f.id, bid, true) && v.edge_live(f.id, bid, false));
+            }
         }
     }
 

@@ -75,16 +75,11 @@ pub struct Summaries {
 }
 
 impl Summaries {
-    /// Computes summaries to fixpoint over the call graph.
-    pub fn compute(program: &Program, alias: &AliasAnalysis) -> Summaries {
-        Self::compute_view(program, alias, &crate::prune::PrunedCfg::full(program))
-    }
-
-    /// Computes summaries over the feasibility-pruned view: stores and calls
-    /// in proved-unreachable blocks cannot happen on any feasible path, so
-    /// they do not contribute to the callee's caller-visible write set. With
-    /// the identity view this is exactly [`Summaries::compute`].
-    pub fn compute_view(
+    /// Computes summaries to fixpoint over the call graph, as seen through
+    /// `view`: stores and calls in proved-unreachable blocks cannot happen
+    /// on any feasible path, so they do not contribute to the callee's
+    /// caller-visible write set.
+    pub fn compute(
         program: &Program,
         alias: &AliasAnalysis,
         view: &crate::prune::PrunedCfg,
@@ -180,13 +175,13 @@ impl Summaries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Facts;
     use ipds_ir::{Program, VarId};
 
     fn setup(src: &str) -> (Program, AliasAnalysis, Summaries) {
         let p = ipds_ir::parse(src).unwrap();
-        let a = AliasAnalysis::analyze(&p);
-        let s = Summaries::compute(&p, &a);
-        (p, a, s)
+        let Facts { alias, summaries } = Facts::compute(&p);
+        (p, alias, summaries)
     }
 
     fn local(p: &Program, fname: &str, vname: &str) -> MemVar {

@@ -2,14 +2,13 @@
 //! pointer propagation, read-only classification, and conservatism under
 //! unknown flows.
 
-use ipds_dataflow::{AccessClass, AliasAnalysis, CallEffect, MemVar, Summaries};
+use ipds_dataflow::{AccessClass, AliasAnalysis, CallEffect, Facts, MemVar, Summaries};
 use ipds_ir::{Address, Inst, Program, VarId};
 
 fn setup(src: &str) -> (Program, AliasAnalysis, Summaries) {
     let p = ipds_ir::parse(src).unwrap();
-    let a = AliasAnalysis::analyze(&p);
-    let s = Summaries::compute(&p, &a);
-    (p, a, s)
+    let Facts { alias, summaries } = Facts::compute(&p);
+    (p, alias, summaries)
 }
 
 fn local(p: &Program, fname: &str, vname: &str) -> MemVar {

@@ -236,7 +236,9 @@ fn construct_function(
 
     let mut subst: HashMap<Reg, Operand> = HashMap::new();
     for &b in &order {
-        let preds = cfg.preds(b);
+        // Deduplicated, as in phi placement: a branch with both arms on `b`
+        // is one predecessor, not a join.
+        let preds: BTreeSet<BlockId> = cfg.preds(b).iter().copied().collect();
         let entry_env: Vec<Operand> = if b == func.entry {
             initial.clone()
         } else if phi_at[b.index()].iter().any(Option::is_some) {
@@ -245,7 +247,8 @@ fn construct_function(
                 .map(|p| Operand::Reg(p.as_ref().expect("join block has all phis").dst))
                 .collect()
         } else if preds.len() == 1 && cfg.is_reachable(b) {
-            exit_env[preds[0].index()]
+            let pred = preds.first().expect("one predecessor");
+            exit_env[pred.index()]
                 .clone()
                 .unwrap_or_else(|| initial.clone())
         } else {

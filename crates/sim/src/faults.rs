@@ -626,18 +626,22 @@ pub fn aggregate_faults(
 /// how the scheduler carved the index space and varies with thread count
 /// and timing (see `docs/PERF.md`).
 ///
+/// `golden` is the clean run of `program` on `inputs` (captured once by the
+/// caller, as for [`crate::attack::run_campaign`]); fault triggers are
+/// spread over its length.
+///
 /// # Panics
 ///
-/// Panics if the golden (clean) run faults, or if a worker thread panics.
+/// Panics if the golden (clean) run faulted, or if a worker thread panics.
 pub fn run_fault_campaign(
     program: &Program,
     analysis: &ProgramAnalysis,
     image: &TableImage,
     inputs: &[Input],
+    golden: &GoldenRun,
     campaign: &FaultCampaign,
     threads: usize,
 ) -> (FaultCampaignResult, MetricsRegistry) {
-    let golden = GoldenRun::capture(program, inputs, campaign.limits);
     assert!(
         !matches!(golden.status, ExecStatus::Fault(_)),
         "golden run must not fault: {:?}",
@@ -682,6 +686,19 @@ mod tests {
           if (user == 1) { print_int(200); } else { print_int(300); } \
         } return 0; }";
 
+    /// Captures the golden run under the campaign's limits and runs it.
+    fn run(
+        p: &Program,
+        a: &ProgramAnalysis,
+        image: &TableImage,
+        inputs: &[Input],
+        c: &FaultCampaign,
+        threads: usize,
+    ) -> (FaultCampaignResult, MetricsRegistry) {
+        let golden = GoldenRun::capture(p, inputs, c.limits);
+        run_fault_campaign(p, a, image, inputs, &golden, c, threads)
+    }
+
     fn setup() -> (Program, ProgramAnalysis, TableImage, Vec<Input>) {
         let p = ipds_ir::parse(VICTIM).unwrap();
         let a = analyze_program(&p, &AnalysisConfig::default());
@@ -713,7 +730,7 @@ mod tests {
             checksum: true,
             limits: ExecLimits::default(),
         };
-        let (r, metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c, 1);
+        let (r, metrics) = run(&p, &a, &image, &inputs, &c, 1);
         assert_eq!(r.injected, 48);
         assert_eq!(r.image, 16);
         assert_eq!(r.image_undetected, 0, "checksum must catch every flip");
@@ -733,9 +750,9 @@ mod tests {
                 checksum,
                 limits: ExecLimits::default(),
             };
-            let (serial, serial_metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c, 1);
+            let (serial, serial_metrics) = run(&p, &a, &image, &inputs, &c, 1);
             for threads in [2, 4, 8] {
-                let (par, par_metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c, threads);
+                let (par, par_metrics) = run(&p, &a, &image, &inputs, &c, threads);
                 assert_eq!(serial, par, "checksum={checksum} threads={threads}");
                 // Chunk accounting describes the scheduler, not the
                 // computation: it is the one telemetry pair allowed to vary
@@ -764,7 +781,7 @@ mod tests {
             checksum: true,
             limits: ExecLimits::default(),
         };
-        let (r, metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c, 1);
+        let (r, metrics) = run(&p, &a, &image, &inputs, &c, 1);
         assert_eq!(r.detected + r.masked + r.crashed, r.injected);
         assert_eq!(r.image + r.checker + r.memory, r.injected);
         assert_eq!(metrics.counter("faults.injected"), u64::from(r.injected));
@@ -789,7 +806,7 @@ mod tests {
             checksum: false,
             limits: ExecLimits::default(),
         };
-        let (r, _) = run_fault_campaign(&p, &a, &image, &inputs, &c, 1);
+        let (r, _) = run(&p, &a, &image, &inputs, &c, 1);
         // Restamped images load (unless structurally broken), so not every
         // image fault can be a load-time rejection — the masked/detected
         // split comes from the runtime.
@@ -806,7 +823,7 @@ mod tests {
             checksum: true,
             limits: ExecLimits::default(),
         };
-        let (_, metrics) = run_fault_campaign(&p, &a, &image, &inputs, &c, 1);
+        let (_, metrics) = run(&p, &a, &image, &inputs, &c, 1);
         let emitted: Vec<&str> = metrics.counters().map(|(k, _)| k).collect();
         let mut canonical: Vec<&str> = FAULT_COUNTERS.to_vec();
         canonical.extend_from_slice(ipds_parallel::POOL_COUNTERS);

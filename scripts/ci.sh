@@ -22,6 +22,11 @@ echo "==> tier-1 build + tests"
 cargo build --release --workspace
 cargo test -q --release --workspace
 
+echo "==> benchmark workspace (builds against the library API; smoke runs every workload)"
+# benchmark/ is its own cargo workspace, so the tier-1 step never compiles
+# it; its smoke test runs every workload at --seconds 0 and checks digests.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> pipeline gate (verify tables + serial/threaded determinism, all workloads)"
 cargo run -q --release -p ipds --bin ipdsc -- \
     build --workloads --verify-tables --determinism --threads 4

@@ -61,7 +61,7 @@ fn full_featured_build_emits_exactly_the_documented_keys() {
     // `functions` counters) run too. A nonzero `promote` budget opens the
     // ssa → mem2reg → deconstruct-ssa window, whose counters are
     // conditional like the refiner's and linter's, and `prune_feasibility`
-    // turns on the prune-cfg pass so its four counters are emitted.
+    // turns on the prune-cfg pass so its three counters are emitted.
     let w = &workloads::all()[0];
     let build = build_source(
         w.source,

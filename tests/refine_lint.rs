@@ -21,7 +21,7 @@
 use ipds::analysis::pipeline::{build_program, BuildOptions};
 use ipds::analysis::{lint_program, BatEntry, BrAction, LintSeverity};
 use ipds::{workloads, Protected};
-use ipds_dataflow::{AliasAnalysis, Summaries};
+use ipds_dataflow::{Facts, PrunedCfg};
 
 fn refine_options(optimized: bool, threads: usize) -> BuildOptions {
     BuildOptions {
@@ -125,9 +125,9 @@ fn seeded_unsound_action_yields_a_stable_error_report() {
     let w = &workloads::all()[0];
     let build = build_program(w.program(), BuildOptions::default()).unwrap();
     let program = build.program;
-    let alias = AliasAnalysis::analyze(&program);
-    let summaries = Summaries::compute(&program, &alias);
-    let intervals = ipds_absint::analyze_program(&program, &alias, &summaries);
+    let Facts { alias, summaries } = Facts::compute(&program);
+    let full = PrunedCfg::full(&program);
+    let intervals = ipds_absint::analyze_program(&program, &alias, &summaries, &full);
 
     // Seed the first row whose corruption actually surfaces as an error:
     // claiming the trigger branch itself went the *opposite* way on an edge
@@ -147,7 +147,9 @@ fn seeded_unsound_action_yields_a_stable_error_report() {
                 },
             });
             row.sort_by_key(|e| e.target);
-            let report = lint_program(&program, &alias, &summaries, &intervals, &analysis, 1);
+            let report = lint_program(
+                &program, &alias, &summaries, &intervals, &analysis, 1, &full,
+            );
             if report.error_count() > 0 {
                 seeded = Some((analysis, report));
                 break 'hunt;
@@ -178,7 +180,9 @@ fn seeded_unsound_action_yields_a_stable_error_report() {
 
     // The report — struct and rendering — must be bit-stable across shards.
     for threads in [2usize, 4, 8] {
-        let par = lint_program(&program, &alias, &summaries, &intervals, &analysis, threads);
+        let par = lint_program(
+            &program, &alias, &summaries, &intervals, &analysis, threads, &full,
+        );
         assert_eq!(serial, par, "lint report differs at {threads} threads");
         assert_eq!(
             rendered,
