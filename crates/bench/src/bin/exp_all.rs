@@ -24,27 +24,11 @@ use std::time::Instant;
 
 use ipds_runtime::HwConfig;
 use ipds_sim::attack::{aggregate, attack_rng, AttackRunner, Campaign};
-use ipds_telemetry::{phases, CounterSnapshot, CountingSink, NULL_SINK};
+use ipds_telemetry::{phases, MetricsRegistry, PhaseRecorder, NULL_SINK};
 
 /// The sections of the full run, in the order it prints them.
 const PHASES: &str =
     "table1 fig7 fig8 fig9 latency ablation promotion feasibility context micro faults fleet";
-
-/// Wall-clock for one experiment phase.
-struct Phase {
-    name: &'static str,
-    seconds: f64,
-}
-
-fn timed<T>(phases: &mut Vec<Phase>, name: &'static str, f: impl FnOnce() -> T) -> T {
-    let start = Instant::now();
-    let out = f();
-    phases.push(Phase {
-        name,
-        seconds: start.elapsed().as_secs_f64(),
-    });
-    out
-}
 
 fn usage_error(msg: &str) -> ! {
     eprintln!(
@@ -85,7 +69,8 @@ fn main() {
         }
     };
     let hw = HwConfig::table1_default();
-    let mut wall: Vec<Phase> = Vec::new();
+    // Per-phase wall-clock for the JSON `phases` array, in run order.
+    let wall = PhaseRecorder::new();
     // Pipeline spans (compile/analyze/golden/campaign) accumulate in the
     // process-global recorder as the artifact cache and the campaign
     // drivers do their work; start from a clean slate.
@@ -96,7 +81,7 @@ fn main() {
         gap();
     }
     if runs("fig7") {
-        let f7 = timed(&mut wall, "fig7", || {
+        let f7 = wall.time("fig7", || {
             ipds_bench::fig7::run_threaded(attacks, 2006, 2006, None, threads)
         });
         ipds_bench::fig7::print(&f7);
@@ -106,61 +91,51 @@ fn main() {
         }
     }
     if runs("fig8") {
-        let f8 = timed(&mut wall, "fig8", ipds_bench::fig8::run);
+        let f8 = wall.time("fig8", ipds_bench::fig8::run);
         ipds_bench::fig8::print(&f8);
         gap();
     }
     if runs("fig9") {
-        let f9 = timed(&mut wall, "fig9", || ipds_bench::fig9::run(&hw, 2006));
+        let f9 = wall.time("fig9", || ipds_bench::fig9::run(&hw, 2006));
         ipds_bench::fig9::print(&f9);
         gap();
     }
     if runs("latency") {
-        let lat = timed(&mut wall, "latency", || ipds_bench::latency::run(&hw, 2006));
+        let lat = wall.time("latency", || ipds_bench::latency::run(&hw, 2006));
         ipds_bench::latency::print(&lat);
         gap();
     }
     if runs("ablation") {
-        let ab = timed(&mut wall, "ablation", || {
+        let ab = wall.time("ablation", || {
             ipds_bench::ablation::run(attacks.min(50), 2006, 2006)
         });
-        let buf = timed(&mut wall, "buffer_sweep", || {
-            ipds_bench::ablation::buffer_sweep(2006)
-        });
+        let buf = wall.time("buffer_sweep", || ipds_bench::ablation::buffer_sweep(2006));
         ipds_bench::ablation::print(&ab, &buf);
         gap();
     }
     let promotion = runs("promotion").then(|| {
-        let rows = timed(
-            &mut wall,
-            "promotion",
-            ipds_bench::ablation::promotion_sweep,
-        );
+        let rows = wall.time("promotion", ipds_bench::ablation::promotion_sweep);
         ipds_bench::ablation::print_promotion(&rows);
         gap();
         rows
     });
     let feasibility = runs("feasibility").then(|| {
-        let rows = timed(
-            &mut wall,
-            "feasibility",
-            ipds_bench::ablation::feasibility_sweep,
-        );
+        let rows = wall.time("feasibility", ipds_bench::ablation::feasibility_sweep);
         ipds_bench::ablation::print_feasibility(&rows);
         gap();
         rows
     });
     if runs("context") {
-        let ctx = timed(&mut wall, "context", || ipds_bench::context::run(&hw));
+        let ctx = wall.time("context", || ipds_bench::context::run(&hw));
         ipds_bench::context::print(&ctx);
         gap();
     }
     if runs("micro") {
-        let micro = timed(&mut wall, "micro", || ipds_bench::micro::run(&hw));
+        let micro = wall.time("micro", || ipds_bench::micro::run(&hw));
         ipds_bench::micro::print(&micro);
     }
     let faults = runs("faults").then(|| {
-        let faults = timed(&mut wall, "faults", || {
+        let faults = wall.time("faults", || {
             fault_campaigns(if quick { 6 } else { 24 }, threads)
         });
         println!(
@@ -177,7 +152,7 @@ fn main() {
         faults
     });
     let fleet = runs("fleet").then(|| {
-        let fleet = timed(&mut wall, "fleet", || fleet_phase(quick, threads));
+        let fleet = wall.time("fleet", || fleet_phase(quick, threads));
         println!(
             "fleet service: {} sessions ({} rejected), {} events, {} incidents -> \
              {} root causes ({} tampered image, {} hot region, {} isolated noise), \
@@ -227,7 +202,7 @@ fn main() {
     match write_bench_json(
         attacks,
         threads,
-        &wall,
+        &wall.snapshot(),
         &scaling,
         &overhead,
         &counters,
@@ -540,16 +515,14 @@ fn fleet_phase(quick: bool, threads: usize) -> FleetSummary {
     }
 }
 
-/// One instrumented campaign with a [`CountingSink`], for the event-count
-/// section of the JSON (what the checker actually did, not how long it
-/// took).
-fn campaign_counters(attacks: u32, threads: usize) -> CounterSnapshot {
+/// One metered campaign, for the event-count section of the JSON (what the
+/// checker actually did, not how long it took).
+fn campaign_counters(attacks: u32, threads: usize) -> MetricsRegistry {
     let w = ipds_workloads::all()
         .into_iter()
         .find(|w| w.name == "telnetd")
         .expect("telnetd workload");
     let art = ipds_bench::artifacts::campaign_artifacts(&w, &ipds::Config::default(), false, 2006);
-    let sink = CountingSink::new();
     art.protected
         .campaign_spec()
         .inputs(&art.inputs)
@@ -558,9 +531,8 @@ fn campaign_counters(attacks: u32, threads: usize) -> CounterSnapshot {
         .seed(0x0bed)
         .model(w.vuln)
         .threads(threads)
-        .sink(&sink)
-        .run();
-    sink.snapshot()
+        .run_metered()
+        .1
 }
 
 /// Per-pass compile breakdown for every workload under the default config,
@@ -590,10 +562,10 @@ fn compile_reports() -> Vec<std::sync::Arc<ipds_bench::artifacts::CompileReport>
 fn write_bench_json(
     attacks: u32,
     threads: usize,
-    wall: &[Phase],
+    wall: &[(String, f64)],
     scaling: &[Scaling],
     overhead: &Overhead,
-    counters: &CounterSnapshot,
+    counters: &MetricsRegistry,
     compiles: &[std::sync::Arc<ipds_bench::artifacts::CompileReport>],
     promotion: &[ipds_bench::ablation::PromotionRow],
     feasibility: &[ipds_bench::ablation::FeasibilityRow],
@@ -603,8 +575,8 @@ fn write_bench_json(
     let workloads = ipds_workloads::all().len() as u32;
     let fig7_seconds = wall
         .iter()
-        .find(|p| p.name == "fig7")
-        .map(|p| p.seconds)
+        .find(|(name, _)| name == "fig7")
+        .map(|&(_, seconds)| seconds)
         .unwrap_or(0.0);
     let total_attacks = u64::from(attacks) * u64::from(workloads);
     let attacks_per_sec = if fig7_seconds > 0.0 {
@@ -633,11 +605,10 @@ fn write_bench_json(
     }
     json.push_str("  ],\n");
     json.push_str("  \"phases\": [\n");
-    for (i, p) in wall.iter().enumerate() {
+    for (i, (name, seconds)) in wall.iter().enumerate() {
         let comma = if i + 1 < wall.len() { "," } else { "" };
         json.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"seconds\": {:.6} }}{comma}\n",
-            p.name, p.seconds
+            "    {{ \"name\": \"{name}\", \"seconds\": {seconds:.6} }}{comma}\n"
         ));
     }
     json.push_str("  ],\n");
@@ -798,18 +769,20 @@ fn write_bench_json(
     ));
     json.push_str("    },\n");
     json.push_str("    \"campaign_counters\": {\n");
-    let fields: [(&str, u64); 8] = [
-        ("attacks", counters.attacks),
-        ("tampers", counters.tampers),
-        ("cf_changes", counters.cf_changes),
-        ("detections", counters.detections),
-        ("branches", counters.branches),
-        ("checked", counters.checked),
-        ("bsv_transitions", counters.bsv_transitions),
-        ("bat_actions", counters.bat_actions),
+    // JSON field name -> registry key.
+    let fields: [(&str, &str); 8] = [
+        ("attacks", "campaign.attacks"),
+        ("tampers", "campaign.attacks_tampered"),
+        ("cf_changes", "campaign.attacks_cf_changed"),
+        ("detections", "campaign.attacks_detected"),
+        ("branches", "checker.branches"),
+        ("checked", "checker.verified"),
+        ("bsv_transitions", "checker.bsv_transitions"),
+        ("bat_actions", "checker.bat_entries_applied"),
     ];
-    for (i, (name, value)) in fields.iter().enumerate() {
+    for (i, (name, key)) in fields.iter().enumerate() {
         let comma = if i + 1 < fields.len() { "," } else { "" };
+        let value = counters.counter(key);
         json.push_str(&format!("      \"{name}\": {value}{comma}\n"));
     }
     json.push_str("    }\n");

@@ -46,11 +46,12 @@
 //! }
 //! ```
 //!
-//! To observe what the checker does, attach an
-//! [`EventSink`](telemetry::EventSink) — see `docs/OBSERVABILITY.md`:
+//! To see what the checker did, read a run's [`RunReport::stats`] or a
+//! campaign's `checker.*` counters from [`CampaignSpec::run_metered`]; to
+//! stream per-event records, attach an [`EventSink`](telemetry::EventSink)
+//! — see `docs/OBSERVABILITY.md`:
 //!
 //! ```
-//! use ipds::telemetry::CountingSink;
 //! use ipds::{Input, Protected};
 //!
 //! let protected = Protected::compile(
@@ -58,14 +59,16 @@
 //!      if (x == 1) { print_int(1); } return 0; }",
 //! )
 //! .unwrap();
-//! let sink = CountingSink::new();
-//! protected
-//!     .session()
+//! let report = protected.session().inputs(&[Input::Int(1)]).run().unwrap();
+//! assert!(report.stats.branches > 0);
+//!
+//! let (_, metrics) = protected
+//!     .campaign_spec()
 //!     .inputs(&[Input::Int(1)])
-//!     .sink(&sink)
-//!     .run()
-//!     .unwrap();
-//! assert!(sink.snapshot().branches > 0);
+//!     .attacks(8)
+//!     .run_metered();
+//! assert_eq!(metrics.counter("campaign.attacks"), 8);
+//! assert!(metrics.counter("checker.branches") > 0);
 //! ```
 
 use std::fmt;
@@ -76,7 +79,7 @@ use ipds_analysis::{
 };
 use ipds_ir::{CompileError, Program, VarId};
 use ipds_runtime::{Alarm, HwConfig, IpdsChecker, IpdsStats, RuntimeError};
-use ipds_sim::pipeline::core::{timed_run, timed_run_metered};
+use ipds_sim::pipeline::core::timed_run;
 use ipds_sim::{AttackModel, Campaign, ExecLimits, ExecStatus, Interp, IpdsObserver, PerfReport};
 use ipds_telemetry::{EventSink, MetricsRegistry, NullSink, NULL_SINK};
 
@@ -512,24 +515,6 @@ impl Protected {
         )
     }
 
-    /// Like [`Protected::timed`], additionally folding work counters and
-    /// the per-branch `check_latency_cycles` histogram into `metrics`.
-    pub fn timed_metered(
-        &self,
-        inputs: &[Input],
-        hw: &HwConfig,
-        metrics: &mut MetricsRegistry,
-    ) -> PerfReport {
-        timed_run_metered(
-            &self.program,
-            inputs,
-            Some(&self.analysis),
-            hw,
-            ExecLimits::default(),
-            metrics,
-        )
-    }
-
     /// Cycle-level run **without** the IPDS (the Fig. 9 baseline).
     pub fn timed_baseline(&self, inputs: &[Input], hw: &HwConfig) -> PerfReport {
         timed_run(&self.program, inputs, None, hw, ExecLimits::default())
@@ -829,8 +814,9 @@ impl<'a, S: EventSink> CampaignSpec<'a, S> {
     }
 
     /// Runs the campaign and returns the merged per-worker metrics
-    /// (attack counters, step and detection-lag histograms) alongside the
-    /// result. Both are bit-identical for every thread count, with one
+    /// (`campaign.*` attack counters, step and detection-lag histograms,
+    /// and the checker's summed `checker.*` work) alongside the result.
+    /// Both are bit-identical for every thread count, with one
     /// documented exception: the worker pool's chunk-accounting counters
     /// (`pool.chunks_claimed`, `pool.chunks_stolen`) describe how the
     /// scheduler carved the index space and legitimately vary with thread
@@ -967,7 +953,6 @@ impl<'a> FaultSpec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipds_telemetry::CountingSink;
 
     const SRC: &str = "fn main() -> int { int user; user = read_int(); \
         if (user == 1) { print_int(1); } \
@@ -1092,18 +1077,6 @@ mod tests {
         let err = Error::from(ServiceError::UnknownSession { session: 7 });
         assert_eq!(err.kind(), ErrorKind::Service);
         assert!(err.to_string().contains("service error"));
-    }
-
-    #[test]
-    fn session_counting_sink_sees_every_branch() {
-        let p = Protected::compile(SRC).unwrap();
-        let inputs = [Input::Int(0), Input::Int(9)];
-        let sink = CountingSink::new();
-        let r = p.session().inputs(&inputs).sink(&sink).run().unwrap();
-        let snap = sink.snapshot();
-        assert_eq!(snap.branches, r.stats.branches);
-        assert_eq!(snap.checked, r.stats.verified);
-        assert_eq!(snap.alarms(), 0);
     }
 
     #[test]
@@ -1242,18 +1215,6 @@ mod tests {
         assert_eq!(base.instructions, with.instructions);
         assert!(with.cycles >= base.cycles);
         assert_eq!(with.alarms, 0);
-    }
-
-    #[test]
-    fn timed_metered_exports_latency_histogram() {
-        let p = Protected::compile(SRC).unwrap();
-        let hw = HwConfig::table1_default();
-        let mut metrics = MetricsRegistry::new();
-        let r = p.timed_metered(&[Input::Int(0), Input::Int(9)], &hw, &mut metrics);
-        assert_eq!(metrics.counter("timed_instructions"), r.instructions);
-        let hist = metrics.histogram("check_latency_cycles").unwrap();
-        assert!(hist.count > 0);
-        assert!(hist.mean() > 0.0);
     }
 
     #[test]

@@ -31,9 +31,19 @@ use ipds_ir::FuncId;
 
 use crate::error::RuntimeError;
 
-/// The canonical `checker.*` metric keys the campaign engines emit
+/// The canonical `checker.*` metric keys the campaign engine emits
 /// (documented in `docs/PERF.md`, enforced by `tests/docs_metrics.rs`).
-pub const CHECKER_COUNTERS: &[&str] = &["checker.bsv_pool_high_water"];
+/// All but the pool high water are [`IpdsStats`] fields summed over a
+/// campaign's attacks, under the field's own name.
+pub const CHECKER_COUNTERS: &[&str] = &[
+    "checker.bsv_pool_high_water",
+    "checker.branches",
+    "checker.verified",
+    "checker.bat_entries_applied",
+    "checker.bsv_transitions",
+    "checker.table_accesses",
+    "checker.alarms",
+];
 
 /// Retired-BSV pool cap: deep-recursion workloads retire one buffer per
 /// live activation at [`IpdsChecker::reset`]; buffers beyond this many are
@@ -257,9 +267,6 @@ pub struct IpdsChecker<'a> {
     /// checking (and campaign reuse via [`IpdsChecker::reset`]) allocates no
     /// per-activation table storage. Capped at [`BSV_POOL_CAP`].
     bsv_pool: Vec<Vec<u64>>,
-    /// Largest pool population ever reached (saturates at the cap); the
-    /// campaign engines surface it as `checker.bsv_pool_high_water`.
-    bsv_pool_high_water: usize,
 }
 
 impl<'a> IpdsChecker<'a> {
@@ -272,7 +279,6 @@ impl<'a> IpdsChecker<'a> {
             alarms: Vec::new(),
             stats: IpdsStats::default(),
             bsv_pool: Vec::new(),
-            bsv_pool_high_water: 0,
         }
     }
 
@@ -286,7 +292,6 @@ impl<'a> IpdsChecker<'a> {
                 self.bsv_pool.push(frame.bsv);
             }
         }
-        self.bsv_pool_high_water = self.bsv_pool_high_water.max(self.bsv_pool.len());
         self.alarms.clear();
         self.stats = IpdsStats::default();
     }
@@ -316,7 +321,6 @@ impl<'a> IpdsChecker<'a> {
         };
         if self.bsv_pool.len() < BSV_POOL_CAP {
             self.bsv_pool.push(frame.bsv);
-            self.bsv_pool_high_water = self.bsv_pool_high_water.max(self.bsv_pool.len());
         }
         Ok(())
     }
@@ -345,13 +349,6 @@ impl<'a> IpdsChecker<'a> {
     /// Current stack depth.
     pub fn depth(&self) -> usize {
         self.stack.len()
-    }
-
-    /// Largest retired-BSV pool population ever observed (saturates at
-    /// [`BSV_POOL_CAP`]); survives [`IpdsChecker::reset`] like the pool
-    /// itself.
-    pub fn bsv_pool_high_water(&self) -> usize {
-        self.bsv_pool_high_water
     }
 
     /// Processes a committed conditional branch of the current (top) frame:
@@ -878,26 +875,26 @@ mod tests {
     }
 
     #[test]
-    fn bsv_pool_is_capped_with_high_water_telemetry() {
+    fn bsv_pool_is_capped() {
         let (_, a) = setup(
             "fn rec(int n) -> int { if (n < 1) { return 0; } return rec(n - 1); } \
              fn main() -> int { return rec(read_int()); }",
         );
         let rec = a.functions.iter().find(|f| f.name == "rec").unwrap();
         let mut ipds = IpdsChecker::new(&a);
-        assert_eq!(ipds.bsv_pool_high_water(), 0);
+        assert!(ipds.bsv_pool.is_empty());
         // Simulate a deep recursion, then reset: the retired buffers must
         // not accumulate beyond the cap.
         for _ in 0..(BSV_POOL_CAP + 40) {
             ipds.on_call(rec.func);
         }
         ipds.reset();
-        assert_eq!(ipds.bsv_pool_high_water(), BSV_POOL_CAP);
+        assert_eq!(ipds.bsv_pool.len(), BSV_POOL_CAP);
         // Another deep run drains and refills the pool without growing it.
         for _ in 0..(BSV_POOL_CAP + 40) {
             ipds.on_call(rec.func);
         }
         ipds.reset();
-        assert_eq!(ipds.bsv_pool_high_water(), BSV_POOL_CAP);
+        assert_eq!(ipds.bsv_pool.len(), BSV_POOL_CAP);
     }
 }

@@ -8,20 +8,36 @@
 //! all, and whether the IPDS detected it. IPDS is not designed to catch
 //! tamperings that leave control flow unchanged.
 //!
-//! [`run_attack`] reproduces one such experiment: a golden (clean) run
-//! records the branch trace; the attack run replays the same inputs, tampers
-//! at the trigger step, feeds every committed branch through the
+//! [`AttackRunner::run`] reproduces one such experiment: a golden (clean)
+//! run records the branch trace; the attack run replays the same inputs,
+//! tampers at the trigger step, feeds every committed branch through the
 //! [`IpdsChecker`], and diffs traces.
 
 use ipds_analysis::ProgramAnalysis;
 use ipds_ir::Program;
-use ipds_runtime::IpdsChecker;
+use ipds_runtime::{IpdsChecker, IpdsStats, BSV_POOL_CAP};
 use ipds_telemetry::{AttackRecord, EventSink, MetricsRegistry, NullSink, NULL_SINK};
 
 use crate::interp::{ExecLimits, ExecStatus, Input, Interp, InterpSnapshot};
 use crate::observer::{BranchTrace, IpdsObserver, Tee};
 use crate::rng::StdRng;
 use ipds_runtime::CheckerSnapshot;
+
+/// The canonical `campaign.*` counter list. docs/OBSERVABILITY.md documents
+/// exactly these keys and every [`run_campaign`] emits exactly this set,
+/// plus the pool and checker keys (enforced by `tests/docs_metrics.rs`).
+pub const CAMPAIGN_COUNTERS: &[&str] = &[
+    "campaign.attacks",
+    "campaign.attacks_tampered",
+    "campaign.attacks_cf_changed",
+    "campaign.attacks_detected",
+];
+
+/// The canonical `campaign.*` histogram list (same contract as
+/// [`CAMPAIGN_COUNTERS`]). `campaign.detection_lag_branches` is observed
+/// only for detected attacks, so a campaign without detections omits it.
+pub const CAMPAIGN_HISTOGRAMS: &[&str] =
+    &["campaign.attack_steps", "campaign.detection_lag_branches"];
 
 /// Which vulnerability class the attack models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,6 +72,9 @@ pub struct AttackOutcome {
     pub status: ExecStatus,
     /// Interpreter steps the attacked run took.
     pub steps: u64,
+    /// The checker's work over the whole attacked run: BCV probes, BSV
+    /// verifications, BAT updates and alarms (§5.1).
+    pub checker: IpdsStats,
 }
 
 /// Aggregate results of a campaign (one bar pair of Fig. 7).
@@ -155,7 +174,9 @@ impl GoldenRun {
 /// golden prefix when diffing traces. They are **not** transparent to
 /// per-branch telemetry — the elided prefix emits no `BranchRecord`s — so
 /// engines only enable them for sinks that report
-/// [`EventSink::wants_branch_stream`]` == false`.
+/// [`EventSink::wants_branch_details`]` == false`. Checker statistics stay
+/// exact: a restored snapshot carries the prefix's [`IpdsStats`], and a
+/// reconverged attack ends with the clean run's final stats.
 #[derive(Debug)]
 pub struct WarmStart {
     snaps: Vec<WarmSnap>,
@@ -164,6 +185,9 @@ pub struct WarmStart {
     final_steps: u64,
     /// How the clean run terminated.
     final_status: ExecStatus,
+    /// The checker's statistics at the end of the clean run: a reconverged
+    /// attack's remaining run is the golden suffix, so these are its stats.
+    final_stats: IpdsStats,
     /// True if the clean run raised no checker alarm — the precondition for
     /// reconvergence fast-forwarding (a clean suffix implies an alarm-free
     /// suffix). Always true in practice: the checker is zero-false-positive
@@ -287,6 +311,7 @@ impl WarmStart {
             snaps,
             final_steps: interp.steps(),
             final_status: interp.status().clone(),
+            final_stats: *ipds.checker.stats(),
             clean: !ipds.checker.detected(),
         }
     }
@@ -314,17 +339,6 @@ impl WarmStart {
     pub fn is_empty(&self) -> bool {
         self.snaps.is_empty()
     }
-}
-
-/// Runs the golden (clean) execution and returns its branch trace and step
-/// count. Tuple-flavored convenience over [`GoldenRun::capture`].
-pub fn golden_run(
-    program: &Program,
-    inputs: &[Input],
-    limits: ExecLimits,
-) -> (Vec<(u64, bool)>, u64, ExecStatus) {
-    let g = GoldenRun::capture(program, inputs, limits);
-    (g.trace, g.steps, g.status)
 }
 
 /// Reusable attack executor: one interpreter arena, one checker, one trace
@@ -394,13 +408,6 @@ impl<'a, S: EventSink> AttackRunner<'a, S> {
     pub fn with_warm_start(mut self, warm: &'a WarmStart) -> Self {
         self.warm = Some(warm);
         self
-    }
-
-    /// High-water mark of the wrapped checker's BSV frame pool (the
-    /// `checker.bsv_pool_high_water` telemetry value; see
-    /// [`ipds_runtime::BSV_POOL_CAP`]).
-    pub fn bsv_pool_high_water(&self) -> usize {
-        self.ipds.checker.bsv_pool_high_water()
     }
 
     /// Runs one attack: execute to `trigger_step`, tamper cell(s) chosen by
@@ -536,6 +543,7 @@ impl<'a, S: EventSink> AttackRunner<'a, S> {
                         detection_lag_branches: None,
                         status: warm.final_status.clone(),
                         steps: warm.final_steps,
+                        checker: warm.final_stats,
                     };
                 }
             }
@@ -564,24 +572,9 @@ impl<'a, S: EventSink> AttackRunner<'a, S> {
             detection_lag_branches,
             status,
             steps: self.interp.steps(),
+            checker: *self.ipds.checker.stats(),
         }
     }
-}
-
-/// Runs one attack with freshly allocated scratch. Convenience over
-/// [`AttackRunner`] for one-off experiments; campaigns reuse a runner.
-#[allow(clippy::too_many_arguments)] // one experiment = one parameterized protocol step
-pub fn run_attack(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    inputs: &[Input],
-    golden: &[(u64, bool)],
-    trigger_step: u64,
-    model: AttackModel,
-    rng: &mut StdRng,
-    limits: ExecLimits,
-) -> AttackOutcome {
-    AttackRunner::new(program, analysis, inputs, golden, limits).run(trigger_step, model, rng)
 }
 
 /// First index at which `golden` and the attacked trace differ, where the
@@ -637,19 +630,16 @@ pub(crate) fn record_attack<S: EventSink>(
     trigger_step: u64,
     outcome: &AttackOutcome,
 ) {
-    metrics.add("attacks", 1);
-    metrics.observe("attack_steps", outcome.steps);
-    if outcome.tampered {
-        metrics.add("attacks_tampered", 1);
-    }
-    if outcome.control_flow_changed {
-        metrics.add("attacks_cf_changed", 1);
-    }
-    if outcome.detected {
-        metrics.add("attacks_detected", 1);
-    }
+    metrics.add("campaign.attacks", 1);
+    metrics.observe("campaign.attack_steps", outcome.steps);
+    metrics.add("campaign.attacks_tampered", u64::from(outcome.tampered));
+    metrics.add(
+        "campaign.attacks_cf_changed",
+        u64::from(outcome.control_flow_changed),
+    );
+    metrics.add("campaign.attacks_detected", u64::from(outcome.detected));
     if let Some(lag) = outcome.detection_lag_branches {
-        metrics.observe("detection_lag_branches", lag);
+        metrics.observe("campaign.detection_lag_branches", lag);
     }
     sink.on_attack(&AttackRecord {
         index,
@@ -711,12 +701,12 @@ pub fn aggregate(attacks: u32, outcomes: &[AttackOutcome]) -> CampaignResult {
 ///
 /// The [`CampaignResult`] is therefore **bit-identical** for every thread
 /// count (including the `f64` lag mean, which is sensitive to summation
-/// order), and so is the merged registry (and any
-/// [`CountingSink`](ipds_telemetry::CountingSink) snapshot) — with one
-/// documented exception: the pool's chunk-accounting counters
-/// (`pool.chunks_claimed`, `pool.chunks_stolen`) describe how the
-/// scheduler happened to carve the index space and legitimately vary with
-/// thread count and timing. See `docs/PERF.md`.
+/// order), and so is the merged registry, whose `checker.*` keys are
+/// folded from the outcomes' [`IpdsStats`] — with one documented
+/// exception: the pool's chunk-accounting counters (`pool.chunks_claimed`,
+/// `pool.chunks_stolen`) describe how the scheduler happened to carve the
+/// index space and legitimately vary with thread count and timing. See
+/// `docs/PERF.md`.
 ///
 /// `warm` is a precomputed [`WarmStart`], so a driver running many
 /// campaigns against the same artifacts (the scaling sweep, the ablation
@@ -748,7 +738,7 @@ pub fn run_campaign<S: EventSink>(
     );
     // One golden-snapshot set, captured (or taken precomputed) here and
     // shared immutably by every worker.
-    let use_warm = !sink.wants_branch_stream() && campaign.attacks > 1;
+    let use_warm = !sink.wants_branch_details() && campaign.attacks > 1;
     let owned = (use_warm && warm.is_none())
         .then(|| WarmStart::capture(program, analysis, inputs, golden.steps, campaign.limits));
     let warm = if use_warm {
@@ -788,14 +778,31 @@ pub fn run_campaign<S: EventSink>(
     metrics.add("pool.tasks_executed", pool.tasks_executed);
     metrics.add("pool.chunks_claimed", pool.chunks_claimed);
     metrics.add("pool.chunks_stolen", pool.chunks_stolen);
-    // The BSV-pool high water is a max, and a max over per-worker maxima
-    // equals the whole-campaign max, so it too is thread-count-invariant.
-    let high_water = states
-        .iter()
-        .map(|(runner, _)| runner.bsv_pool_high_water())
-        .max()
-        .unwrap_or(0);
+    // Checker work, folded over the seed-ordered outcomes once per
+    // campaign. Warm-started attacks carry exact whole-run stats, so these
+    // equal a cold campaign's at any thread count.
+    let mut work = IpdsStats::default();
+    for s in outcomes.iter().map(|o| &o.checker) {
+        work.branches += s.branches;
+        work.verified += s.verified;
+        work.bat_entries_applied += s.bat_entries_applied;
+        work.bsv_transitions += s.bsv_transitions;
+        work.table_accesses += s.table_accesses;
+        work.alarms += s.alarms;
+        work.max_depth = work.max_depth.max(s.max_depth);
+    }
+    // A checker allocates a BSV buffer only when every buffer it owns is
+    // live, so a cold worker's pool retains as many buffers as the deepest
+    // frame stack it ran, up to the cap. The whole-run `max_depth` gives
+    // that figure whether or not an attack's prefix was warm-started.
+    let high_water = work.max_depth.min(BSV_POOL_CAP);
     metrics.add("checker.bsv_pool_high_water", high_water as u64);
+    metrics.add("checker.branches", work.branches);
+    metrics.add("checker.verified", work.verified);
+    metrics.add("checker.bat_entries_applied", work.bat_entries_applied);
+    metrics.add("checker.bsv_transitions", work.bsv_transitions);
+    metrics.add("checker.table_accesses", work.table_accesses);
+    metrics.add("checker.alarms", work.alarms);
     (aggregate(campaign.attacks, &outcomes), metrics)
 }
 
@@ -844,12 +851,12 @@ mod tests {
     }
 
     #[test]
-    fn golden_run_never_alarms() {
+    fn golden_capture_never_alarms() {
         let (p, a) = setup(VICTIM);
         let inputs = vec![Input::Int(0), Input::Int(7)];
-        let (golden, _, status) = golden_run(&p, &inputs, ExecLimits::default());
-        assert!(matches!(status, ExecStatus::Exited(_)));
-        assert_eq!(golden.len(), 2);
+        let golden = GoldenRun::capture(&p, &inputs, ExecLimits::default());
+        assert!(matches!(golden.status, ExecStatus::Exited(_)));
+        assert_eq!(golden.trace.len(), 2);
         // Replay through the checker manually: no alarms.
         let mut interp = Interp::new(&p, inputs, ExecLimits::default());
         let mut obs = IpdsObserver::new(IpdsChecker::new(&a));
@@ -864,7 +871,7 @@ mod tests {
         // second check flips direction ⇒ alarm.
         let (p, a) = setup(VICTIM);
         let inputs = vec![Input::Int(0), Input::Int(7)];
-        let (golden, _, _) = golden_run(&p, &inputs, ExecLimits::default());
+        let golden = GoldenRun::capture(&p, &inputs, ExecLimits::default());
 
         let mut interp = Interp::new(&p, inputs, ExecLimits::default());
         let mut ipds = IpdsObserver::new(IpdsChecker::new(&a));
@@ -890,7 +897,7 @@ mod tests {
             interp.run(&mut tee);
         }
         assert!(ipds.checker.detected(), "the flipped check must alarm");
-        assert_ne!(trace.trace, golden);
+        assert_ne!(trace.trace, golden.trace);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use ipds_telemetry as telemetry;
 
 pub use attack::{
     attack_seed, run_campaign, AttackModel, AttackOutcome, AttackRunner, Campaign, CampaignResult,
-    GoldenRun, WarmStart,
+    GoldenRun, WarmStart, CAMPAIGN_COUNTERS, CAMPAIGN_HISTOGRAMS,
 };
 pub use faults::{
     fault_plan, fault_seed, fault_site, run_fault_campaign, AnomalyReport, FaultCampaign,
@@ -58,6 +58,4 @@ pub use memory::Memory;
 pub use observer::{expectation_of, ExecObserver, IpdsObserver, NullObserver};
 pub use pipeline::{PerfReport, TimingModel};
 pub use rng::{SplitMix64, StdRng};
-pub use telemetry::{
-    CounterSnapshot, CountingSink, EventSink, JsonlSink, MetricsRegistry, NullSink,
-};
+pub use telemetry::{EventSink, JsonlSink, MetricsRegistry, NullSink};

@@ -97,22 +97,13 @@ impl<'a, S: EventSink> IpdsObserver<'a, S> {
 
 impl<S: EventSink> ExecObserver for IpdsObserver<'_, S> {
     fn on_branch(&mut self, pc: u64, dir: bool) {
-        // The pre-verify BSV probe is only paid for detail sinks (JSONL);
-        // counting sinks get everything else from the outcome.
+        // The pre-verify BSV probe is only paid for detail sinks (JSONL).
         let expected = if self.sink.wants_branch_details() {
             self.checker.expected_status(pc).map(expectation_of)
         } else {
             None
         };
         let out = self.checker.on_branch(pc, dir);
-        let alarm_cause = if out.alarm {
-            self.checker
-                .alarms()
-                .last()
-                .map(|a| expectation_of(a.expected))
-        } else {
-            None
-        };
         self.sink.on_branch(&BranchRecord {
             seq: self.checker.stats().branches,
             pc,
@@ -120,7 +111,6 @@ impl<S: EventSink> ExecObserver for IpdsObserver<'_, S> {
             expected,
             verified: out.verified,
             alarm: out.alarm,
-            alarm_cause,
             bat_actions: out.bat_entries,
             bsv_transitions: out.bsv_transitions,
             table_accesses: out.table_accesses,

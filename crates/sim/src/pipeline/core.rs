@@ -170,25 +170,6 @@ impl<'a> TimingModel<'a> {
         self.ipds.as_ref().map(|i| &i.checker)
     }
 
-    /// Exports the run's timing telemetry into a metrics registry:
-    /// committed-work counters plus the per-branch check-latency histogram
-    /// (`check_latency_cycles`, one observation per verified branch).
-    pub fn export_metrics(&self, metrics: &mut ipds_telemetry::MetricsRegistry) {
-        metrics.add("timed_instructions", self.instructions);
-        metrics.add("timed_branches", self.branches);
-        metrics.add("timed_cycles", self.now_mc.div_ceil(MC));
-        metrics.add("ipds_stall_cycles", self.ipds_stall_mc.div_ceil(MC));
-        if let Some(ipds) = &self.ipds {
-            metrics.add("ipds_table_accesses", ipds.checker.stats().table_accesses);
-            metrics.add("ipds_spill_fills", {
-                ipds.onchip.stats().spills + ipds.onchip.stats().fills
-            });
-            for &lat_mc in &ipds.latencies_mc {
-                metrics.observe("check_latency_cycles", lat_mc.div_ceil(MC));
-            }
-        }
-    }
-
     fn drain_queue(queue: &mut VecDeque<u64>, now_mc: u64) {
         while queue.front().is_some_and(|&c| c <= now_mc) {
             queue.pop_front();
@@ -296,28 +277,6 @@ pub fn timed_run(
     }
     let mut interp = Interp::new(program, inputs.to_vec(), limits);
     let status = interp.run(&mut model);
-    model.report(status)
-}
-
-/// Like [`timed_run`], additionally folding the run's timing telemetry
-/// (work counters and the check-latency histogram) into `metrics`.
-pub fn timed_run_metered(
-    program: &Program,
-    inputs: &[Input],
-    analysis: Option<&ProgramAnalysis>,
-    config: &HwConfig,
-    limits: ExecLimits,
-    metrics: &mut ipds_telemetry::MetricsRegistry,
-) -> PerfReport {
-    let mut model = TimingModel::new(config.clone(), analysis);
-    if let Some(ipds) = &mut model.ipds {
-        let main = program.main().expect("main").id;
-        ipds.checker.on_call(main);
-        ipds.onchip.on_call(main, config);
-    }
-    let mut interp = Interp::new(program, inputs.to_vec(), limits);
-    let status = interp.run(&mut model);
-    model.export_metrics(metrics);
     model.report(status)
 }
 

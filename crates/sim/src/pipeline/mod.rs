@@ -27,5 +27,5 @@ pub mod core;
 pub mod predictor;
 
 pub use cache::{Cache, CacheStats, Hierarchy};
-pub use core::{timed_run, timed_run_metered, PerfReport, TimingModel};
+pub use core::{timed_run, PerfReport, TimingModel};
 pub use predictor::TwoLevelPredictor;

@@ -7,12 +7,12 @@
 //!
 //! * [`EventSink`] — the structured event interface. The interpreter-side
 //!   observers and the campaign engines report per-branch and per-attack
-//!   records to a sink shared by reference. Three implementations ship:
+//!   records to a sink shared by reference. Two implementations ship:
 //!   [`NullSink`] (the default; every hook is an empty inlined body, so the
-//!   instrumented code paths compile down to the uninstrumented ones),
-//!   [`CountingSink`] (lock-free atomic counters, shareable across worker
-//!   threads), and [`JsonlSink`] (a bounded-buffer JSON-lines writer for
-//!   per-event records).
+//!   instrumented code paths compile down to the uninstrumented ones) and
+//!   [`JsonlSink`] (a bounded-buffer JSON-lines writer for per-event
+//!   records). Sinks keep no counters: the checker's own `IpdsStats` and
+//!   the [`MetricsRegistry`] are the one counting vocabulary.
 //! * [`MetricsRegistry`] — named monotonic counters and log₂-bucketed
 //!   [`Histogram`]s with `snapshot`/[`merge`](MetricsRegistry::merge)
 //!   semantics. Campaign worker threads own private registries that fold
@@ -25,18 +25,17 @@
 //!
 //! ## Determinism
 //!
-//! Every quantity a sink or registry accumulates is a sum of per-attack
-//! (or per-branch) contributions that are themselves deterministic under
-//! the seeded protocol. Addition commutes, histogram buckets commute, and
-//! min/max commute — so counter snapshots and merged registries are
-//! **bit-identical across thread counts and scheduling orders**. Only the
-//! *line order* of a [`JsonlSink`] fed by concurrent workers depends on
-//! scheduling (each line is self-describing, carrying its attack index).
+//! Every quantity a registry accumulates is a sum of per-attack (or
+//! per-branch) contributions that are themselves deterministic under the
+//! seeded protocol. Addition commutes, histogram buckets commute, and
+//! min/max commute — so merged registries are **bit-identical across
+//! thread counts and scheduling orders**. Only the *line order* of a
+//! [`JsonlSink`] fed by concurrent workers depends on scheduling (each line
+//! is self-describing, carrying its attack index).
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -82,8 +81,6 @@ pub struct BranchRecord {
     pub verified: bool,
     /// The verification mismatched — an alarm fired.
     pub alarm: bool,
-    /// The expectation the alarm contradicted (present iff `alarm`).
-    pub alarm_cause: Option<Expectation>,
     /// BAT entries walked for this (branch, direction).
     pub bat_actions: u32,
     /// BAT actions that changed a BSV slot's value.
@@ -114,28 +111,19 @@ pub struct AttackRecord {
 /// Consumer of the structured event stream.
 ///
 /// Sinks are shared by reference across campaign worker threads, so every
-/// hook takes `&self` and implementations use interior mutability (atomics
-/// for counters, a mutex for writers). Default bodies ignore everything —
-/// [`NullSink`] is exactly the defaults, and monomorphization inlines the
-/// empty bodies away, keeping the disabled path zero-cost.
+/// hook takes `&self` and implementations use interior mutability (a mutex
+/// for writers). Default bodies ignore everything — [`NullSink`] is exactly
+/// the defaults, and monomorphization inlines the empty bodies away,
+/// keeping the disabled path zero-cost.
 pub trait EventSink: Sync {
-    /// True if [`BranchRecord::expected`] should be populated. Defaults to
-    /// `false`; only detail sinks (JSONL) pay the extra pre-verify probe.
+    /// True if this sink consumes the per-branch record stream and
+    /// [`BranchRecord::expected`] should be populated (the extra pre-verify
+    /// probe). Defaults to `false`, as for [`NullSink`]: an engine may then
+    /// elide re-executing deterministic work whose branch records nobody
+    /// reads, e.g. warm-starting attacks from golden-run snapshots.
     #[inline]
     fn wants_branch_details(&self) -> bool {
         false
-    }
-
-    /// True if this sink consumes the raw per-branch record stream
-    /// ([`EventSink::on_branch`]). Defaults to `true` — the safe answer for
-    /// any counting or logging sink. Engines keep full-fidelity execution
-    /// for such sinks; when `false` (the [`NullSink`] case) an engine may
-    /// elide re-executing deterministic work whose branch records would be
-    /// discarded anyway, e.g. warm-starting attacks from golden-run
-    /// snapshots.
-    #[inline]
-    fn wants_branch_stream(&self) -> bool {
-        true
     }
 
     /// A committed conditional branch was checked.
@@ -155,134 +143,10 @@ pub trait EventSink: Sync {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
-impl EventSink for NullSink {
-    /// The null sink discards branch records, so engines are free to elide
-    /// the executions that would produce them.
-    #[inline]
-    fn wants_branch_stream(&self) -> bool {
-        false
-    }
-}
+impl EventSink for NullSink {}
 
 /// Shared reference to the canonical [`NullSink`] instance.
 pub static NULL_SINK: NullSink = NullSink;
-
-/// Lock-free counting sink: atomic per-event counters, shareable by every
-/// worker thread of a campaign.
-///
-/// All counters are sums of deterministic per-event contributions, and
-/// atomic addition commutes, so [`CountingSink::snapshot`] is bit-identical
-/// for any thread count running the same seeded protocol.
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    branches: AtomicU64,
-    checked: AtomicU64,
-    bsv_transitions: AtomicU64,
-    bat_actions: AtomicU64,
-    hash_probes: AtomicU64,
-    alarms_expected_taken: AtomicU64,
-    alarms_expected_not_taken: AtomicU64,
-    attacks: AtomicU64,
-    tampers: AtomicU64,
-    cf_changes: AtomicU64,
-    detections: AtomicU64,
-}
-
-/// A point-in-time copy of a [`CountingSink`]'s counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// Committed conditional branches observed.
-    pub branches: u64,
-    /// Branches verified against the BSV (BCV hits).
-    pub checked: u64,
-    /// BAT actions that changed a BSV slot.
-    pub bsv_transitions: u64,
-    /// BAT entries walked.
-    pub bat_actions: u64,
-    /// IPDS table accesses (every probe goes through the hashed slot space).
-    pub hash_probes: u64,
-    /// Alarms whose contradicted expectation was taken.
-    pub alarms_expected_taken: u64,
-    /// Alarms whose contradicted expectation was not-taken.
-    pub alarms_expected_not_taken: u64,
-    /// Campaign attacks completed.
-    pub attacks: u64,
-    /// Attacks that tampered a live cell.
-    pub tampers: u64,
-    /// Attacks whose tampering changed control flow.
-    pub cf_changes: u64,
-    /// Attacks the IPDS detected.
-    pub detections: u64,
-}
-
-impl CounterSnapshot {
-    /// Total alarms across causes.
-    pub fn alarms(&self) -> u64 {
-        self.alarms_expected_taken + self.alarms_expected_not_taken
-    }
-}
-
-impl CountingSink {
-    /// Creates a sink with all counters at zero.
-    pub fn new() -> CountingSink {
-        CountingSink::default()
-    }
-
-    /// Reads every counter.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        CounterSnapshot {
-            branches: get(&self.branches),
-            checked: get(&self.checked),
-            bsv_transitions: get(&self.bsv_transitions),
-            bat_actions: get(&self.bat_actions),
-            hash_probes: get(&self.hash_probes),
-            alarms_expected_taken: get(&self.alarms_expected_taken),
-            alarms_expected_not_taken: get(&self.alarms_expected_not_taken),
-            attacks: get(&self.attacks),
-            tampers: get(&self.tampers),
-            cf_changes: get(&self.cf_changes),
-            detections: get(&self.detections),
-        }
-    }
-}
-
-impl EventSink for CountingSink {
-    #[inline]
-    fn on_branch(&self, r: &BranchRecord) {
-        self.branches.fetch_add(1, Ordering::Relaxed);
-        if r.verified {
-            self.checked.fetch_add(1, Ordering::Relaxed);
-        }
-        self.bsv_transitions
-            .fetch_add(r.bsv_transitions as u64, Ordering::Relaxed);
-        self.bat_actions
-            .fetch_add(r.bat_actions as u64, Ordering::Relaxed);
-        self.hash_probes
-            .fetch_add(r.table_accesses as u64, Ordering::Relaxed);
-        if r.alarm {
-            match r.alarm_cause {
-                Some(Expectation::NotTaken) => &self.alarms_expected_not_taken,
-                _ => &self.alarms_expected_taken,
-            }
-            .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    fn on_attack(&self, r: &AttackRecord) {
-        self.attacks.fetch_add(1, Ordering::Relaxed);
-        if r.tampered {
-            self.tampers.fetch_add(1, Ordering::Relaxed);
-        }
-        if r.control_flow_changed {
-            self.cf_changes.fetch_add(1, Ordering::Relaxed);
-        }
-        if r.detected {
-            self.detections.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
 
 struct JsonlInner<W: Write> {
     writer: W,
@@ -593,54 +457,10 @@ mod tests {
             expected: None,
             verified: true,
             alarm,
-            alarm_cause: alarm.then_some(Expectation::NotTaken),
             bat_actions: 2,
             bsv_transitions: 1,
             table_accesses: 4,
         }
-    }
-
-    #[test]
-    fn counting_sink_accumulates() {
-        let sink = CountingSink::new();
-        sink.on_branch(&branch(1, false));
-        sink.on_branch(&branch(2, true));
-        sink.on_attack(&AttackRecord {
-            index: 0,
-            seed: 9,
-            trigger_step: 5,
-            steps: 100,
-            tampered: true,
-            control_flow_changed: true,
-            detected: true,
-        });
-        let s = sink.snapshot();
-        assert_eq!(s.branches, 2);
-        assert_eq!(s.checked, 2);
-        assert_eq!(s.bat_actions, 4);
-        assert_eq!(s.bsv_transitions, 2);
-        assert_eq!(s.hash_probes, 8);
-        assert_eq!(s.alarms(), 1);
-        assert_eq!(s.alarms_expected_not_taken, 1);
-        assert_eq!(s.attacks, 1);
-        assert_eq!(s.detections, 1);
-    }
-
-    #[test]
-    fn counting_is_commutative_across_threads() {
-        let sink = CountingSink::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for i in 0..100 {
-                        sink.on_branch(&branch(i, i % 10 == 0));
-                    }
-                });
-            }
-        });
-        let s = sink.snapshot();
-        assert_eq!(s.branches, 400);
-        assert_eq!(s.alarms(), 40);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! cargo run --example quickstart
 //! ```
 
-use ipds::telemetry::CountingSink;
 use ipds::{Input, Protected};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,21 +49,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Attack: flip `role` to admin after the first check committed. The
     // session builder validates the variable name up front (a typo is an
-    // `ipds::Error`, not a panic) and can attach telemetry.
-    let sink = CountingSink::new();
+    // `ipds::Error`, not a panic); the report carries the checker's stats.
     let attacked = protected
         .session()
         .inputs(&[Input::Int(0), Input::Int(7)])
         .tamper(8, "role", 1)
-        .sink(&sink)
         .run()?;
-    let counts = sink.snapshot();
     println!(
         "attacked run: output={:?} alarms={} ({} branches seen, {} checked)",
         attacked.output,
         attacked.alarms.len(),
-        counts.branches,
-        counts.checked,
+        attacked.stats.branches,
+        attacked.stats.verified,
     );
     for a in &attacked.alarms {
         println!(

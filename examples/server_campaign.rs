@@ -6,7 +6,6 @@
 //! cargo run --release --example server_campaign -- httpd 200
 //! ```
 
-use ipds::telemetry::CountingSink;
 use ipds::{Config, Protected};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,9 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.vuln,
     );
 
-    // The campaign spec builder: every knob is defaultable, telemetry is
-    // opt-in, and the result is bit-identical for any thread count.
-    let sink = CountingSink::new();
+    // The campaign spec builder: every knob is defaultable, and the result
+    // and its metrics are bit-identical for any thread count.
     let (result, metrics) = protected
         .campaign_spec()
         .inputs(&inputs)
@@ -46,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .seed(0xA77AC4)
         .model(workload.vuln)
         .threads(ipds_sim::default_threads())
-        .sink(&sink)
         .run_metered();
     println!("\n{attacks} independent attacks:");
     println!(
@@ -69,13 +66,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             result.mean_lag_branches
         );
     }
-    let counts = sink.snapshot();
     println!(
         "\ntelemetry: {} branches checked across all attack runs, {} alarms",
-        counts.checked,
-        counts.alarms()
+        metrics.counter("checker.verified"),
+        metrics.counter("checker.alarms")
     );
-    if let Some(steps) = metrics.histogram("attack_steps") {
+    if let Some(steps) = metrics.histogram("campaign.attack_steps") {
         println!(
             "  attack length: mean {:.0} steps (min {}, max {})",
             steps.mean(),

@@ -92,11 +92,22 @@ cargo run -q --release -p ipds --bin ipdsc -- \
 echo "==> results gate (exp_all 100 must regenerate results/exp_all.txt byte-for-byte)"
 # The full run's stdout is deterministic; only its trailing "written to"
 # line (absent from the checked-in file) is dropped before comparing.
+# Its deterministic campaign_counters block must match the committed one
+# too, so save that before the run rewrites results/bench_campaign.json
+# (from git when available: a previous CI run leaves a --quick file).
+counters_block() { sed -n '/"campaign_counters": {/,/}/p'; }
+committed_counters=$( (git show HEAD:results/bench_campaign.json 2>/dev/null \
+    || cat results/bench_campaign.json) | counters_block)
+[ -n "$committed_counters" ] \
+    || { echo "no campaign_counters block in results/bench_campaign.json"; exit 1; }
 written='^campaign throughput written to '
 diff <(cargo run -q --release -p ipds-bench --bin exp_all -- 100 | grep -v "$written") \
      <(grep -v "$written" results/exp_all.txt) \
     || { echo "exp_all 100 no longer reproduces results/exp_all.txt"; exit 1; }
 echo "results/exp_all.txt reproduced"
+diff <(echo "$committed_counters") <(counters_block < results/bench_campaign.json) \
+    || { echo "exp_all 100 changed the campaign_counters in results/bench_campaign.json"; exit 1; }
+echo "campaign_counters reproduced"
 
 echo "==> telemetry smoke (exp_all --quick must emit phase spans)"
 cargo run -q --release -p ipds-bench --bin exp_all -- --quick

@@ -7,7 +7,9 @@
 //! set — no documented-but-dead counters, no shipped-but-undocumented
 //! ones. docs/FAULTS.md gets the same treatment against
 //! `ipds_sim::faults::{FAULT_COUNTERS, FAULT_HISTOGRAMS}` and a live
-//! fault campaign, and docs/SERVICE.md against the service crate's
+//! fault campaign, docs/OBSERVABILITY.md's campaign table against
+//! `ipds_sim::{CAMPAIGN_COUNTERS, CAMPAIGN_HISTOGRAMS}` and a live attack
+//! campaign, and docs/SERVICE.md against the service crate's
 //! `SERVICE_COUNTERS` / `SERVICE_HISTOGRAMS` / `FLEET_COUNTERS` and a
 //! live synthetic fleet.
 
@@ -17,15 +19,26 @@ use ipds::analysis::pipeline::{build_source, BuildOptions};
 use ipds::analysis::PIPELINE_COUNTERS;
 use ipds::runtime::CHECKER_COUNTERS;
 use ipds::service::{FLEET_COUNTERS, SERVICE_COUNTERS, SERVICE_HISTOGRAMS};
-use ipds::sim::{FAULT_COUNTERS, FAULT_HISTOGRAMS, POOL_COUNTERS};
+use ipds::sim::{
+    CAMPAIGN_COUNTERS, CAMPAIGN_HISTOGRAMS, FAULT_COUNTERS, FAULT_HISTOGRAMS, POOL_COUNTERS,
+};
 use ipds::workloads;
 
 /// Extracts every `<prefix><snake_case>` token from a documentation file.
+/// The prefix must start a word, so `bench_campaign.json` is not a
+/// `campaign.` key.
 fn doc_keys(path: &str, prefix: &str) -> BTreeSet<String> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("{path} must be readable from the workspace root: {e}"));
     let mut found = BTreeSet::new();
     for (i, _) in text.match_indices(prefix) {
+        let glued = text[..i]
+            .chars()
+            .next_back()
+            .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
+        if glued {
+            continue;
+        }
         let rest = &text[i + prefix.len()..];
         let key: String = rest
             .chars()
@@ -204,6 +217,20 @@ fn perf_doc_agrees_with_the_pool_and_checker_counter_lists() {
 }
 
 #[test]
+fn observability_doc_agrees_with_the_canonical_campaign_key_list() {
+    let canonical: BTreeSet<String> = CAMPAIGN_COUNTERS
+        .iter()
+        .chain(CAMPAIGN_HISTOGRAMS)
+        .map(|s| s.to_string())
+        .collect();
+    assert_eq!(
+        doc_keys("docs/OBSERVABILITY.md", "campaign."),
+        canonical,
+        "docs/OBSERVABILITY.md must document exactly CAMPAIGN_COUNTERS and CAMPAIGN_HISTOGRAMS"
+    );
+}
+
+#[test]
 fn attack_campaigns_emit_the_pool_and_checker_counters() {
     let w = &workloads::all()[0];
     let p = ipds::Protected::from_program(w.program(), &ipds::Config::default());
@@ -216,13 +243,24 @@ fn attack_campaigns_emit_the_pool_and_checker_counters() {
             .seed(7)
             .threads(threads)
             .run_metered();
-        let emitted: BTreeSet<String> = metrics.counters().map(|(k, _)| k.to_string()).collect();
-        for key in POOL_COUNTERS.iter().chain(CHECKER_COUNTERS) {
+        let emitted: BTreeSet<&str> = metrics.counters().map(|(k, _)| k).collect();
+        let canonical: BTreeSet<&str> = CAMPAIGN_COUNTERS
+            .iter()
+            .chain(POOL_COUNTERS)
+            .chain(CHECKER_COUNTERS)
+            .copied()
+            .collect();
+        assert_eq!(
+            emitted, canonical,
+            "a {threads}-thread campaign must emit exactly the campaign, pool and checker keys"
+        );
+        for (key, _) in metrics.histograms() {
             assert!(
-                emitted.contains(*key),
-                "a {threads}-thread campaign must emit `{key}`"
+                CAMPAIGN_HISTOGRAMS.contains(&key),
+                "undocumented campaign histogram `{key}`"
             );
         }
+        assert!(metrics.histogram("campaign.attack_steps").is_some());
         assert_eq!(
             metrics.counter("pool.tasks_executed"),
             8,

@@ -3,12 +3,13 @@
 //! results bit-identical to the serial path, and the whole protocol is
 //! deterministic under the in-repo RNG (same seed ⇒ same figures, on any
 //! machine, at any thread count, no matter how many campaigns already ran
-//! through the pool). Telemetry rides the same guarantee: all sink and
-//! metric aggregation commutes, so counter snapshots and merged
-//! registries are bit-identical too.
+//! through the pool). Telemetry rides the same guarantee: all metric
+//! aggregation commutes, so merged registries are bit-identical too, and
+//! warm-started attacks report exactly what cold ones do.
 
-use ipds::telemetry::{CounterSnapshot, CountingSink, MetricsRegistry};
-use ipds_sim::AttackModel;
+use ipds::telemetry::{EventSink, JsonlSink, MetricsRegistry, NULL_SINK};
+use ipds_sim::attack::attack_rng;
+use ipds_sim::{AttackModel, AttackRunner, Campaign};
 
 const ATTACKS: u32 = 24;
 const SEED: u64 = 2006;
@@ -43,25 +44,34 @@ fn campaign_pair(
     (serial, parallel)
 }
 
-/// Runs one instrumented campaign and returns everything telemetry
-/// produces alongside the result.
-fn instrumented(
+/// Runs one metered campaign with `sink` attached. `NULL_SINK` lets the
+/// engine warm-start attacks; a detail sink such as `JsonlSink` makes it
+/// run every attack cold from step 0.
+fn metered<S: EventSink>(
     w: &ipds_workloads::Workload,
     threads: usize,
-) -> (ipds::CampaignResult, CounterSnapshot, MetricsRegistry) {
+    sink: &S,
+) -> (ipds::CampaignResult, MetricsRegistry) {
     let protected = protect(w);
     let inputs = w.inputs(INPUT_SEED);
-    let sink = CountingSink::new();
-    let (result, metrics) = protected
+    protected
         .campaign_spec()
         .inputs(&inputs)
         .attacks(ATTACKS)
         .seed(SEED)
         .model(w.vuln)
         .threads(threads)
-        .sink(&sink)
-        .run_metered();
-    (result, sink.snapshot(), metrics)
+        .sink(sink)
+        .run_metered()
+}
+
+/// Every counter but the pool's chunk accounting, which observes the
+/// scheduler and is the one telemetry pair allowed to vary with thread
+/// count (see docs/PERF.md).
+fn stable(m: &MetricsRegistry) -> Vec<(&'static str, u64)> {
+    m.counters()
+        .filter(|(k, _)| *k != "pool.chunks_claimed" && *k != "pool.chunks_stolen")
+        .collect()
 }
 
 #[test]
@@ -97,46 +107,86 @@ fn campaigns_are_deterministic_under_the_in_repo_rng() {
 }
 
 #[test]
-fn counting_sink_is_bit_identical_across_thread_counts() {
+fn metered_registries_are_bit_identical_across_thread_counts() {
     for w in ipds_workloads::all() {
-        let (base_result, base_counts, base_metrics) = instrumented(&w, 1);
-        assert_eq!(base_counts.attacks, u64::from(ATTACKS), "{}", w.name);
+        let (base_result, base_metrics) = metered(&w, 1, &NULL_SINK);
         assert_eq!(
-            base_counts.detections,
-            u64::from(base_result.detected),
+            base_metrics.counter("campaign.attacks"),
+            u64::from(ATTACKS),
             "{}",
             w.name
         );
         assert_eq!(
-            base_metrics.counter("attacks_detected"),
+            base_metrics.counter("campaign.attacks_detected"),
             u64::from(base_result.detected),
             "{}",
             w.name
         );
-        for threads in [2, 4] {
-            let (result, counts, metrics) = instrumented(&w, threads);
-            assert_eq!(base_result, result, "{} @ {threads} threads", w.name);
-            assert_eq!(base_counts, counts, "{} @ {threads} threads", w.name);
-            // Chunk accounting observes the scheduler and is the one
-            // telemetry pair allowed to vary with thread count (see
-            // docs/PERF.md); every other key must merge identically.
-            let stable = |m: &ipds::telemetry::MetricsRegistry| {
-                m.counters()
-                    .filter(|(k, _)| *k != "pool.chunks_claimed" && *k != "pool.chunks_stolen")
-                    .collect::<Vec<_>>()
-            };
+        // A detail sink forces every attack cold; its registry, checker
+        // work included, must match the warm-started one.
+        let cold_sink = JsonlSink::buffered(1);
+        let cold = metered(&w, 1, &cold_sink);
+        let runs = [2, 4, 8].map(|threads| {
+            (
+                format!("{threads} threads"),
+                metered(&w, threads, &NULL_SINK),
+            )
+        });
+        for (label, (result, metrics)) in runs.into_iter().chain([("cold".to_string(), cold)]) {
+            assert_eq!(base_result, result, "{} {label}", w.name);
             assert_eq!(
                 stable(&base_metrics),
                 stable(&metrics),
-                "{} @ {threads} threads",
+                "{} {label}",
                 w.name
             );
             assert_eq!(
                 base_metrics.histograms().collect::<Vec<_>>(),
                 metrics.histograms().collect::<Vec<_>>(),
-                "{} @ {threads} threads",
+                "{} {label}",
                 w.name
             );
+        }
+    }
+}
+
+#[test]
+fn warm_start_matches_cold_execution_on_every_workload() {
+    // The differential oracle for the warm-start fast path: the same
+    // seeded attacks, run cold from step 0 and warm from golden snapshots
+    // (with reconvergence fast-forward), must produce identical outcomes,
+    // checker statistics included.
+    const ORACLE_ATTACKS: u32 = 60;
+    for w in ipds_workloads::all() {
+        let protected = protect(&w);
+        let inputs = w.inputs(INPUT_SEED);
+        let (golden, limits) = protected.campaign_artifacts(&inputs);
+        let warm = protected.warm_start(&inputs, &golden, limits);
+        let (program, analysis) = (&protected.program, &protected.analysis);
+        let mut cold = AttackRunner::new(program, analysis, &inputs, &golden.trace, limits);
+        let mut warmed = AttackRunner::new(program, analysis, &inputs, &golden.trace, limits)
+            .with_warm_start(&warm);
+        for model in [
+            AttackModel::FormatString,
+            AttackModel::BufferOverflow,
+            AttackModel::ContiguousOverflow,
+        ] {
+            let campaign = Campaign {
+                attacks: ORACLE_ATTACKS,
+                seed: SEED,
+                model,
+                limits,
+            };
+            for i in 0..ORACLE_ATTACKS {
+                let (mut rng_cold, trigger) = attack_rng(&campaign, golden.steps, i);
+                let (mut rng_warm, _) = attack_rng(&campaign, golden.steps, i);
+                assert_eq!(
+                    cold.run(trigger, model, &mut rng_cold),
+                    warmed.run(trigger, model, &mut rng_warm),
+                    "{} {model:?} attack {i} trigger {trigger}",
+                    w.name
+                );
+            }
         }
     }
 }
@@ -217,14 +267,15 @@ fn attack_step_histogram_accounts_for_every_attack() {
         .into_iter()
         .find(|w| w.name == "telnetd")
         .unwrap();
-    let (_, counts, metrics) = instrumented(&w, 4);
-    let steps = metrics.histogram("attack_steps").expect("attack_steps");
+    let (result, metrics) = metered(&w, 4, &NULL_SINK);
+    let steps = metrics
+        .histogram("campaign.attack_steps")
+        .expect("campaign.attack_steps");
     assert_eq!(steps.count, u64::from(ATTACKS));
-    assert_eq!(counts.tampers, metrics.counter("attacks_tampered"));
     // Detection lag is only recorded for detected attacks.
-    if let Some(lag) = metrics.histogram("detection_lag_branches") {
-        assert_eq!(lag.count, counts.detections);
-    } else {
-        assert_eq!(counts.detections, 0);
+    let detected = u64::from(result.detected);
+    match metrics.histogram("campaign.detection_lag_branches") {
+        Some(lag) => assert_eq!(lag.count, detected),
+        None => assert_eq!(detected, 0),
     }
 }

@@ -61,20 +61,12 @@ proptest! {
         let analysis = ipds_analysis::analyze_program(&program, &Config::default());
         let inputs: Vec<Input> = (0..48).map(|i| Input::Int(i % 13 - 6)).collect();
         let limits = ExecLimits { max_steps: 2_000_000, max_depth: 64 };
-        let (golden, steps, _) = ipds_sim::attack::golden_run(&program, &inputs, limits);
-        prop_assume!(steps > 4);
+        let golden = ipds_sim::GoldenRun::capture(&program, &inputs, limits);
+        prop_assume!(golden.steps > 4);
         let mut rng = ipds_sim::rng::StdRng::seed_from_u64(attack_seed);
-        let trigger = 1 + attack_seed % (steps - 2);
-        let outcome = ipds_sim::attack::run_attack(
-            &program,
-            &analysis,
-            &inputs,
-            &golden,
-            trigger,
-            ipds_sim::AttackModel::FormatString,
-            &mut rng,
-            limits,
-        );
+        let trigger = 1 + attack_seed % (golden.steps - 2);
+        let outcome = ipds_sim::AttackRunner::new(&program, &analysis, &inputs, &golden.trace, limits)
+            .run(trigger, ipds_sim::AttackModel::FormatString, &mut rng);
         prop_assert!(
             !outcome.detected || outcome.control_flow_changed,
             "alarm without control-flow change: {outcome:?}\n{src}"
