@@ -6,7 +6,9 @@
 //! * **BCV** — `1 × space` bits;
 //! * **BAT** — a packed list-of-lists: a 16-bit row count, then per row the
 //!   trigger slot (`slot_bits`), a direction bit, an 8-bit entry count, and
-//!   `slot_bits + 2` bits per entry (target slot + action).
+//!   `slot_bits + 2` bits per entry (target slot + action). A list longer
+//!   than 255 entries is written as consecutive rows with the same trigger
+//!   and direction, which decoding concatenates.
 //!
 //! [`encode_bat`]/[`decode_bat`] round-trip through the packed form so the
 //! sizes reported by the harness are backed by a real encoding, not just
@@ -109,6 +111,15 @@ impl<'a> BitReader<'a> {
     }
 }
 
+/// Most entries one packed BAT row holds: the row's entry count is 8 bits.
+const MAX_ROW_ENTRIES: usize = u8::MAX as usize;
+
+/// Packed rows needed for one `(trigger, dir)` list of `len` entries (an
+/// empty list still takes one row).
+fn row_count(len: usize) -> usize {
+    len.div_ceil(MAX_ROW_ENTRIES).max(1)
+}
+
 /// Encodes the BAT rows into the packed wire format.
 ///
 /// Entries reference *hash slots*, mirroring the hardware layout: branch
@@ -120,21 +131,26 @@ pub fn encode_bat(
 ) -> Vec<u8> {
     let slot_bits = hash.slot_bits();
     let mut w = BitWriter::new();
-    w.push(bat.len() as u64, 16);
+    let rows: usize = bat.values().map(|entries| row_count(entries.len())).sum();
+    w.push(rows as u64, 16);
     for ((trigger, dir), entries) in bat {
-        w.push(branches[*trigger as usize].slot as u64, slot_bits);
-        w.push(*dir as u64, 1);
-        w.push(entries.len() as u64, 8);
-        for e in entries {
-            w.push(branches[e.target as usize].slot as u64, slot_bits);
-            w.push(e.action.to_bits() as u64, 2);
+        for start in (0..row_count(entries.len())).map(|r| r * MAX_ROW_ENTRIES) {
+            let row = &entries[start..entries.len().min(start + MAX_ROW_ENTRIES)];
+            w.push(branches[*trigger as usize].slot as u64, slot_bits);
+            w.push(*dir as u64, 1);
+            w.push(row.len() as u64, 8);
+            for e in row {
+                w.push(branches[e.target as usize].slot as u64, slot_bits);
+                w.push(e.action.to_bits() as u64, 2);
+            }
         }
     }
     w.into_bytes()
 }
 
 /// Decodes a packed BAT, resolving slots back to branch indices via the
-/// slot→index map implied by `branches`.
+/// slot→index map implied by `branches`. Rows sharing a `(trigger, dir)`
+/// key are concatenated in order.
 ///
 /// Returns `None` if the bytes are truncated or reference unknown slots.
 pub fn decode_bat(
@@ -150,13 +166,14 @@ pub fn decode_bat(
         .collect();
     let mut r = BitReader::new(bytes);
     let rows = r.read(16)?;
-    let mut out = BTreeMap::new();
+    let mut out: BTreeMap<(u32, bool), Vec<BatEntry>> = BTreeMap::new();
     for _ in 0..rows {
         let slot = r.read(slot_bits)? as u32;
         let dir = r.read(1)? != 0;
         let count = r.read(8)?;
         let trigger = *index_of_slot.get(&slot)?;
-        let mut entries = Vec::with_capacity(count as usize);
+        let entries = out.entry((trigger, dir)).or_default();
+        entries.reserve(count as usize);
         for _ in 0..count {
             let tslot = r.read(slot_bits)? as u32;
             let action = BrAction::from_bits(r.read(2)? as u8);
@@ -165,7 +182,6 @@ pub fn decode_bat(
                 action,
             });
         }
-        out.insert((trigger, dir), entries);
     }
     Some(out)
 }
@@ -183,7 +199,9 @@ pub fn table_sizes(
     let bat_bits = 16
         + bat
             .values()
-            .map(|entries| slot_bits + 1 + 8 + entries.len() * (slot_bits + 2))
+            .map(|entries| {
+                row_count(entries.len()) * (slot_bits + 1 + 8) + entries.len() * (slot_bits + 2)
+            })
             .sum::<usize>();
     debug_assert!(bat_bytes.len() * 8 >= bat_bits);
     TableSizes {
@@ -259,9 +277,19 @@ mod tests {
                 action: BrAction::SetNotTaken,
             }],
         );
+        // Longer than one packed row's 8-bit entry count.
+        let entry = BatEntry {
+            target: 4,
+            action: BrAction::SetTaken,
+        };
+        bat.insert((2u32, true), vec![entry; 300]);
         let bytes = encode_bat(&bat, &branches, &hash);
         let back = decode_bat(&bytes, &branches, &hash).unwrap();
         assert_eq!(back, bat);
+        assert_eq!(
+            table_sizes(&bat, &branches, &hash).bat_bits.div_ceil(8),
+            bytes.len()
+        );
     }
 
     #[test]

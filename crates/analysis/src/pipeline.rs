@@ -644,7 +644,7 @@ fn analyze_intervals(
 /// The feasibility-aware analysis loop: collects interval-proved dead
 /// edges into a [`PrunedCfg`] view, recomputes alias facts, summaries,
 /// anchors and intervals over the pruned graph, and repeats while the
-/// sharper facts expose new dead edges (capped at [`MAX_PRUNE_ROUNDS`]
+/// sharper facts expose new dead edges (capped at `MAX_PRUNE_ROUNDS`
 /// rounds). Each round replaces the session's view and its alias,
 /// summaries and intervals in place, so every later pass reads the pruned
 /// world through the same fields an unpruned build uses. When nothing is
@@ -929,7 +929,7 @@ impl Pass for ImagePass {
 }
 
 /// Cross-check the emitted tables and image against the IR (see
-/// [`crate::verify_tables`]).
+/// [`crate::verify_tables()`]).
 pub struct VerifyTablesPass;
 
 impl Pass for VerifyTablesPass {

@@ -48,7 +48,7 @@
 //!
 //! To see what the checker did, read a run's [`RunReport::stats`] or a
 //! campaign's `checker.*` counters from [`CampaignSpec::run_metered`]; to
-//! stream per-event records, attach an [`EventSink`](telemetry::EventSink)
+//! stream per-event records, attach an [`EventSink`]
 //! — see `docs/OBSERVABILITY.md`:
 //!
 //! ```

@@ -170,13 +170,13 @@ impl GoldenRun {
 /// Warm starts are transparent to campaign *results*: restoring a snapshot
 /// and replaying the remaining steps commits the same state, branch trace
 /// suffix and checker verdicts as interpreting from scratch (the prefix is
-/// deterministic), and [`first_divergence_from`] accounts for the elided
-/// golden prefix when diffing traces. They are **not** transparent to
-/// per-branch telemetry — the elided prefix emits no `BranchRecord`s — so
-/// engines only enable them for sinks that report
-/// [`EventSink::wants_branch_details`]` == false`. Checker statistics stay
-/// exact: a restored snapshot carries the prefix's [`IpdsStats`], and a
-/// reconverged attack ends with the clean run's final stats.
+/// deterministic), and the trace diff accounts for the elided golden
+/// prefix. They are **not** transparent to per-branch telemetry — the
+/// elided prefix emits no `BranchRecord`s — so engines only enable them
+/// for sinks that report [`EventSink::wants_branch_details`]` == false`.
+/// Checker statistics stay exact: a restored snapshot carries the prefix's
+/// [`IpdsStats`], and a reconverged attack ends with the clean run's final
+/// stats.
 #[derive(Debug)]
 pub struct WarmStart {
     snaps: Vec<WarmSnap>,
@@ -260,10 +260,11 @@ impl WarmStart {
         (golden_steps / 128).max(64)
     }
 
-    /// Re-runs the golden execution once, capturing a snapshot every
-    /// [`WarmStart::interval`] steps (including step 0). The checker is
-    /// driven exactly as [`AttackRunner::run`] drives it, so restored state
-    /// is indistinguishable from a cold prefix execution.
+    /// Re-runs the golden execution once, capturing a snapshot at step 0
+    /// and then at a fixed cadence (about 128 snapshots per run, never
+    /// closer than 64 steps apart). The checker is driven exactly as
+    /// [`AttackRunner::run`] drives it, so restored state is
+    /// indistinguishable from a cold prefix execution.
     pub fn capture(
         program: &Program,
         analysis: &ProgramAnalysis,
@@ -882,7 +883,7 @@ mod tests {
         loop {
             let done = {
                 let mut tee = Tee::new(&mut trace, &mut ipds);
-                interp.step(&mut tee);
+                interp.run_steps(1, &mut tee);
                 !trace.trace.is_empty() || interp.status() != &ExecStatus::Running
             };
             if done {

@@ -1,15 +1,13 @@
 //! The IR interpreter.
 //!
-//! Executes a [`Program`] one instruction at a time against the flat
-//! [`Memory`], emitting events to an [`ExecObserver`]. Step-level control is
-//! what the attack injector needs: it runs to a chosen instant, tampers a
-//! cell, and resumes.
+//! Executes a [`Program`] against the flat [`Memory`] in one dispatch loop,
+//! emitting events to an [`ExecObserver`] whose compile-time `WANTS_*` flags
+//! select the hooks the loop calls. Step-level control is what the attack
+//! injector needs: it runs to a chosen instant, tampers a cell, and resumes.
 
 use std::collections::VecDeque;
 
-use ipds_ir::{
-    Address, Builtin, Callee, FuncId, Function, Inst, Operand, Program, Reg, Terminator, VarId,
-};
+use ipds_ir::{Address, Builtin, Callee, Function, Inst, Operand, Program, Reg, Terminator, VarId};
 
 use crate::memory::{MemSnapshot, Memory};
 use crate::observer::ExecObserver;
@@ -188,13 +186,10 @@ pub struct Interp<'a> {
     status: ExecStatus,
     steps: u64,
     limits: ExecLimits,
-    /// Retired register vectors, recycled by `enter` so steady-state
+    /// Retired register vectors, recycled on every call so steady-state
     /// execution (and campaign reuse via [`Interp::reset`]) allocates no
     /// per-call register storage.
     reg_pool: Vec<Vec<i64>>,
-    /// Scratch buffer for call-argument evaluation in the generic step path,
-    /// reused so calls allocate no per-call argv.
-    arg_scratch: Vec<i64>,
 }
 
 impl<'a> Interp<'a> {
@@ -208,22 +203,19 @@ impl<'a> Interp<'a> {
         inputs: impl IntoIterator<Item = Input>,
         limits: ExecLimits,
     ) -> Interp<'a> {
-        let pcs = program.functions.iter().map(PcMap::new).collect();
         let mut interp = Interp {
             program,
             mem: Memory::new(program),
-            pcs,
-            inputs: inputs.into_iter().collect(),
+            pcs: program.functions.iter().map(PcMap::new).collect(),
+            inputs: VecDeque::new(),
             output: Vec::new(),
             stack: Vec::new(),
             status: ExecStatus::Running,
             steps: 0,
             limits,
             reg_pool: Vec::new(),
-            arg_scratch: Vec::new(),
         };
-        let main = program.main().expect("program must define `main`");
-        interp.enter(main.id, &[], None);
+        interp.reset(inputs);
         interp
     }
 
@@ -242,32 +234,17 @@ impl<'a> Interp<'a> {
         self.status = ExecStatus::Running;
         self.steps = 0;
         let main = self.program.main().expect("program must define `main`");
-        self.enter(main.id, &[], None);
-    }
-
-    fn func(&self, id: u32) -> &'a Function {
-        &self.program.functions[id as usize]
-    }
-
-    fn enter(&mut self, func: FuncId, args: &[i64], ret_dst: Option<Reg>) {
-        let f = self.func(func.0);
-        let frame = self.mem.push_frame(f);
-        for (i, &a) in args.iter().enumerate() {
-            let addr = self.mem.addr_of(frame, VarId::local(i as u32));
-            // Frame cells were just allocated; this store cannot fault.
-            let ok = self.mem.store(addr, a);
-            debug_assert!(ok);
-        }
+        let frame = self.mem.push_frame(main);
         let mut regs = self.reg_pool.pop().unwrap_or_default();
         regs.clear();
-        regs.resize(f.next_reg as usize, 0);
+        regs.resize(main.next_reg as usize, 0);
         self.stack.push(Activation {
-            func: func.0,
-            block: f.entry.index(),
+            func: main.id.0,
+            block: main.entry.index(),
             idx: 0,
             regs,
             frame,
-            ret_dst,
+            ret_dst: None,
         });
     }
 
@@ -304,22 +281,13 @@ impl<'a> Interp<'a> {
         snap.steps = self.steps;
     }
 
-    /// True if the interpreter's live state equals the captured snapshot's —
-    /// everything future execution depends on: step count, activation
-    /// stack, remaining inputs and memory. Collected output is deliberately
-    /// excluded: it is append-only and never read back, so it cannot
-    /// influence the remaining run. Cheapest discriminators run first.
-    pub fn state_eq(&self, snap: &InterpSnapshot) -> bool {
-        self.steps == snap.steps
-            && self.stack == snap.stack
-            && self.inputs == snap.inputs
-            && self.mem.state_eq(&snap.mem)
-    }
-
-    /// Like [`Interp::state_eq`], but memory only has to match on the cells
-    /// set in `read_mask` (see [`Memory::state_eq_masked`]). The activation
-    /// stack — including every live register — and the remaining input
-    /// stream still compare exactly.
+    /// True if the interpreter's live state equals the captured snapshot's
+    /// on everything future execution depends on: step count, activation
+    /// stack (including every live register), remaining inputs, and memory
+    /// on the cells set in `read_mask` (see [`Memory::state_eq_masked`]).
+    /// Collected output is deliberately excluded: it is append-only and
+    /// never read back, so it cannot influence the remaining run. Cheapest
+    /// discriminators run first.
     pub fn state_eq_masked(&self, snap: &InterpSnapshot, read_mask: &[u64]) -> bool {
         self.steps == snap.steps
             && self.stack == snap.stack
@@ -373,45 +341,27 @@ impl<'a> Interp<'a> {
     }
 
     /// Runs at most `n` further steps.
-    ///
-    /// Observers that want neither instruction nor memory events (the
-    /// campaign hot path) take a burst dispatch loop that caches the
-    /// function/block lookups [`Interp::step`] redoes per instruction;
-    /// everything else runs the single-step machine. Both produce identical
-    /// state, step accounting and observer event streams.
     pub fn run_steps<O: ExecObserver>(&mut self, n: u64, obs: &mut O) -> ExecStatus {
         let target = self.steps.saturating_add(n);
-        if O::WANTS_INST || O::WANTS_MEM {
-            while self.status == ExecStatus::Running && self.steps < target {
-                self.step(obs);
-            }
-        } else {
-            while self.status == ExecStatus::Running && self.steps < target {
-                self.burst(target, obs);
-                // The burst stops short of the rare ops it does not handle
-                // (builtin calls, an empty stack); one generic step covers
-                // them, then the next burst resumes.
-                if self.status == ExecStatus::Running && self.steps < target {
-                    self.step(obs);
-                }
+        while self.status == ExecStatus::Running && self.steps < target {
+            self.dispatch(target, obs);
+            if self.status == ExecStatus::Running && self.steps < target {
+                self.call_builtin(obs);
             }
         }
         self.status.clone()
     }
 
-    /// Executes instructions, jumps, branches, direct calls and returns in a
-    /// burst until it reaches `target` steps, a builtin call, or a terminal
-    /// state. The function and basic-block references are resolved once per
-    /// control transfer instead of once per step, which is where the
-    /// single-step machine spends most of its time.
+    /// The interpreter's dispatch loop: runs instructions, jumps, branches,
+    /// direct calls and returns until `target` steps, a builtin call (left
+    /// to [`Interp::call_builtin`]) or a terminal state, resolving function
+    /// and block references once per control transfer.
     ///
-    /// Semantics mirror [`Interp::step`] exactly: identical step accounting
-    /// (budget overrun consumes the step), identical fault messages and
-    /// points, and observer events fired in the same order. Only valid for
-    /// observers with both capability flags off — per-slot PCs are
-    /// materialized solely for committed branches.
-    fn burst<O: ExecObserver>(&mut self, target: u64, obs: &mut O) {
-        debug_assert!(!O::WANTS_INST && !O::WANTS_MEM);
+    /// Each step is counted (a budget overrun consumes it), reported to
+    /// `on_inst`, then executed; loads and stores report `on_mem` before the
+    /// access. The slot PC is computed only when the observer's
+    /// `WANTS_INST`/`WANTS_MEM` flags ask for it or a branch commits.
+    fn dispatch<O: ExecObserver>(&mut self, target: u64, obs: &mut O) {
         let program = self.program;
         let Interp {
             mem,
@@ -426,7 +376,7 @@ impl<'a> Interp<'a> {
         'act: loop {
             let depth = stack.len();
             let Some(act) = stack.last_mut() else {
-                return; // step() records the exit
+                return; // call_builtin records the exit
             };
             let func = &program.functions[act.func as usize];
             let pcmap = &pcs[act.func as usize];
@@ -439,13 +389,21 @@ impl<'a> Interp<'a> {
                     let inst = &bb.insts[act.idx];
                     if let Inst::Call { callee, .. } = inst {
                         if matches!(callee, Callee::Builtin(_)) {
-                            return; // step() runs the builtin
+                            return;
                         }
                     }
                     *steps += 1;
                     if *steps > limits.max_steps {
                         *status = ExecStatus::OutOfBudget;
                         return;
+                    }
+                    let pc = if O::WANTS_INST || O::WANTS_MEM {
+                        pcmap.pc(func, act.block, act.idx)
+                    } else {
+                        0
+                    };
+                    if O::WANTS_INST {
+                        obs.on_inst(pc);
                     }
                     match inst {
                         Inst::Const { dst, value } => act.regs[dst.0 as usize] = *value,
@@ -465,7 +423,12 @@ impl<'a> Interp<'a> {
                             act.regs[dst.0 as usize] = pred.eval(a, b) as i64;
                         }
                         Inst::Load { dst, addr } => match resolve_addr(mem, act, addr) {
-                            Ok(a) => act.regs[dst.0 as usize] = mem.load(a),
+                            Ok(a) => {
+                                if O::WANTS_MEM {
+                                    obs.on_mem(pc, a, false);
+                                }
+                                act.regs[dst.0 as usize] = mem.load(a);
+                            }
                             Err(raw) => {
                                 *status = ExecStatus::Fault(format!(
                                     "load from out-of-bounds address {raw}"
@@ -476,6 +439,9 @@ impl<'a> Interp<'a> {
                         Inst::Store { addr, src } => match resolve_addr(mem, act, addr) {
                             Ok(a) => {
                                 let v = operand_of(act, *src);
+                                if O::WANTS_MEM {
+                                    obs.on_mem(pc, a, true);
+                                }
                                 if !mem.store(a, v) {
                                     *status = ExecStatus::Fault(format!("store fault at cell {a}"));
                                     return;
@@ -501,10 +467,10 @@ impl<'a> Interp<'a> {
                                 *status = ExecStatus::Fault("call stack overflow".into());
                                 return;
                             }
-                            // Inline `enter`: push the callee frame, store
-                            // the arguments (frame cells were just
-                            // allocated; those stores cannot fault), seed
-                            // the register file from the pool.
+                            // Push the callee frame, store the arguments
+                            // (frame cells were just allocated; those stores
+                            // cannot fault), seed the register file from the
+                            // pool.
                             let f = &program.functions[fid.0 as usize];
                             let frame = mem.push_frame(f);
                             for (i, &a) in args.iter().enumerate() {
@@ -531,6 +497,9 @@ impl<'a> Interp<'a> {
                             obs.on_call(fid);
                             continue 'act;
                         }
+                        // Executable programs are post-deconstruction by
+                        // contract (the structural verifier rejects phis);
+                        // fault rather than guess a predecessor.
                         Inst::Phi { .. } => {
                             *status = ExecStatus::Fault(
                                 "phi reached the simulator (deconstruct-ssa must run first)".into(),
@@ -547,6 +516,9 @@ impl<'a> Interp<'a> {
                 if *steps > limits.max_steps {
                     *status = ExecStatus::OutOfBudget;
                     return;
+                }
+                if O::WANTS_INST {
+                    obs.on_inst(pcmap.pc(func, act.block, act.idx));
                 }
                 match &bb.term {
                     Terminator::Jump(t) => {
@@ -587,14 +559,52 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn fault(&mut self, msg: impl Into<String>) {
-        self.status = ExecStatus::Fault(msg.into());
+    /// Executes the one step [`Interp::dispatch`] leaves to its caller: the
+    /// builtin call it stopped at (or, on an empty stack, the exit). Step
+    /// accounting and observer events follow the dispatch loop's order.
+    fn call_builtin<O: ExecObserver>(&mut self, obs: &mut O) {
+        self.steps += 1;
+        if self.steps > self.limits.max_steps {
+            self.status = ExecStatus::OutOfBudget;
+            return;
+        }
+        let Some(act) = self.stack.last() else {
+            self.status = ExecStatus::Exited(0);
+            return;
+        };
+        let func = &self.program.functions[act.func as usize];
+        let pc = self.pcs[act.func as usize].pc(func, act.block, act.idx);
+        if O::WANTS_INST {
+            obs.on_inst(pc);
+        }
+        let Inst::Call {
+            dst,
+            callee: Callee::Builtin(b),
+            args,
+        } = &func.blocks[act.block].insts[act.idx]
+        else {
+            unreachable!("dispatch stops only at builtin calls")
+        };
+        // Builtins take at most three arguments (`Builtin::arity`, which
+        // the IR verifier enforces).
+        let mut argv = [0i64; 3];
+        for (v, a) in argv.iter_mut().zip(args) {
+            *v = operand_of(act, *a);
+        }
+        let argv = &argv[..args.len()];
+        let result = self.exec_builtin(*b, argv, if O::WANTS_MEM { pc } else { 0 }, obs);
+        if self.status != ExecStatus::Running {
+            return;
+        }
+        let act = self.stack.last_mut().expect("active frame");
+        if let (Some(d), Some(v)) = (dst, result) {
+            act.regs[d.0 as usize] = v;
+        }
+        act.idx += 1;
     }
 
-    /// The PC of the instruction slot `(block, idx)` of `func_id`.
-    #[inline]
-    fn pc_of(&self, func_id: u32, block: usize, idx: usize) -> u64 {
-        self.pcs[func_id as usize].pc(self.func(func_id), block, idx)
+    fn fault(&mut self, msg: impl Into<String>) {
+        self.status = ExecStatus::Fault(msg.into());
     }
 
     /// Converts a builtin's pointer argument into a cell address, faulting
@@ -610,199 +620,13 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Executes one instruction or terminator.
-    ///
-    /// The PC of the committed slot is computed lazily: only observers whose
-    /// [`ExecObserver::WANTS_INST`]/[`ExecObserver::WANTS_MEM`] capability
-    /// flags ask for it (or a committed branch, which always carries its PC)
-    /// pay for the layout lookup — the campaign hot path runs with both
-    /// flags off.
-    pub fn step<O: ExecObserver>(&mut self, obs: &mut O) {
-        if self.status != ExecStatus::Running {
-            return;
+    /// A builtin's store of `v` to `addr`, reported to `on_mem` first;
+    /// `false` if the cell is not writable.
+    fn store_cell<O: ExecObserver>(&mut self, pc: u64, addr: usize, v: i64, obs: &mut O) -> bool {
+        if O::WANTS_MEM {
+            obs.on_mem(pc, addr, true);
         }
-        self.steps += 1;
-        if self.steps > self.limits.max_steps {
-            self.status = ExecStatus::OutOfBudget;
-            return;
-        }
-        let Some(act_idx) = self.stack.len().checked_sub(1) else {
-            self.status = ExecStatus::Exited(0);
-            return;
-        };
-        let (func_id, block, idx) = {
-            let a = &self.stack[act_idx];
-            (a.func, a.block, a.idx)
-        };
-        let func = self.func(func_id);
-        if O::WANTS_INST {
-            obs.on_inst(self.pc_of(func_id, block, idx));
-        }
-
-        let bb = &func.blocks[block];
-        if idx < bb.insts.len() {
-            self.exec_inst(act_idx, &bb.insts[idx], (func_id, block, idx), obs);
-            if self.status == ExecStatus::Running {
-                // exec_inst may have pushed a new activation (call); only
-                // advance the original one.
-                self.stack[act_idx].idx = idx + 1;
-            }
-        } else {
-            self.exec_terminator(act_idx, &bb.term, (func_id, block, idx), obs);
-        }
-    }
-
-    fn exec_inst<O: ExecObserver>(
-        &mut self,
-        act_idx: usize,
-        inst: &Inst,
-        slot: (u32, usize, usize),
-        obs: &mut O,
-    ) {
-        match inst {
-            Inst::Const { dst, value } => {
-                let act = &mut self.stack[act_idx];
-                act.regs[dst.0 as usize] = *value;
-            }
-            Inst::BinOp { dst, op, lhs, rhs } => {
-                let act = &mut self.stack[act_idx];
-                let a = operand_of(act, *lhs);
-                let b = operand_of(act, *rhs);
-                act.regs[dst.0 as usize] = op.eval(a, b);
-            }
-            Inst::Cmp {
-                dst,
-                pred,
-                lhs,
-                rhs,
-            } => {
-                let act = &mut self.stack[act_idx];
-                let a = operand_of(act, *lhs);
-                let b = operand_of(act, *rhs);
-                act.regs[dst.0 as usize] = pred.eval(a, b) as i64;
-            }
-            Inst::Load { dst, addr } => match resolve_addr(&self.mem, &self.stack[act_idx], addr) {
-                Ok(a) => {
-                    if O::WANTS_MEM {
-                        obs.on_mem(self.pc_of(slot.0, slot.1, slot.2), a, false);
-                    }
-                    let act = &mut self.stack[act_idx];
-                    act.regs[dst.0 as usize] = self.mem.load(a);
-                }
-                Err(raw) => self.fault(format!("load from out-of-bounds address {raw}")),
-            },
-            Inst::Store { addr, src } => {
-                match resolve_addr(&self.mem, &self.stack[act_idx], addr) {
-                    Ok(a) => {
-                        let v = operand_of(&self.stack[act_idx], *src);
-                        if O::WANTS_MEM {
-                            obs.on_mem(self.pc_of(slot.0, slot.1, slot.2), a, true);
-                        }
-                        if !self.mem.store(a, v) {
-                            self.fault(format!("store fault at cell {a}"));
-                        }
-                    }
-                    Err(raw) => self.fault(format!("store to out-of-bounds address {raw}")),
-                }
-            }
-            Inst::AddrOf { dst, base, offset } => {
-                let b = self.mem.addr_of(self.stack[act_idx].frame, *base);
-                let act = &mut self.stack[act_idx];
-                let o = operand_of(act, *offset);
-                act.regs[dst.0 as usize] = (b as i64).wrapping_add(o);
-            }
-            Inst::Call { dst, callee, args } => {
-                let mut argv = std::mem::take(&mut self.arg_scratch);
-                argv.clear();
-                {
-                    let act = &self.stack[act_idx];
-                    argv.extend(args.iter().map(|a| operand_of(act, *a)));
-                }
-                match callee {
-                    Callee::Direct(fid) => {
-                        if self.stack.len() >= self.limits.max_depth {
-                            self.arg_scratch = argv;
-                            self.fault("call stack overflow");
-                            return;
-                        }
-                        // step() advances the caller's idx past the call
-                        // after we return; the new activation starts at its
-                        // entry block independently.
-                        self.enter(*fid, &argv, *dst);
-                        self.arg_scratch = argv;
-                        obs.on_call(*fid);
-                    }
-                    Callee::Builtin(b) => {
-                        let pc = if O::WANTS_MEM {
-                            self.pc_of(slot.0, slot.1, slot.2)
-                        } else {
-                            0
-                        };
-                        let result = self.exec_builtin(*b, &argv, pc, obs);
-                        self.arg_scratch = argv;
-                        if self.status != ExecStatus::Running {
-                            return;
-                        }
-                        if let (Some(d), Some(v)) = (dst, result) {
-                            self.stack[act_idx].regs[d.0 as usize] = v;
-                        }
-                    }
-                }
-            }
-            // Executable programs are post-deconstruction by contract (the
-            // structural verifier rejects phis); fault rather than guess a
-            // predecessor.
-            Inst::Phi { .. } => {
-                self.fault("phi reached the simulator (deconstruct-ssa must run first)");
-            }
-        }
-    }
-
-    fn exec_terminator<O: ExecObserver>(
-        &mut self,
-        act_idx: usize,
-        term: &Terminator,
-        slot: (u32, usize, usize),
-        obs: &mut O,
-    ) {
-        match term {
-            Terminator::Jump(t) => {
-                let act = &mut self.stack[act_idx];
-                act.block = t.index();
-                act.idx = 0;
-            }
-            Terminator::Branch {
-                cond,
-                taken,
-                not_taken,
-            } => {
-                let pc = self.pc_of(slot.0, slot.1, slot.2);
-                let act = &mut self.stack[act_idx];
-                let dir = act.regs[cond.0 as usize] != 0;
-                let target = if dir { taken } else { not_taken };
-                act.block = target.index();
-                act.idx = 0;
-                obs.on_branch(pc, dir);
-            }
-            Terminator::Return(v) => {
-                let value = v.map(|op| operand_of(&self.stack[act_idx], op));
-                let act = self.stack.pop().expect("active frame");
-                self.mem.pop_frame();
-                if self.stack.is_empty() {
-                    self.status = ExecStatus::Exited(value.unwrap_or(0));
-                    self.reg_pool.push(act.regs);
-                    return;
-                }
-                obs.on_return();
-                if let Some(dst) = act.ret_dst {
-                    let caller = self.stack.len() - 1;
-                    self.stack[caller].regs[dst.0 as usize] = value.unwrap_or(0);
-                }
-                self.reg_pool.push(act.regs);
-                // The caller's idx was already advanced past the call when
-                // the call instruction executed.
-            }
-        }
+        self.mem.store(addr, v)
     }
 
     fn read_cstr<O: ExecObserver>(
@@ -857,19 +681,13 @@ impl<'a> Interp<'a> {
                 // buffer is the classic overflow bug.
                 let mut wrote = 0usize;
                 for (i, c) in s.chars().take(max).enumerate() {
-                    if O::WANTS_MEM {
-                        obs.on_mem(pc, dst + i, true);
-                    }
-                    if !self.mem.store(dst + i, c as i64) {
+                    if !self.store_cell(pc, dst + i, c as i64, obs) {
                         self.fault(format!("read_str overflow fault at cell {}", dst + i));
                         return None;
                     }
                     wrote = i + 1;
                 }
-                if O::WANTS_MEM {
-                    obs.on_mem(pc, dst + wrote, true);
-                }
-                if !self.mem.store(dst + wrote, 0) {
+                if !self.store_cell(pc, dst + wrote, 0, obs) {
                     self.fault("read_str NUL fault");
                     return None;
                 }
@@ -912,18 +730,12 @@ impl<'a> Interp<'a> {
                 let from = self.addr_arg("strcpy", args[1])?;
                 let src = self.read_cstr(from, 4096, pc, obs);
                 for (i, &c) in src.iter().enumerate() {
-                    if O::WANTS_MEM {
-                        obs.on_mem(pc, dst + i, true);
-                    }
-                    if !self.mem.store(dst + i, c) {
+                    if !self.store_cell(pc, dst + i, c, obs) {
                         self.fault(format!("strcpy fault at cell {}", dst + i));
                         return None;
                     }
                 }
-                if O::WANTS_MEM {
-                    obs.on_mem(pc, dst + src.len(), true);
-                }
-                if !self.mem.store(dst + src.len(), 0) {
+                if !self.store_cell(pc, dst + src.len(), 0, obs) {
                     self.fault("strcpy NUL fault");
                 }
                 None
@@ -947,10 +759,7 @@ impl<'a> Interp<'a> {
                 // A negative count writes nothing.
                 let n = usize::try_from(args[2]).unwrap_or(0);
                 for i in 0..n {
-                    if O::WANTS_MEM {
-                        obs.on_mem(pc, dst + i, true);
-                    }
-                    if !self.mem.store(dst + i, v) {
+                    if !self.store_cell(pc, dst + i, v, obs) {
                         self.fault(format!("memset fault at cell {}", dst + i));
                         return None;
                     }
@@ -966,10 +775,7 @@ impl<'a> Interp<'a> {
                         obs.on_mem(pc, src + i, false);
                     }
                     let v = self.mem.load(src + i);
-                    if O::WANTS_MEM {
-                        obs.on_mem(pc, dst + i, true);
-                    }
-                    if !self.mem.store(dst + i, v) {
+                    if !self.store_cell(pc, dst + i, v, obs) {
                         self.fault(format!("memcpy fault at cell {}", dst + i));
                         return None;
                     }

@@ -36,7 +36,7 @@ struct FuncLayout {
 }
 
 /// A point-in-time copy of the mutable memory state (cells + frame stack);
-/// see [`Memory::snapshot`].
+/// see [`Memory::snapshot_into`].
 #[derive(Debug, Clone, Default)]
 pub struct MemSnapshot {
     cells: Vec<i64>,
@@ -143,15 +143,10 @@ impl Memory {
         self.frames.clone_from(&snap.frames);
     }
 
-    /// True if the mutable memory state (cells and frame stack) equals the
-    /// captured snapshot's.
-    pub fn state_eq(&self, snap: &MemSnapshot) -> bool {
-        self.frames == snap.frames && self.cells == snap.cells
-    }
-
-    /// Like [`Memory::state_eq`], but only requires equality on the cells
-    /// set in `read_mask` (a bitmask over cell addresses, 64 per word).
-    /// Cells outside the mask may hold arbitrary divergent values.
+    /// True if the mutable memory state equals the captured snapshot's on
+    /// the frame stack and on the cells set in `read_mask` (a bitmask over
+    /// cell addresses, 64 per word). Cells outside the mask may hold
+    /// arbitrary divergent values.
     ///
     /// The warm-start engine passes the set of cells the golden suffix will
     /// ever read: a run whose state matches on those — with an identical
@@ -252,11 +247,6 @@ impl Memory {
     /// plus the reserved null page are always present).
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
-    }
-
-    /// First cell of the stack segment.
-    pub fn stack_base(&self) -> usize {
-        self.stack_base
     }
 
     /// Active frames, innermost last.

@@ -20,11 +20,13 @@ pub fn expectation_of(status: BranchStatus) -> Expectation {
 /// Default implementations ignore everything, so observers implement only
 /// what they need. The interpreter calls these in commit order.
 pub trait ExecObserver {
-    /// Whether this observer consumes [`ExecObserver::on_inst`]. The
-    /// interpreter skips the per-step PC computation *and* the call for
-    /// observers that leave this `false` (the default) — an observer that
-    /// overrides `on_inst` must set it to `true` or it will never be
-    /// called from the interpreter's hot loop.
+    /// Whether this observer consumes [`ExecObserver::on_inst`]. The flag
+    /// is a compile-time constant: each observer type gets its own
+    /// instantiation of the interpreter's dispatch loop, and for observers
+    /// that leave it `false` (the default) that instantiation contains
+    /// neither the per-step PC computation nor the call. An observer that
+    /// overrides `on_inst` must set it to `true` or the interpreter never
+    /// calls it.
     const WANTS_INST: bool = false;
     /// Whether this observer consumes [`ExecObserver::on_mem`]; same
     /// contract as [`ExecObserver::WANTS_INST`].

@@ -112,7 +112,7 @@ impl Gen {
                 }
                 self.line("}");
             }
-            9 if depth < self.cfg.max_depth => {
+            9 if depth < self.cfg.max_depth && self.counters < max_counters(&self.cfg) => {
                 // Bounded loop with a dedicated counter that nothing else
                 // writes.
                 let k = self.counters;
@@ -213,10 +213,24 @@ mod tests {
     use super::*;
     use ipds_sim::{ExecLimits, ExecStatus, Input, Interp, NullObserver};
 
+    /// `(config, seed)` pairs: the default shape, plus one deep and wide
+    /// enough to exhaust the pre-declared loop counters.
+    fn cases() -> impl Iterator<Item = (GenConfig, u64)> {
+        let deep = GenConfig {
+            num_vars: 8,
+            max_stmts: 14,
+            max_depth: 5,
+            loop_bound: 4,
+        };
+        [GenConfig::default(), deep]
+            .into_iter()
+            .flat_map(|cfg| (0..40).map(move |seed| (cfg, seed)))
+    }
+
     #[test]
     fn generated_programs_parse() {
-        for seed in 0..40 {
-            let src = generate_program(seed, GenConfig::default());
+        for (cfg, seed) in cases() {
+            let src = generate_program(seed, cfg);
             let p = ipds_ir::parse(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
             assert!(p.branch_count() >= 2, "seed {seed} too simple");
         }
@@ -224,8 +238,8 @@ mod tests {
 
     #[test]
     fn generated_programs_terminate_cleanly() {
-        for seed in 0..40 {
-            let src = generate_program(seed, GenConfig::default());
+        for (cfg, seed) in cases() {
+            let src = generate_program(seed, cfg);
             let p = ipds_ir::parse(&src).unwrap();
             let inputs: Vec<Input> = (0..64)
                 .map(|i| Input::Int((seed as i64 * 7 + i) % 23 - 11))

@@ -18,6 +18,9 @@ done
 echo "==> deprecation gate (in-tree code must use the builder APIs)"
 cargo clippy --workspace --all-targets -- -D deprecated
 
+echo "==> rustdoc (deny warnings: no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> tier-1 build + tests"
 cargo build --release --workspace
 cargo test -q --release --workspace

@@ -83,3 +83,26 @@ fn image_sizes_are_modest() {
         );
     }
 }
+
+#[test]
+fn generated_program_with_an_oversized_bat_row_builds_clean() {
+    use ipds_workloads::generator::{generate_program, GenConfig};
+    let cfg = GenConfig {
+        num_vars: 8,
+        max_stmts: 10,
+        max_depth: 4,
+        loop_bound: 4,
+    };
+    let build = Protected::build()
+        .verify_tables(true)
+        .refine_correlations(true)
+        .prune_feasibility(true)
+        .lint_tables(true)
+        .compile(&generate_program(5, cfg))
+        .expect("full-option build verifies");
+    assert_eq!(build.lint.expect("linted").error_count(), 0);
+    // `main` carries a row longer than one packed row's 8-bit entry count.
+    let functions = &build.protected.analysis.functions;
+    let longest = functions.iter().flat_map(|f| f.bat.values().map(Vec::len));
+    assert!(longest.max() > Some(255));
+}
