@@ -49,7 +49,6 @@
 //! the batch has finished with it.
 
 use std::cell::{Cell, UnsafeCell};
-use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -295,13 +294,8 @@ unsafe impl Send for Job {}
 struct State {
     shutdown: bool,
     job: Option<Job>,
-    /// Detached long-running tasks ([`Pool::spawn`]); drained with priority
-    /// over batch participation.
-    detached: VecDeque<Box<dyn FnOnce() + Send + 'static>>,
     /// Worker threads spawned so far.
     helpers: usize,
-    /// Workers currently inside a detached task (unavailable for batches).
-    detached_busy: usize,
 }
 
 struct Inner {
@@ -324,7 +318,7 @@ fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
 }
 
 /// A persistent worker pool: threads are spawned once (lazily, as batches
-/// and detached tasks demand them) and parked between calls. Dropping the
+/// demand them) and parked between calls. Dropping the
 /// pool shuts the workers down and joins them; the process-wide
 /// [`Pool::global`] instance lives for the process lifetime.
 pub struct Pool {
@@ -345,9 +339,7 @@ impl Pool {
                 state: Mutex::new(State {
                     shutdown: false,
                     job: None,
-                    detached: VecDeque::new(),
                     helpers: 0,
-                    detached_busy: 0,
                 }),
                 work: Condvar::new(),
                 done: Condvar::new(),
@@ -366,12 +358,10 @@ impl Pool {
         GLOBAL.get_or_init(|| Pool::new(default_threads()))
     }
 
-    /// Spawns helper threads until at least `want` of them are not tied up
-    /// in detached tasks.
+    /// Spawns helper threads until there are at least `want` of them.
     fn ensure_helpers(&self, want: usize) {
         let mut st = lock(&self.inner.state);
-        let busy = st.detached_busy + st.detached.len();
-        let deficit = (busy + want).saturating_sub(st.helpers);
+        let deficit = want.saturating_sub(st.helpers);
         if deficit == 0 {
             return;
         }
@@ -386,34 +376,6 @@ impl Pool {
                     .expect("failed to spawn pool worker"),
             );
         }
-    }
-
-    /// Runs `f` on a pool thread, detached from any batch. Every detached
-    /// task is guaranteed a worker that is not running another detached
-    /// task (the pool grows if needed), so long-lived service loops cannot
-    /// starve each other or the batch path. The task must finish before the
-    /// pool can be dropped; the global pool is never dropped.
-    pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
-        {
-            let mut st = lock(&self.inner.state);
-            st.detached.push_back(Box::new(f));
-            let busy = st.detached_busy + st.detached.len();
-            if busy > st.helpers {
-                let deficit = busy - st.helpers;
-                let mut handles = lock(&self.handles);
-                for _ in 0..deficit {
-                    st.helpers += 1;
-                    let inner = Arc::clone(&self.inner);
-                    handles.push(
-                        thread::Builder::new()
-                            .name("ipds-pool".into())
-                            .spawn(move || worker_loop(&inner))
-                            .expect("failed to spawn pool worker"),
-                    );
-                }
-            }
-        }
-        self.inner.work.notify_all();
     }
 
     /// Runs `run(worker_state, index)` for every index in `0..tasks` across
@@ -681,24 +643,13 @@ where
     ctx.participate(slot + 1);
 }
 
-/// The body of every pool worker thread: detached tasks first, then batch
-/// participation, then park on the condvar.
+/// The body of every pool worker thread: batch participation, then park
+/// on the condvar.
 fn worker_loop(inner: &Inner) {
     let mut st = lock(&inner.state);
     loop {
         if st.shutdown {
             return;
-        }
-        if let Some(task) = st.detached.pop_front() {
-            st.detached_busy += 1;
-            drop(st);
-            // A detached task is not a batch participant: it may submit
-            // batches of its own (the submit mutex serializes them), so
-            // the nesting guard stays clear.
-            let _ = catch_unwind(AssertUnwindSafe(task));
-            st = lock(&inner.state);
-            st.detached_busy -= 1;
-            continue;
         }
         let claimed_slot = match st.job.as_mut() {
             Some(job) if !job.closed && job.claimed < job.needed => {
@@ -977,32 +928,6 @@ mod tests {
         // The same pool must still serve clean batches afterwards.
         let (got, _) = pool.map_indexed(64, 4, |_| (), |(), i| i * 2);
         assert_eq!(got, (0..64).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn detached_tasks_get_dedicated_workers() {
-        use std::sync::mpsc;
-        let pool = Pool::new(1);
-        let (tx, rx) = mpsc::channel();
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        // Two long-lived tasks on a 1-wide pool: both must run concurrently
-        // (the second blocks until the first confirms it started — that
-        // only works if each gets its own thread).
-        let tx2 = tx.clone();
-        pool.spawn(move || {
-            tx2.send("a started").unwrap();
-            gate_rx.recv().unwrap();
-        });
-        pool.spawn(move || {
-            tx.send("b started").unwrap();
-            gate_tx.send(()).unwrap();
-        });
-        let mut started: Vec<_> = [rx.recv().unwrap(), rx.recv().unwrap()].into();
-        started.sort_unstable();
-        assert_eq!(started, ["a started", "b started"]);
-        // Batches still work while/after detached tasks occupy workers.
-        let (got, _) = pool.map_indexed(64, 2, |_| (), |(), i| i);
-        assert_eq!(got, (0..64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The long-lived service: control plane + sharded ingestion workers.
+//! The long-lived service: a control plane that buffers each session's
+//! batches and flushes them, one pool task per session, on the persistent
+//! worker pool.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex};
 
 use ipds_runtime::IpdsStats;
 use ipds_telemetry::MetricsRegistry;
@@ -13,18 +14,9 @@ use crate::incident::{correlate, Incident, IncidentKind, RootCause};
 use crate::pool::{SessionPool, SessionPoolStats, SessionState};
 use crate::ServiceError;
 
-/// What the control plane sends an ingestion worker.
-enum WorkerMsg {
-    /// A session opened against artifact index `workload`.
-    Open { session: u64, workload: usize },
-    /// One batch of the session's committed event stream.
-    Batch {
-        session: u64,
-        events: Vec<GuestEvent>,
-    },
-    /// The session closed; summarize and recycle its state.
-    Close { session: u64 },
-}
+/// Buffered events, summed over all sessions, that trigger a flush: 64Ki,
+/// about what a 256-message queue of 256-event batches held.
+const FLUSH_EVENTS: usize = 1 << 16;
 
 /// One session's life, summarized at close (or at service shutdown for
 /// sessions still open). Pure function of the session's event stream —
@@ -50,13 +42,6 @@ pub struct SessionSummary {
     pub incidents: Vec<Incident>,
 }
 
-/// What one worker thread hands back at shutdown.
-struct WorkerOutput {
-    summaries: Vec<SessionSummary>,
-    pool: SessionPoolStats,
-    metrics: MetricsRegistry,
-}
-
 /// Everything the service observed, merged deterministically at shutdown.
 #[derive(Debug)]
 pub struct ServiceReport {
@@ -67,112 +52,85 @@ pub struct ServiceReport {
     /// The correlation stage's fleet-level verdicts.
     pub root_causes: Vec<RootCause>,
     /// The `service.*` / `fleet.*` counters and histograms (see
-    /// `docs/SERVICE.md` for the canonical table and the one
-    /// scheduler-shaped pair).
+    /// `docs/SERVICE.md` for the canonical table).
     pub metrics: MetricsRegistry,
-    /// Summed per-worker pool traffic.
+    /// The session pool's traffic.
     pub pool: SessionPoolStats,
 }
 
-/// Ingestion-channel depth [`Service::start`] uses: deep enough that a
-/// bursty guest rarely stalls, shallow enough that a session outpacing its
-/// worker blocks on back-pressure instead of growing the queue without
-/// bound (ROADMAP #2). [`Service::start_bounded`] overrides it.
-pub const DEFAULT_INGEST_CAPACITY: usize = 256;
-
-/// The `ipdsd` engine: a control plane routing guest sessions to sharded
-/// ingestion workers over bounded `mpsc` channels.
-///
-/// Sessions shard by `session_id % workers`; each worker drains its
-/// channel in order, so one session's stream is always replayed in
-/// submission order no matter how many workers run. The channels are
-/// *bounded*: a submit that finds its shard's channel full blocks until
-/// the worker catches up (counted in `service.backpressure_stalls`), so
-/// guest memory use is capped per worker. Worker threads come from the
-/// process-wide [`ipds_parallel::Pool`] — starting and finishing services
-/// repeatedly reuses the same OS threads. Per-session results merge by
-/// session id at [`Service::finish`] — fleet results are bit-identical for
-/// every worker count (the per-worker pool pair
-/// `service.pool_reuses`/`service.pool_high_water` and the timing-shaped
-/// `service.backpressure_stalls` are the documented scheduler-shaped
-/// exceptions).
+/// An open session: its pooled checker state and the batches submitted
+/// since the last flush, in submission order.
 #[derive(Debug)]
-pub struct Service {
-    txs: Vec<SyncSender<WorkerMsg>>,
-    outputs: Vec<Receiver<WorkerOutput>>,
-    names: HashMap<String, usize>,
-    open: HashSet<u64>,
+struct Live<'a> {
+    state: SessionState<'a>,
+    pending: Vec<Vec<GuestEvent>>,
+}
+
+/// The `ipdsd` engine: a control plane that checks guest sessions out of
+/// one [`SessionPool`], buffers their batches, and checks the buffered
+/// batches on the persistent [`ipds_parallel`] pool.
+///
+/// `submit` only appends a batch to its session's pending list. A *flush*
+/// runs one [`ipds_parallel::map_indexed`] task per session with pending
+/// batches, in session-id order, each task replaying its session's batches
+/// in submission order. Flushes happen when the buffered events reach a
+/// fixed bound (64Ki events, so guest memory use stays capped), at every
+/// [`Service::close`] and at [`Service::finish`]. A batch of fewer than 16
+/// sessions runs inline on the caller's thread, so a one-worker service
+/// never leaves it.
+///
+/// Checker state is per-session and the artifacts are immutable, so a
+/// session's results depend only on its own stream: fleet results,
+/// including the pool counters, are bit-identical for every worker count.
+#[derive(Debug)]
+pub struct Service<'a> {
+    artifacts: &'a [Arc<WorkloadArtifact>],
+    workers: usize,
+    names: HashMap<&'a str, usize>,
+    pool: SessionPool<'a>,
+    live: BTreeMap<u64, Live<'a>>,
+    buffered: usize,
+    summaries: Vec<SessionSummary>,
+    metrics: MetricsRegistry,
     /// Minimum same-PC cluster size the correlation stage folds into a
     /// [`RootCause::HotMemoryRegion`] (default 3).
     pub min_cluster: usize,
-    opened: u64,
     closed: u64,
-    live: u64,
-    peak: u64,
     batches: u64,
     events: u64,
-    stalls: u64,
     rejected: Vec<(u64, String)>,
 }
 
-impl Service {
-    /// Starts `workers` ingestion workers over the verified artifacts and
-    /// returns the running service, with the default
-    /// [`DEFAULT_INGEST_CAPACITY`] channel depth. Sessions open by
-    /// workload *name*; a name with no verified artifact is refused (see
+impl<'a> Service<'a> {
+    /// Starts a service over the verified artifacts that checks sessions
+    /// on up to `workers` pool threads. Sessions open by workload *name*;
+    /// a name with no verified artifact is refused (see
     /// [`Service::open`]).
-    pub fn start(artifacts: Vec<Arc<WorkloadArtifact>>, workers: usize) -> Service {
-        Service::start_bounded(artifacts, workers, DEFAULT_INGEST_CAPACITY)
-    }
-
-    /// [`Service::start`] with an explicit ingestion-channel depth
-    /// (`capacity` messages per worker, minimum 1).
-    pub fn start_bounded(
-        artifacts: Vec<Arc<WorkloadArtifact>>,
-        workers: usize,
-        capacity: usize,
-    ) -> Service {
-        let workers = workers.max(1);
-        let names = artifacts
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.name.clone(), i))
-            .collect();
-        let shared = Arc::new(artifacts);
-        let mut txs = Vec::with_capacity(workers);
-        let mut outputs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = sync_channel(capacity.max(1));
-            let (out_tx, out_rx) = channel();
-            let artifacts = Arc::clone(&shared);
-            txs.push(tx);
-            outputs.push(out_rx);
-            // Long-lived loops ride the persistent pool's detached lane:
-            // each is guaranteed its own thread, reused across services.
-            ipds_parallel::Pool::global().spawn(move || {
-                let _ = out_tx.send(worker_loop(&artifacts, rx));
-            });
-        }
+    pub fn start(artifacts: &'a [Arc<WorkloadArtifact>], workers: usize) -> Service<'a> {
         Service {
-            txs,
-            outputs,
-            names,
-            open: HashSet::new(),
+            artifacts,
+            workers,
+            names: artifacts
+                .iter()
+                .enumerate()
+                .map(|(i, a)| (a.name.as_str(), i))
+                .collect(),
+            pool: SessionPool::new(artifacts),
+            live: BTreeMap::new(),
+            buffered: 0,
+            summaries: Vec::new(),
+            metrics: MetricsRegistry::new(),
             min_cluster: 3,
-            opened: 0,
             closed: 0,
-            live: 0,
-            peak: 0,
             batches: 0,
             events: 0,
-            stalls: 0,
             rejected: Vec::new(),
         }
     }
 
     /// True if `session` is currently open.
     pub fn is_open(&self, session: u64) -> bool {
-        self.open.contains(&session)
+        self.live.contains_key(&session)
     }
 
     /// Opens a guest session against `workload`.
@@ -185,100 +143,135 @@ impl Service {
     /// recorded as an [`IncidentKind::ImageTamper`] incident for the
     /// correlation stage.
     pub fn open(&mut self, session: u64, workload: &str) -> Result<(), ServiceError> {
-        debug_assert!(
-            !self.open.contains(&session),
-            "session {session} already open"
-        );
+        debug_assert!(!self.is_open(session), "session {session} already open");
         let Some(&idx) = self.names.get(workload) else {
             self.rejected.push((session, workload.to_string()));
             return Err(ServiceError::UnknownWorkload {
                 name: workload.to_string(),
             });
         };
-        self.open.insert(session);
-        self.opened += 1;
-        self.live += 1;
-        self.peak = self.peak.max(self.live);
-        self.route(
+        let state = self.pool.checkout(session, idx);
+        self.live.insert(
             session,
-            WorkerMsg::Open {
-                session,
-                workload: idx,
+            Live {
+                state,
+                pending: Vec::new(),
             },
         );
         Ok(())
     }
 
-    /// Submits one batch of the session's committed event stream.
+    /// Submits one batch of the session's committed event stream. The batch
+    /// is buffered; it is checked by the next flush.
     ///
     /// # Errors
     ///
     /// [`ServiceError::UnknownSession`] if the session is not open.
-    pub fn submit(&mut self, session: u64, events: Vec<GuestEvent>) -> Result<(), ServiceError> {
-        if !self.open.contains(&session) {
-            return Err(ServiceError::UnknownSession { session });
-        }
-        self.batches += 1;
-        self.events += events.len() as u64;
-        self.route(session, WorkerMsg::Batch { session, events });
-        Ok(())
-    }
-
-    /// Closes a session; its state recycles into the worker's pool.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] if the session is not open.
-    pub fn close(&mut self, session: u64) -> Result<(), ServiceError> {
-        if !self.open.remove(&session) {
-            return Err(ServiceError::UnknownSession { session });
-        }
-        self.closed += 1;
-        self.live = self.live.saturating_sub(1);
-        self.route(session, WorkerMsg::Close { session });
-        Ok(())
-    }
-
-    fn route(&mut self, session: u64, msg: WorkerMsg) {
-        let shard = (session % self.txs.len() as u64) as usize;
-        match self.txs[shard].try_send(msg) {
-            Ok(()) => {}
-            Err(TrySendError::Full(msg)) => {
-                // Back-pressure: the guest outpaced this shard's worker.
-                // Block until the worker catches up — the queue stays
-                // bounded — and count the stall.
-                self.stalls += 1;
-                let _ = self.txs[shard].send(msg);
-            }
-            // A worker can only be gone if it panicked; `finish` will
-            // surface that panic, so a failed send is ignorable here.
-            Err(TrySendError::Disconnected(_)) => {}
-        }
-    }
-
-    /// Shuts the service down: drains and joins every worker, merges
-    /// per-session results in session-id order, runs the correlation
-    /// stage and assembles the canonical counters.
     ///
     /// # Panics
     ///
-    /// Propagates a worker thread's panic.
-    pub fn finish(self) -> ServiceReport {
-        drop(self.txs);
-        let mut sessions: Vec<SessionSummary> = Vec::new();
-        let mut pool = SessionPoolStats::default();
-        let mut metrics = MetricsRegistry::new();
-        for out_rx in self.outputs {
-            // A worker that panicked never sends its output; the closed
-            // channel surfaces it here, like the join it replaces did.
-            let out = out_rx.recv().expect("ingestion worker panicked");
-            sessions.extend(out.summaries);
-            pool.checkouts += out.pool.checkouts;
-            pool.reuses += out.pool.reuses;
-            pool.recycled += out.pool.recycled;
-            pool.high_water += out.pool.high_water;
-            metrics.merge(&out.metrics);
+    /// Propagates a checker panic on a malformed stream when this submit
+    /// fills the buffer and flushes (see [`Service::finish`]).
+    pub fn submit(&mut self, session: u64, events: Vec<GuestEvent>) -> Result<(), ServiceError> {
+        let Some(live) = self.live.get_mut(&session) else {
+            return Err(ServiceError::UnknownSession { session });
+        };
+        self.batches += 1;
+        self.events += events.len() as u64;
+        self.buffered += events.len();
+        self.metrics
+            .observe("service.batch_events", events.len() as u64);
+        live.pending.push(events);
+        if self.buffered >= FLUSH_EVENTS {
+            self.flush();
         }
+        Ok(())
+    }
+
+    /// Closes a session: flushes every buffered batch, then summarizes the
+    /// session and recycles its state into the pool.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownSession`] if the session is not open.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a checker panic from the flush (see [`Service::finish`]).
+    pub fn close(&mut self, session: u64) -> Result<(), ServiceError> {
+        if !self.is_open(session) {
+            return Err(ServiceError::UnknownSession { session });
+        }
+        self.flush();
+        let live = self.live.remove(&session).expect("checked open above");
+        self.closed += 1;
+        self.retire(live.state, true);
+        Ok(())
+    }
+
+    /// Checks every buffered batch: one pool task per session with pending
+    /// batches, in session-id order.
+    fn flush(&mut self) {
+        self.buffered = 0;
+        let artifacts = self.artifacts;
+        // Each task locks only its own session, so the locks never contend;
+        // they hand the pool's shared `Fn` closure mutable access.
+        let tasks: Vec<Mutex<&mut Live<'a>>> = self
+            .live
+            .values_mut()
+            .filter(|live| !live.pending.is_empty())
+            .map(Mutex::new)
+            .collect();
+        ipds_parallel::map_indexed(
+            tasks.len() as u32,
+            self.workers,
+            |_| (),
+            |(), i| {
+                let mut guard = tasks[i as usize]
+                    .lock()
+                    .expect("one task per session: never poisoned");
+                let Live { state, pending } = &mut **guard;
+                let name = &artifacts[state.workload].name;
+                for batch in pending.drain(..) {
+                    state.ingest(name, &batch);
+                }
+            },
+        );
+    }
+
+    /// Summarizes a session and returns its state to the pool.
+    fn retire(&mut self, state: SessionState<'a>, closed: bool) {
+        self.summaries.push(SessionSummary {
+            session: state.session(),
+            workload: self.artifacts[state.workload].name.clone(),
+            rejected: false,
+            closed,
+            events: state.events(),
+            batches: state.batches(),
+            stats: *state.checker.stats(),
+            incidents: state.incidents().to_vec(),
+        });
+        self.pool.recycle(state);
+    }
+
+    /// Shuts the service down: flushes every buffered batch, summarizes the
+    /// sessions still open, merges per-session results in session-id order,
+    /// runs the correlation stage and assembles the canonical counters.
+    ///
+    /// # Panics
+    ///
+    /// A checker panic on a malformed stream unwinds out of the `submit`,
+    /// `close` or `finish` call whose flush ran it: directly on the
+    /// caller's thread when the flush runs inline, or re-raised by
+    /// [`ipds_parallel::map_indexed`] when it runs on pool threads. The
+    /// service is not usable after such a panic.
+    pub fn finish(mut self) -> ServiceReport {
+        self.flush();
+        // Sessions still open at shutdown summarize too, in id order.
+        for live in std::mem::take(&mut self.live).into_values() {
+            self.retire(live.state, false);
+        }
+        let mut sessions = self.summaries;
         for (session, workload) in &self.rejected {
             sessions.push(SessionSummary {
                 session: *session,
@@ -303,17 +296,20 @@ impl Service {
             .flat_map(|s| s.incidents.iter().cloned())
             .collect();
         let root_causes = correlate(&incidents, self.min_cluster);
-        metrics.add("service.sessions_opened", self.opened);
+        let pool = self.pool.stats();
+        let mut metrics = self.metrics;
+        // Every accepted open is one checkout, and the pool's high water is
+        // the fleet's concurrent-session peak.
+        metrics.add("service.sessions_opened", pool.checkouts);
         metrics.add("service.sessions_closed", self.closed);
         metrics.add("service.sessions_rejected", self.rejected.len() as u64);
-        metrics.add("service.peak_sessions", self.peak);
+        metrics.add("service.peak_sessions", pool.high_water);
         metrics.add("service.batches_ingested", self.batches);
         metrics.add("service.events_ingested", self.events);
         metrics.add("service.incidents_opened", incidents.len() as u64);
         metrics.add("service.pool_checkouts", pool.checkouts);
         metrics.add("service.pool_reuses", pool.reuses);
         metrics.add("service.pool_high_water", pool.high_water);
-        metrics.add("service.backpressure_stalls", self.stalls);
         metrics.add("fleet.root_causes", root_causes.len() as u64);
         let count = |f: fn(&RootCause) -> bool| root_causes.iter().filter(|c| f(c)).count() as u64;
         metrics.add(
@@ -335,56 +331,5 @@ impl Service {
             metrics,
             pool,
         }
-    }
-}
-
-/// One ingestion worker: drains its channel in order, driving each open
-/// session's pooled checker, and summarizes sessions as they close.
-fn worker_loop(artifacts: &[Arc<WorkloadArtifact>], rx: Receiver<WorkerMsg>) -> WorkerOutput {
-    let mut pool = SessionPool::new(artifacts);
-    let mut live: HashMap<u64, SessionState<'_>> = HashMap::new();
-    let mut summaries = Vec::new();
-    let mut metrics = MetricsRegistry::new();
-    let summarize = |state: &SessionState<'_>, closed: bool| SessionSummary {
-        session: state.session(),
-        workload: artifacts[state.workload].name.clone(),
-        rejected: false,
-        closed,
-        events: state.events(),
-        batches: state.batches(),
-        stats: *state.checker.stats(),
-        incidents: state.incidents().to_vec(),
-    };
-    for msg in rx {
-        match msg {
-            WorkerMsg::Open { session, workload } => {
-                live.insert(session, pool.checkout(session, workload));
-            }
-            WorkerMsg::Batch { session, events } => {
-                if let Some(state) = live.get_mut(&session) {
-                    metrics.observe("service.batch_events", events.len() as u64);
-                    state.ingest(&artifacts[state.workload].name, &events);
-                }
-            }
-            WorkerMsg::Close { session } => {
-                if let Some(state) = live.remove(&session) {
-                    summaries.push(summarize(&state, true));
-                    pool.recycle(state);
-                }
-            }
-        }
-    }
-    // Sessions still open at shutdown summarize too, in id order.
-    let mut leftovers: Vec<u64> = live.keys().copied().collect();
-    leftovers.sort_unstable();
-    for session in leftovers {
-        let state = live.remove(&session).expect("keyed by live keys");
-        summaries.push(summarize(&state, false));
-        pool.recycle(state);
-    }
-    WorkerOutput {
-        summaries,
-        pool: pool.stats(),
-        metrics,
     }
 }

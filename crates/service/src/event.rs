@@ -8,7 +8,7 @@ use ipds_ir::FuncId;
 /// This is the wire format between a monitored guest and the service: the
 /// guest (here: the synthetic fleet driver's instrumented interpreter)
 /// reports committed control-flow events in order, chopped into
-/// `Vec<GuestEvent>` batches. The ingestion worker replays them through
+/// `Vec<GuestEvent>` batches. The service's flush replays them through
 /// the session's pooled [`IpdsChecker`](ipds_runtime::IpdsChecker) —
 /// consecutive `Branch` events are buffered and flushed through the flat
 /// SoA batch entry point

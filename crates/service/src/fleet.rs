@@ -87,7 +87,7 @@ impl ServiceSpec {
         self
     }
 
-    /// Ingestion worker threads (default: machine-wide
+    /// Pool threads the service's flushes may use (default: machine-wide
     /// [`ipds_sim::default_threads`]). Fleet results are bit-identical
     /// for every value.
     pub fn threads(mut self, threads: usize) -> Self {
@@ -156,7 +156,8 @@ pub struct FleetPlan {
 
 /// The worker-count-invariant projection of a fleet run — what the
 /// bit-identity guarantee (and its test) covers. Excludes wall-clock
-/// throughput and the two scheduler-shaped pool counters.
+/// throughput and the `service.pool_reuses`/`service.pool_high_water`
+/// pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetOutcome {
     /// Every session summary, in session-id order.
@@ -165,10 +166,8 @@ pub struct FleetOutcome {
     pub incidents: Vec<Incident>,
     /// The correlation verdicts.
     pub root_causes: Vec<RootCause>,
-    /// Invariant `service.*`/`fleet.*` counters, sorted by key
-    /// (the scheduler-shaped `service.pool_reuses`,
-    /// `service.pool_high_water` and `service.backpressure_stalls`
-    /// excluded).
+    /// `service.*`/`fleet.*` counters, sorted by key
+    /// (`service.pool_reuses` and `service.pool_high_water` excluded).
     pub counters: Vec<(String, u64)>,
 }
 
@@ -237,7 +236,7 @@ struct CompiledWorkload {
 }
 
 /// Replays a stream through a reference checker — by construction the
-/// exact code path the ingestion workers run.
+/// exact code path the service's flushes run.
 fn shadow<'a>(
     analysis: &'a ProgramAnalysis,
     name: &str,
@@ -530,7 +529,7 @@ impl FleetPlan {
             }
         }
         let started = Instant::now();
-        let mut service = Service::start(artifacts, threads);
+        let mut service = Service::start(&artifacts, threads);
         service.min_cluster = self.min_cluster;
         let mut s = 0;
         while s < self.scripts.len() {
@@ -603,11 +602,9 @@ impl FleetPlan {
         let counters = {
             let mut c: Vec<(String, u64)> = metrics
                 .counters()
-                .filter(|(k, _)| {
-                    *k != "service.pool_reuses"
-                        && *k != "service.pool_high_water"
-                        && *k != "service.backpressure_stalls"
-                })
+                // The pool pair is worker-count-invariant too, but folding
+                // it in would change every recorded fleet digest.
+                .filter(|(k, _)| *k != "service.pool_reuses" && *k != "service.pool_high_water")
                 .map(|(k, v)| (k.to_string(), v))
                 .collect();
             c.sort();

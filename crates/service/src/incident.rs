@@ -26,7 +26,7 @@ pub enum IncidentKind {
     ProtocolViolation,
 }
 
-/// One per-session anomaly, opened by the ingestion worker (or, for image
+/// One per-session anomaly, opened by the session's checker (or, for image
 /// rejects, by the control plane) and folded over the session's lifetime:
 /// later alarms of the same session increment [`Incident::alarm_count`]
 /// instead of opening new incidents, so one compromised session is one

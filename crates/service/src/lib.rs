@@ -14,11 +14,11 @@
 //! * [`SessionPool`] — pooled per-session checker state (tables stay
 //!   borrowed from the shared artifact; BSV arenas and scratch buffers are
 //!   recycled on session close instead of reallocated).
-//! * [`Service`] — sharded ingestion: guest sessions push
-//!   [`GuestEvent`] batches over *bounded* `mpsc` channels (back-pressure
-//!   instead of unbounded queue growth) into persistent-pool worker
-//!   threads that drive the flat SoA checker hot path
-//!   ([`IpdsChecker::on_branch_run`](ipds_runtime::IpdsChecker::on_branch_run)).
+//! * [`Service`] — buffered batched ingestion: guest sessions submit
+//!   [`GuestEvent`] batches that the control plane buffers per session
+//!   (a fixed 64Ki-event bound caps guest memory use). Each flush runs one
+//!   persistent-pool task per session, driving the flat SoA checker hot
+//!   path ([`IpdsChecker::on_branch_run`](ipds_runtime::IpdsChecker::on_branch_run)).
 //!   Per-session results merge in session-id order, so fleet results are
 //!   bit-identical for every ingestion-worker count.
 //! * [`Incident`] / [`RootCause`] — per-session anomalies open typed
@@ -31,7 +31,7 @@
 //!   throughput accounting. This is what `ipdsc serve` and the `exp_all`
 //!   fleet phase run.
 //!
-//! The crate is std-only — threads + `mpsc`, no async runtime — and every
+//! The crate is std-only — the `ipds-parallel` pool, no async runtime — and every
 //! observable result is deterministic given the spec. See
 //! `docs/SERVICE.md` for the architecture, the session lifecycle and the
 //! canonical counter tables below.
@@ -47,7 +47,7 @@ mod incident;
 mod pool;
 
 pub use cache::{CacheStats, ImageCache, WorkloadArtifact};
-pub use engine::{Service, ServiceReport, SessionSummary, DEFAULT_INGEST_CAPACITY};
+pub use engine::{Service, ServiceReport, SessionSummary};
 pub use error::ServiceError;
 pub use event::GuestEvent;
 pub use fleet::{FleetOutcome, FleetPlan, FleetReport, ServiceSpec};
@@ -57,14 +57,8 @@ pub use pool::{SessionPool, SessionPoolStats, SessionState};
 /// Canonical `service.*` counter keys, in the order documented in
 /// `docs/SERVICE.md` (asserted by `tests/docs_metrics.rs`).
 ///
-/// All of them are invariant across ingestion-worker counts except the
-/// final three: `service.pool_reuses` / `service.pool_high_water` describe
-/// how sessions landed on per-worker pools and — like
-/// `pool.chunks_claimed` / `pool.chunks_stolen` in the campaign engine —
-/// legitimately vary with sharding, and `service.backpressure_stalls`
-/// counts submits that found their shard's bounded channel full (pure
-/// timing). The fleet-wide concurrency high water is the invariant
-/// `service.peak_sessions`.
+/// All of them are invariant across ingestion-worker counts: the service
+/// has one session pool, driven by the control plane.
 pub const SERVICE_COUNTERS: &[&str] = &[
     "service.images_verified",
     "service.image_hits",
@@ -79,7 +73,6 @@ pub const SERVICE_COUNTERS: &[&str] = &[
     "service.pool_checkouts",
     "service.pool_reuses",
     "service.pool_high_water",
-    "service.backpressure_stalls",
 ];
 
 /// Canonical `service.*` histogram keys (events per ingested batch).

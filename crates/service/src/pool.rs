@@ -17,7 +17,7 @@ pub struct SessionPoolStats {
     pub reuses: u64,
     /// Sessions returned to the free list on close.
     pub recycled: u64,
-    /// Most sessions simultaneously checked out of *this* pool.
+    /// Most sessions simultaneously checked out.
     pub high_water: u64,
 }
 
@@ -192,7 +192,7 @@ fn flush(checker: &mut IpdsChecker<'_>, scratch: &mut Vec<(u64, bool)>) {
     }
 }
 
-/// Per-worker free lists of recycled [`SessionState`], one per workload
+/// The service's free lists of recycled [`SessionState`], one per workload
 /// (checkers are table-bound, so state only recycles within a workload).
 #[derive(Debug)]
 pub struct SessionPool<'a> {

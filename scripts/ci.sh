@@ -136,14 +136,14 @@ echo "==> pool-reuse gate (persistent pool: repeated use stays bit-identical)"
 # through the *same* worker threads without drifting: 100 consecutive
 # calls on one pool vs. fresh-pool vs. serial, the global pool must not
 # respawn threads between calls, repeated warm-started campaigns must
-# match serial at every thread count, and bounded-channel back-pressure
-# in the service must be invisible in results.
+# match serial at every thread count, and where the service's flushes
+# onto the pool fall must be invisible in results.
 cargo test -q --release -p ipds-parallel \
     a_dedicated_pool_serves_repeated_calls_deterministically
 cargo test -q --release -p ipds-parallel the_global_pool_reuses_its_threads
 cargo test -q --release --test parallel_campaigns \
     repeated_campaigns_reuse_the_persistent_pool
-cargo test -q --release --test service_fleet bounded_ingestion_backpressure
+cargo test -q --release --test service_fleet flush_points_never_change_results
 
 echo "==> scaling gate (every thread count must pull its weight; see docs/PERF.md)"
 # The sweep self-calibrates each point to >=250 ms of measured work, so

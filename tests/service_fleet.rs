@@ -1,11 +1,13 @@
 //! Session-layer tests for the `ipdsd` fleet service (`crates/service`,
 //! re-exported from the `ipds::` root): image-cache sharing, session-pool
-//! recycling, worker-count bit-identity and the incident-correlation
-//! rules.
+//! recycling, flush-point and worker-count bit-identity and the
+//! incident-correlation rules.
 
 use std::sync::Arc;
 
 use ipds::analysis::TableImage;
+use ipds::service::SessionState;
+use ipds::sim::{ExecLimits, ExecObserver, Interp};
 use ipds::{
     correlate, BranchStatus, GuestEvent, ImageCache, Incident, IncidentKind, Protected, RootCause,
     Service, ServiceError, ServiceSpec,
@@ -59,8 +61,9 @@ fn image_cache_rejects_tampered_bytes_without_poisoning() {
 fn session_pool_recycles_and_reports_high_water() {
     let w = &ipds::workloads::all()[0];
     let (_cache, artifact, _image) = cached_artifact(w);
-    let mut service = Service::start(vec![artifact], 1);
-    // Three windows of four concurrent sessions on one worker: 12
+    let artifacts = [artifact];
+    let mut service = Service::start(&artifacts, 1);
+    // Three windows of four concurrent sessions: 12
     // checkouts, the first window's 4 are fresh, the remaining 8 recycle.
     let mut next = 0u64;
     for _window in 0..3 {
@@ -95,7 +98,8 @@ fn session_pool_recycles_and_reports_high_water() {
 fn unknown_workload_is_refused_and_recorded_as_image_tamper() {
     let w = &ipds::workloads::all()[0];
     let (_cache, artifact, _image) = cached_artifact(w);
-    let mut service = Service::start(vec![artifact], 2);
+    let artifacts = [artifact];
+    let mut service = Service::start(&artifacts, 2);
     let err = service.open(7, "no-such-workload").unwrap_err();
     assert!(matches!(err, ServiceError::UnknownWorkload { .. }));
     assert!(!service.is_open(7));
@@ -120,7 +124,8 @@ fn unknown_workload_is_refused_and_recorded_as_image_tamper() {
 fn malformed_stream_opens_protocol_violation() {
     let w = &ipds::workloads::all()[0];
     let (_cache, artifact, _image) = cached_artifact(w);
-    let mut service = Service::start(vec![artifact], 1);
+    let artifacts = [artifact];
+    let mut service = Service::start(&artifacts, 1);
     service.open(0, w.name).unwrap();
     // A bare Return with no frame underflows the checker's frame stack.
     service.submit(0, vec![GuestEvent::Return]).unwrap();
@@ -192,40 +197,112 @@ fn correlation_rules_are_deterministic() {
     );
 }
 
+/// Records a guest's committed control-flow events.
+struct Recorder(Vec<GuestEvent>);
+
+impl ExecObserver for Recorder {
+    fn on_branch(&mut self, pc: u64, taken: bool) {
+        self.0.push(GuestEvent::Branch { pc, taken });
+    }
+    fn on_call(&mut self, func: ipds::ir::FuncId) {
+        self.0.push(GuestEvent::Call(func));
+    }
+    fn on_return(&mut self) {
+        self.0.push(GuestEvent::Return);
+    }
+}
+
 #[test]
-fn bounded_ingestion_backpressure_never_changes_results() {
+fn flush_points_never_change_results() {
+    // The service checks buffered batches only at flush points: a full
+    // buffer, any close, and finish. Where those fall must never show in
+    // a result: every summary must equal a fresh state fed the same
+    // batches directly, at any worker count.
     let w = &ipds::workloads::all()[0];
+    let p = Protected::compile(w).unwrap();
     let (_cache, artifact, _image) = cached_artifact(w);
-    let main = Protected::compile(w).unwrap().program.main().unwrap().id;
-    let batch = || vec![GuestEvent::Call(main), GuestEvent::Return];
-    // Depth-1 channels: a burst of submits outruns the worker, so the
-    // control plane blocks on the full channel (counted as stalls)
-    // instead of queueing without bound. Same stream through the default
-    // capacity for comparison.
-    let mut tight = Service::start_bounded(vec![artifact.clone()], 1, 1);
-    let mut roomy = Service::start(vec![artifact], 1);
-    for service in [&mut tight, &mut roomy] {
+    let artifacts = [artifact];
+    let main = p.program.main().unwrap().id;
+    let clean = |seed: u64| {
+        let mut rec = Recorder(vec![GuestEvent::Call(main)]);
+        Interp::new(&p.program, w.inputs(seed), ExecLimits::default()).run(&mut rec);
+        rec.0
+    };
+    // Session 0 alone streams well past the 64Ki-event flush bound, so
+    // flushes fall mid-stream. Sessions 1..=4 then interleave: 3 closes
+    // after three batches, 1 when its stream runs out, and 2 and 4 stay
+    // open until finish. Batch sizes differ per session.
+    let mut batches: Vec<Vec<Vec<GuestEvent>>> = (0..5u64)
+        .map(|s| {
+            let stream: Vec<GuestEvent> = if s == 0 {
+                (0..).flat_map(clean).take(200_000).collect()
+            } else {
+                clean(s)
+            };
+            let size = 97 + 61 * s as usize;
+            stream.chunks(size).map(<[_]>::to_vec).collect()
+        })
+        .collect();
+    batches[3].truncate(3);
+    assert_eq!(batches[0].iter().map(Vec::len).sum::<usize>(), 200_000);
+    let closes = |s: u64| s % 2 == 1 || s == 0;
+    let shadows: Vec<_> = batches
+        .iter()
+        .enumerate()
+        .map(|(s, session)| {
+            let mut state = SessionState::fresh(&p.analysis, 0, s as u64);
+            for batch in session {
+                state.ingest(w.name, batch);
+            }
+            state
+        })
+        .collect();
+    let mut pools = Vec::new();
+    for workers in [1, 4] {
+        let mut service = Service::start(&artifacts, workers);
         service.open(0, w.name).unwrap();
-        for _ in 0..256 {
-            service.submit(0, batch()).unwrap();
+        for batch in &batches[0] {
+            service.submit(0, batch.clone()).unwrap();
         }
         service.close(0).unwrap();
+        for s in 1..=4 {
+            service.open(s, w.name).unwrap();
+        }
+        for turn in 0.. {
+            let mut any = false;
+            for s in 1..=4u64 {
+                match batches[s as usize].get(turn) {
+                    Some(batch) => {
+                        service.submit(s, batch.clone()).unwrap();
+                        any = true;
+                    }
+                    None if closes(s) && service.is_open(s) => service.close(s).unwrap(),
+                    None => {}
+                }
+            }
+            if !any {
+                break;
+            }
+        }
+        let report = service.finish();
+        assert_eq!(report.sessions.len(), 5, "{workers} workers");
+        for (got, shadow) in report.sessions.iter().zip(&shadows) {
+            let at = format!("{workers} workers, session {}", got.session);
+            assert_eq!(got.closed, closes(got.session), "{at}");
+            assert_eq!(got.events, shadow.events(), "{at}");
+            assert_eq!(got.batches, shadow.batches(), "{at}");
+            assert_eq!(&got.stats, shadow.checker.stats(), "{at}");
+            assert_eq!(got.incidents, shadow.incidents(), "{at}");
+        }
+        assert_eq!(
+            report.metrics.counter("service.events_ingested"),
+            shadows.iter().map(|s| s.events()).sum::<u64>()
+        );
+        pools.push(report.pool);
     }
-    let tight = tight.finish();
-    let roomy = roomy.finish();
-    // Back-pressure is pure flow control: every observable result is
-    // identical to the unconstrained run.
-    assert_eq!(tight.sessions, roomy.sessions);
-    assert_eq!(tight.incidents, roomy.incidents);
-    assert_eq!(tight.sessions[0].batches, 256);
-    assert_eq!(tight.metrics.counter("service.events_ingested"), 512);
-    // Stall *counts* are timing-shaped, but the counter is always emitted.
-    for report in [&tight, &roomy] {
-        assert!(report
-            .metrics
-            .counters()
-            .any(|(k, _)| k == "service.backpressure_stalls"));
-    }
+    // One pool, driven by the control plane: its counters do not depend
+    // on the worker count either.
+    assert_eq!(pools[0], pools[1]);
 }
 
 #[test]
@@ -255,9 +332,19 @@ fn fleet_is_bit_identical_across_worker_counts() {
     assert!(causes
         .iter()
         .any(|c| matches!(c, RootCause::IsolatedNoise { .. })));
+    // The pool pair sits outside `FleetOutcome`, but one control-plane
+    // pool makes it worker-count-invariant as well.
+    let pool_counters = |metrics: &ipds::telemetry::MetricsRegistry| {
+        ["service.pool_reuses", "service.pool_high_water"].map(|k| metrics.counter(k))
+    };
     for workers in [2, 4, 8] {
         let run = plan.execute(workers);
         assert!(run.ok(), "{workers} workers: {:?}", run.missed);
         assert_eq!(base.outcome, run.outcome, "{workers} workers");
+        assert_eq!(
+            pool_counters(&base.metrics),
+            pool_counters(&run.metrics),
+            "{workers} workers"
+        );
     }
 }
