@@ -690,12 +690,12 @@ fn trace(source: &str, inputs: &[Input], limit: usize) -> Result<(), String> {
     use ipds::sim::{ExecLimits, Interp};
     use ipds_sim::ExecObserver;
 
-    struct Tracer<'a> {
-        checker: IpdsChecker<'a>,
+    struct Tracer {
+        checker: IpdsChecker,
         printed: usize,
         limit: usize,
     }
-    impl ExecObserver for Tracer<'_> {
+    impl ExecObserver for Tracer {
         fn on_branch(&mut self, pc: u64, dir: bool) {
             let expected = self
                 .checker

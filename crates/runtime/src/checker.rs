@@ -21,10 +21,21 @@
 //!   `(branch, direction) → start` offset table, replacing the per-branch
 //!   `BTreeMap` walk with a prefix-sum slice.
 //!
-//! [`IpdsChecker::on_branch_run`] additionally processes a whole *run* of
-//! committed branches against one frame-stack resolution — callers that
-//! replay recorded traces (warm-start restore, microbenchmarks) pay the
+//! The verify-then-update protocol itself is written once, as the private
+//! `step` below: [`IpdsChecker::on_branch`] resolves the frame stack and
+//! runs it for one branch, [`IpdsChecker::on_branch_run`] resolves it once
+//! and runs it for a whole *run* of committed branches, so callers that
+//! replay recorded traces (the fleet service, microbenchmarks) pay the
 //! stack touch once per run instead of once per event.
+//!
+//! # Malformed event streams
+//!
+//! The checker is total over any call/branch/return sequence. A branch
+//! with no active frame, a branch PC foreign to the active function, a
+//! call to an unknown function and a return with no frame are each
+//! counted, skipped and recorded as a typed [`RuntimeError`]. Only the
+//! first is kept ([`IpdsChecker::violation`]), so a hostile stream cannot
+//! grow memory, and checking carries on with the next event.
 
 use ipds_analysis::{BranchStatus, FunctionAnalysis, ProgramAnalysis};
 use ipds_ir::FuncId;
@@ -66,6 +77,18 @@ pub struct Alarm {
     pub branch_seq: u64,
 }
 
+/// The first protocol violation a checker recorded (see the module docs'
+/// "Malformed event streams").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Violation {
+    /// What was wrong with the offending event.
+    pub error: RuntimeError,
+    /// The checker's branch sequence number when it was recorded: the
+    /// offending branch's own number, or the branches committed before an
+    /// offending call or return.
+    pub branch_seq: u64,
+}
+
 /// Cost summary for one committed branch, consumed by the timing model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BranchOutcome {
@@ -99,7 +122,8 @@ pub struct IpdsStats {
     pub table_accesses: u64,
     /// Alarms raised.
     pub alarms: u64,
-    /// Function frames pushed.
+    /// Call events observed (a call to an unknown function pushes no
+    /// frame).
     pub calls: u64,
     /// Deepest stack observed.
     pub max_depth: usize,
@@ -216,15 +240,99 @@ impl FuncTables {
     }
 }
 
+/// The verify-then-update protocol of §5.1 for one committed branch of
+/// `frame`, whose function's tables are `tables`: verify against the BSV if
+/// the BCV marks the branch, then apply the BAT row for the actual
+/// direction. `None` (and no state touched) for a PC that is not a branch
+/// of the frame's function. The caller has already counted the branch in
+/// `stats.branches`.
+#[inline(always)]
+fn step(
+    tables: &FuncTables,
+    frame: &mut Frame,
+    stats: &mut IpdsStats,
+    alarms: &mut Vec<Alarm>,
+    pc: u64,
+    dir: bool,
+) -> Option<BranchOutcome> {
+    let idx = tables.branch_of_pc(pc)?;
+    let mut outcome = BranchOutcome {
+        // The BCV probe.
+        table_accesses: 1,
+        ..BranchOutcome::default()
+    };
+
+    // 1. Verify.
+    if tables.is_checked(idx) {
+        outcome.verified = true;
+        outcome.table_accesses += 1; // BSV read
+        stats.verified += 1;
+        let slot = tables.slot_of[idx as usize] as usize;
+        let expected = BranchStatus::from_bits(bsv_get(&frame.bsv, slot));
+        if !expected.matches(dir) {
+            outcome.alarm = true;
+            stats.alarms += 1;
+            alarms.push(Alarm {
+                func: frame.func,
+                pc,
+                expected,
+                actual: dir,
+                branch_seq: stats.branches,
+            });
+        }
+    }
+
+    // 2. Update: walk the flattened BAT row for (branch, direction).
+    let row = (idx as usize) * 2 + usize::from(dir);
+    let (start, end) = (
+        tables.bat_start[row] as usize,
+        tables.bat_start[row + 1] as usize,
+    );
+    for e in start..end {
+        let tslot = tables.bat_target_slot[e] as usize;
+        let old = bsv_get(&frame.bsv, tslot);
+        // Action bits 01/10/11 install taken/not-taken/unknown; 00 (NC)
+        // is never stored in the BAT but would leave the slot untouched.
+        let new = match tables.bat_action[e] {
+            0b01 => 0b01,
+            0b10 => 0b10,
+            0b11 => 0b00,
+            _ => old,
+        };
+        bsv_set(&mut frame.bsv, tslot, new);
+        outcome.table_accesses += 1;
+        outcome.bat_entries += 1;
+        if new != old {
+            outcome.bsv_transitions += 1;
+            stats.bsv_transitions += 1;
+        }
+        stats.bat_entries_applied += 1;
+    }
+
+    stats.table_accesses += u64::from(outcome.table_accesses);
+    Some(outcome)
+}
+
+/// Records `error` at `branch_seq` in `first` unless an earlier violation
+/// already is there. Cold, so the checking paths that call it lay out for
+/// well-formed streams.
+#[cold]
+#[inline(never)]
+fn violate(first: &mut Option<Violation>, error: RuntimeError, branch_seq: u64) {
+    first.get_or_insert(Violation { error, branch_seq });
+}
+
 /// A point-in-time copy of a checker's mutable state (frame stack,
-/// statistics, alarms), cheap to take thanks to the packed BSV frames.
-/// Restoring one rewinds the checker to exactly that point — the warm-start
-/// engine uses this to resume campaigns from mid-run golden checkpoints.
+/// statistics, alarms, first violation), cheap to take thanks to the
+/// packed BSV frames. Restoring one rewinds the checker to exactly that
+/// point — the warm-start engine uses this to resume campaigns from
+/// mid-run golden checkpoints.
 #[derive(Debug, Clone, Default)]
 pub struct CheckerSnapshot {
     frames: Vec<(FuncId, Vec<u64>)>,
     stats: IpdsStats,
     alarms: Vec<Alarm>,
+    violation: Option<Violation>,
 }
 
 /// The functional IPDS checker.
@@ -232,7 +340,8 @@ pub struct CheckerSnapshot {
 /// Drives the verify-then-update protocol of §5.1 against the per-function
 /// BSV stack. This is the *behavioural* model; queueing/latency effects are
 /// layered on by the pipeline model in `ipds-sim` using the returned
-/// [`BranchOutcome`] costs.
+/// [`BranchOutcome`] costs. The checker owns flat copies of the tables it
+/// needs, so it does not borrow the analysis it was built from.
 ///
 /// # Example
 ///
@@ -257,11 +366,11 @@ pub struct CheckerSnapshot {
 /// assert!(ipds.on_branch(pcs[1], false).alarm);
 /// ```
 #[derive(Debug)]
-pub struct IpdsChecker<'a> {
-    analysis: &'a ProgramAnalysis,
+pub struct IpdsChecker {
     tables: Vec<FuncTables>,
     stack: Vec<Frame>,
     alarms: Vec<Alarm>,
+    violation: Option<Violation>,
     stats: IpdsStats,
     /// Retired BSV word buffers, recycled by `on_call` so steady-state
     /// checking (and campaign reuse via [`IpdsChecker::reset`]) allocates no
@@ -269,23 +378,23 @@ pub struct IpdsChecker<'a> {
     bsv_pool: Vec<Vec<u64>>,
 }
 
-impl<'a> IpdsChecker<'a> {
+impl IpdsChecker {
     /// Creates a checker over a program's analysis results.
-    pub fn new(analysis: &'a ProgramAnalysis) -> IpdsChecker<'a> {
+    pub fn new(analysis: &ProgramAnalysis) -> IpdsChecker {
         IpdsChecker {
-            analysis,
             tables: analysis.functions.iter().map(FuncTables::build).collect(),
             stack: Vec::new(),
             alarms: Vec::new(),
+            violation: None,
             stats: IpdsStats::default(),
             bsv_pool: Vec::new(),
         }
     }
 
-    /// Clears all per-run state (frames, alarms, statistics) while keeping
-    /// the derived lookup tables and pooled BSV storage. After `reset` the
-    /// checker is indistinguishable from a freshly constructed one, minus
-    /// the allocations.
+    /// Clears all per-run state (frames, alarms, violation, statistics)
+    /// while keeping the derived lookup tables and pooled BSV storage.
+    /// After `reset` the checker is indistinguishable from a freshly
+    /// constructed one, minus the allocations.
     pub fn reset(&mut self) {
         for frame in self.stack.drain(..) {
             if self.bsv_pool.len() < BSV_POOL_CAP {
@@ -293,17 +402,24 @@ impl<'a> IpdsChecker<'a> {
             }
         }
         self.alarms.clear();
+        self.violation = None;
         self.stats = IpdsStats::default();
     }
 
-    /// Pushes a fresh all-unknown BSV frame for `func` (function entry).
+    /// Pushes a fresh all-unknown BSV frame for `func` (function entry). A
+    /// function the tables do not describe pushes nothing and is recorded
+    /// as [`RuntimeError::UnknownFunction`].
     pub fn on_call(&mut self, func: FuncId) {
-        let words = self.tables[func.0 as usize].bsv_words;
+        self.stats.calls += 1;
+        let Some(tables) = self.tables.get(func.0 as usize) else {
+            let error = RuntimeError::UnknownFunction { func };
+            violate(&mut self.violation, error, self.stats.branches);
+            return;
+        };
         let mut bsv = self.bsv_pool.pop().unwrap_or_default();
         bsv.clear();
-        bsv.resize(words, 0);
+        bsv.resize(tables.bsv_words, 0);
         self.stack.push(Frame { func, bsv });
-        self.stats.calls += 1;
         self.stats.max_depth = self.stats.max_depth.max(self.stack.len());
     }
 
@@ -311,13 +427,16 @@ impl<'a> IpdsChecker<'a> {
     ///
     /// A return with no active frame means the call/return event stream is
     /// unbalanced — e.g. a corrupted return address under fault injection.
-    /// The checker counts it and degrades gracefully instead of aborting.
+    /// The checker counts it, records it and degrades gracefully instead of
+    /// aborting.
     pub fn on_return(&mut self) -> Result<(), RuntimeError> {
         let Some(frame) = self.stack.pop() else {
-            self.stats.underflows += 1;
-            return Err(RuntimeError::FrameStackUnderflow {
+            let error = RuntimeError::FrameStackUnderflow {
                 component: "checker",
-            });
+            };
+            self.stats.underflows += 1;
+            violate(&mut self.violation, error, self.stats.branches);
+            return Err(error);
         };
         if self.bsv_pool.len() < BSV_POOL_CAP {
             self.bsv_pool.push(frame.bsv);
@@ -353,170 +472,49 @@ impl<'a> IpdsChecker<'a> {
 
     /// Processes a committed conditional branch of the current (top) frame:
     /// verify against the BSV if the BCV marks it, then apply the BAT
-    /// actions for the actual direction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no frame is active or the PC does not belong to the top
-    /// frame's function (the simulator guarantees both).
+    /// actions for the actual direction. A branch with no active frame or
+    /// with a PC foreign to the top frame's function is counted, skipped
+    /// (a zero outcome) and recorded as a violation.
     pub fn on_branch(&mut self, pc: u64, dir: bool) -> BranchOutcome {
         self.stats.branches += 1;
-        let frame = self.stack.last_mut().expect("no active frame");
+        let Some(frame) = self.stack.last_mut() else {
+            violate(
+                &mut self.violation,
+                RuntimeError::NoActiveFrame,
+                self.stats.branches,
+            );
+            return BranchOutcome::default();
+        };
         let tables = &self.tables[frame.func.0 as usize];
-        let Some(idx) = tables.branch_of_pc(pc) else {
-            let name = &self.analysis.of(frame.func).name;
-            panic!("pc {pc:#x} is not a branch of {name}");
-        };
-
-        let mut outcome = BranchOutcome {
-            // The BCV probe.
-            table_accesses: 1,
-            ..BranchOutcome::default()
-        };
-
-        // 1. Verify.
-        if tables.is_checked(idx) {
-            outcome.verified = true;
-            outcome.table_accesses += 1; // BSV read
-            self.stats.verified += 1;
-            let slot = tables.slot_of[idx as usize] as usize;
-            let expected = BranchStatus::from_bits(bsv_get(&frame.bsv, slot));
-            if !expected.matches(dir) {
-                outcome.alarm = true;
-                self.stats.alarms += 1;
-                self.alarms.push(Alarm {
-                    func: frame.func,
-                    pc,
-                    expected,
-                    actual: dir,
-                    branch_seq: self.stats.branches,
-                });
-            }
-        }
-
-        // 2. Update: walk the flattened BAT row for (branch, direction).
-        let row = (idx as usize) * 2 + usize::from(dir);
-        let (start, end) = (
-            tables.bat_start[row] as usize,
-            tables.bat_start[row + 1] as usize,
-        );
-        for e in start..end {
-            let tslot = tables.bat_target_slot[e] as usize;
-            let old = bsv_get(&frame.bsv, tslot);
-            // Action bits 01/10/11 install taken/not-taken/unknown; 00 (NC)
-            // is never stored in the BAT but would leave the slot untouched.
-            let new = match tables.bat_action[e] {
-                0b01 => 0b01,
-                0b10 => 0b10,
-                0b11 => 0b00,
-                _ => old,
-            };
-            bsv_set(&mut frame.bsv, tslot, new);
-            outcome.table_accesses += 1;
-            outcome.bat_entries += 1;
-            if new != old {
-                outcome.bsv_transitions += 1;
-                self.stats.bsv_transitions += 1;
-            }
-            self.stats.bat_entries_applied += 1;
-        }
-
-        self.stats.table_accesses += u64::from(outcome.table_accesses);
-        outcome
+        step(tables, frame, &mut self.stats, &mut self.alarms, pc, dir).unwrap_or_else(|| {
+            let error = RuntimeError::ForeignBranch { pc };
+            violate(&mut self.violation, error, self.stats.branches);
+            BranchOutcome::default()
+        })
     }
 
-    /// Batched variant of [`IpdsChecker::on_branch`]: processes a *run* of
-    /// committed branches — all of the current (top) frame, since branches
-    /// never push or pop activations — resolving the frame stack and the
-    /// function tables once for the whole slice. Returns the elementwise sum
-    /// of the per-branch outcomes (`alarm`/`verified` become counts via the
-    /// aggregate's `table_accesses`-style fields of [`IpdsStats`]; consult
-    /// [`IpdsChecker::stats`]/[`IpdsChecker::alarms`] for details).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no frame is active or any PC does not belong to the top
-    /// frame's function.
-    pub fn on_branch_run(&mut self, events: &[(u64, bool)]) -> BranchOutcome {
-        let mut total = BranchOutcome::default();
-        if events.is_empty() {
-            return total;
-        }
-        let frame = self.stack.last_mut().expect("no active frame");
-        let func = frame.func;
-        let tables = &self.tables[func.0 as usize];
+    /// Batched [`IpdsChecker::on_branch`]: processes a *run* of committed
+    /// branches — all of the current (top) frame, since branches never
+    /// push or pop activations — resolving the frame stack and the
+    /// function tables once for the whole slice. Results land in
+    /// [`IpdsChecker::stats`], [`IpdsChecker::alarms`] and
+    /// [`IpdsChecker::violation`] exactly as if each branch had gone
+    /// through `on_branch`.
+    pub fn on_branch_run(&mut self, events: &[(u64, bool)]) {
+        let Some(frame) = self.stack.last_mut() else {
+            for &(pc, dir) in events {
+                self.on_branch(pc, dir);
+            }
+            return;
+        };
+        let tables = &self.tables[frame.func.0 as usize];
         for &(pc, dir) in events {
             self.stats.branches += 1;
-            let Some(idx) = tables.branch_of_pc(pc) else {
-                let name = &self.analysis.of(func).name;
-                panic!("pc {pc:#x} is not a branch of {name}");
-            };
-            total.table_accesses += 1;
-            self.stats.table_accesses += 1;
-            if tables.is_checked(idx) {
-                total.verified = true;
-                total.table_accesses += 1;
-                self.stats.table_accesses += 1;
-                self.stats.verified += 1;
-                let slot = tables.slot_of[idx as usize] as usize;
-                let expected = BranchStatus::from_bits(bsv_get(&frame.bsv, slot));
-                if !expected.matches(dir) {
-                    total.alarm = true;
-                    self.stats.alarms += 1;
-                    self.alarms.push(Alarm {
-                        func,
-                        pc,
-                        expected,
-                        actual: dir,
-                        branch_seq: self.stats.branches,
-                    });
-                }
-            }
-            let row = (idx as usize) * 2 + usize::from(dir);
-            let (start, end) = (
-                tables.bat_start[row] as usize,
-                tables.bat_start[row + 1] as usize,
-            );
-            for e in start..end {
-                let tslot = tables.bat_target_slot[e] as usize;
-                let old = bsv_get(&frame.bsv, tslot);
-                let new = match tables.bat_action[e] {
-                    0b01 => 0b01,
-                    0b10 => 0b10,
-                    0b11 => 0b00,
-                    _ => old,
-                };
-                bsv_set(&mut frame.bsv, tslot, new);
-                total.table_accesses += 1;
-                total.bat_entries += 1;
-                self.stats.table_accesses += 1;
-                if new != old {
-                    total.bsv_transitions += 1;
-                    self.stats.bsv_transitions += 1;
-                }
-                self.stats.bat_entries_applied += 1;
+            if step(tables, frame, &mut self.stats, &mut self.alarms, pc, dir).is_none() {
+                let error = RuntimeError::ForeignBranch { pc };
+                violate(&mut self.violation, error, self.stats.branches);
             }
         }
-        total
-    }
-
-    /// Non-panicking variant of [`IpdsChecker::on_branch`] for fault
-    /// campaigns driving the checker from *corrupted* tables: a PC the top
-    /// frame's function does not know (e.g. a bit-flipped branch address) is
-    /// an unverifiable probe miss — the branch is still counted, but no
-    /// verify/update runs and `None` is returned. `None` is also returned
-    /// when no frame is active.
-    pub fn on_branch_lenient(&mut self, pc: u64, dir: bool) -> Option<BranchOutcome> {
-        let frame = self.stack.last()?;
-        let known = self
-            .tables
-            .get(frame.func.0 as usize)
-            .is_some_and(|t| t.branch_of_pc(pc).is_some());
-        if !known {
-            self.stats.branches += 1;
-            return None;
-        }
-        Some(self.on_branch(pc, dir))
     }
 
     /// Reads the expected status currently recorded for a branch of the top
@@ -537,6 +535,7 @@ impl<'a> IpdsChecker<'a> {
             frames: self.stack.iter().map(|f| (f.func, f.bsv.clone())).collect(),
             stats: self.stats,
             alarms: self.alarms.clone(),
+            violation: self.violation,
         }
     }
 
@@ -565,11 +564,18 @@ impl<'a> IpdsChecker<'a> {
         }
         self.stats = snap.stats;
         self.alarms.clone_from(&snap.alarms);
+        self.violation = snap.violation;
     }
 
     /// All alarms raised so far.
     pub fn alarms(&self) -> &[Alarm] {
         &self.alarms
+    }
+
+    /// The first protocol violation recorded since construction or the
+    /// last [`IpdsChecker::reset`], if any.
+    pub fn violation(&self) -> Option<Violation> {
+        self.violation
     }
 
     /// Statistics so far.
@@ -749,10 +755,19 @@ mod tests {
             }
         );
         assert_eq!(ipds.stats().underflows, 1);
+        assert_eq!(
+            ipds.violation(),
+            Some(Violation {
+                error: err,
+                branch_seq: 0
+            })
+        );
         // The checker keeps working after the violation.
         ipds.on_call(a.functions[0].func);
         ipds.on_return().unwrap();
         assert_eq!(ipds.stats().underflows, 1);
+        ipds.reset();
+        assert_eq!(ipds.violation(), None);
     }
 
     #[test]
@@ -805,39 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_run_matches_per_event_processing() {
-        let (_, a) = setup(
-            "fn main() -> int { int x; int i; x = read_int(); \
-             for (i = 0; i < 4; i = i + 1) { \
-               if (x == 1) { print_int(1); } \
-               if (x == 1) { print_int(2); } else { print_int(3); } \
-             } return 0; }",
-        );
-        let main = &a.functions[0];
-        let pcs: Vec<u64> = main.branches.iter().map(|b| b.pc).collect();
-        let mut events = Vec::new();
-        for round in 0..4 {
-            events.push((pcs[0], true));
-            // Flip the x-tests mid-run so the batch path exercises alarms.
-            let dir = round < 2;
-            events.push((pcs[1], dir));
-            events.push((pcs[2], dir));
-        }
-        events.push((pcs[0], false));
-
-        let mut serial = IpdsChecker::new(&a);
-        serial.on_call(main.func);
-        for &(pc, dir) in &events {
-            serial.on_branch(pc, dir);
-        }
-        let mut batched = IpdsChecker::new(&a);
-        batched.on_call(main.func);
-        batched.on_branch_run(&events);
-        assert_eq!(serial.stats(), batched.stats());
-        assert_eq!(serial.alarms(), batched.alarms());
-    }
-
-    #[test]
     fn snapshot_restore_rewinds_exactly() {
         let (_, a) = setup(
             "fn inner(int v) -> int { if (v == 1) { return 1; } return 0; } \
@@ -858,16 +840,20 @@ mod tests {
         let snap = ipds.snapshot();
         let stats_at_snap = *ipds.stats();
 
-        // Diverge: finish the inner call and trip an alarm in main.
+        // Diverge: finish the inner call, trip an alarm in main and a
+        // violation past it.
         ipds.on_branch(ipc, false);
         ipds.on_return().unwrap();
         assert!(ipds.on_branch(mpcs[1], false).alarm);
+        ipds.on_branch(ipc, false);
+        assert!(ipds.violation().is_some());
 
         // Rewind and replay a clean suffix instead.
         ipds.restore(&snap);
         assert_eq!(ipds.stats(), &stats_at_snap);
         assert_eq!(ipds.depth(), 2);
         assert!(!ipds.detected());
+        assert_eq!(ipds.violation(), None);
         ipds.on_branch(ipc, true);
         ipds.on_return().unwrap();
         assert!(!ipds.on_branch(mpcs[1], true).alarm);

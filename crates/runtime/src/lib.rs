@@ -27,7 +27,8 @@ pub mod error;
 pub mod onchip;
 
 pub use checker::{
-    Alarm, BranchOutcome, CheckerSnapshot, IpdsChecker, IpdsStats, BSV_POOL_CAP, CHECKER_COUNTERS,
+    Alarm, BranchOutcome, CheckerSnapshot, IpdsChecker, IpdsStats, Violation, BSV_POOL_CAP,
+    CHECKER_COUNTERS,
 };
 pub use config::HwConfig;
 pub use error::RuntimeError;

@@ -1,8 +1,8 @@
 //! Checker edge cases: multiple alarms, status introspection, deep stacks,
-//! misuse panics.
+//! malformed event streams.
 
 use ipds_analysis::{analyze_program, AnalysisConfig, BranchStatus};
-use ipds_runtime::IpdsChecker;
+use ipds_runtime::{BranchOutcome, IpdsChecker, IpdsStats, RuntimeError, Violation};
 
 fn analysis(src: &str) -> ipds_analysis::ProgramAnalysis {
     analyze_program(&ipds_ir::parse(src).unwrap(), &AnalysisConfig::default())
@@ -85,14 +85,37 @@ fn unbalanced_return_is_reported_not_fatal() {
 }
 
 #[test]
-#[should_panic(expected = "not a branch")]
-fn unknown_pc_panics() {
+fn foreign_pc_is_counted_skipped_and_recorded() {
     let a =
         analysis("fn main() -> int { int x; x = read_int(); if (x < 1) { return 1; } return 0; }");
     let main = &a.functions[0];
     let mut ipds = IpdsChecker::new(&a);
     ipds.on_call(main.func);
-    ipds.on_branch(0xDEAD_BEEC, true);
+    let before = *ipds.stats();
+    let out = ipds.on_branch(0xDEAD_BEEC, true);
+    // Counted as a branch, but no table was touched.
+    assert_eq!(out, BranchOutcome::default());
+    assert_eq!(
+        *ipds.stats(),
+        IpdsStats {
+            branches: before.branches + 1,
+            ..before
+        }
+    );
+    assert_eq!(
+        ipds.violation(),
+        Some(Violation {
+            error: RuntimeError::ForeignBranch { pc: 0xDEAD_BEEC },
+            branch_seq: 1,
+        })
+    );
+    // Checking carries on, and a later violation does not overwrite the
+    // first.
+    ipds.on_branch(main.branches[0].pc, true);
+    ipds.on_branch_run(&[(0xDEAD_BEE0, false)]);
+    assert_eq!(ipds.stats().branches, 3);
+    assert_eq!(ipds.stats().verified, before.verified + 1);
+    assert_eq!(ipds.violation().unwrap().branch_seq, 1);
 }
 
 #[test]

@@ -61,8 +61,8 @@ pub struct ServiceReport {
 /// An open session: its pooled checker state and the batches submitted
 /// since the last flush, in submission order.
 #[derive(Debug)]
-struct Live<'a> {
-    state: SessionState<'a>,
+struct Live {
+    state: SessionState,
     pending: Vec<Vec<GuestEvent>>,
 }
 
@@ -88,7 +88,7 @@ pub struct Service<'a> {
     workers: usize,
     names: HashMap<&'a str, usize>,
     pool: SessionPool<'a>,
-    live: BTreeMap<u64, Live<'a>>,
+    live: BTreeMap<u64, Live>,
     buffered: usize,
     summaries: Vec<SessionSummary>,
     metrics: MetricsRegistry,
@@ -167,11 +167,6 @@ impl<'a> Service<'a> {
     /// # Errors
     ///
     /// [`ServiceError::UnknownSession`] if the session is not open.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a checker panic on a malformed stream when this submit
-    /// fills the buffer and flushes (see [`Service::finish`]).
     pub fn submit(&mut self, session: u64, events: Vec<GuestEvent>) -> Result<(), ServiceError> {
         let Some(live) = self.live.get_mut(&session) else {
             return Err(ServiceError::UnknownSession { session });
@@ -194,10 +189,6 @@ impl<'a> Service<'a> {
     /// # Errors
     ///
     /// [`ServiceError::UnknownSession`] if the session is not open.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a checker panic from the flush (see [`Service::finish`]).
     pub fn close(&mut self, session: u64) -> Result<(), ServiceError> {
         if !self.is_open(session) {
             return Err(ServiceError::UnknownSession { session });
@@ -216,7 +207,7 @@ impl<'a> Service<'a> {
         let artifacts = self.artifacts;
         // Each task locks only its own session, so the locks never contend;
         // they hand the pool's shared `Fn` closure mutable access.
-        let tasks: Vec<Mutex<&mut Live<'a>>> = self
+        let tasks: Vec<Mutex<&mut Live>> = self
             .live
             .values_mut()
             .filter(|live| !live.pending.is_empty())
@@ -240,7 +231,7 @@ impl<'a> Service<'a> {
     }
 
     /// Summarizes a session and returns its state to the pool.
-    fn retire(&mut self, state: SessionState<'a>, closed: bool) {
+    fn retire(&mut self, state: SessionState, closed: bool) {
         self.summaries.push(SessionSummary {
             session: state.session(),
             workload: self.artifacts[state.workload].name.clone(),
@@ -257,14 +248,6 @@ impl<'a> Service<'a> {
     /// Shuts the service down: flushes every buffered batch, summarizes the
     /// sessions still open, merges per-session results in session-id order,
     /// runs the correlation stage and assembles the canonical counters.
-    ///
-    /// # Panics
-    ///
-    /// A checker panic on a malformed stream unwinds out of the `submit`,
-    /// `close` or `finish` call whose flush ran it: directly on the
-    /// caller's thread when the flush runs inline, or re-raised by
-    /// [`ipds_parallel::map_indexed`] when it runs on pool threads. The
-    /// service is not usable after such a panic.
     pub fn finish(mut self) -> ServiceReport {
         self.flush();
         // Sessions still open at shutdown summarize too, in id order.

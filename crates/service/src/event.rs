@@ -12,7 +12,10 @@ use ipds_ir::FuncId;
 /// the session's pooled [`IpdsChecker`](ipds_runtime::IpdsChecker) —
 /// consecutive `Branch` events are buffered and flushed through the flat
 /// SoA batch entry point
-/// [`on_branch_run`](ipds_runtime::IpdsChecker::on_branch_run).
+/// [`on_branch_run`](ipds_runtime::IpdsChecker::on_branch_run). A stream
+/// that breaks the call/branch/return protocol is still checked: the
+/// checker skips each offending event, and the session's first one opens
+/// a [`ProtocolViolation`](crate::IncidentKind::ProtocolViolation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GuestEvent {
     /// Control entered `func` (every stream starts with the entry

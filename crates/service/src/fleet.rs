@@ -237,11 +237,7 @@ struct CompiledWorkload {
 
 /// Replays a stream through a reference checker — by construction the
 /// exact code path the service's flushes run.
-fn shadow<'a>(
-    analysis: &'a ProgramAnalysis,
-    name: &str,
-    events: &[GuestEvent],
-) -> SessionState<'a> {
+fn shadow(analysis: &ProgramAnalysis, name: &str, events: &[GuestEvent]) -> SessionState {
     let mut state = SessionState::fresh(analysis, 0, 0);
     state.ingest(name, events);
     state

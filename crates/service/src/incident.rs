@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use ipds_analysis::BranchStatus;
+use ipds_runtime::RuntimeError;
 
 /// What kind of anomaly a session surfaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,9 +22,13 @@ pub enum IncidentKind {
         /// The committed direction.
         actual: bool,
     },
-    /// The event stream itself was malformed: a `Return` arrived with no
-    /// frame on the checker's stack.
-    ProtocolViolation,
+    /// The event stream itself was malformed: e.g. a `Return` with no
+    /// frame on the checker's stack, or a branch PC the running function
+    /// does not contain. Opened at the session's first such event.
+    ProtocolViolation {
+        /// Why the checker rejected the event.
+        error: RuntimeError,
+    },
 }
 
 /// One per-session anomaly, opened by the session's checker (or, for image
@@ -129,7 +134,7 @@ pub fn correlate(incidents: &[Incident], min_cluster: usize) -> Vec<RootCause> {
             IncidentKind::InfeasiblePath { pc, .. } => {
                 paths.entry((&inc.workload, pc)).or_default().push(inc);
             }
-            IncidentKind::ProtocolViolation => noise.push(inc),
+            IncidentKind::ProtocolViolation { .. } => noise.push(inc),
         }
     }
     let mut causes = Vec::new();

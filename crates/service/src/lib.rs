@@ -11,16 +11,18 @@
 //!   structural load) **once**; every later registration of identical
 //!   bytes shares the verified artifact. Corrupted images never enter the
 //!   cache.
-//! * [`SessionPool`] — pooled per-session checker state (tables stay
-//!   borrowed from the shared artifact; BSV arenas and scratch buffers are
-//!   recycled on session close instead of reallocated).
+//! * [`SessionPool`] — pooled per-session checker state (the checker's
+//!   flat tables, BSV arenas and scratch buffers are recycled on session
+//!   close instead of rebuilt).
 //! * [`Service`] — buffered batched ingestion: guest sessions submit
 //!   [`GuestEvent`] batches that the control plane buffers per session
 //!   (a fixed 64Ki-event bound caps guest memory use). Each flush runs one
 //!   persistent-pool task per session, driving the flat SoA checker hot
 //!   path ([`IpdsChecker::on_branch_run`](ipds_runtime::IpdsChecker::on_branch_run)).
 //!   Per-session results merge in session-id order, so fleet results are
-//!   bit-identical for every ingestion-worker count.
+//!   bit-identical for every ingestion-worker count. Any event stream is
+//!   accepted: the checker skips and records malformed events, and a
+//!   session's first one becomes its [`IncidentKind::ProtocolViolation`].
 //! * [`Incident`] / [`RootCause`] — per-session anomalies open typed
 //!   incidents; [`correlate`] folds concurrent incidents into fleet-level
 //!   root causes (one tampered image vs. one hot memory region vs.

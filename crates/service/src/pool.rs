@@ -22,15 +22,15 @@ pub struct SessionPoolStats {
 }
 
 /// Everything one open guest session owns on the service side: the pooled
-/// checker (borrowing the shared artifact's tables), the branch-batch
+/// checker (built from the shared artifact's tables), the branch-batch
 /// scratch arena, and the incident fold state. Recycled — not dropped —
 /// on close, so the BSV frame pool and scratch allocations survive into
 /// the next session of the same workload.
 #[derive(Debug)]
-pub struct SessionState<'a> {
+pub struct SessionState {
     /// The wrapped checker (exposed for inspection; tests and the shadow
     /// validator read alarms and stats off it).
-    pub checker: IpdsChecker<'a>,
+    pub checker: IpdsChecker,
     /// Index of the workload artifact this session runs.
     pub workload: usize,
     session: u64,
@@ -41,15 +41,11 @@ pub struct SessionState<'a> {
     alarms_folded: usize,
 }
 
-impl<'a> SessionState<'a> {
+impl SessionState {
     /// Builds a fresh (un-pooled) session over loaded tables — the shadow
     /// validator's entry point; the service itself checks sessions out of
     /// a [`SessionPool`].
-    pub fn fresh(
-        analysis: &'a ipds_analysis::ProgramAnalysis,
-        workload: usize,
-        session: u64,
-    ) -> Self {
+    pub fn fresh(analysis: &ipds_analysis::ProgramAnalysis, workload: usize, session: u64) -> Self {
         SessionState {
             checker: IpdsChecker::new(analysis),
             workload,
@@ -88,7 +84,7 @@ impl<'a> SessionState<'a> {
         self.batches
     }
 
-    /// Incidents opened so far (at most one per kind-class, alarms fold).
+    /// Incidents opened so far (at most one per kind, alarms fold).
     pub fn incidents(&self) -> &[Incident] {
         &self.incidents
     }
@@ -96,7 +92,9 @@ impl<'a> SessionState<'a> {
     /// Replays one batch through the checker. Consecutive `Branch` events
     /// buffer into the scratch arena and flush through the flat SoA batch
     /// entry point [`IpdsChecker::on_branch_run`]; call/return/fault
-    /// events are barriers. New alarms fold into the session's incident.
+    /// events are barriers. Any event sequence is accepted: the checker
+    /// skips and records malformed events itself. New alarms and the
+    /// checker's first violation then fold into the session's incidents.
     pub fn ingest(&mut self, workload_name: &str, events: &[GuestEvent]) {
         self.batches += 1;
         self.events += events.len() as u64;
@@ -109,10 +107,7 @@ impl<'a> SessionState<'a> {
                 }
                 GuestEvent::Return => {
                     flush(&mut self.checker, &mut self.scratch);
-                    if self.checker.on_return().is_err() {
-                        let seq = self.checker.stats().branches;
-                        self.open(workload_name, IncidentKind::ProtocolViolation, seq);
-                    }
+                    let _ = self.checker.on_return();
                 }
                 GuestEvent::FaultBsv { slot, status } => {
                     flush(&mut self.checker, &mut self.scratch);
@@ -121,27 +116,50 @@ impl<'a> SessionState<'a> {
             }
         }
         flush(&mut self.checker, &mut self.scratch);
-        self.fold_alarms(workload_name);
+        self.fold(workload_name);
     }
 
-    /// Opens an incident at committed-branch sequence `seq` unless the
-    /// session already has one of the same class. `seq` comes from the
-    /// triggering event itself (an alarm's `branch_seq`, or the branch
-    /// count at a protocol violation), so it is invariant under batching.
-    fn open(&mut self, workload_name: &str, kind: IncidentKind, seq: u64) {
-        let same_class = |k: &IncidentKind| {
-            matches!(
-                (k, &kind),
-                (
-                    IncidentKind::ProtocolViolation,
-                    IncidentKind::ProtocolViolation
-                ) | (
-                    IncidentKind::InfeasiblePath { .. },
-                    IncidentKind::InfeasiblePath { .. }
-                )
-            )
-        };
-        if self.incidents.iter().any(|inc| same_class(&inc.kind)) {
+    /// Folds what the checker recorded since the last batch. The first
+    /// alarm opens the session's `InfeasiblePath` incident and every alarm
+    /// bumps its count; the first violation opens its `ProtocolViolation`.
+    /// Both open in branch-sequence order, the alarm first on a tie (an
+    /// alarm's branch precedes a violating call or return at the same
+    /// count), so where batches split the stream never shows.
+    fn fold(&mut self, workload_name: &str) {
+        let fresh = &self.checker.alarms()[self.alarms_folded..];
+        self.alarms_folded += fresh.len();
+        let path = fresh.first().map(|a| {
+            let kind = IncidentKind::InfeasiblePath {
+                pc: a.pc,
+                expected: a.expected,
+                actual: a.actual,
+            };
+            (a.branch_seq, kind, fresh.len() as u64)
+        });
+        let violation = self.checker.violation().map(|v| {
+            let kind = IncidentKind::ProtocolViolation { error: v.error };
+            (v.branch_seq, kind, 0)
+        });
+        // A stable sort: the alarm stays first on a tie.
+        let mut opened = [path, violation];
+        opened.sort_by_key(|o| o.as_ref().map(|(seq, ..)| *seq));
+        for (seq, kind, alarms) in opened.into_iter().flatten() {
+            self.open(workload_name, kind, seq, alarms);
+        }
+    }
+
+    /// Adds `alarms` to the session's incident of `kind`'s class, opening
+    /// it at committed-branch sequence `seq` if the session has none yet.
+    /// `seq` comes from the triggering event itself (an alarm's or a
+    /// violation's `branch_seq`), so it is invariant under batching.
+    fn open(&mut self, workload_name: &str, kind: IncidentKind, seq: u64, alarms: u64) {
+        let class = std::mem::discriminant(&kind);
+        if let Some(inc) = self
+            .incidents
+            .iter_mut()
+            .find(|inc| std::mem::discriminant(&inc.kind) == class)
+        {
+            inc.alarm_count += alarms;
             return;
         }
         self.incidents.push(Incident {
@@ -149,43 +167,15 @@ impl<'a> SessionState<'a> {
             workload: workload_name.to_string(),
             kind,
             seq,
-            alarm_count: 0,
+            alarm_count: alarms,
         });
-    }
-
-    /// Folds alarms raised since the last batch: the first one opens the
-    /// session's `InfeasiblePath` incident, the rest bump its count.
-    fn fold_alarms(&mut self, workload_name: &str) {
-        let alarms = self.checker.alarms();
-        if alarms.len() <= self.alarms_folded {
-            return;
-        }
-        let fresh = (alarms.len() - self.alarms_folded) as u64;
-        let first = alarms[self.alarms_folded].clone();
-        self.alarms_folded = alarms.len();
-        self.open(
-            workload_name,
-            IncidentKind::InfeasiblePath {
-                pc: first.pc,
-                expected: first.expected,
-                actual: first.actual,
-            },
-            first.branch_seq,
-        );
-        if let Some(inc) = self
-            .incidents
-            .iter_mut()
-            .find(|inc| matches!(inc.kind, IncidentKind::InfeasiblePath { .. }))
-        {
-            inc.alarm_count += fresh;
-        }
     }
 }
 
 /// Flushes buffered branch events through the SoA hot path. Free function
 /// so the borrow of the scratch arena and the mutable borrow of the
 /// checker stay visibly disjoint.
-fn flush(checker: &mut IpdsChecker<'_>, scratch: &mut Vec<(u64, bool)>) {
+fn flush(checker: &mut IpdsChecker, scratch: &mut Vec<(u64, bool)>) {
     if !scratch.is_empty() {
         checker.on_branch_run(scratch);
         scratch.clear();
@@ -197,7 +187,7 @@ fn flush(checker: &mut IpdsChecker<'_>, scratch: &mut Vec<(u64, bool)>) {
 #[derive(Debug)]
 pub struct SessionPool<'a> {
     artifacts: &'a [Arc<WorkloadArtifact>],
-    free: Vec<Vec<SessionState<'a>>>,
+    free: Vec<Vec<SessionState>>,
     live: u64,
     stats: SessionPoolStats,
 }
@@ -215,7 +205,7 @@ impl<'a> SessionPool<'a> {
 
     /// Checks out session state for `workload`, recycling a closed
     /// session's state when one is free.
-    pub fn checkout(&mut self, session: u64, workload: usize) -> SessionState<'a> {
+    pub fn checkout(&mut self, session: u64, workload: usize) -> SessionState {
         self.stats.checkouts += 1;
         self.live += 1;
         self.stats.high_water = self.stats.high_water.max(self.live);
@@ -229,7 +219,7 @@ impl<'a> SessionPool<'a> {
     }
 
     /// Returns closed session state to the free list (arenas kept).
-    pub fn recycle(&mut self, state: SessionState<'a>) {
+    pub fn recycle(&mut self, state: SessionState) {
         self.live = self.live.saturating_sub(1);
         self.stats.recycled += 1;
         self.free[state.workload].push(state);

@@ -34,7 +34,7 @@ use ipds_telemetry::MetricsRegistry;
 
 use crate::attack::GoldenRun;
 use crate::interp::{ExecLimits, ExecStatus, Input, Interp};
-use crate::observer::{ExecObserver, IpdsObserver};
+use crate::observer::IpdsObserver;
 use crate::rng::StdRng;
 
 /// The canonical `faults.*` counter list. `docs/FAULTS.md` documents exactly
@@ -324,25 +324,6 @@ pub struct FaultRunner<'a> {
     ipds: IpdsObserver<'a>,
 }
 
-/// Drives a checker built over *corrupted* tables leniently: probe misses
-/// (unknown PCs) are skipped, protocol violations are absorbed into the
-/// checker's own counters.
-struct LenientIpds<'a> {
-    checker: IpdsChecker<'a>,
-}
-
-impl ExecObserver for LenientIpds<'_> {
-    fn on_branch(&mut self, pc: u64, dir: bool) {
-        let _ = self.checker.on_branch_lenient(pc, dir);
-    }
-    fn on_call(&mut self, func: ipds_ir::FuncId) {
-        self.checker.on_call(func);
-    }
-    fn on_return(&mut self) {
-        let _ = self.checker.on_return();
-    }
-}
-
 impl<'a> FaultRunner<'a> {
     /// Builds a runner over shared campaign artifacts.
     ///
@@ -424,11 +405,12 @@ impl<'a> FaultRunner<'a> {
             };
         }
         // Run the clean program under the corrupted tables: any alarm on
-        // this benign trace is the runtime detecting the corruption.
+        // this benign trace is the runtime detecting the corruption. A PC
+        // the corrupted tables no longer know is an unverifiable probe
+        // miss: the checker skips it and records a violation, which is
+        // not graded as a detection.
         self.interp.reset(self.inputs.iter().cloned());
-        let mut obs = LenientIpds {
-            checker: IpdsChecker::new(&loaded),
-        };
+        let mut obs = IpdsObserver::new(IpdsChecker::new(&loaded));
         obs.checker.on_call(self.main);
         let status = self.interp.run(&mut obs);
         grade_run(&obs.checker, 0, true, status)
@@ -489,7 +471,7 @@ impl<'a> FaultRunner<'a> {
 /// Grades a completed post-injection run: first alarm after the injection
 /// wins, then runtime protocol violations, then the termination status.
 fn grade_run(
-    checker: &IpdsChecker<'_>,
+    checker: &IpdsChecker,
     branches_at_injection: u64,
     counted_underflows_expected: bool,
     status: ExecStatus,

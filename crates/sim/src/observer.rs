@@ -76,13 +76,13 @@ impl ExecObserver for NullObserver {}
 #[derive(Debug)]
 pub struct IpdsObserver<'a, S: EventSink = NullSink> {
     /// The wrapped checker (exposed for result inspection).
-    pub checker: IpdsChecker<'a>,
+    pub checker: IpdsChecker,
     sink: &'a S,
 }
 
 impl<'a> IpdsObserver<'a, NullSink> {
     /// Wraps a checker with telemetry disabled.
-    pub fn new(checker: IpdsChecker<'a>) -> IpdsObserver<'a, NullSink> {
+    pub fn new(checker: IpdsChecker) -> IpdsObserver<'a, NullSink> {
         IpdsObserver {
             checker,
             sink: &NULL_SINK,
@@ -92,7 +92,7 @@ impl<'a> IpdsObserver<'a, NullSink> {
 
 impl<'a, S: EventSink> IpdsObserver<'a, S> {
     /// Wraps a checker, reporting every checked branch to `sink`.
-    pub fn with_sink(checker: IpdsChecker<'a>, sink: &'a S) -> IpdsObserver<'a, S> {
+    pub fn with_sink(checker: IpdsChecker, sink: &'a S) -> IpdsObserver<'a, S> {
         IpdsObserver { checker, sink }
     }
 }

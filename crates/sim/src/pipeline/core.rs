@@ -76,7 +76,7 @@ pub struct TimingModel<'a> {
 
 #[derive(Debug)]
 struct IpdsTiming<'a> {
-    checker: IpdsChecker<'a>,
+    checker: IpdsChecker,
     onchip: OnChipModel<'a>,
     /// Completion times (millicycles) of outstanding requests.
     queue: VecDeque<u64>,
@@ -166,7 +166,7 @@ impl<'a> TimingModel<'a> {
     }
 
     /// Read access to the attached checker (for alarm inspection).
-    pub fn checker(&self) -> Option<&IpdsChecker<'a>> {
+    pub fn checker(&self) -> Option<&IpdsChecker> {
         self.ipds.as_ref().map(|i| &i.checker)
     }
 

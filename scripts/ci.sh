@@ -145,6 +145,18 @@ cargo test -q --release --test parallel_campaigns \
     repeated_campaigns_reuse_the_persistent_pool
 cargo test -q --release --test service_fleet flush_points_never_change_results
 
+echo "==> hostile-stream gate (malformed GuestEvent streams are typed incidents, never panics)"
+# Each malformed stream must open exactly one isolated ProtocolViolation
+# with its typed cause, a hostile session must leave the rest of a fleet
+# untouched at 1 and 4 workers, and the fast checker must agree with the
+# reference checker written from paper §5 on golden, tampered and
+# malformed streams, per event and in runs.
+cargo test -q --release --test service_fleet \
+    malformed_stream_opens_protocol_violation
+cargo test -q --release --test service_fleet \
+    a_hostile_session_leaves_the_rest_of_the_fleet_untouched
+cargo test -q --release --test reference_checker
+
 echo "==> scaling gate (every thread count must pull its weight; see docs/PERF.md)"
 # The sweep self-calibrates each point to >=250 ms of measured work, so
 # the numbers are out of thread-spawn-noise territory, and every row

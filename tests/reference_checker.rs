@@ -1,0 +1,360 @@
+//! A reference IPDS checker written straight from the paper's §5, diffed
+//! against `IpdsChecker`.
+//!
+//! The reference keeps one `BranchStatus` per branch in a plain vector per
+//! frame, finds a PC by linear search over the function's branches, reads
+//! the BCV as the analysis' `checked` flags and walks
+//! `FunctionAnalysis::actions` for the BAT: no perfect hash, no 2-bit
+//! packing, no flattened tables. Both checkers replay the same
+//! `GuestEvent` streams — golden runs of every stock workload, seeded
+//! memory tampers that alarm, and malformed streams — and must agree on
+//! statistics, alarms and the first protocol violation. `IpdsChecker` is
+//! driven both one event at a time and with its branches batched into
+//! runs that are cut at seeded points.
+
+use ipds::analysis::{BranchStatus, ProgramAnalysis};
+use ipds::ir::{FuncId, Program};
+use ipds::runtime::{Alarm, IpdsChecker, IpdsStats, RuntimeError, Violation};
+use ipds::sim::{ExecLimits, ExecObserver, ExecStatus, Input, Interp, StdRng};
+use ipds::{GuestEvent, Protected};
+
+/// One function activation: the BSV, one status per branch, indexed like
+/// `FunctionAnalysis::branches`.
+struct Frame {
+    func: FuncId,
+    bsv: Vec<BranchStatus>,
+}
+
+/// The §5.1 protocol over the compiler's own tables.
+struct Reference<'a> {
+    analysis: &'a ProgramAnalysis,
+    stack: Vec<Frame>,
+    stats: IpdsStats,
+    alarms: Vec<Alarm>,
+    violation: Option<Violation>,
+}
+
+impl<'a> Reference<'a> {
+    fn new(analysis: &'a ProgramAnalysis) -> Self {
+        Reference {
+            analysis,
+            stack: Vec::new(),
+            stats: IpdsStats::default(),
+            alarms: Vec::new(),
+            violation: None,
+        }
+    }
+
+    fn violate(&mut self, error: RuntimeError) {
+        if self.violation.is_none() {
+            self.violation = Some(Violation {
+                error,
+                branch_seq: self.stats.branches,
+            });
+        }
+    }
+
+    fn event(&mut self, event: GuestEvent) {
+        match event {
+            GuestEvent::Call(func) => {
+                self.stats.calls += 1;
+                match self.analysis.functions.get(func.0 as usize) {
+                    Some(fa) => {
+                        let bsv = vec![BranchStatus::Unknown; fa.branches.len()];
+                        self.stack.push(Frame { func, bsv });
+                        self.stats.max_depth = self.stats.max_depth.max(self.stack.len());
+                    }
+                    None => self.violate(RuntimeError::UnknownFunction { func }),
+                }
+            }
+            GuestEvent::Return => {
+                if self.stack.pop().is_none() {
+                    self.stats.underflows += 1;
+                    self.violate(RuntimeError::FrameStackUnderflow {
+                        component: "checker",
+                    });
+                }
+            }
+            GuestEvent::FaultBsv { slot, status } => {
+                // A BSV slot holds the branch the perfect hash put there; a
+                // slot no branch hashes to is never read.
+                if let Some(frame) = self.stack.last_mut() {
+                    let fa = &self.analysis.functions[frame.func.0 as usize];
+                    if let Some(i) = fa.branches.iter().position(|b| b.slot == slot) {
+                        frame.bsv[i] = status;
+                    }
+                }
+            }
+            GuestEvent::Branch { pc, taken } => self.branch(pc, taken),
+        }
+    }
+
+    fn branch(&mut self, pc: u64, taken: bool) {
+        self.stats.branches += 1;
+        let analysis = self.analysis;
+        let Some(frame) = self.stack.last_mut() else {
+            self.violate(RuntimeError::NoActiveFrame);
+            return;
+        };
+        let fa = &analysis.functions[frame.func.0 as usize];
+        let Some(idx) = fa.branches.iter().position(|b| b.pc == pc) else {
+            self.violate(RuntimeError::ForeignBranch { pc });
+            return;
+        };
+        // BCV probe; if marked, verify against the BSV.
+        self.stats.table_accesses += 1;
+        if fa.checked[idx] {
+            self.stats.verified += 1;
+            self.stats.table_accesses += 1;
+            let expected = frame.bsv[idx];
+            if !expected.matches(taken) {
+                self.stats.alarms += 1;
+                self.alarms.push(Alarm {
+                    func: frame.func,
+                    pc,
+                    expected,
+                    actual: taken,
+                    branch_seq: self.stats.branches,
+                });
+            }
+        }
+        // Apply the BAT row for (branch, direction), checked or not.
+        for entry in fa.actions(idx as u32, taken) {
+            let target = &mut frame.bsv[entry.target as usize];
+            let new = entry.action.applied(*target);
+            self.stats.bat_entries_applied += 1;
+            self.stats.table_accesses += 1;
+            if new != *target {
+                self.stats.bsv_transitions += 1;
+            }
+            *target = new;
+        }
+    }
+}
+
+/// What a checker run is compared on.
+type Verdict = (IpdsStats, Vec<Alarm>, Option<Violation>);
+
+fn reference(analysis: &ProgramAnalysis, stream: &[GuestEvent]) -> Verdict {
+    let mut r = Reference::new(analysis);
+    for &event in stream {
+        r.event(event);
+    }
+    (r.stats, r.alarms, r.violation)
+}
+
+/// Replays `stream` through `IpdsChecker`. With `cuts`, branches batch into
+/// `on_branch_run` runs, each run also cut before a branch with
+/// probability 1/4 drawn from the seed; without, every branch goes through
+/// `on_branch`.
+fn fast(analysis: &ProgramAnalysis, stream: &[GuestEvent], cuts: Option<u64>) -> Verdict {
+    let mut checker = IpdsChecker::new(analysis);
+    let mut rng = cuts.map(StdRng::seed_from_u64);
+    let mut run = Vec::new();
+    for &event in stream {
+        if let (Some(rng), GuestEvent::Branch { pc, taken }) = (&mut rng, event) {
+            if rng.gen_range(0..4u32) == 0 {
+                checker.on_branch_run(&run);
+                run.clear();
+            }
+            run.push((pc, taken));
+            continue;
+        }
+        checker.on_branch_run(&run);
+        run.clear();
+        match event {
+            GuestEvent::Call(func) => checker.on_call(func),
+            GuestEvent::Branch { pc, taken } => {
+                checker.on_branch(pc, taken);
+            }
+            GuestEvent::Return => {
+                let _ = checker.on_return();
+            }
+            GuestEvent::FaultBsv { slot, status } => {
+                checker.inject_bsv(slot as usize, status);
+            }
+        }
+    }
+    checker.on_branch_run(&run);
+    (
+        *checker.stats(),
+        checker.alarms().to_vec(),
+        checker.violation(),
+    )
+}
+
+/// Diffs the reference against `IpdsChecker` per event and at three seeded
+/// run splittings; returns the reference verdict.
+fn agree(analysis: &ProgramAnalysis, stream: &[GuestEvent], what: &str) -> Verdict {
+    let want = reference(analysis, stream);
+    assert_eq!(fast(analysis, stream, None), want, "{what}: per event");
+    for seed in [1, 2, 2006] {
+        assert_eq!(
+            fast(analysis, stream, Some(seed)),
+            want,
+            "{what}: runs cut at seed {seed}"
+        );
+    }
+    want
+}
+
+/// Records a run's committed control-flow events.
+struct Recorder(Vec<GuestEvent>);
+
+impl ExecObserver for Recorder {
+    fn on_branch(&mut self, pc: u64, taken: bool) {
+        self.0.push(GuestEvent::Branch { pc, taken });
+    }
+    fn on_call(&mut self, func: FuncId) {
+        self.0.push(GuestEvent::Call(func));
+    }
+    fn on_return(&mut self) {
+        self.0.push(GuestEvent::Return);
+    }
+}
+
+fn golden(program: &Program, inputs: &[Input]) -> (Vec<GuestEvent>, u64) {
+    let main = program.main().expect("workloads define main").id;
+    let mut rec = Recorder(vec![GuestEvent::Call(main)]);
+    let mut interp = Interp::new(program, inputs.to_vec(), ExecLimits::default());
+    interp.run(&mut rec);
+    (rec.0, interp.steps())
+}
+
+/// A seeded single-bit flip of one live memory cell at a seeded step of
+/// the golden run, as the Fig. 7 campaigns tamper; the whole run's stream.
+fn tampered(program: &Program, inputs: &[Input], golden_steps: u64, seed: u64) -> Vec<GuestEvent> {
+    let main = program.main().expect("workloads define main").id;
+    let limits = ExecLimits {
+        max_steps: golden_steps * 4 + 10_000,
+        ..ExecLimits::default()
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rec = Recorder(vec![GuestEvent::Call(main)]);
+    let mut interp = Interp::new(program, inputs.to_vec(), limits);
+    interp.run_steps(rng.gen_range(1..golden_steps.max(2)), &mut rec);
+    let cells = interp.mem.live_mutable_cells();
+    if *interp.status() == ExecStatus::Running && !cells.is_empty() {
+        let cell = cells[rng.gen_range(0..cells.len())];
+        let old = interp.mem.load(cell);
+        interp
+            .mem
+            .tamper(cell, old ^ (1i64 << rng.gen_range(0..8u32)));
+    }
+    interp.run(&mut rec);
+    rec.0
+}
+
+/// A golden stream with seeded protocol damage: dropped events, extra
+/// returns, foreign PCs and calls to unknown functions.
+fn mangled(golden: &[GuestEvent], functions: usize, seed: u64) -> Vec<GuestEvent> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut stream = golden.to_vec();
+    for _ in 0..6 {
+        let at = rng.gen_range(0..stream.len() + 1);
+        match rng.gen_range(0..4u32) {
+            0 if at < stream.len() => {
+                stream.remove(at);
+            }
+            1 => stream.insert(at, GuestEvent::Return),
+            2 => stream.insert(
+                at,
+                GuestEvent::Branch {
+                    pc: rng.next_u64() >> 40,
+                    taken: rng.gen_bool(0.5),
+                },
+            ),
+            _ => stream.insert(
+                at,
+                GuestEvent::Call(FuncId(rng.gen_range(0..functions as u32 + 2))),
+            ),
+        }
+    }
+    stream
+}
+
+#[test]
+fn reference_agrees_on_golden_and_tampered_streams() {
+    let mut alarming = 0;
+    for w in ipds::workloads::all() {
+        let p = Protected::compile(&w).unwrap();
+        for seed in [1, 2006] {
+            let inputs = w.inputs(seed);
+            let (stream, steps) = golden(&p.program, &inputs);
+            let what = format!("{} seed {seed} golden", w.name);
+            let (stats, alarms, violation) = agree(&p.analysis, &stream, &what);
+            assert!(stats.branches > 0, "{what}");
+            assert!(alarms.is_empty() && violation.is_none(), "{what}");
+            for k in 0..24 {
+                let stream = tampered(&p.program, &inputs, steps, seed * 1000 + k);
+                let what = format!("{} seed {seed} tamper {k}", w.name);
+                alarming += usize::from(!agree(&p.analysis, &stream, &what).1.is_empty());
+            }
+        }
+    }
+    assert!(alarming >= 40, "only {alarming} tampered streams alarmed");
+}
+
+#[test]
+fn reference_agrees_on_malformed_streams() {
+    let w = &ipds::workloads::all()[0];
+    let p = Protected::compile(w).unwrap();
+    let main = p.program.main().unwrap().id;
+    let fa = p.analysis.of(main);
+    let checked = fa.checked.iter().position(|&c| c).unwrap();
+    let branch = &fa.branches[checked];
+    let cases = [
+        (
+            vec![GuestEvent::Branch { pc: 0, taken: true }],
+            RuntimeError::NoActiveFrame,
+        ),
+        (
+            vec![
+                GuestEvent::Call(main),
+                GuestEvent::Branch {
+                    pc: 0xdead_beef,
+                    taken: false,
+                },
+            ],
+            RuntimeError::ForeignBranch { pc: 0xdead_beef },
+        ),
+        (
+            vec![GuestEvent::Call(FuncId(9999))],
+            RuntimeError::UnknownFunction { func: FuncId(9999) },
+        ),
+        (
+            vec![
+                GuestEvent::Call(main),
+                GuestEvent::FaultBsv {
+                    slot: branch.slot,
+                    status: BranchStatus::NotTaken,
+                },
+                GuestEvent::Branch {
+                    pc: branch.pc,
+                    taken: true,
+                },
+                GuestEvent::Return,
+                GuestEvent::Return,
+            ],
+            RuntimeError::FrameStackUnderflow {
+                component: "checker",
+            },
+        ),
+    ];
+    for (stream, error) in cases {
+        let (_, _, violation) = agree(&p.analysis, &stream, &format!("{stream:?}"));
+        assert_eq!(violation.map(|v| v.error), Some(error), "{stream:?}");
+    }
+
+    let mut violated = 0;
+    for w in ipds::workloads::all() {
+        let p = Protected::compile(&w).unwrap();
+        let (stream, _) = golden(&p.program, &w.inputs(1));
+        for seed in 0..8 {
+            let stream = mangled(&stream, p.analysis.functions.len(), seed);
+            let what = format!("{} mangled {seed}", w.name);
+            violated += usize::from(agree(&p.analysis, &stream, &what).2.is_some());
+        }
+    }
+    assert!(violated >= 70, "only {violated} mangled streams violated");
+}

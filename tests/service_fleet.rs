@@ -6,6 +6,8 @@
 use std::sync::Arc;
 
 use ipds::analysis::TableImage;
+use ipds::ir::FuncId;
+use ipds::runtime::RuntimeError;
 use ipds::service::SessionState;
 use ipds::sim::{ExecLimits, ExecObserver, Interp};
 use ipds::{
@@ -123,28 +125,79 @@ fn unknown_workload_is_refused_and_recorded_as_image_tamper() {
 #[test]
 fn malformed_stream_opens_protocol_violation() {
     let w = &ipds::workloads::all()[0];
+    let p = Protected::compile(w).unwrap();
     let (_cache, artifact, _image) = cached_artifact(w);
     let artifacts = [artifact];
-    let mut service = Service::start(&artifacts, 1);
-    service.open(0, w.name).unwrap();
-    // A bare Return with no frame underflows the checker's frame stack.
-    service.submit(0, vec![GuestEvent::Return]).unwrap();
-    service.close(0).unwrap();
-    let report = service.finish();
-    assert_eq!(report.sessions[0].stats.underflows, 1);
-    assert_eq!(report.incidents.len(), 1);
-    assert!(matches!(
-        report.incidents[0].kind,
-        IncidentKind::ProtocolViolation
-    ));
-    // A lone malformed stream convicts its own session only.
-    assert_eq!(
-        report.root_causes,
-        vec![RootCause::IsolatedNoise {
-            workload: w.name.to_string(),
-            session: 0,
-        }]
-    );
+    let main = p.program.main().unwrap().id;
+    for (stream, error, seq) in malformed_streams(main) {
+        let mut service = Service::start(&artifacts, 1);
+        service.open(0, w.name).unwrap();
+        service.submit(0, stream.clone()).unwrap();
+        service.close(0).unwrap();
+        let report = service.finish();
+        assert_eq!(
+            report.incidents,
+            vec![Incident {
+                session: 0,
+                workload: w.name.to_string(),
+                kind: IncidentKind::ProtocolViolation { error },
+                seq,
+                alarm_count: 0,
+            }],
+            "{stream:?}"
+        );
+        // A lone malformed stream convicts its own session only.
+        assert_eq!(
+            report.root_causes,
+            vec![RootCause::IsolatedNoise {
+                workload: w.name.to_string(),
+                session: 0,
+            }]
+        );
+        // Every branch and return is counted, even the skipped ones.
+        let count = |f: fn(&GuestEvent) -> bool| stream.iter().filter(|e| f(e)).count() as u64;
+        let stats = &report.sessions[0].stats;
+        assert_eq!(
+            stats.branches,
+            count(|e| matches!(e, GuestEvent::Branch { .. }))
+        );
+        assert_eq!(stats.underflows, count(|e| *e == GuestEvent::Return));
+    }
+}
+
+/// The smallest malformed streams, with the violation each must record and
+/// the branch count it is recorded at.
+fn malformed_streams(main: FuncId) -> [(Vec<GuestEvent>, RuntimeError, u64); 4] {
+    [
+        (
+            vec![GuestEvent::Return],
+            RuntimeError::FrameStackUnderflow {
+                component: "checker",
+            },
+            0,
+        ),
+        (
+            vec![GuestEvent::Branch { pc: 0, taken: true }],
+            RuntimeError::NoActiveFrame,
+            1,
+        ),
+        (
+            vec![
+                GuestEvent::Call(main),
+                GuestEvent::Branch {
+                    pc: 0xdead_beef,
+                    taken: false,
+                },
+            ],
+            RuntimeError::ForeignBranch { pc: 0xdead_beef },
+            1,
+        ),
+        (
+            vec![GuestEvent::Call(FuncId(9999))],
+            RuntimeError::UnknownFunction { func: FuncId(9999) },
+            0,
+        ),
+    ]
 }
 
 #[test]
@@ -167,7 +220,13 @@ fn correlation_rules_are_deterministic() {
         inc(3, "b", path(10)),
         inc(7, "c", path(20)),
         inc(2, "a", IncidentKind::ImageTamper),
-        inc(9, "d", IncidentKind::ProtocolViolation),
+        inc(
+            9,
+            "d",
+            IncidentKind::ProtocolViolation {
+                error: RuntimeError::NoActiveFrame,
+            },
+        ),
     ];
     let causes = correlate(&incidents, 3);
     assert_eq!(
@@ -231,7 +290,9 @@ fn flush_points_never_change_results() {
     // Session 0 alone streams well past the 64Ki-event flush bound, so
     // flushes fall mid-stream. Sessions 1..=4 then interleave: 3 closes
     // after three batches, 1 when its stream runs out, and 2 and 4 stay
-    // open until finish. Batch sizes differ per session.
+    // open until finish. Batch sizes differ per session. Sessions 5..=10
+    // interleave with them, each sending `alarm_then_underflow` split
+    // into two batches at a different point.
     let mut batches: Vec<Vec<Vec<GuestEvent>>> = (0..5u64)
         .map(|s| {
             let stream: Vec<GuestEvent> = if s == 0 {
@@ -245,6 +306,11 @@ fn flush_points_never_change_results() {
         .collect();
     batches[3].truncate(3);
     assert_eq!(batches[0].iter().map(Vec::len).sum::<usize>(), 200_000);
+    let mixed = alarm_then_underflow(&p.analysis, main);
+    for split in 0..=mixed.len() {
+        let (head, tail) = mixed.split_at(split);
+        batches.push(vec![head.to_vec(), tail.to_vec()]);
+    }
     let closes = |s: u64| s % 2 == 1 || s == 0;
     let shadows: Vec<_> = batches
         .iter()
@@ -265,12 +331,12 @@ fn flush_points_never_change_results() {
             service.submit(0, batch.clone()).unwrap();
         }
         service.close(0).unwrap();
-        for s in 1..=4 {
+        for s in 1..batches.len() as u64 {
             service.open(s, w.name).unwrap();
         }
         for turn in 0.. {
             let mut any = false;
-            for s in 1..=4u64 {
+            for s in 1..batches.len() as u64 {
                 match batches[s as usize].get(turn) {
                     Some(batch) => {
                         service.submit(s, batch.clone()).unwrap();
@@ -285,7 +351,7 @@ fn flush_points_never_change_results() {
             }
         }
         let report = service.finish();
-        assert_eq!(report.sessions.len(), 5, "{workers} workers");
+        assert_eq!(report.sessions.len(), batches.len(), "{workers} workers");
         for (got, shadow) in report.sessions.iter().zip(&shadows) {
             let at = format!("{workers} workers, session {}", got.session);
             assert_eq!(got.closed, closes(got.session), "{at}");
@@ -293,6 +359,28 @@ fn flush_points_never_change_results() {
             assert_eq!(got.batches, shadow.batches(), "{at}");
             assert_eq!(&got.stats, shadow.checker.stats(), "{at}");
             assert_eq!(got.incidents, shadow.incidents(), "{at}");
+        }
+        // The split streams open the same incidents in the same order as
+        // the unsplit one: the alarm (branch 1) before the underflow that
+        // follows it at the same branch count.
+        for got in &report.sessions[5..] {
+            let at = format!("{workers} workers, session {}", got.session);
+            let kinds: Vec<_> = got.incidents.iter().map(|i| (i.kind, i.seq)).collect();
+            assert!(
+                matches!(
+                    kinds[..],
+                    [
+                        (IncidentKind::InfeasiblePath { actual: true, .. }, 1),
+                        (
+                            IncidentKind::ProtocolViolation {
+                                error: RuntimeError::FrameStackUnderflow { .. }
+                            },
+                            1
+                        )
+                    ]
+                ),
+                "{at}: {kinds:?}"
+            );
         }
         assert_eq!(
             report.metrics.counter("service.events_ingested"),
@@ -303,6 +391,113 @@ fn flush_points_never_change_results() {
     // One pool, driven by the control plane: its counters do not depend
     // on the worker count either.
     assert_eq!(pools[0], pools[1]);
+}
+
+/// `[Call(main), FaultBsv{slot of a checked main branch, NotTaken},
+/// Branch{that pc, taken}, Return, Return]`: an alarm at branch 1, then a
+/// frame-stack underflow at the same branch count.
+fn alarm_then_underflow(
+    analysis: &ipds::analysis::ProgramAnalysis,
+    main: FuncId,
+) -> Vec<GuestEvent> {
+    let fa = analysis.of(main);
+    let checked = fa
+        .checked
+        .iter()
+        .position(|&c| c)
+        .expect("main has a checked branch");
+    let branch = &fa.branches[checked];
+    vec![
+        GuestEvent::Call(main),
+        GuestEvent::FaultBsv {
+            slot: branch.slot,
+            status: BranchStatus::NotTaken,
+        },
+        GuestEvent::Branch {
+            pc: branch.pc,
+            taken: true,
+        },
+        GuestEvent::Return,
+        GuestEvent::Return,
+    ]
+}
+
+#[test]
+fn a_hostile_session_leaves_the_rest_of_the_fleet_untouched() {
+    // One session sends every kind of malformed event around a clean run;
+    // twenty clean sessions share the service with it. `finish` returns,
+    // the hostile session gets one isolated incident (its first
+    // violation), and every other summary is what the same fleet reports
+    // without it, at 1 and 4 workers.
+    let w = &ipds::workloads::all()[0];
+    let p = Protected::compile(w).unwrap();
+    let (_cache, artifact, _image) = cached_artifact(w);
+    let artifacts = [artifact];
+    let main = p.program.main().unwrap().id;
+    let clean = |seed: u64| {
+        let mut rec = Recorder(vec![GuestEvent::Call(main)]);
+        Interp::new(&p.program, w.inputs(seed), ExecLimits::default()).run(&mut rec);
+        rec.0
+    };
+    const HOSTILE: u64 = 7;
+    let mut hostile = vec![GuestEvent::Branch { pc: 0, taken: true }];
+    let mut run = clean(HOSTILE);
+    run.insert(run.len() / 2, GuestEvent::Call(FuncId(9999)));
+    run.insert(run.len() / 3, GuestEvent::Branch { pc: 1, taken: true });
+    hostile.extend(run);
+    hostile.extend([GuestEvent::Return, GuestEvent::Return]);
+    let fleet = |with_hostile: bool, workers: usize| {
+        let mut service = Service::start(&artifacts, workers);
+        let streams: Vec<(u64, Vec<GuestEvent>)> = (0..21u64)
+            .filter(|&s| with_hostile || s != HOSTILE)
+            .map(|s| {
+                (
+                    s,
+                    if s == HOSTILE {
+                        hostile.clone()
+                    } else {
+                        clean(s)
+                    },
+                )
+            })
+            .collect();
+        for (s, _) in &streams {
+            service.open(*s, w.name).unwrap();
+        }
+        for (s, stream) in &streams {
+            for batch in stream.chunks(128) {
+                service.submit(*s, batch.to_vec()).unwrap();
+            }
+            if s % 2 == 0 {
+                service.close(*s).unwrap();
+            }
+        }
+        service.finish()
+    };
+    for workers in [1, 4] {
+        let with = fleet(true, workers);
+        let without = fleet(false, workers);
+        let (bad, rest): (Vec<_>, Vec<_>) = with
+            .sessions
+            .into_iter()
+            .partition(|s| s.session == HOSTILE);
+        assert_eq!(rest, without.sessions, "{workers} workers");
+        let kinds: Vec<_> = bad[0].incidents.iter().map(|i| (i.kind, i.seq)).collect();
+        assert_eq!(
+            kinds,
+            [(
+                IncidentKind::ProtocolViolation {
+                    error: RuntimeError::NoActiveFrame
+                },
+                1
+            )],
+            "{workers} workers"
+        );
+        assert!(with.root_causes.contains(&RootCause::IsolatedNoise {
+            workload: w.name.to_string(),
+            session: HOSTILE,
+        }));
+    }
 }
 
 #[test]
