@@ -21,12 +21,10 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 use ipds::analysis::AnalysisCounters;
 use ipds::{Config, GoldenRun, Protected, WarmStart};
 use ipds_sim::{ExecLimits, Input};
-use ipds_telemetry::phases;
 use ipds_workloads::Workload;
 
 /// Everything needed to launch campaigns against one workload variant.
@@ -74,13 +72,6 @@ pub struct CompileReport {
     pub refine_demoted: u64,
 }
 
-/// Pass names that belong to the front half of the pipeline; everything
-/// else is analysis. Keeps the long-standing aggregate `compile` /
-/// `analyze` phase keys stable while the per-pass children are new.
-fn is_front_end_pass(name: &str) -> bool {
-    matches!(name, "parse" | "lower" | "verify-ir" | "opt")
-}
-
 /// Level-1 key: workload name, analysis fingerprint, optimizer on/off.
 type ProtectedKey = (&'static str, String, bool);
 /// Level-2 key: workload name, optimizer on/off, input seed.
@@ -122,9 +113,7 @@ fn compile(w: &Workload, config: &Config, optimize: bool) -> (Arc<Protected>, Ar
     if let Some((p, r)) = inner.protected.get(&key) {
         return (Arc::clone(p), Arc::clone(r));
     }
-    let gen_start = Instant::now();
     let program = w.program();
-    let gen_secs = gen_start.elapsed().as_secs_f64();
     let build = Protected::build()
         .analysis(config.clone())
         .optimize(optimize)
@@ -145,20 +134,6 @@ fn compile(w: &Workload, config: &Config, optimize: bool) -> (Arc<Protected>, Ar
         .from_program(w.program())
         .unwrap_or_else(|e| panic!("{} failed to build refined: {e}", w.name))
         .refine;
-    // Fold the pass timings into the process-wide phase recorder: the
-    // aggregate `compile` / `analyze` keys keep their historical meaning,
-    // and each pass additionally appears as a `compile.<pass>` child.
-    phases().add("compile", gen_secs);
-    phases().add("compile.workload-gen", gen_secs);
-    for span in &build.timings {
-        let aggregate = if is_front_end_pass(span.name) {
-            "compile"
-        } else {
-            "analyze"
-        };
-        phases().add(aggregate, span.seconds);
-        phases().add(&format!("compile.{}", span.name), span.seconds);
-    }
     let bat_bits: usize = build
         .protected
         .analysis
@@ -207,7 +182,7 @@ pub fn campaign_artifacts(
         };
     }
     let inputs = Arc::new(w.inputs(input_seed));
-    let (golden, limits) = phases().time("golden", || protected.campaign_artifacts(&inputs));
+    let (golden, limits) = protected.campaign_artifacts(&inputs);
     let golden = Arc::new(golden);
     inner
         .golden
@@ -237,10 +212,10 @@ pub fn warm_start(
     if let Some(warm) = inner.warm.get(&key) {
         return Arc::clone(warm);
     }
-    let warm = Arc::new(phases().time("golden", || {
+    let warm = Arc::new(
         art.protected
-            .warm_start(&art.inputs, &art.golden, art.limits)
-    }));
+            .warm_start(&art.inputs, &art.golden, art.limits),
+    );
     inner.warm.insert(key, Arc::clone(&warm));
     warm
 }
@@ -341,7 +316,7 @@ mod tests {
             .seed(9)
             .model(AttackModel::FormatString)
             .run();
-        let direct = crate::protect(&w)
+        let direct = protected(&w, &Config::default(), false)
             .campaign_spec()
             .inputs(&w.inputs(3))
             .attacks(25)

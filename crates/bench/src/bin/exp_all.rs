@@ -1,8 +1,7 @@
 //! The experiment driver: runs every experiment in sequence (the full paper
-//! reproduction) and emits campaign-engine throughput plus telemetry
-//! numbers to `results/bench_campaign.json`, or runs one phase of it.
+//! reproduction) and writes its two artifacts, or runs one phase of it.
 //!
-//! Usage: `cargo run --release -p ipds-bench --bin exp_all -- [PHASE] [ATTACKS] [--threads T] [--quick]`
+//! Usage: `cargo run --release -p ipds-bench --bin exp_all -- [PHASE] [ATTACKS] [--threads T]`
 //!
 //! * `PHASE` — one of [`PHASES`]. A phase runs exactly the code and
 //!   arguments the full run uses for its section, so its stdout is that
@@ -13,28 +12,35 @@
 //! * `--threads T` — campaign, fault and fleet workers (default: the
 //!   machine's parallelism, capped at 8). Results are bit-identical for
 //!   every `T`.
-//! * `--quick` shrinks the campaigns and sweeps to CI-smoke size (seconds,
-//!   not minutes) while still exercising every phase and emitting the full
-//!   JSON schema.
+//!
+//! The full run writes two files. `results/bench_campaign.json` holds only
+//! values that follow from the seed (counts, coverage, lint, faults, fleet
+//! outcome): it is byte-identical at every `--threads`, committed, and
+//! gated byte-for-byte (`crates/bench/tests/exp_all_phases.rs`).
+//! `results/bench_timing.json` holds everything wall-clock or
+//! thread-count dependent (phase seconds, the scaling sweep, per-pass
+//! compile seconds, the NullSink overhead probe, fleet rates) and is not
+//! committed.
 //!
 //! Every seeded protocol runs at the constant seed 2006 the results files
 //! are generated at.
 
+use std::fmt::Display;
+use std::sync::Arc;
 use std::time::Instant;
 
+use ipds_bench::ablation::{FeasibilityRow, PromotionRow};
+use ipds_bench::artifacts::CompileReport;
 use ipds_runtime::HwConfig;
 use ipds_sim::attack::{aggregate, attack_rng, AttackRunner, Campaign};
-use ipds_telemetry::{phases, MetricsRegistry, PhaseRecorder, NULL_SINK};
+use ipds_telemetry::{MetricsRegistry, PhaseRecorder, NULL_SINK};
 
 /// The sections of the full run, in the order it prints them.
 const PHASES: &str =
     "table1 fig7 fig8 fig9 latency ablation promotion feasibility context micro faults fleet";
 
 fn usage_error(msg: &str) -> ! {
-    eprintln!(
-        "exp_all: {msg}\nusage: exp_all [PHASE] [ATTACKS] [--threads T] [--quick]\n\
-         phases: {PHASES}"
-    );
+    eprintln!("exp_all: {msg}\nusage: exp_all [PHASE] [ATTACKS] [--threads T]\nphases: {PHASES}");
     std::process::exit(2)
 }
 
@@ -42,11 +48,9 @@ fn main() {
     let mut phase: Option<String> = None;
     let mut attacks: Option<u32> = None;
     let mut threads = ipds_sim::default_threads();
-    let mut quick = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
             "--threads" => {
                 threads = args
                     .next()
@@ -58,7 +62,7 @@ fn main() {
             a => usage_error(&format!("unexpected argument `{a}`")),
         }
     }
-    let attacks = attacks.unwrap_or(if quick { 10 } else { 100 });
+    let attacks = attacks.unwrap_or(100);
     let phase = phase.as_deref();
     let runs = |name: &str| phase.is_none_or(|p| p == name);
     // The full run separates its sections with a blank line; a single
@@ -69,12 +73,8 @@ fn main() {
         }
     };
     let hw = HwConfig::table1_default();
-    // Per-phase wall-clock for the JSON `phases` array, in run order.
+    // Per-phase wall-clock for the timing file's `phases` array, in run order.
     let wall = PhaseRecorder::new();
-    // Pipeline spans (compile/analyze/golden/campaign) accumulate in the
-    // process-global recorder as the artifact cache and the campaign
-    // drivers do their work; start from a clean slate.
-    phases().reset();
 
     if runs("table1") {
         ipds_bench::table1::print(&hw);
@@ -135,9 +135,7 @@ fn main() {
         ipds_bench::micro::print(&micro);
     }
     let faults = runs("faults").then(|| {
-        let faults = wall.time("faults", || {
-            fault_campaigns(if quick { 6 } else { 24 }, threads)
-        });
+        let faults = wall.time("faults", || fault_campaigns(24, threads));
         println!(
             "fault injection: {} faults, {} detected, {} masked, {} crashed, \
              {} image flips undetected, p50 latency {} branches",
@@ -152,7 +150,7 @@ fn main() {
         faults
     });
     let fleet = runs("fleet").then(|| {
-        let fleet = wall.time("fleet", || fleet_phase(quick, threads));
+        let fleet = wall.time("fleet", || fleet_phase(threads));
         println!(
             "fleet service: {} sessions ({} rejected), {} events, {} incidents -> \
              {} root causes ({} tampered image, {} hot region, {} isolated noise), \
@@ -168,21 +166,21 @@ fn main() {
         );
         // Throughput is wall-clock-dependent, so stderr like the overhead probe.
         eprintln!(
-            "fleet throughput: {:.0} sessions/s, {:.0} events/s ({} ingestion workers)",
-            fleet.sessions_per_sec, fleet.events_per_sec, fleet.workers
+            "fleet throughput: {:.0} sessions/s, {:.0} events/s ({threads} threads)",
+            fleet.sessions_per_sec, fleet.events_per_sec
         );
         gap();
         fleet
     });
-    // A single phase ends here: the sweep, the probes and the JSON need
-    // every section's results.
+    // A single phase ends here: the sweep, the probes and the artifacts
+    // need every section's results.
     let (Some(promotion), Some(feasibility), Some(faults), Some(fleet)) =
         (promotion, feasibility, faults, fleet)
     else {
         return;
     };
 
-    let scaling = scaling_sweep(attacks, threads, quick);
+    let scaling = scaling_sweep(attacks, threads);
     // Wall-clock-dependent, so stderr: stdout stays byte-identical run-to-run.
     for s in &scaling {
         eprintln!(
@@ -190,7 +188,7 @@ fn main() {
             s.threads, s.attacks, s.seconds, s.attacks_per_sec, s.speedup
         );
     }
-    let overhead = null_sink_overhead(if quick { 60 } else { 300 }, if quick { 3 } else { 5 });
+    let overhead = null_sink_overhead(300, 5);
     // Wall-clock-dependent, so stderr: stdout stays byte-identical run-to-run.
     eprintln!(
         "NullSink telemetry overhead: {:+.2}% \
@@ -199,21 +197,35 @@ fn main() {
     );
     let counters = campaign_counters(attacks.min(50), threads);
     let compiles = compile_reports();
-    match write_bench_json(
+    let campaign = campaign_json(
         attacks,
-        threads,
-        &wall.snapshot(),
-        &scaling,
-        &overhead,
         &counters,
         &compiles,
         &promotion,
         &feasibility,
         &faults,
         &fleet,
-    ) {
-        Ok(path) => println!("campaign throughput written to {path}"),
-        Err(e) => eprintln!("warning: could not write bench_campaign.json: {e}"),
+    );
+    let timing = timing_json(
+        attacks,
+        threads,
+        &wall.snapshot(),
+        &scaling,
+        &overhead,
+        &compiles,
+        &fleet,
+    );
+    for (path, json) in [
+        ("results/bench_campaign.json", campaign),
+        ("results/bench_timing.json", timing),
+    ] {
+        if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, json))
+        {
+            eprintln!("exp_all: could not write {path}: {e}");
+            std::process::exit(1);
+        }
+        // stderr, so stdout stays exactly results/exp_all.txt.
+        eprintln!("written to {path}");
     }
 }
 
@@ -253,9 +265,9 @@ struct Scaling {
 }
 
 /// Every sweep point must run at least this long, or the curve measures
-/// dispatch overhead and timer noise instead of the checker (the old sweep
-/// timed ~17 ms of work per point at `--quick` and concluded threads were
-/// a loss).
+/// dispatch overhead and timer noise instead of the checker (an earlier
+/// sweep timed ~17 ms of work per point and concluded threads were a
+/// loss).
 const MIN_POINT_SECONDS: f64 = 0.25;
 
 /// Re-runs the Fig. 7 campaign at 1/2/4/8 threads (plus the machine
@@ -269,7 +281,7 @@ const MIN_POINT_SECONDS: f64 = 0.25;
 /// speedup (bit-identical results at every point). `scripts/ci.sh` gates
 /// on every point of the resulting curve — see docs/PERF.md for the
 /// methodology.
-fn scaling_sweep(attacks: u32, default_threads: usize, quick: bool) -> Vec<Scaling> {
+fn scaling_sweep(attacks: u32, default_threads: usize) -> Vec<Scaling> {
     let workloads = ipds_workloads::all().len() as u64;
     let time_point = |attacks: u32, threads: usize| -> f64 {
         let start = Instant::now();
@@ -293,7 +305,7 @@ fn scaling_sweep(attacks: u32, default_threads: usize, quick: bool) -> Vec<Scali
 
     let total_attacks = (u64::from(attacks) * workloads) as f64;
     let mut counts = vec![1usize, 2, 4, 8];
-    if !quick && !counts.contains(&default_threads) {
+    if !counts.contains(&default_threads) {
         counts.push(default_threads);
     }
     let mut rows: Vec<Scaling> = counts
@@ -477,7 +489,6 @@ struct FleetSummary {
     sessions: usize,
     rejected: u64,
     events: u64,
-    workers: usize,
     incidents: u64,
     root_causes: u64,
     tampered_images: u64,
@@ -487,8 +498,8 @@ struct FleetSummary {
     events_per_sec: f64,
 }
 
-fn fleet_phase(quick: bool, threads: usize) -> FleetSummary {
-    let sessions = if quick { 32 } else { 64 };
+fn fleet_phase(threads: usize) -> FleetSummary {
+    let sessions = 64;
     let report = ipds::ServiceSpec::new()
         .sessions(sessions)
         .threads(threads)
@@ -504,7 +515,6 @@ fn fleet_phase(quick: bool, threads: usize) -> FleetSummary {
         sessions,
         rejected: m.counter("service.sessions_rejected"),
         events: m.counter("service.events_ingested"),
-        workers: threads,
         incidents: m.counter("service.incidents_opened"),
         root_causes: m.counter("fleet.root_causes"),
         tampered_images: m.counter("fleet.tampered_images"),
@@ -538,7 +548,7 @@ fn campaign_counters(attacks: u32, threads: usize) -> MetricsRegistry {
 /// Per-pass compile breakdown for every workload under the default config,
 /// both optimizer settings. The earlier figures already compiled all of
 /// these through the pass pipeline, so this only reads the artifact cache.
-fn compile_reports() -> Vec<std::sync::Arc<ipds_bench::artifacts::CompileReport>> {
+fn compile_reports() -> Vec<Arc<CompileReport>> {
     let config = ipds::Config::default();
     let mut reports = Vec::new();
     for w in ipds_workloads::all() {
@@ -551,75 +561,44 @@ fn compile_reports() -> Vec<std::sync::Arc<ipds_bench::artifacts::CompileReport>
     reports
 }
 
-/// Emits `results/bench_campaign.json`: thread count, per-phase wall-clock,
-/// the headline attacks/sec of the Fig. 7 campaign, the per-workload
-/// compile breakdown (per-pass seconds, hash retries, BAT entries, image
-/// bytes), the pipeline spans the telemetry layer recorded
-/// (compile → analyze → golden → campaign, with `compile.<pass>` children),
-/// the NullSink overhead measurement, one campaign's event counters and
-/// the fleet-service phase (sessions/s, events/s, incident counts).
-#[allow(clippy::too_many_arguments)]
-fn write_bench_json(
+/// Renders a JSON array's rows, one per line at `indent`, comma-separated.
+fn rows<T>(items: &[T], indent: &str, row: impl Fn(&T) -> String) -> String {
+    items
+        .iter()
+        .map(|item| format!("{indent}{}", row(item)))
+        .collect::<Vec<_>>()
+        .join(",\n")
+}
+
+/// Renders `results/bench_campaign.json`: only values that follow from the
+/// seed — attack counts, the per-workload compile breakdown (image and BAT
+/// bytes, branches, hash retries, lint and refine counts), the promotion
+/// and feasibility sweeps, the fault totals and latency histogram, the
+/// fleet's counts and one campaign's checker counters. Nothing here
+/// depends on wall-clock or `--threads`, so the file is byte-identical at
+/// every `T`.
+fn campaign_json(
     attacks: u32,
-    threads: usize,
-    wall: &[(String, f64)],
-    scaling: &[Scaling],
-    overhead: &Overhead,
     counters: &MetricsRegistry,
-    compiles: &[std::sync::Arc<ipds_bench::artifacts::CompileReport>],
-    promotion: &[ipds_bench::ablation::PromotionRow],
-    feasibility: &[ipds_bench::ablation::FeasibilityRow],
+    compiles: &[Arc<CompileReport>],
+    promotion: &[PromotionRow],
+    feasibility: &[FeasibilityRow],
     faults: &FaultsSummary,
     fleet: &FleetSummary,
-) -> std::io::Result<String> {
-    let workloads = ipds_workloads::all().len() as u32;
-    let fig7_seconds = wall
-        .iter()
-        .find(|(name, _)| name == "fig7")
-        .map(|&(_, seconds)| seconds)
-        .unwrap_or(0.0);
-    let total_attacks = u64::from(attacks) * u64::from(workloads);
-    let attacks_per_sec = if fig7_seconds > 0.0 {
-        total_attacks as f64 / fig7_seconds
-    } else {
-        0.0
-    };
-
+) -> String {
+    let total_attacks = u64::from(attacks) * ipds_workloads::all().len() as u64;
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"attacks_per_workload\": {attacks},\n"));
-    json.push_str("  \"fig7\": {\n");
-    json.push_str(&format!("    \"total_attacks\": {total_attacks},\n"));
-    json.push_str(&format!("    \"seconds\": {fig7_seconds:.6},\n"));
-    json.push_str(&format!("    \"attacks_per_sec\": {attacks_per_sec:.1}\n"));
-    json.push_str("  },\n");
-    json.push_str("  \"scaling\": [\n");
-    for (i, s) in scaling.iter().enumerate() {
-        let comma = if i + 1 < scaling.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{ \"threads\": {}, \"attacks\": {}, \"seconds\": {:.6}, \
-             \"attacks_per_sec\": {:.1}, \"speedup\": {:.3} }}{comma}\n",
-            s.threads, s.attacks, s.seconds, s.attacks_per_sec, s.speedup
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"phases\": [\n");
-    for (i, (name, seconds)) in wall.iter().enumerate() {
-        let comma = if i + 1 < wall.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{ \"name\": \"{name}\", \"seconds\": {seconds:.6} }}{comma}\n"
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"compile\": [\n");
-    for (i, r) in compiles.iter().enumerate() {
-        let comma = if i + 1 < compiles.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{ \"workload\": \"{}\", \"optimized\": {}, \"image_bytes\": {}, \
+    json.push_str(&format!(
+        "  \"fig7\": {{\n    \"total_attacks\": {total_attacks}\n  }},\n"
+    ));
+    let compile = rows(compiles, "    ", |r| {
+        format!(
+            "{{ \"workload\": \"{}\", \"optimized\": {}, \"image_bytes\": {}, \
              \"bat_bytes\": {}, \"branches\": {}, \"checked\": {}, \"bat_entries\": {}, \
              \"hash_retries\": {}, \"lint_errors\": {}, \"lint_warnings\": {}, \
-             \"refine_proved\": {}, \"refine_demoted\": {},\n",
+             \"refine_proved\": {}, \"refine_demoted\": {} }}",
             r.workload,
             r.optimized,
             r.image_bytes,
@@ -632,24 +611,14 @@ fn write_bench_json(
             r.lint_warnings,
             r.refine_proved,
             r.refine_demoted
-        ));
-        json.push_str("      \"passes\": [\n");
-        for (j, (name, seconds)) in r.passes.iter().enumerate() {
-            let pcomma = if j + 1 < r.passes.len() { "," } else { "" };
-            json.push_str(&format!(
-                "        {{ \"name\": \"{name}\", \"seconds\": {seconds:.6} }}{pcomma}\n"
-            ));
-        }
-        json.push_str(&format!("      ] }}{comma}\n"));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"promotion\": [\n");
-    for (i, r) in promotion.iter().enumerate() {
-        let comma = if i + 1 < promotion.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{ \"workload\": \"{}\", \"promote\": {}, \"promoted_vars\": {}, \
+        )
+    });
+    json.push_str(&format!("  \"compile\": [\n{compile}\n  ],\n"));
+    let promotion = rows(promotion, "    ", |r| {
+        format!(
+            "{{ \"workload\": \"{}\", \"promote\": {}, \"promoted_vars\": {}, \
              \"branches\": {}, \"checked\": {}, \"coverage\": {:.4}, \"bat_entries\": {}, \
-             \"avg_bsv_bits\": {:.1}, \"lint_errors\": {}, \"lint_warnings\": {} }}{comma}\n",
+             \"avg_bsv_bits\": {:.1}, \"lint_errors\": {}, \"lint_warnings\": {} }}",
             r.workload,
             r.promote,
             r.promoted_vars,
@@ -660,18 +629,16 @@ fn write_bench_json(
             r.avg_bsv_bits,
             r.lint_errors,
             r.lint_warnings
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"feasibility\": [\n");
-    for (i, r) in feasibility.iter().enumerate() {
-        let comma = if i + 1 < feasibility.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{ \"workload\": \"{}\", \"promote\": {}, \"prune\": {}, \
+        )
+    });
+    json.push_str(&format!("  \"promotion\": [\n{promotion}\n  ],\n"));
+    let feasibility = rows(feasibility, "    ", |r| {
+        format!(
+            "{{ \"workload\": \"{}\", \"promote\": {}, \"prune\": {}, \
              \"pruned_edges\": {}, \"pruned_blocks\": {}, \"prune_rounds\": {}, \
              \"branches\": {}, \"checked\": {}, \"coverage\": {:.4}, \
              \"coverage_lift\": {}, \"refine_proved\": {}, \"lint_errors\": {}, \
-             \"lint_warnings\": {} }}{comma}\n",
+             \"lint_warnings\": {} }}",
             r.workload,
             r.promote,
             r.prune,
@@ -685,9 +652,9 @@ fn write_bench_json(
             r.refine_proved,
             r.lint_errors,
             r.lint_warnings
-        ));
-    }
-    json.push_str("  ],\n");
+        )
+    });
+    json.push_str(&format!("  \"feasibility\": [\n{feasibility}\n  ],\n"));
     json.push_str("  \"faults\": {\n");
     json.push_str(&format!(
         "    \"flips_per_site\": {},\n",
@@ -722,15 +689,6 @@ fn write_bench_json(
     json.push_str(&format!("    \"sessions\": {},\n", fleet.sessions));
     json.push_str(&format!("    \"sessions_rejected\": {},\n", fleet.rejected));
     json.push_str(&format!("    \"events_ingested\": {},\n", fleet.events));
-    json.push_str(&format!("    \"ingest_workers\": {},\n", fleet.workers));
-    json.push_str(&format!(
-        "    \"sessions_per_sec\": {:.1},\n",
-        fleet.sessions_per_sec
-    ));
-    json.push_str(&format!(
-        "    \"events_per_sec\": {:.1},\n",
-        fleet.events_per_sec
-    ));
     json.push_str(&format!("    \"incidents\": {},\n", fleet.incidents));
     json.push_str(&format!("    \"root_causes\": {},\n", fleet.root_causes));
     json.push_str(&format!(
@@ -744,31 +702,6 @@ fn write_bench_json(
     ));
     json.push_str("    \"all_tampers_surfaced\": true\n");
     json.push_str("  },\n");
-    json.push_str("  \"telemetry\": {\n");
-    json.push_str("    \"spans\": [\n");
-    let spans = phases().snapshot();
-    for (i, (name, seconds)) in spans.iter().enumerate() {
-        let comma = if i + 1 < spans.len() { "," } else { "" };
-        json.push_str(&format!(
-            "      {{ \"name\": \"{name}\", \"seconds\": {seconds:.6} }}{comma}\n"
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str("    \"null_sink\": {\n");
-    json.push_str(&format!(
-        "      \"bare_attacks_per_sec\": {:.1},\n",
-        overhead.bare_aps
-    ));
-    json.push_str(&format!(
-        "      \"instrumented_attacks_per_sec\": {:.1},\n",
-        overhead.instrumented_aps
-    ));
-    json.push_str(&format!(
-        "      \"overhead_percent\": {:.3}\n",
-        overhead.percent
-    ));
-    json.push_str("    },\n");
-    json.push_str("    \"campaign_counters\": {\n");
     // JSON field name -> registry key.
     let fields: [(&str, &str); 8] = [
         ("attacks", "campaign.attacks"),
@@ -780,17 +713,82 @@ fn write_bench_json(
         ("bsv_transitions", "checker.bsv_transitions"),
         ("bat_actions", "checker.bat_entries_applied"),
     ];
-    for (i, (name, key)) in fields.iter().enumerate() {
-        let comma = if i + 1 < fields.len() { "," } else { "" };
-        let value = counters.counter(key);
-        json.push_str(&format!("      \"{name}\": {value}{comma}\n"));
-    }
-    json.push_str("    }\n");
-    json.push_str("  }\n");
+    let counters = rows(&fields, "      ", |(name, key)| {
+        format!("\"{name}\": {}", counters.counter(key))
+    });
+    json.push_str(&format!(
+        "  \"telemetry\": {{\n    \"campaign_counters\": {{\n{counters}\n    }}\n  }}\n"
+    ));
     json.push_str("}\n");
+    json
+}
 
-    std::fs::create_dir_all("results")?;
-    let path = "results/bench_campaign.json";
-    std::fs::write(path, json)?;
-    Ok(path.to_string())
+/// Renders `results/bench_timing.json`: everything wall-clock or
+/// `--threads` dependent — the thread count, the Fig. 7 campaign's seconds
+/// and attacks/sec, the scaling sweep, per-phase wall-clock, per-pass
+/// compile seconds, the NullSink overhead probe and the fleet's rates.
+fn timing_json(
+    attacks: u32,
+    threads: usize,
+    wall: &[(String, f64)],
+    scaling: &[Scaling],
+    overhead: &Overhead,
+    compiles: &[Arc<CompileReport>],
+    fleet: &FleetSummary,
+) -> String {
+    let fig7_seconds = wall
+        .iter()
+        .find(|(name, _)| name == "fig7")
+        .map(|&(_, seconds)| seconds)
+        .unwrap_or(0.0);
+    let total_attacks = u64::from(attacks) * ipds_workloads::all().len() as u64;
+    let attacks_per_sec = if fig7_seconds > 0.0 {
+        total_attacks as f64 / fig7_seconds
+    } else {
+        0.0
+    };
+    fn span(&(ref name, seconds): &(impl Display, f64)) -> String {
+        format!("{{ \"name\": \"{name}\", \"seconds\": {seconds:.6} }}")
+    }
+
+    let mut json = String::new();
+    json.push_str("{\n");
+    json.push_str(&format!("  \"threads\": {threads},\n"));
+    json.push_str(&format!(
+        "  \"fig7\": {{\n    \"seconds\": {fig7_seconds:.6},\n    \
+         \"attacks_per_sec\": {attacks_per_sec:.1}\n  }},\n"
+    ));
+    let scaling = rows(scaling, "    ", |s| {
+        format!(
+            "{{ \"threads\": {}, \"attacks\": {}, \"seconds\": {:.6}, \
+             \"attacks_per_sec\": {:.1}, \"speedup\": {:.3} }}",
+            s.threads, s.attacks, s.seconds, s.attacks_per_sec, s.speedup
+        )
+    });
+    json.push_str(&format!("  \"scaling\": [\n{scaling}\n  ],\n"));
+    json.push_str(&format!(
+        "  \"phases\": [\n{}\n  ],\n",
+        rows(wall, "    ", span)
+    ));
+    let compile = rows(compiles, "    ", |r| {
+        format!(
+            "{{ \"workload\": \"{}\", \"optimized\": {},\n      \"passes\": [\n{}\n      ] }}",
+            r.workload,
+            r.optimized,
+            rows(&r.passes, "        ", span)
+        )
+    });
+    json.push_str(&format!("  \"compile\": [\n{compile}\n  ],\n"));
+    json.push_str(&format!(
+        "  \"null_sink\": {{\n    \"bare_attacks_per_sec\": {:.1},\n    \
+         \"instrumented_attacks_per_sec\": {:.1},\n    \"overhead_percent\": {:.3}\n  }},\n",
+        overhead.bare_aps, overhead.instrumented_aps, overhead.percent
+    ));
+    json.push_str(&format!(
+        "  \"fleet\": {{\n    \"sessions_per_sec\": {:.1},\n    \
+         \"events_per_sec\": {:.1}\n  }}\n",
+        fleet.sessions_per_sec, fleet.events_per_sec
+    ));
+    json.push_str("}\n");
+    json
 }

@@ -31,8 +31,8 @@ pub fn run(hw: &HwConfig) -> Vec<(String, Vec<ContextRow>)> {
     let mut out = Vec::new();
     for pair in workloads.windows(2) {
         let (a, b) = (&pair[0], &pair[1]);
-        let fa = crate::protect(a);
-        let fb = crate::protect(b);
+        let fa = crate::artifacts::protected(a, &ipds::Config::default(), false);
+        let fb = crate::artifacts::protected(b, &ipds::Config::default(), false);
         let resident_a: usize = fa.analysis.functions.iter().map(|f| f.sizes.total()).sum();
         let resident_b: usize = fb.analysis.functions.iter().map(|f| f.sizes.total()).sum();
         let top_a = fa

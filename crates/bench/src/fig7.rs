@@ -51,18 +51,17 @@ pub fn run_threaded(
         let art =
             crate::artifacts::campaign_artifacts(&w, &ipds::Config::default(), false, input_seed);
         let warm = crate::artifacts::warm_start(&w, &ipds::Config::default(), false, input_seed);
-        let r = ipds_telemetry::phases().time("campaign", || {
-            art.protected
-                .campaign_spec()
-                .inputs(&art.inputs)
-                .golden(&art.golden, art.limits)
-                .warm_start(&warm)
-                .attacks(attacks)
-                .seed(seed ^ w.name.len() as u64)
-                .model(model.unwrap_or(w.vuln))
-                .threads(threads)
-                .run()
-        });
+        let r = art
+            .protected
+            .campaign_spec()
+            .inputs(&art.inputs)
+            .golden(&art.golden, art.limits)
+            .warm_start(&warm)
+            .attacks(attacks)
+            .seed(seed ^ w.name.len() as u64)
+            .model(model.unwrap_or(w.vuln))
+            .threads(threads)
+            .run();
         rows.push(Fig7Row {
             name: w.name,
             attacks,

@@ -31,7 +31,7 @@ pub struct Fig9Row {
 pub fn run(hw: &HwConfig, input_seed: u64) -> Vec<Fig9Row> {
     let mut rows = Vec::new();
     for w in all() {
-        let protected = crate::protect(&w);
+        let protected = crate::artifacts::protected(&w, &ipds::Config::default(), false);
         let inputs = w.inputs(input_seed);
         let base = protected.timed_baseline(&inputs, hw);
         let with = protected.timed(&inputs, hw);

@@ -3,9 +3,11 @@
 //! One module per table/figure of the evaluation section (§6), each with a
 //! `run()` producing structured rows and a `print()` rendering the same
 //! table the paper reports. The one binary, `exp_all`, runs them all in
-//! sequence or one phase at a time (`exp_all <phase>`); the Criterion
-//! benches in `benches/` measure the costs (compile time, checking
-//! throughput, simulation speed) on the same drivers.
+//! sequence or one phase at a time (`exp_all <phase>`). Its full run also
+//! writes `results/bench_campaign.json` (the deterministic counts, gated
+//! byte-for-byte) and `results/bench_timing.json` (wall-clock numbers, not
+//! committed); the per-layer costs are measured by the `benchmark/`
+//! workspace's `--trace 1` pass.
 //!
 //! | Paper artifact | Module | `exp_all` phase |
 //! |---|---|---|
@@ -27,19 +29,6 @@ pub mod fig9;
 pub mod latency;
 pub mod micro;
 pub mod table1;
-
-use std::sync::Arc;
-
-use ipds::Protected;
-use ipds_workloads::Workload;
-
-/// Compiles a workload into a [`Protected`] program with default analysis.
-///
-/// Served from the process-wide [`artifacts`] cache, so every figure that
-/// protects the same workload under the default config shares one compile.
-pub fn protect(w: &Workload) -> Arc<Protected> {
-    artifacts::protected(w, &ipds::Config::default(), false)
-}
 
 /// Renders a percentage for table output.
 pub fn pct(x: f64) -> String {

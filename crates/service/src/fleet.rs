@@ -62,7 +62,7 @@ impl Default for ServiceSpec {
 impl ServiceSpec {
     /// Starts from the defaults: all ten workloads, 64 sessions, batches
     /// of 256 events, a 16-session concurrency window, machine-default
-    /// ingestion workers, seed `0x1bd5`.
+    /// pool threads, seed `0x1bd5`.
     pub fn new() -> ServiceSpec {
         ServiceSpec::default()
     }

@@ -17,9 +17,8 @@
 //!   [`Histogram`]s with `snapshot`/[`merge`](MetricsRegistry::merge)
 //!   semantics. Campaign worker threads own private registries that fold
 //!   deterministically into one result (all merge operations commute).
-//! * [`PhaseRecorder`] — wall-clock phase spans (compile → analyze →
-//!   golden → campaign) accumulated process-wide via [`phases`] and
-//!   serialized by the benchmark drivers.
+//! * [`PhaseRecorder`] — accumulating wall-clock spans per named phase;
+//!   the experiment driver times each of its sections with one.
 //!
 //! The crate depends only on `std` and sits below every other IPDS crate.
 //!
@@ -36,7 +35,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Write};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Expected direction of a checked branch, as the BSV records it.
@@ -398,8 +397,7 @@ impl MetricsRegistry {
 /// Accumulating wall-clock spans per named phase.
 ///
 /// Spans with the same name accumulate; snapshot order is first-recorded
-/// order, so a driver that always enters phases in pipeline order
-/// (compile → analyze → golden → campaign) serializes them that way.
+/// order, so a driver serializes its phases in the order it ran them.
 #[derive(Debug, Default)]
 pub struct PhaseRecorder {
     inner: Mutex<Vec<(String, f64)>>,
@@ -432,17 +430,6 @@ impl PhaseRecorder {
     pub fn snapshot(&self) -> Vec<(String, f64)> {
         self.inner.lock().unwrap().clone()
     }
-
-    /// Clears all recorded spans.
-    pub fn reset(&self) {
-        self.inner.lock().unwrap().clear();
-    }
-}
-
-/// The process-wide phase recorder the benchmark drivers accumulate into.
-pub fn phases() -> &'static PhaseRecorder {
-    static PHASES: OnceLock<PhaseRecorder> = OnceLock::new();
-    PHASES.get_or_init(PhaseRecorder::new)
 }
 
 #[cfg(test)]
@@ -534,8 +521,6 @@ mod tests {
         assert_eq!(snap[0].0, "compile");
         assert!(snap[0].1 >= 1.0);
         assert_eq!(snap[1], ("golden".to_string(), 0.25));
-        rec.reset();
-        assert!(rec.snapshot().is_empty());
     }
 
     #[test]
