@@ -18,6 +18,16 @@
 //!   condition register, the affine `Cmp` chain (`w = ±v + c`, Fig. 3.c),
 //!   and the branch's memory anchors. An edge whose refined environment
 //!   turns empty is statically *infeasible*.
+//! * **Only live registers flow along edges.** One backward liveness pass
+//!   per function finds, for every block, the registers some path from its
+//!   entry still reads: as an instruction operand, as a branch condition,
+//!   or along a branch's `Cmp` chain. Edge refinement runs on the full
+//!   environment (a register read nowhere later can still prove an edge
+//!   infeasible); then every register not live at the successor is dropped.
+//!   Memory variables are never dropped, so every variable fact and every
+//!   feasibility verdict is exactly what an all-registers fixpoint computes;
+//!   only [`AbsEnv::reg`] on a stored environment reads ⊤ for a register
+//!   dead at that point.
 //! * **Widening at loop heads** (plus a global fallback) guarantees the
 //!   fixpoint terminates; two descending narrowing rounds claw back the
 //!   precision classic widening gives up at loop exits.
@@ -31,12 +41,13 @@
 //! the variables the caller's [`Summaries`] say they may write. Consumers
 //! (`refine-correlations`, `lint-tables` in `ipds-analysis`) shard it
 //! per-function over `ipds-parallel` and merge in `FuncId` order, so
-//! everything here is deterministic by construction: `BTreeMap`
+//! everything here is deterministic by construction: key-sorted vector
 //! environments, index-ordered worklists, no hashing.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 use ipds_dataflow::{
@@ -60,14 +71,19 @@ const WIDEN_ALL_FACTOR: u64 = 16;
 const NARROW_ROUNDS: usize = 2;
 
 /// An abstract store at one program point: ranges for memory variables and
-/// registers. Missing entries are unconstrained (`Range::Full`); the
-/// environments stored by the analysis never contain empty or full ranges
-/// (empty environments are represented as "no environment" — the program
-/// point is unreachable).
+/// registers, each kept as a key-sorted vector. Missing entries are
+/// unconstrained (`Range::Full`); the environments stored by the analysis
+/// never contain empty or full ranges (empty environments are represented
+/// as "no environment" — the program point is unreachable).
+///
+/// The environments an [`IntervalAnalysis`] stores
+/// ([`IntervalAnalysis::entry_env`], [`IntervalAnalysis::edge_env`]) carry
+/// only the registers live at that point: [`AbsEnv::reg`] there is ⊤ for a
+/// register no later instruction or branch refinement reads.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AbsEnv {
-    vars: BTreeMap<MemVar, Range>,
-    regs: BTreeMap<Reg, Range>,
+    vars: Vec<(MemVar, Range)>,
+    regs: Vec<(Reg, Range)>,
 }
 
 impl AbsEnv {
@@ -78,30 +94,22 @@ impl AbsEnv {
 
     /// The range of memory variable `v` (⊤ if untracked).
     pub fn var(&self, v: MemVar) -> Range {
-        self.vars.get(&v).copied().unwrap_or(Range::Full)
+        lookup(&self.vars, v)
     }
 
     /// The range of register `r` (⊤ if untracked).
     pub fn reg(&self, r: Reg) -> Range {
-        self.regs.get(&r).copied().unwrap_or(Range::Full)
+        lookup(&self.regs, r)
     }
 
     /// Sets the range of memory variable `v` (⊤ drops the entry).
     pub fn set_var(&mut self, v: MemVar, r: Range) {
-        if r == Range::Full {
-            self.vars.remove(&v);
-        } else {
-            self.vars.insert(v, r);
-        }
+        assign(&mut self.vars, v, r);
     }
 
     /// Sets the range of register `r` (⊤ drops the entry).
     pub fn set_reg(&mut self, r: Reg, range: Range) {
-        if range == Range::Full {
-            self.regs.remove(&r);
-        } else {
-            self.regs.insert(r, range);
-        }
+        assign(&mut self.regs, r, range);
     }
 
     /// Meets `r` into variable `v`; returns `false` if the variable's range
@@ -127,50 +135,65 @@ impl AbsEnv {
 
     /// Iterates the tracked (non-⊤) memory variables.
     pub fn tracked_vars(&self) -> impl Iterator<Item = (MemVar, Range)> + '_ {
-        self.vars.iter().map(|(&v, &r)| (v, r))
+        self.vars.iter().copied()
     }
 
     /// Pointwise join (least upper bound): keys surviving in the result are
     /// exactly those constrained in *both* environments.
     fn join(a: &AbsEnv, b: &AbsEnv) -> AbsEnv {
         AbsEnv {
-            vars: join_maps(&a.vars, &b.vars),
-            regs: join_maps(&a.regs, &b.regs),
+            vars: merge(&a.vars, &b.vars, Range::join),
+            regs: merge(&a.regs, &b.regs, Range::join),
         }
     }
 
     /// Pointwise widening of `self` (previous iterate) by `next`.
     fn widen(&self, next: &AbsEnv) -> AbsEnv {
         AbsEnv {
-            vars: widen_maps(&self.vars, &next.vars),
-            regs: widen_maps(&self.regs, &next.regs),
+            vars: merge(&self.vars, &next.vars, Range::widen),
+            regs: merge(&self.regs, &next.regs, Range::widen),
         }
     }
 }
 
-fn join_maps<K: Ord + Copy>(a: &BTreeMap<K, Range>, b: &BTreeMap<K, Range>) -> BTreeMap<K, Range> {
-    let mut out = BTreeMap::new();
-    for (&k, &ra) in a {
-        if let Some(&rb) = b.get(&k) {
-            let j = ra.join(rb);
-            if j != Range::Full {
-                out.insert(k, j);
-            }
-        }
-    }
-    out
+/// The range a key-sorted map holds for `k` (⊤ if absent).
+fn lookup<K: Ord>(map: &[(K, Range)], k: K) -> Range {
+    map.binary_search_by(|(key, _)| key.cmp(&k))
+        .map_or(Range::Full, |i| map[i].1)
 }
 
-fn widen_maps<K: Ord + Copy>(
-    prev: &BTreeMap<K, Range>,
-    next: &BTreeMap<K, Range>,
-) -> BTreeMap<K, Range> {
-    let mut out = BTreeMap::new();
-    for (&k, &rp) in prev {
-        if let Some(&rn) = next.get(&k) {
-            let w = rp.widen(rn);
-            if w != Range::Full {
-                out.insert(k, w);
+/// Stores `r` under `k` in a key-sorted map; ⊤ drops the entry.
+fn assign<K: Ord>(map: &mut Vec<(K, Range)>, k: K, r: Range) {
+    match map.binary_search_by(|(key, _)| key.cmp(&k)) {
+        Ok(i) if r == Range::Full => {
+            map.remove(i);
+        }
+        Ok(i) => map[i].1 = r,
+        Err(i) if r != Range::Full => map.insert(i, (k, r)),
+        Err(_) => {}
+    }
+}
+
+/// `op` applied to the keys constrained in *both* key-sorted maps, in one
+/// linear merge; ⊤ results are dropped.
+fn merge<K: Ord + Copy>(
+    a: &[(K, Range)],
+    b: &[(K, Range)],
+    op: impl Fn(Range, Range) -> Range,
+) -> Vec<(K, Range)> {
+    let mut out = Vec::with_capacity(a.len().min(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&(ka, ra)), Some(&(kb, rb))) = (a.get(i), b.get(j)) {
+        match ka.cmp(&kb) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                let r = op(ra, rb);
+                if r != Range::Full {
+                    out.push((ka, r));
+                }
+                i += 1;
+                j += 1;
             }
         }
     }
@@ -220,13 +243,16 @@ impl IntervalAnalysis {
         view: &PrunedFunction,
     ) -> IntervalAnalysis {
         let anchors = ipds_dataflow::find_anchors(program, func, alias, summaries, view);
+        let chains = cmp_chains(func);
+        let live = Liveness::compute(func, &chains);
         let cx = Ctx {
             program,
             func,
             alias,
             summaries,
             anchors: &anchors,
-            defs: collect_defs(func),
+            chains,
+            live,
         };
         let n = func.blocks.len();
         let loop_heads = find_loop_heads(func);
@@ -240,12 +266,10 @@ impl IntervalAnalysis {
         // cap, so termination never depends on the head scan).
         let mut entry: Vec<Option<AbsEnv>> = vec![None; n];
         entry[func.entry.index()] = Some(AbsEnv::top());
-        let mut edges: BTreeMap<(BlockId, bool), Option<AbsEnv>> = BTreeMap::new();
         let mut work: BTreeSet<u32> = BTreeSet::new();
         work.insert(func.entry.0);
         let widen_all_after = WIDEN_ALL_FACTOR * (n as u64 + 1);
-        while let Some(&b) = work.iter().next() {
-            work.remove(&b);
+        while let Some(b) = work.pop_first() {
             stats.block_updates += 1;
             let bid = BlockId(b);
             let Some(env0) = entry[bid.index()].clone() else {
@@ -253,7 +277,7 @@ impl IntervalAnalysis {
             };
             let out = cx.transfer_block(bid, env0);
             let widen_all = stats.block_updates > widen_all_after;
-            for (succ, env) in cx.out_edges(bid, &out, Some(&mut edges)) {
+            for (succ, env) in cx.out_edges(bid, &out, None) {
                 let widen_here = widen_all || loop_heads.contains(&succ.0);
                 let slot = &mut entry[succ.index()];
                 let next = match slot.as_ref() {
@@ -302,7 +326,7 @@ impl IntervalAnalysis {
 
         // Final edge refresh from the narrowed entries, so edge
         // environments and entry environments describe the same state.
-        edges.clear();
+        let mut edges = BTreeMap::new();
         for b in 0..n as u32 {
             let bid = BlockId(b);
             let Some(env0) = entry[bid.index()].clone() else {
@@ -328,14 +352,16 @@ impl IntervalAnalysis {
         self.entry.get(b.index()).is_some_and(|e| e.is_some())
     }
 
-    /// The entry environment of a reachable block.
+    /// The entry environment of a reachable block. It carries only the
+    /// registers live on entry to `b`.
     pub fn entry_env(&self, b: BlockId) -> Option<&AbsEnv> {
         self.entry.get(b.index()).and_then(|e| e.as_ref())
     }
 
     /// The refined environment on conditional-branch edge `(b, dir)`.
     /// `None` means the edge is statically infeasible (or `b` is not a
-    /// conditional branch).
+    /// conditional branch). It carries only the registers live on entry to
+    /// the edge's successor.
     pub fn edge_env(&self, b: BlockId, dir: bool) -> Option<&AbsEnv> {
         self.edges.get(&(b, dir)).and_then(|e| e.as_ref())
     }
@@ -376,8 +402,13 @@ pub fn analyze_program(
         .collect()
 }
 
-/// Maps each register to its unique defining instruction's location.
-fn collect_defs(func: &Function) -> BTreeMap<Reg, (BlockId, usize)> {
+/// A register's range implied by each branch direction: `[not-taken,
+/// taken]`.
+type Implied = [Range; 2];
+
+/// Per block, the affine `Cmp` chain behind its branch condition (empty for
+/// blocks that do not end in a branch); see [`cmp_chain`].
+fn cmp_chains(func: &Function) -> Vec<Vec<(Reg, Implied)>> {
     let mut defs = BTreeMap::new();
     for (bid, block) in func.iter_blocks() {
         for (i, inst) in block.insts.iter().enumerate() {
@@ -386,7 +417,156 @@ fn collect_defs(func: &Function) -> BTreeMap<Reg, (BlockId, usize)> {
             }
         }
     }
-    defs
+    func.blocks
+        .iter()
+        .map(|block| match block.term {
+            Terminator::Branch { cond, .. } => cmp_chain(func, &defs, cond),
+            _ => Vec::new(),
+        })
+        .collect()
+}
+
+/// Walks the condition's use–def chain through `Cmp` against a constant
+/// and `±constant` arithmetic (the same shapes the anchor finder walks),
+/// listing every register on the chain with the range each branch
+/// direction implies for it. Registers are single-assignment, so the
+/// relation between a register and the condition always holds — no
+/// store-freedom side conditions.
+fn cmp_chain(
+    func: &Function,
+    defs: &BTreeMap<Reg, (BlockId, usize)>,
+    cond: Reg,
+) -> Vec<(Reg, Implied)> {
+    let mut chain = Vec::new();
+    let Some(&(b, i)) = defs.get(&cond) else {
+        return chain;
+    };
+    let Inst::Cmp { pred, lhs, rhs, .. } = &func.block(b).insts[i] else {
+        return chain;
+    };
+    let (mut cur, pred, c) = match (lhs, rhs) {
+        (Operand::Reg(r), Operand::Imm(c)) => (*r, *pred, *c),
+        (Operand::Imm(c), Operand::Reg(r)) => (*r, pred.swap(), *c),
+        _ => return chain,
+    };
+    // implied always describes the current chain register `cur`.
+    let mut implied: Implied = [false, true].map(|dir| Range::from_pred(pred, c, dir));
+    for _ in 0..64 {
+        chain.push((cur, implied));
+        let Some(&(b, i)) = defs.get(&cur) else {
+            break;
+        };
+        let Inst::BinOp { op, lhs, rhs, .. } = &func.block(b).insts[i] else {
+            break;
+        };
+        match (op, lhs, rhs) {
+            // cur = r + k  ⇒  r ∈ implied - k
+            (BinOp::Add, Operand::Reg(r), Operand::Imm(k))
+            | (BinOp::Add, Operand::Imm(k), Operand::Reg(r)) => {
+                implied = implied.map(|c| c.shift(k.wrapping_neg()));
+                cur = *r;
+            }
+            // cur = r - k  ⇒  r ∈ implied + k
+            (BinOp::Sub, Operand::Reg(r), Operand::Imm(k)) => {
+                implied = implied.map(|c| c.shift(*k));
+                cur = *r;
+            }
+            // cur = k - r  ⇒  r ∈ k - implied
+            (BinOp::Sub, Operand::Imm(k), Operand::Reg(r)) => {
+                implied = implied.map(|c| c.negate().shift(*k));
+                cur = *r;
+            }
+            _ => break,
+        }
+    }
+    chain
+}
+
+/// Registers live on entry to each block, one bit per register: those
+/// some path from the block's entry reads before redefining. A block reads
+/// its instructions' operands and, at its branch, the condition and every
+/// register on the condition's `Cmp` chain (edge refinement meets into
+/// them).
+struct Liveness {
+    /// `u64` words per block.
+    words: usize,
+    /// Block-major live-in bitsets.
+    live_in: Vec<u64>,
+}
+
+impl Liveness {
+    /// Backward may-liveness over the full CFG, iterated to its fixpoint.
+    fn compute(func: &Function, chains: &[Vec<(Reg, Implied)>]) -> Liveness {
+        fn set(bits: &mut [u64], r: Reg) {
+            if let Some(w) = bits.get_mut(r.0 as usize / 64) {
+                *w |= 1 << (r.0 % 64);
+            }
+        }
+        fn clear(bits: &mut [u64], r: Reg) {
+            if let Some(w) = bits.get_mut(r.0 as usize / 64) {
+                *w &= !(1 << (r.0 % 64));
+            }
+        }
+        let n = func.blocks.len();
+        let words = (func.next_reg as usize).div_ceil(64);
+        // Per block: registers read before any write in it, and written.
+        let mut gen = vec![0u64; n * words];
+        let mut kill = vec![0u64; n * words];
+        let mut uses = Vec::new();
+        for (b, block) in func.blocks.iter().enumerate() {
+            let g = &mut gen[b * words..(b + 1) * words];
+            let k = &mut kill[b * words..(b + 1) * words];
+            if let Terminator::Branch { cond, .. } = block.term {
+                set(g, cond);
+                for &(r, _) in &chains[b] {
+                    set(g, r);
+                }
+            }
+            for inst in block.insts.iter().rev() {
+                if let Some(d) = inst.def() {
+                    set(k, d);
+                    clear(g, d);
+                }
+                uses.clear();
+                inst.uses(&mut uses);
+                for &u in &uses {
+                    set(g, u);
+                }
+            }
+        }
+        // live_in = gen ∪ (⋃ live_in(succ) − kill); sets only grow.
+        let mut live_in = gen.clone();
+        let mut out = vec![0u64; words];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in (0..n).rev() {
+                out.fill(0);
+                for s in func.blocks[b].term.successors() {
+                    let s = s.index();
+                    for (o, &l) in out.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
+                        *o |= l;
+                    }
+                }
+                for (w, &o) in out.iter().enumerate() {
+                    let i = b * words + w;
+                    let next = gen[i] | (o & !kill[i]);
+                    if next != live_in[i] {
+                        live_in[i] = next;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        Liveness { words, live_in }
+    }
+
+    /// True if `r` is live on entry to `b`. A register outside the
+    /// function's `next_reg` range is conservatively always live.
+    fn contains(&self, b: BlockId, r: Reg) -> bool {
+        let w = r.0 as usize / 64;
+        w >= self.words || self.live_in[b.index() * self.words + w] >> (r.0 % 64) & 1 == 1
+    }
 }
 
 /// DFS back-edge scan: a successor edge landing on a block that is still on
@@ -431,7 +611,8 @@ struct Ctx<'a> {
     alias: &'a AliasAnalysis,
     summaries: &'a Summaries,
     anchors: &'a BTreeMap<BlockId, Vec<BranchAnchor>>,
-    defs: BTreeMap<Reg, (BlockId, usize)>,
+    chains: Vec<Vec<(Reg, Implied)>>,
+    live: Liveness,
 }
 
 impl<'a> Ctx<'a> {
@@ -444,9 +625,10 @@ impl<'a> Ctx<'a> {
     }
 
     /// Outgoing `(successor, environment)` contributions of `bid` given its
-    /// post-instructions environment, refining conditional-branch edges.
-    /// When `edges` is given, the refined edge environments (including
-    /// infeasible `None`s) are recorded there.
+    /// post-instructions environment, refining conditional-branch edges and
+    /// then keeping only the registers live at each successor. When `edges`
+    /// is given, the edge environments (including infeasible `None`s) are
+    /// recorded there.
     fn out_edges(
         &self,
         bid: BlockId,
@@ -454,7 +636,7 @@ impl<'a> Ctx<'a> {
         mut edges: Option<&mut BTreeMap<(BlockId, bool), Option<AbsEnv>>>,
     ) -> Vec<(BlockId, AbsEnv)> {
         match &self.func.block(bid).term {
-            Terminator::Jump(t) => vec![(*t, out.clone())],
+            Terminator::Jump(t) => vec![(*t, self.live_at(*t, out.clone()))],
             Terminator::Return(_) => Vec::new(),
             Terminator::Branch {
                 cond,
@@ -463,7 +645,11 @@ impl<'a> Ctx<'a> {
             } => {
                 let mut contributions = Vec::new();
                 for (dir, succ) in [(true, *taken), (false, *not_taken)] {
-                    let refined = self.refine_edge(out, bid, *cond, dir);
+                    // Refine first: a register dead at `succ` may still
+                    // prove the edge infeasible.
+                    let refined = self
+                        .refine_edge(out, bid, *cond, dir)
+                        .map(|env| self.live_at(succ, env));
                     if let Some(map) = edges.as_deref_mut() {
                         map.insert((bid, dir), refined.clone());
                     }
@@ -476,6 +662,11 @@ impl<'a> Ctx<'a> {
         }
     }
 
+    /// `env` without the registers dead on entry to `succ`.
+    fn live_at(&self, succ: BlockId, mut env: AbsEnv) -> AbsEnv {
+        env.regs.retain(|&(r, _)| self.live.contains(succ, r));
+        env
+    }
     /// Abstract transfer of one instruction.
     fn transfer_inst(&self, env: &mut AbsEnv, inst: &Inst) {
         match inst {
@@ -570,7 +761,7 @@ impl<'a> Ctx<'a> {
         if eff.is_nothing() {
             return;
         }
-        env.vars.retain(|v, _| !eff.may_write(*v));
+        env.vars.retain(|&(v, _)| !eff.may_write(v));
     }
 
     fn operand_range(&self, env: &AbsEnv, op: &Operand) -> Range {
@@ -591,8 +782,10 @@ impl<'a> Ctx<'a> {
         if !e.refine_reg(cond, cond_range) {
             return None;
         }
-        if !self.refine_cmp_chain(&mut e, cond, dir) {
-            return None;
+        for &(r, implied) in &self.chains[bid.index()] {
+            if !e.refine_reg(r, implied[usize::from(dir)]) {
+                return None;
+            }
         }
         for a in self.anchors.get(&bid).into_iter().flatten() {
             if !e.refine_var(a.var, a.implied_range(dir)) {
@@ -600,59 +793,6 @@ impl<'a> Ctx<'a> {
             }
         }
         Some(e)
-    }
-
-    /// Walks the condition's use–def chain through `Cmp` against a constant
-    /// and `±constant` arithmetic (the same shapes the anchor finder
-    /// walks), meeting the implied range into every register on the chain.
-    /// Registers are single-assignment, so the relation between a register
-    /// and the condition always holds — no store-freedom side conditions.
-    /// Returns `false` if any register's range became empty.
-    fn refine_cmp_chain(&self, env: &mut AbsEnv, cond: Reg, dir: bool) -> bool {
-        let Some(&cmp_loc) = self.defs.get(&cond) else {
-            return true;
-        };
-        let (b, i) = cmp_loc;
-        let Inst::Cmp { pred, lhs, rhs, .. } = &self.func.block(b).insts[i] else {
-            return true;
-        };
-        let (mut cur, mut constraint) = match (lhs, rhs) {
-            (Operand::Reg(r), Operand::Imm(c)) => (*r, Range::from_pred(*pred, *c, dir)),
-            (Operand::Imm(c), Operand::Reg(r)) => (*r, Range::from_pred(pred.swap(), *c, dir)),
-            _ => return true,
-        };
-        // constraint always describes the current chain register `cur`.
-        for _ in 0..64 {
-            if !env.refine_reg(cur, constraint) {
-                return false;
-            }
-            let Some(&(b, i)) = self.defs.get(&cur) else {
-                return true;
-            };
-            let Inst::BinOp { op, lhs, rhs, .. } = &self.func.block(b).insts[i] else {
-                return true;
-            };
-            match (op, lhs, rhs) {
-                // cur = r + k  ⇒  r ∈ constraint - k
-                (BinOp::Add, Operand::Reg(r), Operand::Imm(k))
-                | (BinOp::Add, Operand::Imm(k), Operand::Reg(r)) => {
-                    constraint = constraint.shift(k.wrapping_neg());
-                    cur = *r;
-                }
-                // cur = r - k  ⇒  r ∈ constraint + k
-                (BinOp::Sub, Operand::Reg(r), Operand::Imm(k)) => {
-                    constraint = constraint.shift(*k);
-                    cur = *r;
-                }
-                // cur = k - r  ⇒  r ∈ k - constraint
-                (BinOp::Sub, Operand::Imm(k), Operand::Reg(r)) => {
-                    constraint = constraint.negate().shift(*k);
-                    cur = *r;
-                }
-                _ => return true,
-            }
-        }
-        true
     }
 }
 
@@ -944,6 +1084,65 @@ mod tests {
             ia.var_on_edge(guard, false, m),
             Range::Interval { lo: 1, hi: 3 }
         );
+    }
+
+    #[test]
+    fn dead_registers_leave_stored_environments() {
+        // Under full promotion `t` lives in a register the inner branch
+        // reads in another block; the outer `Cmp` result is read only by
+        // its own branch.
+        let src = "fn main() -> int { int t; t = read_int(); \
+                   if (t < 5) { if (t > 2) { return 1; } } return 0; }";
+        let mut p = ipds_ir::parse(src).unwrap();
+        let form = ipds_ir::build_ssa(&mut p, 100);
+        ipds_ir::mark_promoted(&mut p, &form);
+        ipds_ir::deconstruct_ssa(&mut p, &form);
+        let Facts { alias, summaries } = Facts::compute(&p);
+        let f = p.main().unwrap();
+        let ia = IntervalAnalysis::analyze(&p, f, &alias, &summaries, &PrunedFunction::default());
+        let outer = branch_blocks(&p)[0];
+        let Terminator::Branch { cond, taken, .. } = f.block(outer).term else {
+            panic!("expected branch");
+        };
+        let t = f
+            .block(outer)
+            .insts
+            .iter()
+            .find_map(|inst| match inst {
+                Inst::Cmp {
+                    dst,
+                    lhs: Operand::Reg(t),
+                    ..
+                } if *dst == cond => Some(*t),
+                _ => None,
+            })
+            .expect("the outer branch tests `t < 5` in its own block");
+        let inner = ia.entry_env(taken).unwrap();
+        assert_eq!(inner.reg(cond), Range::Full, "the Cmp result is dead");
+        assert_eq!(ia.edge_env(outer, true).unwrap().reg(cond), Range::Full);
+        assert_eq!(inner.reg(t), Range::at_most(4), "t is read downstream");
+    }
+
+    #[test]
+    fn cmp_chain_registers_stay_live_across_blocks() {
+        // Under full promotion `u = t + 1` is computed before the outer
+        // branch pins `t ≥ 10`, so only the inner branch's chain back
+        // through `u` to `t` proves `u < 5` impossible. Both inner arms
+        // return, so nothing after the inner branch reads `t`: the chain
+        // alone must keep it live into the inner block.
+        let src = "fn main() -> int { int t; int u; t = read_int(); u = t + 1; \
+                   if (t >= 10) { if (u < 5) { return 1; } else { return 2; } } \
+                   return 0; }";
+        let mut p = ipds_ir::parse(src).unwrap();
+        let form = ipds_ir::build_ssa(&mut p, 100);
+        ipds_ir::mark_promoted(&mut p, &form);
+        ipds_ir::deconstruct_ssa(&mut p, &form);
+        let Facts { alias, summaries } = Facts::compute(&p);
+        let f = p.main().unwrap();
+        let ia = IntervalAnalysis::analyze(&p, f, &alias, &summaries, &PrunedFunction::default());
+        let inner = branch_blocks(&p)[1];
+        assert!(!ia.edge_feasible(inner, true), "t ≥ 10 forces u ≥ 11");
+        assert!(ia.edge_feasible(inner, false));
     }
 
     #[test]

@@ -32,10 +32,12 @@
 //!
 //! The checker is total over any call/branch/return sequence. A branch
 //! with no active frame, a branch PC foreign to the active function, a
-//! call to an unknown function and a return with no frame are each
-//! counted, skipped and recorded as a typed [`RuntimeError`]. Only the
-//! first is kept ([`IpdsChecker::violation`]), so a hostile stream cannot
-//! grow memory, and checking carries on with the next event.
+//! call to an unknown function, a call past [`MAX_FRAME_DEPTH`] active
+//! frames and a return with no frame are each counted, skipped and
+//! recorded as a typed [`RuntimeError`]. Only the first is kept
+//! ([`IpdsChecker::violation`]), and the frame stack never grows past the
+//! cap, so a hostile stream cannot grow memory, and checking carries on
+//! with the next event.
 
 use ipds_analysis::{BranchStatus, FunctionAnalysis, ProgramAnalysis};
 use ipds_ir::FuncId;
@@ -61,6 +63,14 @@ pub const CHECKER_COUNTERS: &[&str] = &[
 /// dropped instead of pooled so a single pathological run cannot pin
 /// memory for the rest of the campaign.
 pub const BSV_POOL_CAP: usize = 64;
+
+/// Frame-stack cap: a call that would push a frame past this many active
+/// ones is counted, skipped and recorded as
+/// [`RuntimeError::FrameStackOverflow`], and the return matching it pops
+/// nothing. Four times the interpreter's default call-depth limit (256),
+/// so no run the interpreter completes reaches it; only a hostile or
+/// corrupted event stream does.
+pub const MAX_FRAME_DEPTH: usize = 1024;
 
 /// A detected infeasible path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -330,6 +340,7 @@ fn violate(first: &mut Option<Violation>, error: RuntimeError, branch_seq: u64) 
 #[derive(Debug, Clone, Default)]
 pub struct CheckerSnapshot {
     frames: Vec<(FuncId, Vec<u64>)>,
+    skipped_calls: usize,
     stats: IpdsStats,
     alarms: Vec<Alarm>,
     violation: Option<Violation>,
@@ -369,6 +380,9 @@ pub struct CheckerSnapshot {
 pub struct IpdsChecker {
     tables: Vec<FuncTables>,
     stack: Vec<Frame>,
+    /// Calls skipped at [`MAX_FRAME_DEPTH`] whose returns have not arrived
+    /// yet; each such return pops nothing.
+    skipped_calls: usize,
     alarms: Vec<Alarm>,
     violation: Option<Violation>,
     stats: IpdsStats,
@@ -384,6 +398,7 @@ impl IpdsChecker {
         IpdsChecker {
             tables: analysis.functions.iter().map(FuncTables::build).collect(),
             stack: Vec::new(),
+            skipped_calls: 0,
             alarms: Vec::new(),
             violation: None,
             stats: IpdsStats::default(),
@@ -401,16 +416,25 @@ impl IpdsChecker {
                 self.bsv_pool.push(frame.bsv);
             }
         }
+        self.skipped_calls = 0;
         self.alarms.clear();
         self.violation = None;
         self.stats = IpdsStats::default();
     }
 
     /// Pushes a fresh all-unknown BSV frame for `func` (function entry). A
-    /// function the tables do not describe pushes nothing and is recorded
-    /// as [`RuntimeError::UnknownFunction`].
+    /// call with [`MAX_FRAME_DEPTH`] frames already active pushes nothing
+    /// and is recorded as [`RuntimeError::FrameStackOverflow`]; so does a
+    /// function the tables do not describe, recorded as
+    /// [`RuntimeError::UnknownFunction`].
     pub fn on_call(&mut self, func: FuncId) {
         self.stats.calls += 1;
+        if self.stack.len() >= MAX_FRAME_DEPTH {
+            self.skipped_calls += 1;
+            let error = RuntimeError::FrameStackOverflow { func };
+            violate(&mut self.violation, error, self.stats.branches);
+            return;
+        }
         let Some(tables) = self.tables.get(func.0 as usize) else {
             let error = RuntimeError::UnknownFunction { func };
             violate(&mut self.violation, error, self.stats.branches);
@@ -423,13 +447,18 @@ impl IpdsChecker {
         self.stats.max_depth = self.stats.max_depth.max(self.stack.len());
     }
 
-    /// Pops the top frame (function return).
+    /// Pops the top frame (function return). The return of a call skipped
+    /// at [`MAX_FRAME_DEPTH`] pops nothing.
     ///
     /// A return with no active frame means the call/return event stream is
     /// unbalanced — e.g. a corrupted return address under fault injection.
     /// The checker counts it, records it and degrades gracefully instead of
     /// aborting.
     pub fn on_return(&mut self) -> Result<(), RuntimeError> {
+        if self.skipped_calls > 0 {
+            self.skipped_calls -= 1;
+            return Ok(());
+        }
         let Some(frame) = self.stack.pop() else {
             let error = RuntimeError::FrameStackUnderflow {
                 component: "checker",
@@ -533,6 +562,7 @@ impl IpdsChecker {
     pub fn snapshot(&self) -> CheckerSnapshot {
         CheckerSnapshot {
             frames: self.stack.iter().map(|f| (f.func, f.bsv.clone())).collect(),
+            skipped_calls: self.skipped_calls,
             stats: self.stats,
             alarms: self.alarms.clone(),
             violation: self.violation,
@@ -562,6 +592,7 @@ impl IpdsChecker {
                 });
             }
         }
+        self.skipped_calls = snap.skipped_calls;
         self.stats = snap.stats;
         self.alarms.clone_from(&snap.alarms);
         self.violation = snap.violation;

@@ -34,6 +34,13 @@ pub enum RuntimeError {
         /// The offending function id.
         func: FuncId,
     },
+    /// A call event arrived with the checker's frame stack already at
+    /// [`MAX_FRAME_DEPTH`](crate::MAX_FRAME_DEPTH) frames — unbounded
+    /// recursion no interpreter run produces.
+    FrameStackOverflow {
+        /// The function the skipped call entered.
+        func: FuncId,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -50,6 +57,11 @@ impl fmt::Display for RuntimeError {
             RuntimeError::UnknownFunction { func } => {
                 write!(f, "call to unknown function {func}")
             }
+            RuntimeError::FrameStackOverflow { func } => write!(
+                f,
+                "call to {func} past the {} frame cap",
+                crate::MAX_FRAME_DEPTH
+            ),
         }
     }
 }

@@ -28,7 +28,7 @@ pub mod onchip;
 
 pub use checker::{
     Alarm, BranchOutcome, CheckerSnapshot, IpdsChecker, IpdsStats, Violation, BSV_POOL_CAP,
-    CHECKER_COUNTERS,
+    CHECKER_COUNTERS, MAX_FRAME_DEPTH,
 };
 pub use config::HwConfig;
 pub use error::RuntimeError;

@@ -116,15 +116,25 @@ cargo test -q --release --test service_fleet flush_points_never_change_results
 
 echo "==> hostile-stream gate (malformed GuestEvent streams are typed incidents, never panics)"
 # Each malformed stream must open exactly one isolated ProtocolViolation
-# with its typed cause, a hostile session must leave the rest of a fleet
+# with its typed cause, 10k calls must stop at the checker's frame cap with
+# one FrameStackOverflow, a hostile session must leave the rest of a fleet
 # untouched at 1 and 4 workers, and the fast checker must agree with the
 # reference checker written from paper §5 on golden, tampered and
 # malformed streams, per event and in runs.
 cargo test -q --release --test service_fleet \
     malformed_stream_opens_protocol_violation
 cargo test -q --release --test service_fleet \
+    unbounded_calls_open_one_protocol_violation
+cargo test -q --release --test service_fleet \
     a_hostile_session_leaves_the_rest_of_the_fleet_untouched
 cargo test -q --release --test reference_checker
+
+echo "==> interval reference gate (the live-register interval analyzer matches the all-registers reference)"
+# Every block's reachability and entry variables, and every branch edge's
+# feasibility and variables, must equal the BTreeMap/all-registers
+# fixpoint's on the extended workloads and 600 generated programs, over
+# the full CFG and every prune-cfg view.
+cargo test -q --release -p ipds-absint --test interval_reference
 
 echo "==> scaling gate (every thread count must pull its weight; see docs/PERF.md)"
 # The sweep self-calibrates each point to >=250 ms of measured work, so

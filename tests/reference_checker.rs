@@ -10,11 +10,13 @@
 //! memory tampers that alarm, and malformed streams — and must agree on
 //! statistics, alarms and the first protocol violation. `IpdsChecker` is
 //! driven both one event at a time and with its branches batched into
-//! runs that are cut at seeded points.
+//! runs that are cut at seeded points. The reference models the checker's
+//! one deliberate limit, the [`MAX_FRAME_DEPTH`] frame cap, as a count of
+//! skipped calls whose returns pop nothing.
 
 use ipds::analysis::{BranchStatus, ProgramAnalysis};
 use ipds::ir::{FuncId, Program};
-use ipds::runtime::{Alarm, IpdsChecker, IpdsStats, RuntimeError, Violation};
+use ipds::runtime::{Alarm, IpdsChecker, IpdsStats, RuntimeError, Violation, MAX_FRAME_DEPTH};
 use ipds::sim::{ExecLimits, ExecObserver, ExecStatus, Input, Interp, StdRng};
 use ipds::{GuestEvent, Protected};
 
@@ -29,6 +31,8 @@ struct Frame {
 struct Reference<'a> {
     analysis: &'a ProgramAnalysis,
     stack: Vec<Frame>,
+    /// Calls made at the frame cap whose returns have not arrived yet.
+    skipped: usize,
     stats: IpdsStats,
     alarms: Vec<Alarm>,
     violation: Option<Violation>,
@@ -39,6 +43,7 @@ impl<'a> Reference<'a> {
         Reference {
             analysis,
             stack: Vec::new(),
+            skipped: 0,
             stats: IpdsStats::default(),
             alarms: Vec::new(),
             violation: None,
@@ -58,6 +63,11 @@ impl<'a> Reference<'a> {
         match event {
             GuestEvent::Call(func) => {
                 self.stats.calls += 1;
+                if self.stack.len() == MAX_FRAME_DEPTH {
+                    self.skipped += 1;
+                    self.violate(RuntimeError::FrameStackOverflow { func });
+                    return;
+                }
                 match self.analysis.functions.get(func.0 as usize) {
                     Some(fa) => {
                         let bsv = vec![BranchStatus::Unknown; fa.branches.len()];
@@ -67,6 +77,7 @@ impl<'a> Reference<'a> {
                     None => self.violate(RuntimeError::UnknownFunction { func }),
                 }
             }
+            GuestEvent::Return if self.skipped > 0 => self.skipped -= 1,
             GuestEvent::Return => {
                 if self.stack.pop().is_none() {
                     self.stats.underflows += 1;
@@ -303,6 +314,23 @@ fn reference_agrees_on_malformed_streams() {
     let fa = p.analysis.of(main);
     let checked = fa.checked.iter().position(|&c| c).unwrap();
     let branch = &fa.branches[checked];
+    // Recursion past the cap, then one return more than the calls: the
+    // returns of the skipped calls pop nothing, so only the last one
+    // underflows.
+    let deep: Vec<GuestEvent> = [GuestEvent::Call(main); MAX_FRAME_DEPTH + 3]
+        .into_iter()
+        .chain([GuestEvent::Return; MAX_FRAME_DEPTH + 4])
+        .collect();
+    let (stats, _, violation) = agree(&p.analysis, &deep, "recursion past the frame cap");
+    assert_eq!((stats.max_depth, stats.underflows), (MAX_FRAME_DEPTH, 1));
+    assert_eq!(
+        violation.map(|v| v.error),
+        Some(RuntimeError::FrameStackOverflow { func: main })
+    );
+    assert!(
+        ExecLimits::default().max_depth <= MAX_FRAME_DEPTH,
+        "the interpreter must return before the checker's cap"
+    );
     let cases = [
         (
             vec![GuestEvent::Branch { pc: 0, taken: true }],

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use ipds::analysis::TableImage;
 use ipds::ir::FuncId;
-use ipds::runtime::RuntimeError;
+use ipds::runtime::{RuntimeError, MAX_FRAME_DEPTH};
 use ipds::service::SessionState;
 use ipds::sim::{ExecLimits, ExecObserver, Interp};
 use ipds::{
@@ -163,6 +163,38 @@ fn malformed_stream_opens_protocol_violation() {
         );
         assert_eq!(stats.underflows, count(|e| *e == GuestEvent::Return));
     }
+}
+
+#[test]
+fn unbounded_calls_open_one_protocol_violation() {
+    // A guest that only ever calls: the session's frame stack stops at the
+    // cap and the first call past it is the session's one incident.
+    let w = &ipds::workloads::all()[0];
+    let (_cache, artifact, _image) = cached_artifact(w);
+    let artifacts = [artifact];
+    let main = Protected::compile(w).unwrap().program.main().unwrap().id;
+    let mut service = Service::start(&artifacts, 1);
+    service.open(0, w.name).unwrap();
+    service
+        .submit(0, vec![GuestEvent::Call(main); 10_000])
+        .unwrap();
+    service.close(0).unwrap();
+    let report = service.finish();
+    assert_eq!(
+        report.incidents,
+        vec![Incident {
+            session: 0,
+            workload: w.name.to_string(),
+            kind: IncidentKind::ProtocolViolation {
+                error: RuntimeError::FrameStackOverflow { func: main },
+            },
+            seq: 0,
+            alarm_count: 0,
+        }]
+    );
+    let stats = &report.sessions[0].stats;
+    assert_eq!(stats.calls, 10_000, "every call is counted");
+    assert_eq!(stats.max_depth, MAX_FRAME_DEPTH, "no frame past the cap");
 }
 
 /// The smallest malformed streams, with the violation each must record and
