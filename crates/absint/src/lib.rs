@@ -1146,6 +1146,19 @@ mod tests {
     }
 
     #[test]
+    fn binop_range_keeps_wrapped_sums_of_extreme_constants() {
+        let small = Range::Interval { lo: -18, hi: 36 };
+        let out = binop_range(BinOp::Add, Range::exact(i64::MAX), small);
+        for v in [-18i64, 0, 1, 36] {
+            assert!(out.contains(i64::MAX.wrapping_add(v)), "{v}: {out}");
+        }
+        let out = binop_range(BinOp::Sub, small, Range::exact(i64::MIN));
+        for v in [-18i64, 0, 36] {
+            assert!(out.contains(v.wrapping_sub(i64::MIN)), "{v}: {out}");
+        }
+    }
+
+    #[test]
     fn binop_range_constant_folds() {
         assert_eq!(
             binop_range(BinOp::Add, Range::exact(2), Range::exact(3)),

@@ -816,11 +816,7 @@ impl<'a, S: EventSink> CampaignSpec<'a, S> {
     /// Runs the campaign and returns the merged per-worker metrics
     /// (`campaign.*` attack counters, step and detection-lag histograms,
     /// and the checker's summed `checker.*` work) alongside the result.
-    /// Both are bit-identical for every thread count, with one
-    /// documented exception: the worker pool's chunk-accounting counters
-    /// (`pool.chunks_claimed`, `pool.chunks_stolen`) describe how the
-    /// scheduler carved the index space and legitimately vary with thread
-    /// count and timing (see `docs/PERF.md`).
+    /// Both are bit-identical for every thread count (see `docs/PERF.md`).
     ///
     /// # Panics
     ///

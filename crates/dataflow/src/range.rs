@@ -147,8 +147,9 @@ impl Range {
         }
     }
 
-    /// Shifts the range by `k` (the set `{v + k : v ∈ self}`), saturating at
-    /// the representable ends.
+    /// Shifts the range by `k` (the set `{v + k : v ∈ self}`). Infinity
+    /// sentinels stay put; a finite bound whose image leaves the `i64`
+    /// window makes the result ⊤.
     pub fn shift(self, k: i64) -> Range {
         let k = k as i128;
         match self {
@@ -157,19 +158,14 @@ impl Range {
             Range::Interval { lo, hi } => {
                 let nl = if lo <= LO_INF { LO_INF } else { lo + k };
                 let nh = if hi >= HI_INF { HI_INF } else { hi + k };
-                if nl > HI_INF || nh < LO_INF {
-                    // The whole finite range crossed the representable
-                    // window: every concrete image wraps around, and only
-                    // ⊤ covers both shores.
-                    Range::Full
+                let window = LO_INF..=HI_INF;
+                if window.contains(&nl) && window.contains(&nh) {
+                    Range::Interval { lo: nl, hi: nh }.norm()
                 } else {
-                    // A single bound poking past the window saturates back
-                    // to its infinity sentinel (an over-approximation).
-                    Range::Interval {
-                        lo: nl.max(LO_INF),
-                        hi: nh.min(HI_INF),
-                    }
-                    .norm()
+                    // The values next to that bound wrap around to the
+                    // other end of the window, and only ⊤ covers both
+                    // shores; saturating the bound would drop them.
+                    Range::Full
                 }
             }
             Range::Ne(c) => match (c as i128).checked_add(k) {
@@ -434,6 +430,20 @@ mod tests {
         assert_eq!(Range::Ne(4).shift(-1), Range::Ne(3));
         assert_eq!(Range::at_most(5).shift(1), Range::at_most(6));
         assert_eq!(Range::full().shift(100), Range::full());
+        // A finite bound leaving the window makes the shift ⊤: 36 + MAX
+        // wraps negative, and saturating the upper bound would drop it.
+        let r = Range::Interval { lo: -18, hi: 36 };
+        assert_eq!(r.shift(i64::MAX), Range::Full);
+        assert_eq!(r.shift(i64::MIN), Range::Full);
+        assert_eq!(Range::at_most(5).shift(i64::MAX), Range::Full);
+        // Bounds that stay inside the window shift exactly.
+        assert_eq!(
+            Range::Interval { lo: -18, hi: 0 }.shift(i64::MAX),
+            Range::Interval {
+                lo: HI_INF - 18,
+                hi: HI_INF
+            }
+        );
     }
 
     #[test]

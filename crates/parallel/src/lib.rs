@@ -1,4 +1,4 @@
-//! # ipds-parallel — the deterministic persistent work-stealing pool
+//! # ipds-parallel — the deterministic persistent worker pool
 //!
 //! Both halves of the system fan embarrassingly parallel work over threads:
 //! the sim side runs independently seeded attacks, the compiler side
@@ -6,41 +6,33 @@
 //! pool lives here, below either of them:
 //!
 //! * **Persistent workers.** A [`Pool`] spawns its worker threads once and
-//!   parks them on a condvar between calls. Repeated [`map_indexed`] /
-//!   [`map_indexed_stats`] calls are broadcast to the *same* threads — the
-//!   per-call cost is one mutex round-trip and a wakeup, not a fleet of
-//!   `clone(2)` calls. The process-wide [`Pool::global`] instance is what
-//!   the free functions use, so every campaign shard, fault batch and
-//!   compiler shard in a process shares one set of threads.
-//! * **Chunked self-scheduling with range stealing.** The index space is
-//!   pre-split into one contiguous range per worker. A worker claims the
-//!   next *chunk* of its own range with one CAS (chunk size adapts to the
-//!   task/worker ratio, so claim traffic is a small constant per range,
-//!   not one atomic RMW per task as the old shared-cursor design paid).
-//!   A worker that drains its range *steals the back half* of a victim's
-//!   remaining range, so a straggler chunk cannot idle the rest of the
-//!   pool behind it.
-//! * **Deterministic merge.** Every result is written into a preallocated
-//!   slot at its task index — the ranges partition the index space, so each
-//!   slot is written exactly once and the output of [`map_indexed`] is
+//!   parks them on a condvar between calls. Repeated [`map_indexed`] calls
+//!   are broadcast to the *same* threads — the per-call cost is one mutex
+//!   round-trip and a wakeup, not a fleet of `clone(2)` calls. The
+//!   process-wide [`Pool::global`] instance is what the free function
+//!   uses, so every campaign shard, fault batch and compiler shard in a
+//!   process shares one set of threads.
+//! * **One claim cursor.** Participants take contiguous *chunks* of the
+//!   index space from one shared atomic cursor (chunk size adapts to the
+//!   task/worker ratio, so claim traffic is a small constant per worker,
+//!   not one atomic RMW per task). A participant stuck on a slow chunk
+//!   only stops claiming; the others keep draining the cursor around it.
+//! * **Deterministic merge.** Each participant hands back the chunks it
+//!   ran, tagged with their start index, through a slot it writes once;
+//!   the chunks partition the index space, so the submitter stitches them
+//!   into index order and the output of [`map_indexed`] is
 //!   **bit-identical** to the serial loop for any thread count and any
-//!   scheduling, with no tag-and-sort pass.
+//!   scheduling.
 //! * **Per-worker state.** Each participating worker owns one `W` built by
 //!   the `init` closure (an arena, a scratch metrics registry); the states
 //!   come back to the caller after the call completes so commutative
 //!   aggregates can be folded deterministically. Arenas live for the whole
 //!   call — they are *never* rebuilt per task or per chunk.
 //! * **A work floor.** Dispatching a batch smaller than
-//!   [`MIN_TASKS_PER_WORKER`] tasks per worker hands out one-task chunks
-//!   and leaves the surplus workers spinning on the steal path, so
-//!   [`effective_workers`] clamps the worker count to the batch size and
-//!   tiny batches run inline on the caller's thread — no wakeup at all.
-//!
-//! Scheduling observability: [`map_indexed_stats`] additionally returns a
-//! [`PoolStats`] (claimed/stolen chunk counts, executed tasks). The task
-//! count is deterministic; the *steal* count is inherently
-//! scheduling-dependent and is surfaced for observability only — see the
-//! [`POOL_COUNTERS`] contract.
+//!   [`MIN_TASKS_PER_WORKER`] tasks per worker wakes workers that find
+//!   the cursor already drained, so [`effective_workers`] clamps the
+//!   worker count to the batch size and tiny batches run inline on the
+//!   caller's thread — no wakeup at all.
 //!
 //! Standard library only — no external dependencies, and borrowed inputs
 //! (programs, analyses, traces) flow into workers without `Arc`: a call
@@ -48,31 +40,15 @@
 //! in its own batch, and does not return until every worker that touched
 //! the batch has finished with it.
 
-use std::cell::{Cell, UnsafeCell};
-use std::mem::MaybeUninit;
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
 
-/// The canonical `pool.*` metric keys the campaign and fault engines emit
-/// (documented in `docs/PERF.md`, enforced by `tests/docs_metrics.rs`).
-///
-/// `pool.tasks_executed` is deterministic — it always equals the task
-/// count. The chunk-accounting pair (`pool.chunks_claimed`,
-/// `pool.chunks_stolen`) depends on OS scheduling — a steal removes a
-/// range the owner would otherwise have claimed — and is the documented
-/// exemption from the bit-identity contract (it observes the scheduler,
-/// not the computation).
-pub const POOL_COUNTERS: &[&str] = &[
-    "pool.tasks_executed",
-    "pool.chunks_claimed",
-    "pool.chunks_stolen",
-];
-
 /// Below this many tasks per worker, extra workers cost more in dispatch
-/// and steal traffic than they recover in parallelism; [`effective_workers`]
+/// and claim traffic than they recover in parallelism; [`effective_workers`]
 /// sheds them. A batch smaller than `2 * MIN_TASKS_PER_WORKER` therefore
 /// runs inline on the caller's thread.
 pub const MIN_TASKS_PER_WORKER: u32 = 8;
@@ -90,177 +66,34 @@ pub fn default_threads() -> usize {
 /// The worker count a `(tasks, threads)` batch is actually dispatched to:
 /// `threads`, clamped so every worker has at least [`MIN_TASKS_PER_WORKER`]
 /// tasks. `1` means the batch runs inline on the caller's thread with no
-/// pool interaction at all (the old degenerate path handed surplus workers
-/// one-task chunks and left them spinning on `steal_back`).
+/// pool interaction at all.
 pub fn effective_workers(tasks: u32, threads: usize) -> usize {
     let floor = (tasks / MIN_TASKS_PER_WORKER).max(1) as usize;
     threads.max(1).min(floor)
 }
 
-/// Scheduling statistics of one [`map_indexed_stats`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Workers the batch was shaped for (≤ requested threads, ≥ 1). A
-    /// worker busy elsewhere may contribute nothing — its range is drained
-    /// by steals — so fewer states than this can come back.
-    pub workers: u32,
-    /// Tasks executed (= the task count; every index runs exactly once).
-    pub tasks_executed: u64,
-    /// Chunks claimed by workers from their own range.
-    pub chunks_claimed: u64,
-    /// Back-half range steals performed by idle workers.
-    ///
-    /// Scheduling-dependent: two runs of the same campaign may steal a
-    /// different number of chunks. The *results* are bit-identical anyway —
-    /// only this observability counter varies.
-    pub chunks_stolen: u64,
-}
-
-/// One worker's contiguous index range `[next, end)`, packed into a single
-/// atomic word so both the owner's chunk claim and a thief's back-half
-/// steal are one CAS each.
-struct Range {
-    next_end: AtomicU64,
-}
-
-const fn pack(next: u32, end: u32) -> u64 {
-    ((next as u64) << 32) | end as u64
-}
-
-const fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-impl Range {
-    fn new(next: u32, end: u32) -> Range {
-        Range {
-            next_end: AtomicU64::new(pack(next, end)),
-        }
-    }
-
-    /// Owner side: claim up to `chunk` tasks from the front of the range.
-    fn claim_front(&self, chunk: u32) -> Option<(u32, u32)> {
-        let mut cur = self.next_end.load(Ordering::Acquire);
-        loop {
-            let (next, end) = unpack(cur);
-            if next >= end {
-                return None;
-            }
-            let take = chunk.min(end - next);
-            match self.next_end.compare_exchange_weak(
-                cur,
-                pack(next + take, end),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((next, next + take)),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Thief side: detach the back half of the remaining range (at least
-    /// one task). Leaves the front half with the owner so its next claim
-    /// still succeeds without contention in the common case.
-    fn steal_back(&self) -> Option<(u32, u32)> {
-        let mut cur = self.next_end.load(Ordering::Acquire);
-        loop {
-            let (next, end) = unpack(cur);
-            if next >= end {
-                return None;
-            }
-            let keep = (end - next) / 2;
-            let split = next + keep;
-            match self.next_end.compare_exchange_weak(
-                cur,
-                pack(next, split),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((split, end)),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
-
-/// Write-once result slots shared by all workers. The ranges partition the
-/// index space, so no two workers ever touch the same slot; the batch
-/// completion handshake (every participant's finish is observed under the
-/// pool mutex) provides the happens-before edge that makes every write
-/// visible before the slots are read back.
-struct Slots<R> {
-    cells: UnsafeCell<Vec<MaybeUninit<R>>>,
-}
-
-// SAFETY: workers write disjoint indices (the ranges partition `0..tasks`)
-// and the caller only reads after the completion handshake.
-unsafe impl<R: Send> Sync for Slots<R> {}
-
-impl<R> Slots<R> {
-    fn new(tasks: usize) -> Slots<R> {
-        let mut cells = Vec::with_capacity(tasks);
-        cells.resize_with(tasks, MaybeUninit::uninit);
-        Slots {
-            cells: UnsafeCell::new(cells),
-        }
-    }
-
-    /// # Safety
-    ///
-    /// `i` must be claimed by exactly one worker (disjoint ranges).
-    unsafe fn write(&self, i: u32, value: R) {
-        let cells = &mut *self.cells.get();
-        cells[i as usize].write(value);
-    }
-
-    /// # Safety
-    ///
-    /// Every slot must have been written (all ranges drained) and every
-    /// participant finished.
-    unsafe fn into_results(self) -> Vec<R> {
-        let cells = self.cells.into_inner();
-        // MaybeUninit<R> and R have identical layout; every slot is
-        // initialized, so transmuting the collection is sound.
-        let mut cells = std::mem::ManuallyDrop::new(cells);
-        Vec::from_raw_parts(
-            cells.as_mut_ptr().cast::<R>(),
-            cells.len(),
-            cells.capacity(),
-        )
-    }
-}
-
-/// One participant's contribution to a batch: its final worker state plus
-/// its (executed, claimed, stolen) tallies.
-type WorkerOut<W> = Option<(W, u64, u64, u64)>;
-
-/// Per-worker output of one batch. `None` until that worker index
-/// participates; a slot is written by at most one participant.
-struct OutSlots<W> {
-    cells: Vec<UnsafeCell<WorkerOut<W>>>,
-}
-
-// SAFETY: participant `w` writes only `cells[w]` (participation slots are
-// claimed uniquely under the pool mutex) and the submitter only reads after
-// the completion handshake.
-unsafe impl<W: Send> Sync for OutSlots<W> {}
-
-impl<W> OutSlots<W> {
-    fn new(workers: usize) -> OutSlots<W> {
-        let mut cells = Vec::with_capacity(workers);
-        cells.resize_with(workers, || UnsafeCell::new(None));
-        OutSlots { cells }
-    }
-}
-
 /// The chunk size for a given task/worker ratio: big enough to amortize
-/// claim CASes, small enough that a steal can still rebalance the tail.
-/// Heavyweight shards (few tasks) degrade to chunk 1 — maximum balance;
-/// huge index spaces claim in blocks.
+/// cursor claims, small enough that the tail still spreads over the
+/// workers. Heavyweight shards (few tasks) degrade to chunk 1 — maximum
+/// balance; huge index spaces claim in blocks.
 fn chunk_size(tasks: u32, workers: usize) -> u32 {
     (tasks / (workers as u32 * 8)).clamp(1, 256)
 }
+
+/// Claims the next chunk `[lo, hi)` of `0..tasks` from the shared cursor,
+/// or `None` once the index space is drained. The cursor is 64-bit: every
+/// participant stops after its first failed claim, so it overshoots
+/// `tasks` by at most one chunk per participant and cannot wrap for any
+/// `u32` task count.
+fn claim(cursor: &AtomicU64, tasks: u32, chunk: u32) -> Option<(u32, u32)> {
+    let lo = cursor.fetch_add(u64::from(chunk), Ordering::Relaxed);
+    let end = u64::from(tasks);
+    (lo < end).then(|| (lo as u32, (lo + u64::from(chunk)).min(end) as u32))
+}
+
+/// What one participant hands back: its final worker state and the
+/// `(chunk start, results)` runs it executed.
+type Share<W, R> = (W, Vec<(u32, Vec<R>)>);
 
 thread_local! {
     /// Set while this thread is executing a batch participant. A nested
@@ -389,7 +222,7 @@ impl Pool {
     /// # Panics
     ///
     /// Propagates a panic from any worker (results produced by other
-    /// workers are leaked, never observed). The pool itself survives and
+    /// workers are dropped, never observed). The pool itself survives and
     /// serves later calls.
     pub fn map_indexed<W, R, I, F>(
         &self,
@@ -404,59 +237,20 @@ impl Pool {
         I: Fn(usize) -> W + Sync,
         F: Fn(&mut W, u32) -> R + Sync,
     {
-        let (results, states, _) = self.map_indexed_stats(tasks, threads, init, run);
-        (results, states)
-    }
-
-    /// [`Pool::map_indexed`] plus the scheduling statistics of the call
-    /// (chunks claimed/stolen, tasks executed) for the `pool.*` telemetry
-    /// keys.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any worker.
-    pub fn map_indexed_stats<W, R, I, F>(
-        &self,
-        tasks: u32,
-        threads: usize,
-        init: I,
-        run: F,
-    ) -> (Vec<R>, Vec<W>, PoolStats)
-    where
-        W: Send,
-        R: Send,
-        I: Fn(usize) -> W + Sync,
-        F: Fn(&mut W, u32) -> R + Sync,
-    {
         let workers = effective_workers(tasks, threads);
         if workers <= 1 || IN_POOL_JOB.get() {
-            return serial_map(tasks, &init, &run);
+            let mut state = init(0);
+            let results = (0..tasks).map(|i| run(&mut state, i)).collect();
+            return (results, vec![state]);
         }
 
-        // Pre-split the index space into one contiguous range per worker;
-        // the split is as even as possible (first `rem` ranges get one
-        // extra task).
-        let per = tasks / workers as u32;
-        let rem = (tasks % workers as u32) as usize;
-        let mut ranges = Vec::with_capacity(workers);
-        let mut next = 0u32;
-        for w in 0..workers {
-            let len = per + u32::from(w < rem);
-            ranges.push(Range::new(next, next + len));
-            next += len;
-        }
-        debug_assert_eq!(next, tasks);
-
-        let slots = Slots::new(tasks as usize);
-        let outs = OutSlots::new(workers);
         let ctx = BatchCtx {
-            ranges: &ranges,
-            slots: &slots,
-            outs: &outs,
+            cursor: AtomicU64::new(0),
+            tasks,
+            chunk: chunk_size(tasks, workers),
+            shares: (0..workers).map(|_| Mutex::new(None)).collect(),
             init: &init,
             run: &run,
-            chunk: chunk_size(tasks, workers),
-            workers,
         };
 
         let submit = lock(&self.submit);
@@ -475,16 +269,16 @@ impl Pool {
         }
         self.inner.work.notify_all();
 
-        // The submitter is always worker 0 of its own batch: it drains its
-        // range and then steals, so the batch completes even if every
-        // helper is busy elsewhere.
+        // The submitter is always worker 0 of its own batch: it drains the
+        // cursor itself, so the batch completes even if every helper is
+        // busy elsewhere.
         IN_POOL_JOB.set(true);
         let mine = catch_unwind(AssertUnwindSafe(|| ctx.participate(0)));
         IN_POOL_JOB.set(false);
 
         // Completion handshake: close the batch (no new participants), then
         // wait until every claimed participant has finished with `ctx`.
-        // Only after that may this frame unwind or read the slots.
+        // Only after that may this frame unwind or read the shares.
         let helper_panicked = {
             let mut st = lock(&self.inner.state);
             st.job
@@ -511,26 +305,23 @@ impl Pool {
             panic!("pool worker panicked");
         }
 
-        let mut states: Vec<W> = Vec::with_capacity(workers);
-        let mut stats = PoolStats {
-            workers: workers as u32,
-            ..PoolStats::default()
-        };
-        for cell in outs.cells {
-            if let Some((state, executed, claimed, stolen)) = cell.into_inner() {
+        // The runs partition `0..tasks`: sorted by start, they concatenate
+        // into index order.
+        let mut states = Vec::with_capacity(workers);
+        let mut runs = Vec::new();
+        for share in ctx.shares {
+            if let Some((state, chunks)) = share.into_inner().unwrap_or_else(|e| e.into_inner()) {
                 states.push(state);
-                stats.tasks_executed += executed;
-                stats.chunks_claimed += claimed;
-                stats.chunks_stolen += stolen;
+                runs.extend(chunks);
             }
         }
-        debug_assert_eq!(stats.tasks_executed, u64::from(tasks));
-
-        // SAFETY: every range was drained (participants only exit after a
-        // full empty scan) and the completion handshake above observed
-        // every participant finish.
-        let results = unsafe { slots.into_results() };
-        (results, states, stats)
+        runs.sort_unstable_by_key(|&(start, _)| start);
+        let mut results = Vec::with_capacity(tasks as usize);
+        for (_, chunk) in runs {
+            results.extend(chunk);
+        }
+        debug_assert_eq!(results.len(), tasks as usize);
+        (results, states)
     }
 }
 
@@ -547,80 +338,31 @@ impl Drop for Pool {
     }
 }
 
-/// The serial degenerate path: one worker state, a plain indexed loop,
-/// no pool interaction. Chunk accounting collapses to a single claimed
-/// chunk covering the whole (non-empty) batch.
-fn serial_map<W, R, I, F>(tasks: u32, init: &I, run: &F) -> (Vec<R>, Vec<W>, PoolStats)
-where
-    I: Fn(usize) -> W,
-    F: Fn(&mut W, u32) -> R,
-{
-    let mut state = init(0);
-    let results = (0..tasks).map(|i| run(&mut state, i)).collect();
-    let stats = PoolStats {
-        workers: 1,
-        tasks_executed: u64::from(tasks),
-        chunks_claimed: u64::from(tasks > 0),
-        chunks_stolen: 0,
-    };
-    (results, vec![state], stats)
-}
-
 /// The borrowed per-batch context shared by all participants.
 struct BatchCtx<'a, W, R, I, F> {
-    ranges: &'a [Range],
-    slots: &'a Slots<R>,
-    outs: &'a OutSlots<W>,
+    cursor: AtomicU64,
+    tasks: u32,
+    chunk: u32,
+    /// One write-once hand-back slot per participant.
+    shares: Vec<Mutex<Option<Share<W, R>>>>,
     init: &'a I,
     run: &'a F,
-    chunk: u32,
-    workers: usize,
 }
 
 impl<W, R, I, F> BatchCtx<'_, W, R, I, F>
 where
-    W: Send,
-    R: Send,
-    I: Fn(usize) -> W + Sync,
-    F: Fn(&mut W, u32) -> R + Sync,
+    I: Fn(usize) -> W,
+    F: Fn(&mut W, u32) -> R,
 {
-    /// Worker `w`'s share of the batch: drain the own range, then scan the
-    /// others for work to steal; stop only when a full scan finds every
-    /// range empty.
+    /// Worker `w`'s share of the batch: claim chunks until the cursor is
+    /// drained, then hand the state and results back through slot `w`.
     fn participate(&self, w: usize) {
         let mut state = (self.init)(w);
-        let mut executed = 0u64;
-        let mut claimed = 0u64;
-        let mut stolen = 0u64;
-        'work: loop {
-            while let Some((lo, hi)) = self.ranges[w].claim_front(self.chunk) {
-                claimed += 1;
-                for i in lo..hi {
-                    // SAFETY: each index is claimed exactly once (ranges
-                    // partition the space, claims and steals detach
-                    // disjoint subranges).
-                    unsafe { self.slots.write(i, (self.run)(&mut state, i)) };
-                    executed += 1;
-                }
-            }
-            for off in 1..self.workers {
-                let victim = (w + off) % self.workers;
-                if let Some((lo, hi)) = self.ranges[victim].steal_back() {
-                    stolen += 1;
-                    for i in lo..hi {
-                        // SAFETY: as above — the stolen back half is
-                        // detached atomically.
-                        unsafe { self.slots.write(i, (self.run)(&mut state, i)) };
-                        executed += 1;
-                    }
-                    continue 'work;
-                }
-            }
-            break;
+        let mut runs = Vec::new();
+        while let Some((lo, hi)) = claim(&self.cursor, self.tasks, self.chunk) {
+            runs.push((lo, (lo..hi).map(|i| (self.run)(&mut state, i)).collect()));
         }
-        // SAFETY: participation slot `w` was claimed by exactly this
-        // participant; the submitter reads only after the handshake.
-        unsafe { *self.outs.cells[w].get() = Some((state, executed, claimed, stolen)) };
+        *lock(&self.shares[w]) = Some((state, runs));
     }
 }
 
@@ -631,13 +373,11 @@ where
 ///
 /// `data` must point to a live `BatchCtx<W, R, I, F>` (guaranteed by the
 /// completion handshake) and `slot + 1` must be a uniquely claimed worker
-/// index below `ctx.workers`.
+/// index below the batch's worker count.
 unsafe fn participate_thunk<W, R, I, F>(data: *const (), slot: usize)
 where
-    W: Send,
-    R: Send,
-    I: Fn(usize) -> W + Sync,
-    F: Fn(&mut W, u32) -> R + Sync,
+    I: Fn(usize) -> W,
+    F: Fn(&mut W, u32) -> R,
 {
     let ctx = &*data.cast::<BatchCtx<'_, W, R, I, F>>();
     ctx.participate(slot + 1);
@@ -694,7 +434,7 @@ fn worker_loop(inner: &Inner) {
 /// # Panics
 ///
 /// Propagates a panic from any worker thread (results produced by other
-/// workers are leaked, never observed).
+/// workers are dropped, never observed).
 pub fn map_indexed<W, R, I, F>(tasks: u32, threads: usize, init: I, run: F) -> (Vec<R>, Vec<W>)
 where
     W: Send,
@@ -703,27 +443,6 @@ where
     F: Fn(&mut W, u32) -> R + Sync,
 {
     Pool::global().map_indexed(tasks, threads, init, run)
-}
-
-/// [`map_indexed`] plus the scheduling statistics of the call (chunks
-/// claimed/stolen, tasks executed) for the `pool.*` telemetry keys.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker thread.
-pub fn map_indexed_stats<W, R, I, F>(
-    tasks: u32,
-    threads: usize,
-    init: I,
-    run: F,
-) -> (Vec<R>, Vec<W>, PoolStats)
-where
-    W: Send,
-    R: Send,
-    I: Fn(usize) -> W + Sync,
-    F: Fn(&mut W, u32) -> R + Sync,
-{
-    Pool::global().map_indexed_stats(tasks, threads, init, run)
 }
 
 #[cfg(test)]
@@ -743,18 +462,20 @@ mod tests {
     fn worker_state_is_reused_and_returned() {
         // Each worker counts the tasks it ran; the counts must sum to the
         // task count regardless of scheduling.
-        let (results, states) = map_indexed(
-            50,
-            4,
-            |_| 0u32,
-            |count, i| {
-                *count += 1;
-                i
-            },
-        );
-        assert_eq!(results.len(), 50);
-        assert_eq!(states.iter().sum::<u32>(), 50);
-        assert!(states.len() <= 4);
+        for (tasks, threads) in [(0u32, 4), (1, 4), (7, 3), (50, 4), (100, 4), (1000, 8)] {
+            let (results, states) = map_indexed(
+                tasks,
+                threads,
+                |_| 0u32,
+                |count, i| {
+                    *count += 1;
+                    i
+                },
+            );
+            assert_eq!(results, (0..tasks).collect::<Vec<_>>());
+            assert_eq!(states.iter().sum::<u32>(), tasks, "{tasks}/{threads}");
+            assert!((1..=threads).contains(&states.len()));
+        }
     }
 
     #[test]
@@ -774,23 +495,43 @@ mod tests {
     #[test]
     fn small_batches_run_inline_without_dispatch() {
         // Below the work floor the batch must not touch the pool at all:
-        // exactly one worker state, a single claimed chunk, no steals.
+        // exactly one worker state, the submitter's.
         for tasks in [0u32, 1, 5, 15] {
-            let (results, states, stats) =
-                map_indexed_stats(tasks, 8, |w| w, |_, i| u64::from(i) * 2);
+            let (results, states) = map_indexed(tasks, 8, |w| w, |_, i| u64::from(i) * 2);
             assert_eq!(
                 results,
                 (0..u64::from(tasks)).map(|i| i * 2).collect::<Vec<_>>()
             );
             assert_eq!(states, vec![0], "{tasks} tasks must run inline");
-            assert_eq!(stats.workers, 1);
-            assert_eq!(stats.chunks_claimed, u64::from(tasks > 0));
-            assert_eq!(stats.chunks_stolen, 0, "no idle worker may spin");
         }
         // The floor sheds surplus workers even when some dispatch happens.
         assert_eq!(effective_workers(16, 8), 2);
         assert_eq!(effective_workers(100, 8), 8);
         assert_eq!(effective_workers(7, 3), 1);
+    }
+
+    #[test]
+    fn the_cursor_hands_out_every_index_once_without_wrapping() {
+        // The largest index space, with the cursor a few chunks from the
+        // end: the claims must tile the tail exactly, and the failed
+        // claims every participant makes afterwards must not wrap back
+        // into it.
+        let tasks = u32::MAX;
+        let chunk = chunk_size(tasks, 8);
+        assert_eq!(chunk, 256);
+        let start = u64::from(tasks) - 3 * u64::from(chunk) - 17;
+        let cursor = AtomicU64::new(start);
+        let mut next = start;
+        while let Some((lo, hi)) = claim(&cursor, tasks, chunk) {
+            assert_eq!(u64::from(lo), next, "no index skipped or repeated");
+            assert!(lo < hi && hi - lo <= chunk);
+            next = u64::from(hi);
+        }
+        assert_eq!(next, u64::from(tasks), "the tail is fully handed out");
+        for _ in 0..64 {
+            assert_eq!(claim(&cursor, tasks, chunk), None);
+        }
+        assert!(cursor.load(Ordering::Relaxed) > u64::from(tasks));
     }
 
     #[test]
@@ -801,21 +542,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_account_for_every_task() {
-        for (tasks, threads) in [(0u32, 4), (1, 4), (7, 3), (100, 4), (1000, 8)] {
-            let (results, _, stats) = map_indexed_stats(tasks, threads, |_| (), |(), i| i);
-            assert_eq!(results.len(), tasks as usize);
-            assert_eq!(stats.tasks_executed, u64::from(tasks), "{tasks}/{threads}");
-            assert!(stats.workers >= 1);
-            if tasks > 1 && threads > 1 {
-                assert!(stats.chunks_claimed + stats.chunks_stolen > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn heap_results_survive_the_slot_path() {
-        // Non-Copy results exercise the MaybeUninit slot write/read.
+    fn heap_results_survive_the_merge() {
+        // Non-Copy results are moved through the hand-back slots and the
+        // index-order merge.
         let (got, _) = map_indexed(64, 4, |_| (), |(), i| vec![i; (i % 5) as usize]);
         for (i, v) in got.iter().enumerate() {
             assert_eq!(v.len(), i % 5);
@@ -824,16 +553,16 @@ mod tests {
     }
 
     #[test]
-    fn a_straggler_chunk_is_rebalanced_by_stealing() {
+    fn a_straggler_chunk_does_not_stall_the_batch() {
         // Task 0 spins for a long time; the remaining tasks must still all
-        // run (on other workers via steals when cores allow). Correctness —
-        // not wall-clock — is asserted, so the test is sound on any core
+        // run (on other workers when cores allow). Correctness — not
+        // wall-clock — is asserted, so the test is sound on any core
         // count.
-        let (got, _, stats) = map_indexed_stats(
+        let (got, states) = map_indexed(
             64,
             4,
-            |_| (),
-            |(), i| {
+            |_| 0u32,
+            |count, i| {
                 if i == 0 {
                     let mut acc = 0u64;
                     for k in 0..2_000_000u64 {
@@ -841,11 +570,12 @@ mod tests {
                     }
                     std::hint::black_box(acc);
                 }
+                *count += 1;
                 u64::from(i) * 7
             },
         );
         assert_eq!(got, (0..64u64).map(|i| i * 7).collect::<Vec<_>>());
-        assert_eq!(stats.tasks_executed, 64);
+        assert_eq!(states.iter().sum::<u32>(), 64);
     }
 
     #[test]
@@ -858,14 +588,17 @@ mod tests {
         for threads in [1usize, 2, 4, 8] {
             let pool = Pool::new(threads);
             for call in 0..100 {
-                let (got, _, stats) = pool.map_indexed_stats(
+                let (got, states) = pool.map_indexed(
                     200,
                     threads,
-                    |_| (),
-                    |(), i| (u64::from(i)).wrapping_mul(0x9e37) ^ 7,
+                    |_| 0u32,
+                    |count, i| {
+                        *count += 1;
+                        (u64::from(i)).wrapping_mul(0x9e37) ^ 7
+                    },
                 );
                 assert_eq!(got, serial, "call {call} at {threads} threads");
-                assert_eq!(stats.tasks_executed, 200);
+                assert_eq!(states.iter().sum::<u32>(), 200);
             }
             let fresh = Pool::new(threads);
             let (got, _) = fresh.map_indexed(

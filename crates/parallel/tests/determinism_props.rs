@@ -1,10 +1,7 @@
-//! Property tests for the work-stealing pool's determinism contract: the
-//! result vector (content *and* order) and the total-work accounting are
-//! identical for every thread count, no matter how adversarially the task
-//! durations are skewed. Chunk accounting (`pool.chunks_claimed`,
-//! `pool.chunks_stolen`) is the documented exception — it describes how
-//! the scheduler happened to carve the index space — so these tests only
-//! bound it, never pin it (see docs/PERF.md).
+//! Property tests for the pool's determinism contract: the result vector
+//! (content *and* order) is identical for every thread count and every
+//! task runs exactly once, no matter how adversarially the task durations
+//! are skewed (see docs/PERF.md).
 
 use proptest::prelude::*;
 
@@ -18,10 +15,10 @@ enum Skew {
     /// Every task tiny: maximal scheduling churn per unit of work.
     AllTiny,
     /// The first task dwarfs the rest: the worker that claims chunk 0
-    /// stalls and everyone else must steal around it.
+    /// stalls and everyone else must drain the cursor around it.
     StragglerFirst,
     /// The last task dwarfs the rest: the straggler sits in the chunk
-    /// stealing targets last.
+    /// the cursor hands out last.
     StragglerLast,
     /// Sawtooth: adjacent tasks alternate cheap/expensive, so every chunk
     /// has an uneven interior.
@@ -101,7 +98,7 @@ proptest! {
         let expect: Vec<u64> = (0..tasks).map(task_value).collect();
 
         for threads in THREADS {
-            let (results, counts, stats) = ipds_parallel::map_indexed_stats(
+            let (results, counts) = ipds_parallel::map_indexed(
                 tasks,
                 threads,
                 |_| 0u64,
@@ -116,11 +113,9 @@ proptest! {
                 "thread count {} reordered or altered results under {:?}",
                 threads, shape
             );
-            prop_assert_eq!(stats.tasks_executed, u64::from(tasks));
+            // Each worker state counted the tasks it ran: together they
+            // ran every task exactly once.
             prop_assert_eq!(counts.iter().sum::<u64>(), u64::from(tasks));
-            // Bounds only: chunk accounting is scheduling-dependent.
-            prop_assert!(stats.chunks_claimed >= u64::from(tasks > 0));
-            prop_assert!(stats.chunks_claimed + stats.chunks_stolen <= u64::from(tasks.max(1)));
         }
     }
 }

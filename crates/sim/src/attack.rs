@@ -703,11 +703,7 @@ pub fn aggregate(attacks: u32, outcomes: &[AttackOutcome]) -> CampaignResult {
 /// The [`CampaignResult`] is therefore **bit-identical** for every thread
 /// count (including the `f64` lag mean, which is sensitive to summation
 /// order), and so is the merged registry, whose `checker.*` keys are
-/// folded from the outcomes' [`IpdsStats`] — with one documented
-/// exception: the pool's chunk-accounting counters (`pool.chunks_claimed`,
-/// `pool.chunks_stolen`) describe how the scheduler happened to carve the
-/// index space and legitimately vary with thread count and timing. See
-/// `docs/PERF.md`.
+/// folded from the outcomes' [`IpdsStats`]. See `docs/PERF.md`.
 ///
 /// `warm` is a precomputed [`WarmStart`], so a driver running many
 /// campaigns against the same artifacts (the scaling sweep, the ablation
@@ -748,7 +744,7 @@ pub fn run_campaign<S: EventSink>(
         None
     };
 
-    let (outcomes, states, pool) = ipds_parallel::map_indexed_stats(
+    let (outcomes, states) = ipds_parallel::map_indexed(
         campaign.attacks,
         threads,
         |_| {
@@ -776,9 +772,6 @@ pub fn run_campaign<S: EventSink>(
     for (_, local_metrics) in &states {
         metrics.merge(local_metrics);
     }
-    metrics.add("pool.tasks_executed", pool.tasks_executed);
-    metrics.add("pool.chunks_claimed", pool.chunks_claimed);
-    metrics.add("pool.chunks_stolen", pool.chunks_stolen);
     // Checker work, folded over the seed-ordered outcomes once per
     // campaign. Warm-started attacks carry exact whole-run stats, so these
     // equal a cold campaign's at any thread count.

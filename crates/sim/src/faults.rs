@@ -603,10 +603,7 @@ pub fn aggregate_faults(
 /// plain loop). Results — including the latency vector and the merged
 /// metrics — are bit-identical for every thread count: faults are
 /// independently seeded, outcomes merge in index order, and one fold
-/// aggregates them. The one exception is the pool's chunk-accounting
-/// telemetry (`pool.chunks_claimed`, `pool.chunks_stolen`), which describes
-/// how the scheduler carved the index space and varies with thread count
-/// and timing (see `docs/PERF.md`).
+/// aggregates them (see `docs/PERF.md`).
 ///
 /// `golden` is the clean run of `program` on `inputs` (captured once by the
 /// caller, as for [`crate::attack::run_campaign`]); fault triggers are
@@ -629,7 +626,7 @@ pub fn run_fault_campaign(
         "golden run must not fault: {:?}",
         golden.status
     );
-    let (outcomes, states, pool) = ipds_parallel::map_indexed_stats(
+    let (outcomes, states) = ipds_parallel::map_indexed(
         campaign.total(),
         threads,
         |_| {
@@ -647,9 +644,6 @@ pub fn run_fault_campaign(
     for (_, local_metrics) in &states {
         metrics.merge(local_metrics);
     }
-    metrics.add("pool.tasks_executed", pool.tasks_executed);
-    metrics.add("pool.chunks_claimed", pool.chunks_claimed);
-    metrics.add("pool.chunks_stolen", pool.chunks_stolen);
     register_fault_counters(&mut metrics);
     (aggregate_faults(campaign, &outcomes), metrics)
 }
@@ -736,20 +730,10 @@ mod tests {
             for threads in [2, 4, 8] {
                 let (par, par_metrics) = run(&p, &a, &image, &inputs, &c, threads);
                 assert_eq!(serial, par, "checksum={checksum} threads={threads}");
-                // Chunk accounting describes the scheduler, not the
-                // computation: it is the one telemetry pair allowed to vary
-                // with thread count. Everything else must merge identically.
-                let stable = |m: &MetricsRegistry| -> Vec<_> {
-                    m.counters()
-                        .filter(|(k, _)| *k != "pool.chunks_claimed" && *k != "pool.chunks_stolen")
-                        .collect()
-                };
                 assert_eq!(
-                    stable(&serial_metrics),
-                    stable(&par_metrics),
-                    "deterministic metrics must merge identically"
+                    serial_metrics, par_metrics,
+                    "the whole registry must merge identically"
                 );
-                assert!(par_metrics.counter("pool.chunks_claimed") > 0);
             }
         }
     }
@@ -808,7 +792,6 @@ mod tests {
         let (_, metrics) = run(&p, &a, &image, &inputs, &c, 1);
         let emitted: Vec<&str> = metrics.counters().map(|(k, _)| k).collect();
         let mut canonical: Vec<&str> = FAULT_COUNTERS.to_vec();
-        canonical.extend_from_slice(ipds_parallel::POOL_COUNTERS);
         canonical.sort_unstable();
         assert_eq!(emitted, canonical);
     }

@@ -53,7 +53,7 @@ pub use faults::{
     FAULT_COUNTERS, FAULT_HISTOGRAMS,
 };
 pub use interp::{ExecLimits, ExecStatus, Input, Interp};
-pub use ipds_parallel::{default_threads, POOL_COUNTERS};
+pub use ipds_parallel::default_threads;
 pub use memory::Memory;
 pub use observer::{expectation_of, ExecObserver, IpdsObserver, NullObserver};
 pub use pipeline::{PerfReport, TimingModel};

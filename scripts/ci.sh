@@ -72,6 +72,12 @@ cargo test -q --release --features props
 for crate in ipds-ir ipds-dataflow ipds-analysis ipds-absint ipds-parallel; do
     cargo test -q --release -p "$crate" --features props
 done
+# The range and interval laws take well under a second, so they also run
+# at the vendored default of 256 cases: 64 cases missed a Range::shift
+# wraparound that 256 cases find.
+for crate in ipds-dataflow ipds-absint; do
+    PROPTEST_CASES=256 cargo test -q --release -p "$crate" --features props
+done
 
 echo "==> bench harness compiles (vendored mini-criterion)"
 cargo build --release -p ipds-runtime --benches --features bench-harness

@@ -19,9 +19,7 @@ use ipds::analysis::pipeline::{build_source, BuildOptions};
 use ipds::analysis::PIPELINE_COUNTERS;
 use ipds::runtime::CHECKER_COUNTERS;
 use ipds::service::{FLEET_COUNTERS, SERVICE_COUNTERS, SERVICE_HISTOGRAMS};
-use ipds::sim::{
-    CAMPAIGN_COUNTERS, CAMPAIGN_HISTOGRAMS, FAULT_COUNTERS, FAULT_HISTOGRAMS, POOL_COUNTERS,
-};
+use ipds::sim::{CAMPAIGN_COUNTERS, CAMPAIGN_HISTOGRAMS, FAULT_COUNTERS, FAULT_HISTOGRAMS};
 use ipds::workloads;
 
 /// Extracts every `<prefix><snake_case>` token from a documentation file.
@@ -128,14 +126,10 @@ fn fault_campaigns_emit_exactly_the_documented_keys() {
         .seed(7)
         .run_metered();
     let counters: BTreeSet<String> = metrics.counters().map(|(k, _)| k.to_string()).collect();
-    let canonical: BTreeSet<String> = FAULT_COUNTERS
-        .iter()
-        .chain(POOL_COUNTERS)
-        .map(|s| s.to_string())
-        .collect();
+    let canonical: BTreeSet<String> = FAULT_COUNTERS.iter().map(|s| s.to_string()).collect();
     assert_eq!(
         counters, canonical,
-        "a fault campaign must emit exactly FAULT_COUNTERS plus the pool keys"
+        "a fault campaign must emit exactly FAULT_COUNTERS"
     );
     for key in FAULT_HISTOGRAMS {
         assert!(
@@ -201,12 +195,11 @@ fn fleet_runs_emit_exactly_the_documented_keys() {
 }
 
 #[test]
-fn perf_doc_agrees_with_the_pool_and_checker_counter_lists() {
-    let pool: BTreeSet<String> = POOL_COUNTERS.iter().map(|s| s.to_string()).collect();
+fn perf_doc_agrees_with_the_checker_counter_list() {
     assert_eq!(
         doc_keys("docs/PERF.md", "pool."),
-        pool,
-        "docs/PERF.md must document exactly the POOL_COUNTERS keys"
+        BTreeSet::new(),
+        "the worker pool emits no metrics, so docs/PERF.md must document no pool.* key"
     );
     let checker: BTreeSet<String> = CHECKER_COUNTERS.iter().map(|s| s.to_string()).collect();
     assert_eq!(
@@ -231,7 +224,7 @@ fn observability_doc_agrees_with_the_canonical_campaign_key_list() {
 }
 
 #[test]
-fn attack_campaigns_emit_the_pool_and_checker_counters() {
+fn attack_campaigns_emit_exactly_the_campaign_and_checker_counters() {
     let w = &workloads::all()[0];
     let p = ipds::Protected::from_program(w.program(), &ipds::Config::default());
     let inputs = w.inputs(7);
@@ -246,13 +239,12 @@ fn attack_campaigns_emit_the_pool_and_checker_counters() {
         let emitted: BTreeSet<&str> = metrics.counters().map(|(k, _)| k).collect();
         let canonical: BTreeSet<&str> = CAMPAIGN_COUNTERS
             .iter()
-            .chain(POOL_COUNTERS)
             .chain(CHECKER_COUNTERS)
             .copied()
             .collect();
         assert_eq!(
             emitted, canonical,
-            "a {threads}-thread campaign must emit exactly the campaign, pool and checker keys"
+            "a {threads}-thread campaign must emit exactly the campaign and checker keys"
         );
         for (key, _) in metrics.histograms() {
             assert!(
@@ -261,10 +253,6 @@ fn attack_campaigns_emit_the_pool_and_checker_counters() {
             );
         }
         assert!(metrics.histogram("campaign.attack_steps").is_some());
-        assert_eq!(
-            metrics.counter("pool.tasks_executed"),
-            8,
-            "one pool task per attack"
-        );
+        assert_eq!(metrics.counter("campaign.attacks"), 8);
     }
 }

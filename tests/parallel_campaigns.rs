@@ -65,15 +65,6 @@ fn metered<S: EventSink>(
         .run_metered()
 }
 
-/// Every counter but the pool's chunk accounting, which observes the
-/// scheduler and is the one telemetry pair allowed to vary with thread
-/// count (see docs/PERF.md).
-fn stable(m: &MetricsRegistry) -> Vec<(&'static str, u64)> {
-    m.counters()
-        .filter(|(k, _)| *k != "pool.chunks_claimed" && *k != "pool.chunks_stolen")
-        .collect()
-}
-
 #[test]
 fn parallel_is_bit_identical_to_serial_on_every_workload() {
     for w in ipds_workloads::all() {
@@ -134,18 +125,7 @@ fn metered_registries_are_bit_identical_across_thread_counts() {
         });
         for (label, (result, metrics)) in runs.into_iter().chain([("cold".to_string(), cold)]) {
             assert_eq!(base_result, result, "{} {label}", w.name);
-            assert_eq!(
-                stable(&base_metrics),
-                stable(&metrics),
-                "{} {label}",
-                w.name
-            );
-            assert_eq!(
-                base_metrics.histograms().collect::<Vec<_>>(),
-                metrics.histograms().collect::<Vec<_>>(),
-                "{} {label}",
-                w.name
-            );
+            assert_eq!(base_metrics, metrics, "{} {label}", w.name);
         }
     }
 }
