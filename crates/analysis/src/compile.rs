@@ -213,10 +213,10 @@ pub fn analyze_program_threaded(
     threads: usize,
     view: &PrunedCfg,
 ) -> Result<(ProgramAnalysis, AnalysisCounters), FunctionHashError> {
-    let (per_func, _) = ipds_parallel::map_indexed(
+    let per_func = ipds_parallel::map_indexed(
         program.functions.len() as u32,
         threads,
-        |_| (),
+        || (),
         |(), i| {
             let func = &program.functions[i as usize];
             try_analyze_function(

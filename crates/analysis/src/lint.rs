@@ -281,10 +281,10 @@ pub fn lint_program(
     threads: usize,
     view: &PrunedCfg,
 ) -> LintReport {
-    let (per_func, _) = ipds_parallel::map_indexed(
+    let per_func = ipds_parallel::map_indexed(
         program.functions.len().min(analysis.functions.len()) as u32,
         threads,
-        |_| (),
+        || (),
         |(), i| {
             let func = &program.functions[i as usize];
             lint_function(

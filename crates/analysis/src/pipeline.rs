@@ -629,10 +629,10 @@ fn analyze_intervals(
     view: &PrunedCfg,
     threads: usize,
 ) -> Vec<IntervalAnalysis> {
-    let (intervals, _) = ipds_parallel::map_indexed(
+    let intervals = ipds_parallel::map_indexed(
         program.functions.len() as u32,
         threads,
-        |_| (),
+        || (),
         |(), i| {
             let func = &program.functions[i as usize];
             IntervalAnalysis::analyze(program, func, alias, summaries, view.function(func.id))
@@ -752,10 +752,10 @@ impl Pass for RefineCorrelationsPass {
         let intervals = need_intervals(session, "refine-correlations")?;
         let view = &session.view;
         let functions = std::mem::take(&mut analysis.functions);
-        let (refined, _) = ipds_parallel::map_indexed(
+        let refined = ipds_parallel::map_indexed(
             functions.len() as u32,
             session.options.threads,
-            |_| (),
+            || (),
             |(), i| {
                 let mut tables = functions[i as usize].clone();
                 let func = &program.functions[tables.func.0 as usize];

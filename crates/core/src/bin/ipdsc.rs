@@ -47,10 +47,20 @@
 //! items, `s:text` becomes a `read_str` item. Example:
 //! `--input 1,42,s:hello,0`. `--events FILE` streams one JSON object per
 //! checked branch (see `docs/OBSERVABILITY.md` for the schema).
+//!
+//! Numeric flags parse strictly into their own type: a value that is
+//! missing, malformed, negative where a count is expected, or out of range
+//! is a usage error, as is an unknown `--model`. `campaign FILE` and
+//! `faults FILE` check the program's clean run first and refuse to attack
+//! a program whose clean run faults. Every error exits with status 1 and
+//! one message on stderr.
 
+use std::fmt;
 use std::io::BufWriter;
 use std::process::ExitCode;
+use std::str::FromStr;
 
+use ipds::sim::{ExecStatus, GoldenRun};
 use ipds::telemetry::JsonlSink;
 use ipds::{Config, Input, Protected, RunReport};
 use ipds_runtime::HwConfig;
@@ -67,9 +77,52 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+/// Why a command stopped.
+#[derive(Debug)]
+enum CliError {
+    /// The command line is malformed: a missing or unparsable flag value,
+    /// an unknown `--model`, a missing FILE.
+    Usage(String),
+    /// The program's clean run faults, so there is no golden run for a
+    /// campaign to attack.
+    CleanRunFaults {
+        /// The program file.
+        file: String,
+        /// The fault that ended the clean run.
+        fault: String,
+    },
+    /// Anything else: I/O, compile errors, a failed gate.
+    Failed(String),
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Usage(msg) => write!(f, "{msg}\n{}", usage()),
+            CliError::CleanRunFaults { file, fault } => write!(
+                f,
+                "{file}: the clean run faults ({fault}), so there is no golden run to attack"
+            ),
+            CliError::Failed(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> CliError {
+        CliError::Failed(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> CliError {
+        CliError::Failed(msg.to_string())
+    }
+}
+
+fn run(args: &[String]) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {
-        return Err(usage());
+        return Err(CliError::Usage("missing command".into()));
     };
     if cmd == "build" {
         return build_cmd(&args[1..]);
@@ -84,39 +137,37 @@ fn run(args: &[String]) -> Result<(), String> {
         return serve_cmd(&args[1..]);
     }
     let Some(file) = args.get(1) else {
-        return Err(usage());
+        return Err(CliError::Usage(format!("`{cmd}` needs a FILE")));
     };
     let source = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
+    let source = source.as_str();
     let rest = &args[2..];
     match cmd.as_str() {
-        "compile" => compile(&source, has_flag(rest, "--dump")),
-        "run" => run_program(&source, &inputs_of(rest)?, flag_value(rest, "--events")),
+        "compile" => compile(source, has_flag(rest, "--dump")),
+        "run" => run_program(source, &inputs_of(rest)?, flag_value(rest, "--events")?),
         "attack" => attack(
-            &source,
+            source,
             &inputs_of(rest)?,
-            &flag_value(rest, "--var").ok_or("attack requires --var NAME")?,
-            parse_num(rest, "--value").ok_or("attack requires --value V")?,
-            parse_num(rest, "--step").unwrap_or(10) as u64,
-            flag_value(rest, "--events"),
+            &flag_value(rest, "--var")?.ok_or("attack requires --var NAME")?,
+            flag(rest, "--value")?.ok_or("attack requires --value V")?,
+            flag(rest, "--step")?.unwrap_or(10),
+            flag_value(rest, "--events")?,
         ),
         "campaign" => campaign(
-            &source,
+            file,
+            source,
             &inputs_of(rest)?,
-            parse_num(rest, "--attacks").unwrap_or(100) as u32,
-            parse_num(rest, "--seed").unwrap_or(2006) as u64,
-            match flag_value(rest, "--model").as_deref() {
-                Some("boa") => AttackModel::BufferOverflow,
-                Some("block") => AttackModel::ContiguousOverflow,
-                _ => AttackModel::FormatString,
-            },
+            flag(rest, "--attacks")?.unwrap_or(100),
+            flag(rest, "--seed")?.unwrap_or(2006),
+            attack_model(rest)?,
         ),
-        "time" => time(&source, &inputs_of(rest)?),
+        "time" => time(source, &inputs_of(rest)?),
         "trace" => trace(
-            &source,
+            source,
             &inputs_of(rest)?,
-            parse_num(rest, "--limit").unwrap_or(64) as usize,
+            flag(rest, "--limit")?.unwrap_or(64),
         ),
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
     }
 }
 
@@ -136,34 +187,36 @@ fn usage() -> String {
 /// shadow-validated to be detectable, and the exit status is nonzero if
 /// the service misses any of them or assigns a wrong fleet-level root
 /// cause — the CI smoke gate.
-fn serve_cmd(args: &[String]) -> Result<(), String> {
+fn serve_cmd(args: &[String]) -> Result<(), CliError> {
     let mut spec = ipds::ServiceSpec::new();
-    if let Some(list) = flag_value(args, "--workloads") {
+    if let Some(list) = flag_value(args, "--workloads")? {
         if list != "all" {
             let picked: Vec<_> = ipds::workloads::all()
                 .into_iter()
                 .filter(|w| list.split(',').any(|n| n == w.name))
                 .collect();
             if picked.is_empty() {
-                return Err(format!("no bundled workload matches `{list}`"));
+                return Err(CliError::Usage(format!(
+                    "no bundled workload matches `{list}`"
+                )));
             }
             spec = spec.workloads(picked);
         }
     }
-    if let Some(n) = parse_num(args, "--sessions") {
-        spec = spec.sessions(n.max(1) as usize);
+    if let Some(n) = flag::<usize>(args, "--sessions")? {
+        spec = spec.sessions(n.max(1));
     }
-    if let Some(b) = parse_num(args, "--batch") {
-        spec = spec.batch(b.max(1) as usize);
+    if let Some(b) = flag::<usize>(args, "--batch")? {
+        spec = spec.batch(b.max(1));
     }
-    if let Some(t) = parse_num(args, "--threads") {
-        spec = spec.threads(t.max(1) as usize);
+    if let Some(t) = flag::<usize>(args, "--threads")? {
+        spec = spec.threads(t.max(1));
     }
-    if let Some(s) = parse_num(args, "--seed") {
-        spec = spec.seed(s as u64);
+    if let Some(s) = flag(args, "--seed")? {
+        spec = spec.seed(s);
     }
-    if let Some(w) = parse_num(args, "--window") {
-        spec = spec.window(w.max(1) as usize);
+    if let Some(w) = flag::<usize>(args, "--window")? {
+        spec = spec.window(w.max(1));
     }
     let report = spec.run();
     let sessions = report.outcome.sessions.len();
@@ -199,10 +252,10 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         println!("MISSED : {miss}");
     }
     if !report.ok() {
-        return Err(format!(
+        return Err(CliError::Failed(format!(
             "fleet verification failed: {} divergence(s) from the injected ground truth",
             report.missed.len()
-        ));
+        )));
     }
     println!("verdict: every injected tamper surfaced with the expected root cause");
     Ok(())
@@ -210,8 +263,8 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
 
 /// `ipdsc lint`: audit the emitted tables of a file or every bundled
 /// workload. Exit status reflects error-severity findings only.
-fn lint_cmd(args: &[String]) -> Result<(), String> {
-    let threads = parse_num(args, "--threads").unwrap_or(1).max(1) as usize;
+fn lint_cmd(args: &[String]) -> Result<(), CliError> {
+    let threads = flag::<usize>(args, "--threads")?.unwrap_or(1).max(1);
     let optimized = has_flag(args, "--optimize");
     let refine = has_flag(args, "--refine");
     let promote = promote_pct(args)?;
@@ -252,7 +305,7 @@ fn lint_cmd(args: &[String]) -> Result<(), String> {
         let file = args
             .iter()
             .find(|&a| !a.starts_with("--") && !is_flag_value(args, a))
-            .ok_or_else(usage)?;
+            .ok_or_else(|| CliError::Usage("missing FILE".into()))?;
         let source = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
         let build = spec()
             .compile(&source)
@@ -261,7 +314,7 @@ fn lint_cmd(args: &[String]) -> Result<(), String> {
         println!("lint: {errors} error(s), {warnings} warning(s)");
     }
     if errors > 0 {
-        return Err(format!("lint found {errors} error(s)"));
+        return Err(CliError::Failed(format!("lint found {errors} error(s)")));
     }
     Ok(())
 }
@@ -269,10 +322,10 @@ fn lint_cmd(args: &[String]) -> Result<(), String> {
 /// `ipdsc faults`: a seeded fault-injection campaign over a file or every
 /// bundled workload (see `docs/FAULTS.md`). Exit status is nonzero when
 /// any table-image flip survives the loader with the checksum on.
-fn faults_cmd(args: &[String]) -> Result<(), String> {
-    let flips = parse_num(args, "--flips").unwrap_or(32).max(1) as u32;
-    let seed = parse_num(args, "--seed").unwrap_or(2006) as u64;
-    let threads = parse_num(args, "--threads").unwrap_or(1).max(1) as usize;
+fn faults_cmd(args: &[String]) -> Result<(), CliError> {
+    let flips = flag::<u32>(args, "--flips")?.unwrap_or(32).max(1);
+    let seed = flag(args, "--seed")?.unwrap_or(2006);
+    let threads = flag::<usize>(args, "--threads")?.unwrap_or(1).max(1);
     let checksum = !has_flag(args, "--no-checksum");
 
     let mut undetected = 0u32;
@@ -317,10 +370,12 @@ fn faults_cmd(args: &[String]) -> Result<(), String> {
         let file = args
             .iter()
             .find(|&a| !a.starts_with("--") && !is_flag_value(args, a))
-            .ok_or_else(usage)?;
+            .ok_or_else(|| CliError::Usage("missing FILE".into()))?;
         let source = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
         let p = protect(&source)?;
         let inputs = inputs_of(args)?;
+        let (golden, _) = p.campaign_artifacts(&inputs);
+        clean_run_ok(file, &golden)?;
         let r = p
             .fault_spec()
             .inputs(&inputs)
@@ -332,29 +387,29 @@ fn faults_cmd(args: &[String]) -> Result<(), String> {
         report(file, r);
     }
     if undetected > 0 {
-        return Err(format!(
+        return Err(CliError::Failed(format!(
             "{undetected} corrupted table image(s) loaded undetected"
-        ));
+        )));
     }
     Ok(())
 }
 
 /// `ipdsc build`: the explicit pass pipeline over a file or every bundled
 /// workload.
-fn build_cmd(args: &[String]) -> Result<(), String> {
-    let threads = parse_num(args, "--threads").unwrap_or(1).max(1) as usize;
+fn build_cmd(args: &[String]) -> Result<(), CliError> {
+    let threads = flag::<usize>(args, "--threads")?.unwrap_or(1).max(1);
     let timings = has_flag(args, "--timings");
     let verify = has_flag(args, "--verify-tables");
     let determinism = has_flag(args, "--determinism");
     let promote = promote_pct(args)?;
     let prune = has_flag(args, "--prune");
-    if determinism && flag_value(args, "--threads").as_deref() == Some("1") {
-        return Err(
+    if determinism && flag::<usize>(args, "--threads")? == Some(1) {
+        return Err(CliError::Usage(
             "--determinism proves serial and threaded builds agree, so it needs \
              more than one thread; drop `--threads 1` (or the flag itself — the \
              check always compares against a wide build)"
                 .to_string(),
-        );
+        ));
     }
 
     if has_flag(args, "--workloads") {
@@ -391,7 +446,7 @@ fn build_cmd(args: &[String]) -> Result<(), String> {
     let file = args
         .iter()
         .find(|&a| !a.starts_with("--") && !is_flag_value(args, a))
-        .ok_or_else(usage)?;
+        .ok_or_else(|| CliError::Usage("missing FILE".into()))?;
     let source = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
     let optimized = has_flag(args, "--optimize");
     build_one(
@@ -489,29 +544,70 @@ fn has_flag(args: &[String], name: &str) -> bool {
 
 /// Parses `--promote PCT` (a 0..=100 register-promotion budget; default 0,
 /// which keeps the pipeline on its classic all-memory path).
-fn promote_pct(args: &[String]) -> Result<u32, String> {
-    match flag_value(args, "--promote") {
+fn promote_pct(args: &[String]) -> Result<u32, CliError> {
+    match flag::<u32>(args, "--promote")? {
         None => Ok(0),
-        Some(v) => match v.parse::<u32>() {
-            Ok(pct) if pct <= 100 => Ok(pct),
-            _ => Err(format!("--promote takes a percentage 0..=100, got `{v}`")),
-        },
+        Some(pct) if pct <= 100 => Ok(pct),
+        Some(pct) => Err(CliError::Usage(format!(
+            "--promote takes a percentage 0..=100, got `{pct}`"
+        ))),
     }
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The value after flag `name`, if the flag is given. A flag given without
+/// a value is a usage error.
+fn flag_value(args: &[String], name: &str) -> Result<Option<String>, CliError> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) => Ok(Some(v.clone())),
+        None => Err(CliError::Usage(format!("{name} needs a value"))),
+    }
 }
 
-fn parse_num(args: &[String], name: &str) -> Option<i64> {
-    flag_value(args, name).and_then(|v| v.parse().ok())
+/// Parses the value of flag `name` as a `T`. A value that does not parse —
+/// malformed, negative for an unsigned count, out of range — is a usage
+/// error, never a silent default.
+fn flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, CliError> {
+    flag_value(args, name)?
+        .map(|v| {
+            v.parse().map_err(|_| {
+                CliError::Usage(format!(
+                    "{name} takes a {}, got `{v}`",
+                    std::any::type_name::<T>()
+                ))
+            })
+        })
+        .transpose()
 }
 
-fn inputs_of(args: &[String]) -> Result<Vec<Input>, String> {
-    let Some(list) = flag_value(args, "--input") else {
+/// Parses `--model fs|boa|block` (default `fs`, the format-string model).
+fn attack_model(args: &[String]) -> Result<AttackModel, CliError> {
+    match flag_value(args, "--model")?.as_deref() {
+        None | Some("fs") => Ok(AttackModel::FormatString),
+        Some("boa") => Ok(AttackModel::BufferOverflow),
+        Some("block") => Ok(AttackModel::ContiguousOverflow),
+        Some(other) => Err(CliError::Usage(format!(
+            "--model takes fs, boa or block, got `{other}`"
+        ))),
+    }
+}
+
+/// Campaigns attack a benign execution, so a program whose clean run
+/// faults has nothing to attack.
+fn clean_run_ok(file: &str, golden: &GoldenRun) -> Result<(), CliError> {
+    match &golden.status {
+        ExecStatus::Fault(fault) => Err(CliError::CleanRunFaults {
+            file: file.to_string(),
+            fault: fault.clone(),
+        }),
+        _ => Ok(()),
+    }
+}
+
+fn inputs_of(args: &[String]) -> Result<Vec<Input>, CliError> {
+    let Some(list) = flag_value(args, "--input")? else {
         return Ok(Vec::new());
     };
     list.split(',')
@@ -520,19 +616,19 @@ fn inputs_of(args: &[String]) -> Result<Vec<Input>, String> {
             if let Some(text) = item.strip_prefix("s:") {
                 Ok(Input::Str(text.to_string()))
             } else {
-                item.parse::<i64>()
-                    .map(Input::Int)
-                    .map_err(|_| format!("bad input item `{item}` (use INT or s:TEXT)"))
+                item.parse::<i64>().map(Input::Int).map_err(|_| {
+                    CliError::Usage(format!("bad input item `{item}` (use INT or s:TEXT)"))
+                })
             }
         })
         .collect()
 }
 
-fn protect(source: &str) -> Result<Protected, String> {
-    Protected::compile(source).map_err(|e| e.to_string())
+fn protect(source: &str) -> Result<Protected, CliError> {
+    Protected::compile(source).map_err(|e| CliError::Failed(e.to_string()))
 }
 
-fn compile(source: &str, dump: bool) -> Result<(), String> {
+fn compile(source: &str, dump: bool) -> Result<(), CliError> {
     let p = protect(source)?;
     println!(
         "{} function(s), {} branches, {} checked",
@@ -582,7 +678,7 @@ fn run_session(
     inputs: &[Input],
     tamper: Option<(u64, &str, i64)>,
     events: Option<&str>,
-) -> Result<RunReport, String> {
+) -> Result<RunReport, CliError> {
     let session = p.session().inputs(inputs);
     let session = match tamper {
         Some((step, var, value)) => session.tamper(step, var, value),
@@ -592,16 +688,19 @@ fn run_session(
         Some(path) => {
             let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
             let sink = JsonlSink::new(BufWriter::new(file), 0);
-            let report = session.sink(&sink).run().map_err(|e| e.to_string())?;
+            let report = session
+                .sink(&sink)
+                .run()
+                .map_err(|e| CliError::Failed(e.to_string()))?;
             sink.finish().map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("events : {path}");
             Ok(report)
         }
-        None => session.run().map_err(|e| e.to_string()),
+        None => session.run().map_err(|e| CliError::Failed(e.to_string())),
     }
 }
 
-fn run_program(source: &str, inputs: &[Input], events: Option<String>) -> Result<(), String> {
+fn run_program(source: &str, inputs: &[Input], events: Option<String>) -> Result<(), CliError> {
     let p = protect(source)?;
     let r = run_session(&p, inputs, None, events.as_deref())?;
     println!("status : {:?}", r.status);
@@ -632,7 +731,7 @@ fn attack(
     value: i64,
     step: u64,
     events: Option<String>,
-) -> Result<(), String> {
+) -> Result<(), CliError> {
     let p = protect(source)?;
     let r = run_session(&p, inputs, Some((step, var, value)), events.as_deref())?;
     println!("tampered `{var}` = {value} after {step} steps");
@@ -653,16 +752,20 @@ fn attack(
 }
 
 fn campaign(
+    file: &str,
     source: &str,
     inputs: &[Input],
     attacks: u32,
     seed: u64,
     model: AttackModel,
-) -> Result<(), String> {
+) -> Result<(), CliError> {
     let p = protect(source)?;
+    let (golden, limits) = p.campaign_artifacts(inputs);
+    clean_run_ok(file, &golden)?;
     let r = p
         .campaign_spec()
         .inputs(inputs)
+        .golden(&golden, limits)
         .attacks(attacks)
         .seed(seed)
         .model(model)
@@ -685,7 +788,7 @@ fn campaign(
     Ok(())
 }
 
-fn trace(source: &str, inputs: &[Input], limit: usize) -> Result<(), String> {
+fn trace(source: &str, inputs: &[Input], limit: usize) -> Result<(), CliError> {
     use ipds::runtime::IpdsChecker;
     use ipds::sim::{ExecLimits, Interp};
     use ipds_sim::ExecObserver;
@@ -753,7 +856,7 @@ fn trace(source: &str, inputs: &[Input], limit: usize) -> Result<(), String> {
     Ok(())
 }
 
-fn time(source: &str, inputs: &[Input]) -> Result<(), String> {
+fn time(source: &str, inputs: &[Input]) -> Result<(), CliError> {
     let p = protect(source)?;
     let hw = HwConfig::table1_default();
     let base = p.timed_baseline(inputs, &hw);

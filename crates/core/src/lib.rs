@@ -48,8 +48,8 @@
 //!
 //! To see what the checker did, read a run's [`RunReport::stats`] or a
 //! campaign's `checker.*` counters from [`CampaignSpec::run_metered`]; to
-//! stream per-event records, attach an [`EventSink`]
-//! — see `docs/OBSERVABILITY.md`:
+//! stream one run's per-branch records, attach an [`EventSink`] with
+//! [`RunSession::sink`] — see `docs/OBSERVABILITY.md`:
 //!
 //! ```
 //! use ipds::{Input, Protected};
@@ -384,9 +384,8 @@ impl Protected {
 
     /// Starts configuring an attack campaign (the Fig. 7 protocol).
     /// Defaults: no inputs, 100 attacks, seed `0x1bd5`, format-string
-    /// model, serial execution, golden run captured on demand, telemetry
-    /// disabled.
-    pub fn campaign_spec(&self) -> CampaignSpec<'_, NullSink> {
+    /// model, serial execution, golden run captured on demand.
+    pub fn campaign_spec(&self) -> CampaignSpec<'_> {
         CampaignSpec {
             protected: self,
             inputs: &[],
@@ -396,7 +395,6 @@ impl Protected {
             threads: 1,
             golden: None,
             warm: None,
-            sink: &NULL_SINK,
         }
     }
 
@@ -719,11 +717,9 @@ impl<'a, S: EventSink> RunSession<'a, S> {
 
 /// Builder for an attack campaign (see [`Protected::campaign_spec`]).
 ///
-/// Every knob is defaultable; the sink type parameter defaults to
-/// [`NullSink`], which keeps the campaign hot path identical to the
-/// uninstrumented engine.
+/// Every knob is defaultable.
 #[derive(Debug)]
-pub struct CampaignSpec<'a, S: EventSink = NullSink> {
+pub struct CampaignSpec<'a> {
     protected: &'a Protected,
     inputs: &'a [Input],
     attacks: u32,
@@ -732,10 +728,9 @@ pub struct CampaignSpec<'a, S: EventSink = NullSink> {
     threads: usize,
     golden: Option<(&'a GoldenRun, ExecLimits)>,
     warm: Option<&'a WarmStart>,
-    sink: &'a S,
 }
 
-impl<'a, S: EventSink> CampaignSpec<'a, S> {
+impl<'a> CampaignSpec<'a> {
     /// The victim's input script (shared by the golden run and every
     /// attack).
     pub fn inputs(mut self, inputs: &'a [Input]) -> Self {
@@ -781,26 +776,11 @@ impl<'a, S: EventSink> CampaignSpec<'a, S> {
     /// Reuses a precomputed warm start (golden-snapshot set, from
     /// [`Protected::warm_start`]) instead of capturing one per campaign.
     /// Results are bit-identical with or without it — the warm path is
-    /// gated exactly as the on-demand capture (detail sinks and
-    /// single-attack campaigns run cold).
+    /// gated exactly as the on-demand capture (single-attack campaigns run
+    /// cold).
     pub fn warm_start(mut self, warm: &'a WarmStart) -> Self {
         self.warm = Some(warm);
         self
-    }
-
-    /// Attaches an event sink shared by every worker.
-    pub fn sink<T: EventSink>(self, sink: &'a T) -> CampaignSpec<'a, T> {
-        CampaignSpec {
-            protected: self.protected,
-            inputs: self.inputs,
-            attacks: self.attacks,
-            seed: self.seed,
-            model: self.model,
-            threads: self.threads,
-            golden: self.golden,
-            warm: self.warm,
-            sink,
-        }
     }
 
     /// Runs the campaign.
@@ -813,10 +793,11 @@ impl<'a, S: EventSink> CampaignSpec<'a, S> {
         self.run_metered().0
     }
 
-    /// Runs the campaign and returns the merged per-worker metrics
-    /// (`campaign.*` attack counters, step and detection-lag histograms,
-    /// and the checker's summed `checker.*` work) alongside the result.
-    /// Both are bit-identical for every thread count (see `docs/PERF.md`).
+    /// Runs the campaign and returns its metrics — `campaign.*` attack
+    /// counters, step and detection-lag histograms, and the checker's
+    /// summed `checker.*` work, folded from the seed-ordered outcomes by
+    /// [`ipds_sim::campaign_metrics`] — alongside the result. Both are
+    /// bit-identical for every thread count (see `docs/PERF.md`).
     ///
     /// # Panics
     ///
@@ -849,7 +830,6 @@ impl<'a, S: EventSink> CampaignSpec<'a, S> {
             golden,
             &campaign,
             self.threads,
-            self.sink,
             self.warm,
         )
     }
@@ -918,9 +898,10 @@ impl<'a> FaultSpec<'a> {
         self.run_metered().0
     }
 
-    /// Runs the campaign and returns the merged per-worker `faults.*`
-    /// metrics (counters plus the detection-latency histogram) alongside
-    /// the result. Both are bit-identical for every thread count.
+    /// Runs the campaign and returns its `faults.*` metrics (counters plus
+    /// the detection-latency histogram, folded from the index-ordered
+    /// outcomes by [`ipds_sim::fault_metrics`]) alongside the result. Both
+    /// are bit-identical for every thread count.
     ///
     /// # Panics
     ///

@@ -22,12 +22,11 @@
 //!   the chunks partition the index space, so the submitter stitches them
 //!   into index order and the output of [`map_indexed`] is
 //!   **bit-identical** to the serial loop for any thread count and any
-//!   scheduling.
+//!   scheduling. Callers fold aggregates over that ordered output.
 //! * **Per-worker state.** Each participating worker owns one `W` built by
-//!   the `init` closure (an arena, a scratch metrics registry); the states
-//!   come back to the caller after the call completes so commutative
-//!   aggregates can be folded deterministically. Arenas live for the whole
-//!   call — they are *never* rebuilt per task or per chunk.
+//!   the `init` closure (an interpreter arena, a checker); it lives for the
+//!   whole call — *never* rebuilt per task or per chunk — and is dropped
+//!   when the participant finishes.
 //! * **A work floor.** Dispatching a batch smaller than
 //!   [`MIN_TASKS_PER_WORKER`] tasks per worker wakes workers that find
 //!   the cursor already drained, so [`effective_workers`] clamps the
@@ -91,9 +90,9 @@ fn claim(cursor: &AtomicU64, tasks: u32, chunk: u32) -> Option<(u32, u32)> {
     (lo < end).then(|| (lo as u32, (lo + u64::from(chunk)).min(end) as u32))
 }
 
-/// What one participant hands back: its final worker state and the
-/// `(chunk start, results)` runs it executed.
-type Share<W, R> = (W, Vec<(u32, Vec<R>)>);
+/// What one participant hands back: the `(chunk start, results)` runs it
+/// executed.
+type Share<R> = Vec<(u32, Vec<R>)>;
 
 thread_local! {
     /// Set while this thread is executing a batch participant. A nested
@@ -213,7 +212,8 @@ impl Pool {
 
     /// Runs `run(worker_state, index)` for every index in `0..tasks` across
     /// up to `threads` pool workers and returns the results **in index
-    /// order**, plus every participating worker's final state.
+    /// order**. Each participating worker builds its state once with
+    /// `init`.
     ///
     /// Small batches (fewer than [`MIN_TASKS_PER_WORKER`] tasks per worker)
     /// shed surplus workers; below two workers' worth of tasks the call
@@ -224,24 +224,16 @@ impl Pool {
     /// Propagates a panic from any worker (results produced by other
     /// workers are dropped, never observed). The pool itself survives and
     /// serves later calls.
-    pub fn map_indexed<W, R, I, F>(
-        &self,
-        tasks: u32,
-        threads: usize,
-        init: I,
-        run: F,
-    ) -> (Vec<R>, Vec<W>)
+    pub fn map_indexed<W, R, I, F>(&self, tasks: u32, threads: usize, init: I, run: F) -> Vec<R>
     where
-        W: Send,
         R: Send,
-        I: Fn(usize) -> W + Sync,
+        I: Fn() -> W + Sync,
         F: Fn(&mut W, u32) -> R + Sync,
     {
         let workers = effective_workers(tasks, threads);
         if workers <= 1 || IN_POOL_JOB.get() {
-            let mut state = init(0);
-            let results = (0..tasks).map(|i| run(&mut state, i)).collect();
-            return (results, vec![state]);
+            let mut state = init();
+            return (0..tasks).map(|i| run(&mut state, i)).collect();
         }
 
         let ctx = BatchCtx {
@@ -258,7 +250,7 @@ impl Pool {
         {
             let mut st = lock(&self.inner.state);
             st.job = Some(Job {
-                data: (&ctx as *const BatchCtx<'_, W, R, I, F>).cast::<()>(),
+                data: (&ctx as *const BatchCtx<'_, R, I, F>).cast::<()>(),
                 call: participate_thunk::<W, R, I, F>,
                 needed: workers - 1,
                 claimed: 0,
@@ -307,11 +299,9 @@ impl Pool {
 
         // The runs partition `0..tasks`: sorted by start, they concatenate
         // into index order.
-        let mut states = Vec::with_capacity(workers);
         let mut runs = Vec::new();
         for share in ctx.shares {
-            if let Some((state, chunks)) = share.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                states.push(state);
+            if let Some(chunks) = share.into_inner().unwrap_or_else(|e| e.into_inner()) {
                 runs.extend(chunks);
             }
         }
@@ -321,7 +311,7 @@ impl Pool {
             results.extend(chunk);
         }
         debug_assert_eq!(results.len(), tasks as usize);
-        (results, states)
+        results
     }
 }
 
@@ -339,30 +329,31 @@ impl Drop for Pool {
 }
 
 /// The borrowed per-batch context shared by all participants.
-struct BatchCtx<'a, W, R, I, F> {
+struct BatchCtx<'a, R, I, F> {
     cursor: AtomicU64,
     tasks: u32,
     chunk: u32,
     /// One write-once hand-back slot per participant.
-    shares: Vec<Mutex<Option<Share<W, R>>>>,
+    shares: Vec<Mutex<Option<Share<R>>>>,
     init: &'a I,
     run: &'a F,
 }
 
-impl<W, R, I, F> BatchCtx<'_, W, R, I, F>
-where
-    I: Fn(usize) -> W,
-    F: Fn(&mut W, u32) -> R,
-{
+impl<R, I, F> BatchCtx<'_, R, I, F> {
     /// Worker `w`'s share of the batch: claim chunks until the cursor is
-    /// drained, then hand the state and results back through slot `w`.
-    fn participate(&self, w: usize) {
-        let mut state = (self.init)(w);
+    /// drained, then hand the results back through slot `w`. The worker
+    /// state is built here and dropped here, on the participant's thread.
+    fn participate<W>(&self, w: usize)
+    where
+        I: Fn() -> W,
+        F: Fn(&mut W, u32) -> R,
+    {
+        let mut state = (self.init)();
         let mut runs = Vec::new();
         while let Some((lo, hi)) = claim(&self.cursor, self.tasks, self.chunk) {
             runs.push((lo, (lo..hi).map(|i| (self.run)(&mut state, i)).collect()));
         }
-        *lock(&self.shares[w]) = Some((state, runs));
+        *lock(&self.shares[w]) = Some(runs);
     }
 }
 
@@ -371,16 +362,16 @@ where
 ///
 /// # Safety
 ///
-/// `data` must point to a live `BatchCtx<W, R, I, F>` (guaranteed by the
+/// `data` must point to a live `BatchCtx<R, I, F>` (guaranteed by the
 /// completion handshake) and `slot + 1` must be a uniquely claimed worker
 /// index below the batch's worker count.
 unsafe fn participate_thunk<W, R, I, F>(data: *const (), slot: usize)
 where
-    I: Fn(usize) -> W,
+    I: Fn() -> W,
     F: Fn(&mut W, u32) -> R,
 {
-    let ctx = &*data.cast::<BatchCtx<'_, W, R, I, F>>();
-    ctx.participate(slot + 1);
+    let ctx = &*data.cast::<BatchCtx<'_, R, I, F>>();
+    ctx.participate::<W>(slot + 1);
 }
 
 /// The body of every pool worker thread: batch participation, then park
@@ -424,8 +415,7 @@ fn worker_loop(inner: &Inner) {
 
 /// Runs `run(worker_state, index)` for every index in `0..tasks` across
 /// `threads` workers of the process-wide [`Pool::global`] pool and returns
-/// the results **in index order**, plus every participating worker's final
-/// state.
+/// the results **in index order**.
 ///
 /// `threads <= 1` (or a batch below the [`MIN_TASKS_PER_WORKER`] work
 /// floor) degenerates to a plain serial loop over one worker state — no
@@ -435,11 +425,10 @@ fn worker_loop(inner: &Inner) {
 ///
 /// Propagates a panic from any worker thread (results produced by other
 /// workers are dropped, never observed).
-pub fn map_indexed<W, R, I, F>(tasks: u32, threads: usize, init: I, run: F) -> (Vec<R>, Vec<W>)
+pub fn map_indexed<W, R, I, F>(tasks: u32, threads: usize, init: I, run: F) -> Vec<R>
 where
-    W: Send,
     R: Send,
-    I: Fn(usize) -> W + Sync,
+    I: Fn() -> W + Sync,
     F: Fn(&mut W, u32) -> R + Sync,
 {
     Pool::global().map_indexed(tasks, threads, init, run)
@@ -448,61 +437,92 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, AtomicUsize};
+
+    /// One run counter per task index.
+    fn run_counts(tasks: u32) -> Vec<AtomicU32> {
+        (0..tasks).map(|_| AtomicU32::new(0)).collect()
+    }
+
+    fn each_ran_once(counts: &[AtomicU32]) -> bool {
+        counts.iter().all(|c| c.load(Ordering::Relaxed) == 1)
+    }
 
     #[test]
     fn results_are_in_index_order_for_any_thread_count() {
         let serial: Vec<u64> = (0..100).map(|i| (i as u64) * 3 + 1).collect();
         for threads in [0, 1, 2, 3, 7, 16] {
-            let (got, _) = map_indexed(100, threads, |_| (), |(), i| (i as u64) * 3 + 1);
+            let got = map_indexed(100, threads, || (), |(), i| (i as u64) * 3 + 1);
             assert_eq!(got, serial, "{threads} threads");
         }
     }
 
     #[test]
-    fn worker_state_is_reused_and_returned() {
-        // Each worker counts the tasks it ran; the counts must sum to the
-        // task count regardless of scheduling.
+    fn worker_state_is_built_once_per_participant() {
+        // Every task runs exactly once, and no participant rebuilds its
+        // state per task or per chunk: at most one `init` per worker.
         for (tasks, threads) in [(0u32, 4), (1, 4), (7, 3), (50, 4), (100, 4), (1000, 8)] {
-            let (results, states) = map_indexed(
+            let inits = AtomicUsize::new(0);
+            let counts = run_counts(tasks);
+            let results = map_indexed(
                 tasks,
                 threads,
-                |_| 0u32,
-                |count, i| {
-                    *count += 1;
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, i| {
+                    counts[i as usize].fetch_add(1, Ordering::Relaxed);
                     i
                 },
             );
             assert_eq!(results, (0..tasks).collect::<Vec<_>>());
-            assert_eq!(states.iter().sum::<u32>(), tasks, "{tasks}/{threads}");
-            assert!((1..=threads).contains(&states.len()));
+            assert!(each_ran_once(&counts), "{tasks}/{threads}");
+            let inits = inits.into_inner();
+            assert!(
+                (1..=effective_workers(tasks, threads)).contains(&inits),
+                "{tasks}/{threads}: {inits} inits"
+            );
         }
     }
 
     #[test]
     fn zero_tasks_is_fine() {
-        let (results, states) = map_indexed(0, 8, |_| (), |(), i| i);
+        let inits = AtomicUsize::new(0);
+        let results = map_indexed(0, 8, || inits.fetch_add(1, Ordering::Relaxed), |_, i| i);
         assert!(results.is_empty());
-        assert_eq!(states.len(), 1, "serial degenerate path");
+        assert_eq!(inits.into_inner(), 1, "serial degenerate path");
     }
 
     #[test]
     fn more_threads_than_tasks_caps_workers() {
-        let (results, states) = map_indexed(3, 16, |w| w, |_, i| i);
+        let inits = AtomicUsize::new(0);
+        let results = map_indexed(3, 16, || inits.fetch_add(1, Ordering::Relaxed), |_, i| i);
         assert_eq!(results, vec![0, 1, 2]);
-        assert!(states.len() <= 3);
+        assert!(inits.into_inner() <= 3);
     }
 
     #[test]
     fn small_batches_run_inline_without_dispatch() {
         // Below the work floor the batch must not touch the pool at all:
-        // exactly one worker state, the submitter's.
+        // one worker state, built and used on the submitting thread.
+        let me = thread::current().id();
         for tasks in [0u32, 1, 5, 15] {
-            let (results, states) = map_indexed(tasks, 8, |w| w, |_, i| u64::from(i) * 2);
+            let inits = AtomicUsize::new(0);
+            let results = map_indexed(
+                tasks,
+                8,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    assert_eq!(thread::current().id(), me);
+                },
+                |(), i| {
+                    assert_eq!(thread::current().id(), me);
+                    u64::from(i) * 2
+                },
+            );
             assert_eq!(
                 results,
                 (0..u64::from(tasks)).map(|i| i * 2).collect::<Vec<_>>()
             );
-            assert_eq!(states, vec![0], "{tasks} tasks must run inline");
+            assert_eq!(inits.into_inner(), 1, "{tasks} tasks must run inline");
         }
         // The floor sheds surplus workers even when some dispatch happens.
         assert_eq!(effective_workers(16, 8), 2);
@@ -537,7 +557,7 @@ mod tests {
     #[test]
     fn borrowed_inputs_flow_into_workers() {
         let data: Vec<u64> = (0..40).collect();
-        let (got, _) = map_indexed(40, 4, |_| (), |(), i| data[i as usize] * 2);
+        let got = map_indexed(40, 4, || (), |(), i| data[i as usize] * 2);
         assert_eq!(got, data.iter().map(|v| v * 2).collect::<Vec<_>>());
     }
 
@@ -545,7 +565,7 @@ mod tests {
     fn heap_results_survive_the_merge() {
         // Non-Copy results are moved through the hand-back slots and the
         // index-order merge.
-        let (got, _) = map_indexed(64, 4, |_| (), |(), i| vec![i; (i % 5) as usize]);
+        let got = map_indexed(64, 4, || (), |(), i| vec![i; (i % 5) as usize]);
         for (i, v) in got.iter().enumerate() {
             assert_eq!(v.len(), i % 5);
             assert!(v.iter().all(|&x| x == i as u32));
@@ -558,11 +578,12 @@ mod tests {
         // run (on other workers when cores allow). Correctness — not
         // wall-clock — is asserted, so the test is sound on any core
         // count.
-        let (got, states) = map_indexed(
+        let counts = run_counts(64);
+        let got = map_indexed(
             64,
             4,
-            |_| 0u32,
-            |count, i| {
+            || (),
+            |(), i| {
                 if i == 0 {
                     let mut acc = 0u64;
                     for k in 0..2_000_000u64 {
@@ -570,12 +591,12 @@ mod tests {
                     }
                     std::hint::black_box(acc);
                 }
-                *count += 1;
+                counts[i as usize].fetch_add(1, Ordering::Relaxed);
                 u64::from(i) * 7
             },
         );
         assert_eq!(got, (0..64u64).map(|i| i * 7).collect::<Vec<_>>());
-        assert_eq!(states.iter().sum::<u32>(), 64);
+        assert!(each_ran_once(&counts));
     }
 
     #[test]
@@ -588,23 +609,24 @@ mod tests {
         for threads in [1usize, 2, 4, 8] {
             let pool = Pool::new(threads);
             for call in 0..100 {
-                let (got, states) = pool.map_indexed(
+                let counts = run_counts(200);
+                let got = pool.map_indexed(
                     200,
                     threads,
-                    |_| 0u32,
-                    |count, i| {
-                        *count += 1;
+                    || (),
+                    |(), i| {
+                        counts[i as usize].fetch_add(1, Ordering::Relaxed);
                         (u64::from(i)).wrapping_mul(0x9e37) ^ 7
                     },
                 );
                 assert_eq!(got, serial, "call {call} at {threads} threads");
-                assert_eq!(states.iter().sum::<u32>(), 200);
+                assert!(each_ran_once(&counts), "call {call} at {threads} threads");
             }
             let fresh = Pool::new(threads);
-            let (got, _) = fresh.map_indexed(
+            let got = fresh.map_indexed(
                 200,
                 threads,
-                |_| (),
+                || (),
                 |(), i| (u64::from(i)).wrapping_mul(0x9e37) ^ 7,
             );
             assert_eq!(got, serial, "fresh pool at {threads} threads");
@@ -615,9 +637,9 @@ mod tests {
     fn the_global_pool_reuses_its_threads() {
         // Two wide calls back to back: the pool must not grow between them
         // (the same parked helpers serve both).
-        let (a, _) = map_indexed(128, 4, |_| (), |(), i| i + 1);
+        let a = map_indexed(128, 4, || (), |(), i| i + 1);
         let helpers_after_first = lock(&Pool::global().inner.state).helpers;
-        let (b, _) = map_indexed(128, 4, |_| (), |(), i| i + 1);
+        let b = map_indexed(128, 4, || (), |(), i| i + 1);
         let helpers_after_second = lock(&Pool::global().inner.state).helpers;
         assert_eq!(a, b);
         assert_eq!(
@@ -630,12 +652,12 @@ mod tests {
     fn nested_calls_run_inline() {
         // A task that itself calls map_indexed must not deadlock on the
         // submit mutex: the nested call runs serially on the worker.
-        let (got, _) = map_indexed(
+        let got = map_indexed(
             64,
             4,
-            |_| (),
+            || (),
             |(), i| {
-                let (inner, _) = map_indexed(64, 4, |_| (), |(), j| u64::from(j));
+                let inner = map_indexed(64, 4, || (), |(), j| u64::from(j));
                 inner.iter().sum::<u64>() + u64::from(i)
             },
         );
@@ -650,7 +672,7 @@ mod tests {
             pool.map_indexed(
                 64,
                 4,
-                |_| (),
+                || (),
                 |(), i| {
                     assert!(i != 33, "injected failure");
                     i
@@ -659,7 +681,7 @@ mod tests {
         }));
         assert!(boom.is_err(), "the panic must propagate to the caller");
         // The same pool must still serve clean batches afterwards.
-        let (got, _) = pool.map_indexed(64, 4, |_| (), |(), i| i * 2);
+        let got = pool.map_indexed(64, 4, || (), |(), i| i * 2);
         assert_eq!(got, (0..64).map(|i| i * 2).collect::<Vec<_>>());
     }
 

@@ -216,7 +216,7 @@ impl<'a> Service<'a> {
         ipds_parallel::map_indexed(
             tasks.len() as u32,
             self.workers,
-            |_| (),
+            || (),
             |(), i| {
                 let mut guard = tasks[i as usize]
                     .lock()

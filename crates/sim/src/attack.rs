@@ -16,7 +16,7 @@
 use ipds_analysis::ProgramAnalysis;
 use ipds_ir::Program;
 use ipds_runtime::{IpdsChecker, IpdsStats, BSV_POOL_CAP};
-use ipds_telemetry::{AttackRecord, EventSink, MetricsRegistry, NullSink, NULL_SINK};
+use ipds_telemetry::MetricsRegistry;
 
 use crate::interp::{ExecLimits, ExecStatus, Input, Interp, InterpSnapshot};
 use crate::observer::{BranchTrace, IpdsObserver, Tee};
@@ -24,8 +24,8 @@ use crate::rng::StdRng;
 use ipds_runtime::CheckerSnapshot;
 
 /// The canonical `campaign.*` counter list. docs/OBSERVABILITY.md documents
-/// exactly these keys and every [`run_campaign`] emits exactly this set,
-/// plus the pool and checker keys (enforced by `tests/docs_metrics.rs`).
+/// exactly these keys, and every [`campaign_metrics`] registry holds exactly
+/// this set plus the `checker.*` keys (enforced by `tests/docs_metrics.rs`).
 pub const CAMPAIGN_COUNTERS: &[&str] = &[
     "campaign.attacks",
     "campaign.attacks_tampered",
@@ -167,16 +167,13 @@ impl GoldenRun {
 /// memcpys — instead of re-interpreting the whole prefix. Snapshots are
 /// immutable after capture and shared by reference across worker threads.
 ///
-/// Warm starts are transparent to campaign *results*: restoring a snapshot
+/// Warm starts are transparent to campaign results: restoring a snapshot
 /// and replaying the remaining steps commits the same state, branch trace
 /// suffix and checker verdicts as interpreting from scratch (the prefix is
 /// deterministic), and the trace diff accounts for the elided golden
-/// prefix. They are **not** transparent to per-branch telemetry — the
-/// elided prefix emits no `BranchRecord`s — so engines only enable them
-/// for sinks that report [`EventSink::wants_branch_details`]` == false`.
-/// Checker statistics stay exact: a restored snapshot carries the prefix's
-/// [`IpdsStats`], and a reconverged attack ends with the clean run's final
-/// stats.
+/// prefix. Checker statistics stay exact too: a restored snapshot carries
+/// the prefix's [`IpdsStats`], and a reconverged attack ends with the clean
+/// run's final stats.
 #[derive(Debug)]
 pub struct WarmStart {
     snaps: Vec<WarmSnap>,
@@ -348,19 +345,18 @@ impl WarmStart {
 /// [`run_campaign`] owns one `AttackRunner`; the borrowed program,
 /// analysis and golden trace are shared by all of them.
 #[derive(Debug)]
-pub struct AttackRunner<'a, S: EventSink = NullSink> {
+pub struct AttackRunner<'a> {
     inputs: &'a [Input],
     golden: &'a [(u64, bool)],
     main: ipds_ir::FuncId,
     interp: Interp<'a>,
-    ipds: IpdsObserver<'a, S>,
+    ipds: IpdsObserver<'a>,
     trace: BranchTrace,
     warm: Option<&'a WarmStart>,
 }
 
-impl<'a> AttackRunner<'a, NullSink> {
-    /// Builds a runner over shared campaign artifacts, with telemetry
-    /// disabled.
+impl<'a> AttackRunner<'a> {
+    /// Builds a runner over shared campaign artifacts.
     ///
     /// # Panics
     ///
@@ -371,31 +367,13 @@ impl<'a> AttackRunner<'a, NullSink> {
         inputs: &'a [Input],
         golden: &'a [(u64, bool)],
         limits: ExecLimits,
-    ) -> AttackRunner<'a, NullSink> {
-        AttackRunner::with_sink(program, analysis, inputs, golden, limits, &NULL_SINK)
-    }
-}
-
-impl<'a, S: EventSink> AttackRunner<'a, S> {
-    /// Builds a runner that reports every checked branch to `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program has no `main`.
-    pub fn with_sink(
-        program: &'a Program,
-        analysis: &'a ProgramAnalysis,
-        inputs: &'a [Input],
-        golden: &'a [(u64, bool)],
-        limits: ExecLimits,
-        sink: &'a S,
-    ) -> AttackRunner<'a, S> {
+    ) -> AttackRunner<'a> {
         AttackRunner {
             inputs,
             golden,
             main: program.main().expect("program must define `main`").id,
             interp: Interp::new(program, inputs.to_vec(), limits),
-            ipds: IpdsObserver::with_sink(IpdsChecker::new(analysis), sink),
+            ipds: IpdsObserver::new(IpdsChecker::new(analysis)),
             trace: BranchTrace::with_cap(0),
             warm: None,
         }
@@ -403,9 +381,7 @@ impl<'a, S: EventSink> AttackRunner<'a, S> {
 
     /// Attaches golden-run snapshots: subsequent [`AttackRunner::run`] calls
     /// restore the nearest snapshot at-or-before the trigger instead of
-    /// re-interpreting the clean prefix. The caller is responsible for only
-    /// doing this when the sink tolerates the elided per-branch records
-    /// (see [`WarmStart`]).
+    /// re-interpreting the clean prefix (see [`WarmStart`]).
     pub fn with_warm_start(mut self, warm: &'a WarmStart) -> Self {
         self.warm = Some(warm);
         self
@@ -620,39 +596,6 @@ pub fn attack_rng(campaign: &Campaign, golden_steps: u64, i: u32) -> (StdRng, u6
     (rng, trigger)
 }
 
-/// Reports one completed attack to the sink and the worker-local metrics
-/// registry. Every worker calls this per attack, so the folded telemetry is
-/// identical whatever the thread count.
-pub(crate) fn record_attack<S: EventSink>(
-    sink: &S,
-    metrics: &mut MetricsRegistry,
-    campaign: &Campaign,
-    index: u32,
-    trigger_step: u64,
-    outcome: &AttackOutcome,
-) {
-    metrics.add("campaign.attacks", 1);
-    metrics.observe("campaign.attack_steps", outcome.steps);
-    metrics.add("campaign.attacks_tampered", u64::from(outcome.tampered));
-    metrics.add(
-        "campaign.attacks_cf_changed",
-        u64::from(outcome.control_flow_changed),
-    );
-    metrics.add("campaign.attacks_detected", u64::from(outcome.detected));
-    if let Some(lag) = outcome.detection_lag_branches {
-        metrics.observe("campaign.detection_lag_branches", lag);
-    }
-    sink.on_attack(&AttackRecord {
-        index,
-        seed: attack_seed(campaign, index),
-        trigger_step,
-        steps: outcome.steps,
-        tampered: outcome.tampered,
-        control_flow_changed: outcome.control_flow_changed,
-        detected: outcome.detected,
-    });
-}
-
 /// Folds per-attack outcomes (in seed order) into a [`CampaignResult`].
 /// Every thread count folds through this one function — same fold, same
 /// floating-point association order, bit-identical means.
@@ -681,102 +624,28 @@ pub fn aggregate(attacks: u32, outcomes: &[AttackOutcome]) -> CampaignResult {
     result
 }
 
-/// The campaign engine: runs `campaign.attacks` seeded attacks against
-/// `program` over a precomputed golden run, across up to `threads` workers
-/// of the persistent [`ipds_parallel`] pool. Every checked branch and
-/// every finished attack go to `sink`; with [`NullSink`] the event path
-/// compiles away.
-///
-/// A campaign is embarrassingly parallel: every attack is seeded
-/// independently ([`attack_seed`]), runs against the same immutable
-/// artifacts (program, analysis, inputs, golden trace) and contributes one
-/// [`AttackOutcome`]. Each worker owns one reusable [`AttackRunner`] arena
-/// plus a private [`MetricsRegistry`]; the pool hands out attack indices
-/// dynamically (attack durations vary wildly — a tamper that sends the
-/// victim into a budget-exhausting loop costs orders of magnitude more
-/// than one that crashes it immediately) and merges the outcomes back
-/// into seed order, so the one [`aggregate`] fold sees the same sequence
-/// whatever the thread count. A batch too small to split (`threads <= 1`,
-/// or below the pool's per-worker work floor) runs inline on the calling
-/// thread as a plain loop.
-///
-/// The [`CampaignResult`] is therefore **bit-identical** for every thread
-/// count (including the `f64` lag mean, which is sensitive to summation
-/// order), and so is the merged registry, whose `checker.*` keys are
-/// folded from the outcomes' [`IpdsStats`]. See `docs/PERF.md`.
-///
-/// `warm` is a precomputed [`WarmStart`], so a driver running many
-/// campaigns against the same artifacts (the scaling sweep, the ablation
-/// grid) captures the golden snapshots once instead of once per campaign;
-/// `None` captures on demand. Either way the warm path is skipped for
-/// detail sinks (which need every prefix branch record) and single-attack
-/// campaigns (capture costs about one clean run), so results are
-/// bit-identical with and without a precomputed warm start.
-///
-/// # Panics
-///
-/// Panics if the golden run faulted — benign traffic must be fault-free —
-/// or if a worker thread panics.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign<S: EventSink>(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    inputs: &[Input],
-    golden: &GoldenRun,
-    campaign: &Campaign,
-    threads: usize,
-    sink: &S,
-    warm: Option<&WarmStart>,
-) -> (CampaignResult, MetricsRegistry) {
-    assert!(
-        !matches!(golden.status, ExecStatus::Fault(_)),
-        "golden run must not fault: {:?}",
-        golden.status
-    );
-    // One golden-snapshot set, captured (or taken precomputed) here and
-    // shared immutably by every worker.
-    let use_warm = !sink.wants_branch_details() && campaign.attacks > 1;
-    let owned = (use_warm && warm.is_none())
-        .then(|| WarmStart::capture(program, analysis, inputs, golden.steps, campaign.limits));
-    let warm = if use_warm {
-        warm.or(owned.as_ref())
-    } else {
-        None
-    };
-
-    let (outcomes, states) = ipds_parallel::map_indexed(
-        campaign.attacks,
-        threads,
-        |_| {
-            let mut runner = AttackRunner::with_sink(
-                program,
-                analysis,
-                inputs,
-                &golden.trace,
-                campaign.limits,
-                sink,
-            );
-            if let Some(warm) = warm {
-                runner = runner.with_warm_start(warm);
-            }
-            (runner, MetricsRegistry::new())
-        },
-        |(runner, local_metrics), i| {
-            let (mut rng, trigger) = attack_rng(campaign, golden.steps, i);
-            let outcome = runner.run(trigger, campaign.model, &mut rng);
-            record_attack(sink, local_metrics, campaign, i, trigger, &outcome);
-            outcome
-        },
-    );
+/// Folds per-attack outcomes (in seed order) into the campaign's
+/// [`MetricsRegistry`]: the [`CAMPAIGN_COUNTERS`], the
+/// [`CAMPAIGN_HISTOGRAMS`] and the summed checker work under the
+/// `checker.*` keys. Like [`aggregate`], it is a pure function of the
+/// outcomes, so a hand-driven [`AttackRunner`] loop and [`run_campaign`] at
+/// any thread count produce the same registry.
+pub fn campaign_metrics(outcomes: &[AttackOutcome]) -> MetricsRegistry {
     let mut metrics = MetricsRegistry::new();
-    for (_, local_metrics) in &states {
-        metrics.merge(local_metrics);
-    }
-    // Checker work, folded over the seed-ordered outcomes once per
-    // campaign. Warm-started attacks carry exact whole-run stats, so these
-    // equal a cold campaign's at any thread count.
     let mut work = IpdsStats::default();
-    for s in outcomes.iter().map(|o| &o.checker) {
+    for outcome in outcomes {
+        metrics.add("campaign.attacks", 1);
+        metrics.observe("campaign.attack_steps", outcome.steps);
+        metrics.add("campaign.attacks_tampered", u64::from(outcome.tampered));
+        metrics.add(
+            "campaign.attacks_cf_changed",
+            u64::from(outcome.control_flow_changed),
+        );
+        metrics.add("campaign.attacks_detected", u64::from(outcome.detected));
+        if let Some(lag) = outcome.detection_lag_branches {
+            metrics.observe("campaign.detection_lag_branches", lag);
+        }
+        let s = &outcome.checker;
         work.branches += s.branches;
         work.verified += s.verified;
         work.bat_entries_applied += s.bat_entries_applied;
@@ -797,7 +666,86 @@ pub fn run_campaign<S: EventSink>(
     metrics.add("checker.bsv_transitions", work.bsv_transitions);
     metrics.add("checker.table_accesses", work.table_accesses);
     metrics.add("checker.alarms", work.alarms);
-    (aggregate(campaign.attacks, &outcomes), metrics)
+    metrics
+}
+
+/// The campaign engine: runs `campaign.attacks` seeded attacks against
+/// `program` over a precomputed golden run, across up to `threads` workers
+/// of the persistent [`ipds_parallel`] pool.
+///
+/// A campaign is embarrassingly parallel: every attack is seeded
+/// independently ([`attack_seed`]), runs against the same immutable
+/// artifacts (program, analysis, inputs, golden trace) and contributes one
+/// [`AttackOutcome`]. Each worker owns one reusable [`AttackRunner`] arena;
+/// the pool hands out attack indices dynamically (attack durations vary
+/// wildly — a tamper that sends the victim into a budget-exhausting loop
+/// costs orders of magnitude more than one that crashes it immediately)
+/// and returns the outcomes in seed order, so [`aggregate`] and
+/// [`campaign_metrics`] fold the same sequence whatever the thread count.
+/// A batch too small to split (`threads <= 1`, or below the pool's
+/// per-worker work floor) runs inline on the calling thread as a plain
+/// loop.
+///
+/// The [`CampaignResult`] is therefore **bit-identical** for every thread
+/// count (including the `f64` lag mean, which is sensitive to summation
+/// order), and so is the registry. See `docs/PERF.md`.
+///
+/// `warm` is a precomputed [`WarmStart`], so a driver running many
+/// campaigns against the same artifacts (the scaling sweep, the ablation
+/// grid) captures the golden snapshots once instead of once per campaign;
+/// `None` captures on demand. Single-attack campaigns skip the warm path
+/// (capture costs about one clean run); results are bit-identical with and
+/// without a warm start.
+///
+/// # Panics
+///
+/// Panics if the golden run faulted — benign traffic must be fault-free —
+/// or if a worker thread panics.
+pub fn run_campaign(
+    program: &Program,
+    analysis: &ProgramAnalysis,
+    inputs: &[Input],
+    golden: &GoldenRun,
+    campaign: &Campaign,
+    threads: usize,
+    warm: Option<&WarmStart>,
+) -> (CampaignResult, MetricsRegistry) {
+    assert!(
+        !matches!(golden.status, ExecStatus::Fault(_)),
+        "golden run must not fault: {:?}",
+        golden.status
+    );
+    // One golden-snapshot set, captured (or taken precomputed) here and
+    // shared immutably by every worker.
+    let use_warm = campaign.attacks > 1;
+    let owned = (use_warm && warm.is_none())
+        .then(|| WarmStart::capture(program, analysis, inputs, golden.steps, campaign.limits));
+    let warm = if use_warm {
+        warm.or(owned.as_ref())
+    } else {
+        None
+    };
+
+    let outcomes = ipds_parallel::map_indexed(
+        campaign.attacks,
+        threads,
+        || {
+            let runner =
+                AttackRunner::new(program, analysis, inputs, &golden.trace, campaign.limits);
+            match warm {
+                Some(warm) => runner.with_warm_start(warm),
+                None => runner,
+            }
+        },
+        |runner, i| {
+            let (mut rng, trigger) = attack_rng(campaign, golden.steps, i);
+            runner.run(trigger, campaign.model, &mut rng)
+        },
+    );
+    (
+        aggregate(campaign.attacks, &outcomes),
+        campaign_metrics(&outcomes),
+    )
 }
 
 #[cfg(test)]
@@ -841,7 +789,7 @@ mod tests {
         threads: usize,
     ) -> CampaignResult {
         let golden = GoldenRun::capture(p, inputs, c.limits);
-        run_campaign(p, a, inputs, &golden, c, threads, &NULL_SINK, None).0
+        run_campaign(p, a, inputs, &golden, c, threads, None).0
     }
 
     #[test]

@@ -509,51 +509,6 @@ fn grade_run(
     }
 }
 
-/// Registers the full canonical counter set (all zero) so every campaign
-/// emits exactly [`FAULT_COUNTERS`] whatever the outcomes were.
-fn register_fault_counters(metrics: &mut MetricsRegistry) {
-    for key in FAULT_COUNTERS {
-        metrics.add(key, 0);
-    }
-}
-
-/// Folds one fault's outcome into the worker-local metrics. Every worker
-/// records through this function, so merged telemetry is
-/// thread-count-independent.
-fn record_fault(
-    metrics: &mut MetricsRegistry,
-    campaign: &FaultCampaign,
-    plan: &FaultPlan,
-    outcome: &FaultOutcome,
-) {
-    metrics.add("faults.injected", 1);
-    metrics.add(
-        match plan.site() {
-            FaultSite::TableImage => "faults.image",
-            FaultSite::CheckerState => "faults.checker",
-            FaultSite::Memory => "faults.memory",
-        },
-        1,
-    );
-    match outcome {
-        FaultOutcome::Detected {
-            latency_branches, ..
-        } => {
-            metrics.add("faults.detected", 1);
-            metrics.observe("faults.detect_latency_branches", *latency_branches);
-        }
-        FaultOutcome::Masked => {
-            metrics.add("faults.masked", 1);
-            if plan.site() == FaultSite::TableImage && campaign.checksum {
-                metrics.add("faults.image_undetected", 1);
-            }
-        }
-        FaultOutcome::Crashed { .. } => {
-            metrics.add("faults.crashed", 1);
-        }
-    }
-}
-
 /// Folds per-fault outcomes (in index order) into a
 /// [`FaultCampaignResult`]. Every thread count folds through this one
 /// function — same fold, same latency order.
@@ -598,12 +553,53 @@ pub fn aggregate_faults(
     result
 }
 
+/// Folds per-fault outcomes (in index order) into the campaign's
+/// [`MetricsRegistry`]: every [`FAULT_COUNTERS`] key (zero when no fault
+/// reached it) and the [`FAULT_HISTOGRAMS`] latency histogram. Like
+/// [`aggregate_faults`], it is a pure function of the campaign and the
+/// outcomes, whatever thread count produced them.
+pub fn fault_metrics(campaign: &FaultCampaign, outcomes: &[FaultOutcome]) -> MetricsRegistry {
+    let mut metrics = MetricsRegistry::new();
+    for key in FAULT_COUNTERS {
+        metrics.add(key, 0);
+    }
+    for (i, outcome) in outcomes.iter().enumerate() {
+        let site = fault_site(i as u32);
+        metrics.add("faults.injected", 1);
+        metrics.add(
+            match site {
+                FaultSite::TableImage => "faults.image",
+                FaultSite::CheckerState => "faults.checker",
+                FaultSite::Memory => "faults.memory",
+            },
+            1,
+        );
+        match outcome {
+            FaultOutcome::Detected {
+                latency_branches, ..
+            } => {
+                metrics.add("faults.detected", 1);
+                metrics.observe("faults.detect_latency_branches", *latency_branches);
+            }
+            FaultOutcome::Masked => {
+                metrics.add("faults.masked", 1);
+                if site == FaultSite::TableImage && campaign.checksum {
+                    metrics.add("faults.image_undetected", 1);
+                }
+            }
+            FaultOutcome::Crashed { .. } => metrics.add("faults.crashed", 1),
+        }
+    }
+    metrics
+}
+
 /// Runs a fault campaign across up to `threads` workers of the persistent
 /// [`ipds_parallel`] pool (a batch too small to split runs inline as a
-/// plain loop). Results — including the latency vector and the merged
-/// metrics — are bit-identical for every thread count: faults are
-/// independently seeded, outcomes merge in index order, and one fold
-/// aggregates them (see `docs/PERF.md`).
+/// plain loop). Results — including the latency vector and the metrics
+/// registry — are bit-identical for every thread count: faults are
+/// independently seeded, outcomes come back in index order, and
+/// [`aggregate_faults`] and [`fault_metrics`] fold them (see
+/// `docs/PERF.md`).
 ///
 /// `golden` is the clean run of `program` on `inputs` (captured once by the
 /// caller, as for [`crate::attack::run_campaign`]); fault triggers are
@@ -626,26 +622,16 @@ pub fn run_fault_campaign(
         "golden run must not fault: {:?}",
         golden.status
     );
-    let (outcomes, states) = ipds_parallel::map_indexed(
+    let outcomes = ipds_parallel::map_indexed(
         campaign.total(),
         threads,
-        |_| {
-            let runner = FaultRunner::new(program, analysis, image, inputs, campaign.limits);
-            (runner, MetricsRegistry::new())
-        },
-        |(runner, local_metrics), i| {
-            let plan = fault_plan(campaign, golden.steps, i);
-            let outcome = runner.run(campaign, &plan);
-            record_fault(local_metrics, campaign, &plan, &outcome);
-            outcome
-        },
+        || FaultRunner::new(program, analysis, image, inputs, campaign.limits),
+        |runner, i| runner.run(campaign, &fault_plan(campaign, golden.steps, i)),
     );
-    let mut metrics = MetricsRegistry::new();
-    for (_, local_metrics) in &states {
-        metrics.merge(local_metrics);
-    }
-    register_fault_counters(&mut metrics);
-    (aggregate_faults(campaign, &outcomes), metrics)
+    (
+        aggregate_faults(campaign, &outcomes),
+        fault_metrics(campaign, &outcomes),
+    )
 }
 
 #[cfg(test)]
@@ -732,7 +718,7 @@ mod tests {
                 assert_eq!(serial, par, "checksum={checksum} threads={threads}");
                 assert_eq!(
                     serial_metrics, par_metrics,
-                    "the whole registry must merge identically"
+                    "the whole registry must fold identically"
                 );
             }
         }

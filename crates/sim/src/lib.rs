@@ -28,10 +28,12 @@
 //!   spill-fill costs, producing the Fig. 9 normalized-performance numbers
 //!   and the mean detection latency.
 //!
-//! The campaign engine is generic over an [`EventSink`] (re-exported from
-//! [`ipds-telemetry`](ipds_telemetry)) threaded through the hot path; with
-//! [`NullSink`] the hooks monomorphize away and the uninstrumented
-//! behaviour — and performance — is preserved bit-for-bit.
+//! Per-branch telemetry flows through an [`EventSink`] (re-exported from
+//! [`ipds-telemetry`](ipds_telemetry)) attached to an [`IpdsObserver`];
+//! with [`NullSink`] the hooks monomorphize away and the uninstrumented
+//! behaviour — and performance — is preserved bit-for-bit. Campaign and
+//! fault registries are folds over index-ordered outcomes
+//! ([`campaign_metrics`], [`fault_metrics`]), not sink output.
 
 pub mod attack;
 pub mod faults;
@@ -44,13 +46,13 @@ pub mod rng;
 pub use ipds_telemetry as telemetry;
 
 pub use attack::{
-    attack_seed, run_campaign, AttackModel, AttackOutcome, AttackRunner, Campaign, CampaignResult,
-    GoldenRun, WarmStart, CAMPAIGN_COUNTERS, CAMPAIGN_HISTOGRAMS,
+    attack_seed, campaign_metrics, run_campaign, AttackModel, AttackOutcome, AttackRunner,
+    Campaign, CampaignResult, GoldenRun, WarmStart, CAMPAIGN_COUNTERS, CAMPAIGN_HISTOGRAMS,
 };
 pub use faults::{
-    fault_plan, fault_seed, fault_site, run_fault_campaign, AnomalyReport, FaultCampaign,
-    FaultCampaignResult, FaultMutation, FaultOutcome, FaultPlan, FaultRunner, FaultSite,
-    FAULT_COUNTERS, FAULT_HISTOGRAMS,
+    fault_metrics, fault_plan, fault_seed, fault_site, run_fault_campaign, AnomalyReport,
+    FaultCampaign, FaultCampaignResult, FaultMutation, FaultOutcome, FaultPlan, FaultRunner,
+    FaultSite, FAULT_COUNTERS, FAULT_HISTOGRAMS,
 };
 pub use interp::{ExecLimits, ExecStatus, Input, Interp};
 pub use ipds_parallel::default_threads;

@@ -6,17 +6,16 @@
 //! threads that telemetry through:
 //!
 //! * [`EventSink`] — the structured event interface. The interpreter-side
-//!   observers and the campaign engines report per-branch and per-attack
-//!   records to a sink shared by reference. Two implementations ship:
+//!   observer reports one record per checked branch to a sink shared by
+//!   reference. Two implementations ship:
 //!   [`NullSink`] (the default; every hook is an empty inlined body, so the
 //!   instrumented code paths compile down to the uninstrumented ones) and
 //!   [`JsonlSink`] (a bounded-buffer JSON-lines writer for per-event
 //!   records). Sinks keep no counters: the checker's own `IpdsStats` and
 //!   the [`MetricsRegistry`] are the one counting vocabulary.
 //! * [`MetricsRegistry`] — named monotonic counters and log₂-bucketed
-//!   [`Histogram`]s with `snapshot`/[`merge`](MetricsRegistry::merge)
-//!   semantics. Campaign worker threads own private registries that fold
-//!   deterministically into one result (all merge operations commute).
+//!   [`Histogram`]s. A campaign's registry is one fold over its
+//!   index-ordered outcomes, computed after the parallel map.
 //! * [`PhaseRecorder`] — accumulating wall-clock spans per named phase;
 //!   the experiment driver times each of its sections with one.
 //!
@@ -24,13 +23,11 @@
 //!
 //! ## Determinism
 //!
-//! Every quantity a registry accumulates is a sum of per-attack (or
+//! Every quantity a registry accumulates is a function of per-attack (or
 //! per-branch) contributions that are themselves deterministic under the
-//! seeded protocol. Addition commutes, histogram buckets commute, and
-//! min/max commute — so merged registries are **bit-identical across
-//! thread counts and scheduling orders**. Only the *line order* of a
-//! [`JsonlSink`] fed by concurrent workers depends on scheduling (each line
-//! is self-describing, carrying its attack index).
+//! seeded protocol, and the engines fold them from outcomes already in
+//! index order — so registries are **bit-identical across thread counts
+//! and scheduling orders**.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -88,38 +85,16 @@ pub struct BranchRecord {
     pub table_accesses: u32,
 }
 
-/// One completed attack of a campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AttackRecord {
-    /// Attack index within the campaign (seed order).
-    pub index: u32,
-    /// The attack's derived RNG seed.
-    pub seed: u64,
-    /// Interpreter step at which the tamper triggered.
-    pub trigger_step: u64,
-    /// Interpreter steps the attacked run took.
-    pub steps: u64,
-    /// A live cell existed at the trigger point and was tampered.
-    pub tampered: bool,
-    /// The branch trace diverged from the golden run.
-    pub control_flow_changed: bool,
-    /// The IPDS raised at least one alarm.
-    pub detected: bool,
-}
-
 /// Consumer of the structured event stream.
 ///
-/// Sinks are shared by reference across campaign worker threads, so every
-/// hook takes `&self` and implementations use interior mutability (a mutex
-/// for writers). Default bodies ignore everything — [`NullSink`] is exactly
+/// Sinks are shared by reference, so every hook takes `&self` and
+/// implementations use interior mutability (a mutex for writers). Default bodies ignore everything — [`NullSink`] is exactly
 /// the defaults, and monomorphization inlines the empty bodies away,
 /// keeping the disabled path zero-cost.
 pub trait EventSink: Sync {
     /// True if this sink consumes the per-branch record stream and
     /// [`BranchRecord::expected`] should be populated (the extra pre-verify
-    /// probe). Defaults to `false`, as for [`NullSink`]: an engine may then
-    /// elide re-executing deterministic work whose branch records nobody
-    /// reads, e.g. warm-starting attacks from golden-run snapshots.
+    /// probe). Defaults to `false`, as for [`NullSink`].
     #[inline]
     fn wants_branch_details(&self) -> bool {
         false
@@ -128,12 +103,6 @@ pub trait EventSink: Sync {
     /// A committed conditional branch was checked.
     #[inline]
     fn on_branch(&self, record: &BranchRecord) {
-        let _ = record;
-    }
-
-    /// A campaign attack completed.
-    #[inline]
-    fn on_attack(&self, record: &AttackRecord) {
         let _ = record;
     }
 }
@@ -254,20 +223,6 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
             r.table_accesses,
         ));
     }
-
-    fn on_attack(&self, r: &AttackRecord) {
-        self.emit(format_args!(
-            "{{\"type\":\"attack\",\"index\":{},\"seed\":{},\"trigger_step\":{},\"steps\":{},\
-             \"tampered\":{},\"cf_changed\":{},\"detected\":{}}}\n",
-            r.index,
-            r.seed,
-            r.trigger_step,
-            r.steps,
-            r.tampered,
-            r.control_flow_changed,
-            r.detected,
-        ));
-    }
 }
 
 /// Number of log₂ buckets a [`Histogram`] keeps: bucket `i` counts values
@@ -278,7 +233,7 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 ///
 /// Bucketing by bit length keeps merge exact and order-independent: two
 /// histograms merge by bucket-wise addition, and `min`/`max`/`sum`/`count`
-/// all commute, so merged results are independent of worker scheduling.
+/// all commute, so merged results are independent of merge order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Histogram {
     /// Observations recorded.
@@ -336,11 +291,11 @@ impl Histogram {
     }
 }
 
-/// Named monotonic counters and histograms with deterministic merge.
+/// Named monotonic counters and histograms.
 ///
-/// Worker threads of a campaign each own a private registry; the engine
-/// merges them after the join. Every merge operation commutes, so the
-/// folded registry is bit-identical for any thread count.
+/// The campaign engines build one registry per campaign by folding its
+/// index-ordered outcomes after the parallel map, so the registry is
+/// bit-identical for any thread count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
@@ -371,16 +326,6 @@ impl MetricsRegistry {
     /// Reads a histogram.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// Folds `other` into `self` (commutative and associative).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, h) in &other.histograms {
-            self.histograms.entry(name).or_default().merge(h);
-        }
     }
 
     /// All counters in name order.
@@ -491,26 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_commutes() {
-        let mut a = MetricsRegistry::new();
-        a.add("attacks", 3);
-        a.observe("steps", 10);
-        let mut b = MetricsRegistry::new();
-        b.add("attacks", 4);
-        b.add("alarms", 1);
-        b.observe("steps", 900);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.counter("attacks"), 7);
-        assert_eq!(ab.counter("alarms"), 1);
-        assert_eq!(ab.counter("missing"), 0);
-        assert_eq!(ab.histogram("steps").unwrap().count, 2);
-    }
-
-    #[test]
     fn phase_recorder_accumulates_in_order() {
         let rec = PhaseRecorder::new();
         rec.time("compile", || {});
@@ -526,15 +451,6 @@ mod tests {
     #[test]
     fn null_sink_ignores_everything() {
         NULL_SINK.on_branch(&branch(1, true));
-        NULL_SINK.on_attack(&AttackRecord {
-            index: 0,
-            seed: 0,
-            trigger_step: 0,
-            steps: 0,
-            tampered: false,
-            control_flow_changed: false,
-            detected: false,
-        });
         assert!(!NULL_SINK.wants_branch_details());
     }
 }

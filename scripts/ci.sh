@@ -144,8 +144,10 @@ cargo test -q --release -p ipds-absint --test interval_reference
 
 echo "==> scaling gate (every thread count must pull its weight; see docs/PERF.md)"
 # The sweep self-calibrates each point to >=250 ms of measured work, so
-# the numbers are out of thread-spawn-noise territory, and every row
-# records the workload it timed ("attacks") and its wall time ("seconds").
+# the numbers are out of thread-spawn-noise territory, then times T1, T2,
+# T4 and T8 interleaved over 5 repeats: every row records the workload it
+# timed ("attacks"), its median wall time ("seconds") and the median of
+# the per-repeat Tn/T1 ratios ("speedup").
 # EVERY multi-thread point is gated against the 1-thread baseline — not
 # just the last row. On a real multicore box any speedup below 1.0 is a
 # regression: with a persistent pool and >=250 ms of work per point,

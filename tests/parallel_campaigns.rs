@@ -3,12 +3,13 @@
 //! results bit-identical to the serial path, and the whole protocol is
 //! deterministic under the in-repo RNG (same seed ⇒ same figures, on any
 //! machine, at any thread count, no matter how many campaigns already ran
-//! through the pool). Telemetry rides the same guarantee: all metric
-//! aggregation commutes, so merged registries are bit-identical too, and
-//! warm-started attacks report exactly what cold ones do.
+//! through the pool). Telemetry rides the same guarantee: a campaign's
+//! registry is one fold over its seed-ordered outcomes, so it is
+//! bit-identical too, and warm-started attacks report exactly what cold
+//! ones do.
 
-use ipds::telemetry::{EventSink, JsonlSink, MetricsRegistry, NULL_SINK};
-use ipds_sim::attack::attack_rng;
+use ipds::telemetry::MetricsRegistry;
+use ipds_sim::attack::{attack_rng, campaign_metrics};
 use ipds_sim::{AttackModel, AttackRunner, Campaign};
 
 const ATTACKS: u32 = 24;
@@ -44,13 +45,10 @@ fn campaign_pair(
     (serial, parallel)
 }
 
-/// Runs one metered campaign with `sink` attached. `NULL_SINK` lets the
-/// engine warm-start attacks; a detail sink such as `JsonlSink` makes it
-/// run every attack cold from step 0.
-fn metered<S: EventSink>(
+/// Runs one metered campaign of the workload's own attack model.
+fn metered(
     w: &ipds_workloads::Workload,
     threads: usize,
-    sink: &S,
 ) -> (ipds::CampaignResult, MetricsRegistry) {
     let protected = protect(w);
     let inputs = w.inputs(INPUT_SEED);
@@ -61,7 +59,6 @@ fn metered<S: EventSink>(
         .seed(SEED)
         .model(w.vuln)
         .threads(threads)
-        .sink(sink)
         .run_metered()
 }
 
@@ -100,7 +97,7 @@ fn campaigns_are_deterministic_under_the_in_repo_rng() {
 #[test]
 fn metered_registries_are_bit_identical_across_thread_counts() {
     for w in ipds_workloads::all() {
-        let (base_result, base_metrics) = metered(&w, 1, &NULL_SINK);
+        let (base_result, base_metrics) = metered(&w, 1);
         assert_eq!(
             base_metrics.counter("campaign.attacks"),
             u64::from(ATTACKS),
@@ -113,20 +110,51 @@ fn metered_registries_are_bit_identical_across_thread_counts() {
             "{}",
             w.name
         );
-        // A detail sink forces every attack cold; its registry, checker
-        // work included, must match the warm-started one.
-        let cold_sink = JsonlSink::buffered(1);
-        let cold = metered(&w, 1, &cold_sink);
-        let runs = [2, 4, 8].map(|threads| {
-            (
-                format!("{threads} threads"),
-                metered(&w, threads, &NULL_SINK),
-            )
-        });
-        for (label, (result, metrics)) in runs.into_iter().chain([("cold".to_string(), cold)]) {
-            assert_eq!(base_result, result, "{} {label}", w.name);
-            assert_eq!(base_metrics, metrics, "{} {label}", w.name);
+        for threads in [2, 4, 8] {
+            let (result, metrics) = metered(&w, threads);
+            assert_eq!(base_result, result, "{} {threads} threads", w.name);
+            assert_eq!(base_metrics, metrics, "{} {threads} threads", w.name);
         }
+    }
+}
+
+#[test]
+fn campaign_registry_is_the_outcome_fold_of_a_cold_loop() {
+    // The engine warm-starts its attacks; a hand-driven runner without a
+    // warm start runs every attack cold from step 0. Folding the cold
+    // outcomes with the public `campaign_metrics` must give the engine's
+    // whole registry, checker work included.
+    for w in ipds_workloads::all() {
+        let protected = protect(&w);
+        let inputs = w.inputs(INPUT_SEED);
+        let (golden, limits) = protected.campaign_artifacts(&inputs);
+        let campaign = Campaign {
+            attacks: ATTACKS,
+            seed: SEED,
+            model: w.vuln,
+            limits,
+        };
+        let mut cold = AttackRunner::new(
+            &protected.program,
+            &protected.analysis,
+            &inputs,
+            &golden.trace,
+            limits,
+        );
+        let outcomes: Vec<_> = (0..ATTACKS)
+            .map(|i| {
+                let (mut rng, trigger) = attack_rng(&campaign, golden.steps, i);
+                cold.run(trigger, w.vuln, &mut rng)
+            })
+            .collect();
+        let (result, metrics) = metered(&w, 2);
+        assert_eq!(
+            result,
+            ipds_sim::attack::aggregate(ATTACKS, &outcomes),
+            "{}",
+            w.name
+        );
+        assert_eq!(metrics, campaign_metrics(&outcomes), "{}", w.name);
     }
 }
 
@@ -173,8 +201,10 @@ fn warm_start_matches_cold_execution_on_every_workload() {
 
 #[test]
 fn null_sink_campaign_matches_uninstrumented_engine() {
-    // Attaching the default NullSink must not perturb the protocol: the
-    // result has to be byte-identical to the plain engine's.
+    // Campaigns carry no event sink, so the plain engine at its default
+    // thread count is the uninstrumented baseline: an explicit thread
+    // count must not perturb the protocol, and the result has to be
+    // byte-identical to the default run's.
     for w in ipds_workloads::all() {
         let protected = protect(&w);
         let inputs = w.inputs(INPUT_SEED);
@@ -186,7 +216,7 @@ fn null_sink_campaign_matches_uninstrumented_engine() {
             .model(w.vuln)
             .run();
         for threads in [1, 4] {
-            let with_null = protected
+            let explicit = protected
                 .campaign_spec()
                 .inputs(&inputs)
                 .attacks(ATTACKS)
@@ -194,10 +224,10 @@ fn null_sink_campaign_matches_uninstrumented_engine() {
                 .model(w.vuln)
                 .threads(threads)
                 .run();
-            assert_eq!(plain, with_null, "{} @ {threads} threads", w.name);
+            assert_eq!(plain, explicit, "{} @ {threads} threads", w.name);
             assert_eq!(
                 plain.mean_lag_branches.to_bits(),
-                with_null.mean_lag_branches.to_bits(),
+                explicit.mean_lag_branches.to_bits(),
                 "{} @ {threads} threads",
                 w.name
             );
@@ -247,7 +277,7 @@ fn attack_step_histogram_accounts_for_every_attack() {
         .into_iter()
         .find(|w| w.name == "telnetd")
         .unwrap();
-    let (result, metrics) = metered(&w, 4, &NULL_SINK);
+    let (result, metrics) = metered(&w, 4);
     let steps = metrics
         .histogram("campaign.attack_steps")
         .expect("campaign.attack_steps");
