@@ -50,10 +50,11 @@
 //!
 //! Numeric flags parse strictly into their own type: a value that is
 //! missing, malformed, negative where a count is expected, or out of range
-//! is a usage error, as is an unknown `--model`. `campaign FILE` and
-//! `faults FILE` check the program's clean run first and refuse to attack
-//! a program whose clean run faults. Every error exits with status 1 and
-//! one message on stderr.
+//! is a usage error, as is an unknown `--model`. `run`, `attack`,
+//! `campaign`, `time`, `trace` and `faults FILE` refuse a program without
+//! a `main`, and `campaign FILE` and `faults FILE` check the program's
+//! clean run first and refuse to attack a program whose clean run faults.
+//! Every error exits with status 1 and one message on stderr.
 
 use std::fmt;
 use std::io::BufWriter;
@@ -144,8 +145,14 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let rest = &args[2..];
     match cmd.as_str() {
         "compile" => compile(source, has_flag(rest, "--dump")),
-        "run" => run_program(source, &inputs_of(rest)?, flag_value(rest, "--events")?),
+        "run" => run_program(
+            file,
+            source,
+            &inputs_of(rest)?,
+            flag_value(rest, "--events")?,
+        ),
         "attack" => attack(
+            file,
             source,
             &inputs_of(rest)?,
             &flag_value(rest, "--var")?.ok_or("attack requires --var NAME")?,
@@ -161,8 +168,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
             flag(rest, "--seed")?.unwrap_or(2006),
             attack_model(rest)?,
         ),
-        "time" => time(source, &inputs_of(rest)?),
+        "time" => time(file, source, &inputs_of(rest)?),
         "trace" => trace(
+            file,
             source,
             &inputs_of(rest)?,
             flag(rest, "--limit")?.unwrap_or(64),
@@ -372,7 +380,7 @@ fn faults_cmd(args: &[String]) -> Result<(), CliError> {
             .find(|&a| !a.starts_with("--") && !is_flag_value(args, a))
             .ok_or_else(|| CliError::Usage("missing FILE".into()))?;
         let source = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
-        let p = protect(&source)?;
+        let p = runnable(file, &source)?;
         let inputs = inputs_of(args)?;
         let (golden, _) = p.campaign_artifacts(&inputs);
         clean_run_ok(file, &golden)?;
@@ -628,6 +636,16 @@ fn protect(source: &str) -> Result<Protected, CliError> {
     Protected::compile(source).map_err(|e| CliError::Failed(e.to_string()))
 }
 
+/// [`protect`] for the commands that execute the program, which needs a
+/// `main`.
+fn runnable(file: &str, source: &str) -> Result<Protected, CliError> {
+    let p = protect(source)?;
+    if p.program.main().is_none() {
+        return Err(CliError::Failed(format!("{file}: {}", ipds::Error::NoMain)));
+    }
+    Ok(p)
+}
+
 fn compile(source: &str, dump: bool) -> Result<(), CliError> {
     let p = protect(source)?;
     println!(
@@ -700,8 +718,13 @@ fn run_session(
     }
 }
 
-fn run_program(source: &str, inputs: &[Input], events: Option<String>) -> Result<(), CliError> {
-    let p = protect(source)?;
+fn run_program(
+    file: &str,
+    source: &str,
+    inputs: &[Input],
+    events: Option<String>,
+) -> Result<(), CliError> {
+    let p = runnable(file, source)?;
     let r = run_session(&p, inputs, None, events.as_deref())?;
     println!("status : {:?}", r.status);
     println!("output : {:?}", r.output);
@@ -725,6 +748,7 @@ fn run_program(source: &str, inputs: &[Input], events: Option<String>) -> Result
 }
 
 fn attack(
+    file: &str,
     source: &str,
     inputs: &[Input],
     var: &str,
@@ -732,7 +756,7 @@ fn attack(
     step: u64,
     events: Option<String>,
 ) -> Result<(), CliError> {
-    let p = protect(source)?;
+    let p = runnable(file, source)?;
     let r = run_session(&p, inputs, Some((step, var, value)), events.as_deref())?;
     println!("tampered `{var}` = {value} after {step} steps");
     println!("status : {:?}", r.status);
@@ -759,7 +783,7 @@ fn campaign(
     seed: u64,
     model: AttackModel,
 ) -> Result<(), CliError> {
-    let p = protect(source)?;
+    let p = runnable(file, source)?;
     let (golden, limits) = p.campaign_artifacts(inputs);
     clean_run_ok(file, &golden)?;
     let r = p
@@ -788,7 +812,7 @@ fn campaign(
     Ok(())
 }
 
-fn trace(source: &str, inputs: &[Input], limit: usize) -> Result<(), CliError> {
+fn trace(file: &str, source: &str, inputs: &[Input], limit: usize) -> Result<(), CliError> {
     use ipds::runtime::IpdsChecker;
     use ipds::sim::{ExecLimits, Interp};
     use ipds_sim::ExecObserver;
@@ -831,15 +855,14 @@ fn trace(source: &str, inputs: &[Input], limit: usize) -> Result<(), CliError> {
         }
     }
 
-    let p = protect(source)?;
+    let p = runnable(file, source)?;
+    let main = p.program.main().expect("runnable checked for main");
     let mut tracer = Tracer {
         checker: IpdsChecker::new(&p.analysis),
         printed: 0,
         limit,
     };
-    tracer
-        .checker
-        .on_call(p.program.main().ok_or("program needs a main")?.id);
+    tracer.checker.on_call(main.id);
     let mut interp = Interp::new(&p.program, inputs.to_vec(), ExecLimits::default());
     let status = interp.run(&mut tracer);
     if tracer.printed == limit {
@@ -856,8 +879,8 @@ fn trace(source: &str, inputs: &[Input], limit: usize) -> Result<(), CliError> {
     Ok(())
 }
 
-fn time(source: &str, inputs: &[Input]) -> Result<(), CliError> {
-    let p = protect(source)?;
+fn time(file: &str, source: &str, inputs: &[Input]) -> Result<(), CliError> {
+    let p = runnable(file, source)?;
     let hw = HwConfig::table1_default();
     let base = p.timed_baseline(inputs, &hw);
     let with = p.timed(inputs, &hw);

@@ -132,6 +132,9 @@ pub enum Error {
     /// The fleet service refused an operation (unknown workload or
     /// session, rejected image registration).
     Service(ServiceError),
+    /// The program defines no `main`, so there is nothing to execute. It
+    /// still compiles: only running it fails.
+    NoMain,
 }
 
 /// Coarse classification of an [`Error`] — one tag per layer, stable
@@ -151,6 +154,8 @@ pub enum ErrorKind {
     Image,
     /// Fleet service ([`Error::Service`]).
     Service,
+    /// Execution ([`Error::NoMain`]).
+    Exec,
 }
 
 impl Error {
@@ -163,6 +168,7 @@ impl Error {
             Error::Runtime(_) => ErrorKind::Runtime,
             Error::Image(_) => ErrorKind::Image,
             Error::Service(_) => ErrorKind::Service,
+            Error::NoMain => ErrorKind::Exec,
         }
     }
 }
@@ -176,6 +182,9 @@ impl fmt::Display for Error {
             Error::Runtime(e) => write!(f, "runtime error: {e}"),
             Error::Image(e) => write!(f, "image error: {e}"),
             Error::Service(e) => write!(f, "service error: {e}"),
+            Error::NoMain => {
+                f.write_str("the program defines no `main`, so there is nothing to run")
+            }
         }
     }
 }
@@ -189,6 +198,7 @@ impl std::error::Error for Error {
             Error::Runtime(e) => Some(e),
             Error::Image(e) => Some(e),
             Error::Service(e) => Some(e),
+            Error::NoMain => None,
         }
     }
 }
@@ -413,6 +423,11 @@ impl Protected {
     }
 
     /// Executes cleanly under IPDS checking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program has no `main`; [`Protected::session`] reports
+    /// that as [`Error::NoMain`] instead.
     pub fn run(&self, inputs: &[Input]) -> RunReport {
         self.run_impl(inputs, ExecLimits::default(), None, &NULL_SINK)
     }
@@ -424,8 +439,8 @@ impl Protected {
     /// [`TamperError::UnknownVar`] carrying every name that would have
     /// resolved.
     pub fn resolve_var(&self, name: &str) -> Result<VarId, TamperError> {
-        let main = self.program.main().expect("main required");
-        if let Some(i) = main.vars.iter().position(|v| v.name == name) {
+        let locals = self.program.main().map_or(&[][..], |main| &main.vars[..]);
+        if let Some(i) = locals.iter().position(|v| v.name == name) {
             return Ok(VarId::local(i as u32));
         }
         if let Some(i) = self.program.globals.iter().position(|v| v.name == name) {
@@ -433,8 +448,7 @@ impl Protected {
         }
         Err(TamperError::UnknownVar {
             name: name.to_string(),
-            candidates: main
-                .vars
+            candidates: locals
                 .iter()
                 .chain(self.program.globals.iter())
                 .map(|v| v.name.clone())
@@ -702,9 +716,13 @@ impl<'a, S: EventSink> RunSession<'a, S> {
     ///
     /// # Errors
     ///
+    /// [`Error::NoMain`] if the program has no `main`, and
     /// [`Error::Tamper`] if a scheduled tamper names an unknown variable —
-    /// validated before anything executes.
+    /// both validated before anything executes.
     pub fn run(self) -> Result<RunReport, Error> {
+        if self.protected.program.main().is_none() {
+            return Err(Error::NoMain);
+        }
         let tamper = match self.tamper {
             Some((step, name, value)) => Some((step, self.protected.resolve_var(name)?, value)),
             None => None,
@@ -787,8 +805,9 @@ impl<'a> CampaignSpec<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the golden run faults (a campaign over a crashing victim
-    /// is meaningless) or a worker thread panics.
+    /// Panics if the program has no `main`, the golden run faults (a
+    /// campaign over a crashing victim is meaningless) or a worker thread
+    /// panics.
     pub fn run(&self) -> CampaignResult {
         self.run_metered().0
     }
@@ -801,7 +820,8 @@ impl<'a> CampaignSpec<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the golden run faults or a worker thread panics.
+    /// Panics if the program has no `main`, the golden run faults or a
+    /// worker thread panics.
     pub fn run_metered(&self) -> (CampaignResult, MetricsRegistry) {
         match self.golden {
             Some((golden, limits)) => self.run_against(golden, limits),
@@ -893,7 +913,8 @@ impl<'a> FaultSpec<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the golden run faults or a worker thread panics.
+    /// Panics if the program has no `main`, the golden run faults or a
+    /// worker thread panics.
     pub fn run(&self) -> FaultCampaignResult {
         self.run_metered().0
     }
@@ -905,7 +926,8 @@ impl<'a> FaultSpec<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the golden run faults or a worker thread panics.
+    /// Panics if the program has no `main`, the golden run faults or a
+    /// worker thread panics.
     pub fn run_metered(&self) -> (FaultCampaignResult, MetricsRegistry) {
         let image = TableImage::build(&self.protected.analysis);
         let (golden, limits) = self.protected.campaign_artifacts(self.inputs);
@@ -1054,6 +1076,17 @@ mod tests {
         let err = Error::from(ServiceError::UnknownSession { session: 7 });
         assert_eq!(err.kind(), ErrorKind::Service);
         assert!(err.to_string().contains("service error"));
+    }
+
+    #[test]
+    fn a_session_without_main_is_a_typed_error() {
+        let p = Protected::compile("int g; fn f() -> int { return g; }").unwrap();
+        assert_eq!(p.session().run().unwrap_err(), Error::NoMain);
+        let err = p.session().tamper(1, "g", 1).run().unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Exec);
+        assert!(err.to_string().contains("no `main`"), "{err}");
+        // Tamper names still resolve against the globals.
+        assert_eq!(p.resolve_var("g"), Ok(VarId::global(0)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `ipdsc` refuses bad input with a usage error instead of panicking or
-//! running something else: a program whose clean run faults cannot be
-//! attacked, and malformed, negative or unknown flag values are rejected
+//! running something else: a program without `main` cannot be run, a
+//! program whose clean run faults cannot be attacked, and malformed, negative or unknown flag values are rejected
 //! rather than replaced by a default or wrapped into a huge count. Every
 //! case must exit with status 1 and one `ipdsc:` message on stderr.
 
@@ -47,6 +47,24 @@ fn campaign_and_faults_refuse_a_program_whose_clean_run_faults() {
         let stderr = fails_cleanly(&args);
         assert!(stderr.contains("clean run faults"), "{args:?}: {stderr}");
         assert!(stderr.contains("store fault"), "names the fault: {stderr}");
+    }
+}
+
+#[test]
+fn commands_that_run_the_program_refuse_one_without_main() {
+    let file = program("ipdsc_cli_no_main.mc", "int g; fn f() -> int { return g; }");
+    let file = file.to_str().unwrap();
+    for args in [
+        vec!["run", file],
+        vec!["attack", file, "--var", "g", "--value", "1"],
+        vec!["campaign", file, "--attacks", "4"],
+        vec!["time", file],
+        vec!["trace", file],
+        vec!["faults", file, "--flips", "2"],
+    ] {
+        let stderr = fails_cleanly(&args);
+        assert!(stderr.contains("no `main`"), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
     }
 }
 

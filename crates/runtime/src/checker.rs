@@ -8,18 +8,20 @@
 //!
 //! * **PC lookup is the perfect hash, not a `HashMap`.** The compiler
 //!   already searched a collision-free shift/XOR hash per function (§5.2);
-//!   the checker reuses it: `hash.slot(pc)` indexes a flat dense
-//!   `slot → branch index` array. One multiply-free hash plus one load —
-//!   no SipHash, no probing.
+//!   the checker reuses it: `hash.slot(pc)` indexes a flat dense array of
+//!   one packed record per hash slot — the branch's PC, BSV slot, BCV bit
+//!   and both BAT row bounds — so one multiply-free hash and one record
+//!   load resolve everything a branch needs: no SipHash, no probing, no
+//!   parallel arrays.
 //! * **The BSV is 2-bit packed.** A frame's status vector is a word array
 //!   with 32 statuses per `u64` (the same `BranchStatus::to_bits`
 //!   encoding as the table image), so an activation's whole BSV is a few
 //!   words — push/pop/copy are memcpys and the snapshot support below is
 //!   cheap.
-//! * **The BAT is flattened SoA.** Per function, all BAT rows live in two
-//!   parallel flat arrays (target slot, action bits) addressed by a
-//!   `(branch, direction) → start` offset table, replacing the per-branch
-//!   `BTreeMap` walk with a prefix-sum slice.
+//! * **The BAT is flattened.** Per function, all BAT rows live in one flat
+//!   array of `(target slot, action bits)` pairs; a branch's record bounds
+//!   its not-taken and taken rows, replacing the per-branch `BTreeMap` walk
+//!   with a slice.
 //!
 //! The verify-then-update protocol itself is written once, as the private
 //! `step` below: [`IpdsChecker::on_branch`] resolves the frame stack and
@@ -149,33 +151,41 @@ struct Frame {
     bsv: Vec<u64>,
 }
 
-/// Sentinel for an empty perfect-hash slot.
+/// Sentinel BSV slot of an empty perfect-hash slot's record.
 const NO_BRANCH: u32 = u32::MAX;
+
+/// Everything one committed branch needs from its function's tables, in
+/// one record: the hash slot's branch PC (validating the hash hit: a
+/// foreign PC can alias an occupied slot), its BSV slot ([`NO_BRANCH`] for
+/// an empty hash slot), its BCV bit, and its two BAT rows — not-taken
+/// `bat[0]..bat[1]`, taken `bat[1]..bat[2]` — as offsets into
+/// [`FuncTables::bat`].
+#[derive(Debug, Clone, Copy)]
+struct BranchRecord {
+    pc: u64,
+    bsv_slot: u32,
+    checked: bool,
+    bat: [u32; 3],
+}
+
+const EMPTY: BranchRecord = BranchRecord {
+    pc: 0,
+    bsv_slot: NO_BRANCH,
+    checked: false,
+    bat: [0; 3],
+};
 
 /// Per-function immutable lookup state derived from the compiler tables,
 /// flattened for the per-branch fast path (see module docs).
 #[derive(Debug)]
 struct FuncTables {
     hash: ipds_analysis::HashParams,
-    /// Hash slot → branch index ([`NO_BRANCH`] = empty slot). Length is
-    /// exactly `hash.space()`, so a masked slot indexes without a bounds
-    /// branch.
-    slot_of_hash: Box<[u32]>,
-    /// Branch index → PC (validates the hash hit: a foreign PC can alias an
-    /// occupied slot).
-    pc_of: Box<[u64]>,
-    /// Branch index → BSV slot.
-    slot_of: Box<[u32]>,
-    /// BCV bitset by branch index.
-    checked: Box<[u64]>,
-    /// `(branch index, direction)` → offset of its BAT row in the flat
-    /// entry arrays; row `k = idx * 2 + dir` spans
-    /// `bat_start[k]..bat_start[k + 1]`.
-    bat_start: Box<[u32]>,
-    /// Flat BAT entries: the target branch's BSV slot…
-    bat_target_slot: Box<[u32]>,
-    /// …and the action's 2-bit encoding ([`ipds_analysis::BrAction::to_bits`]).
-    bat_action: Box<[u8]>,
+    /// Hash slot → branch record. Length is exactly `hash.space()`, so a
+    /// masked slot indexes without a bounds branch.
+    records: Box<[BranchRecord]>,
+    /// Flat BAT entries: the target branch's BSV slot and the action's
+    /// 2-bit encoding ([`ipds_analysis::BrAction::to_bits`]).
+    bat: Box<[(u32, u8)]>,
     /// Packed words per BSV frame.
     bsv_words: usize,
     /// BSV slots per frame (= `hash.space()`).
@@ -197,56 +207,40 @@ fn bsv_set(words: &mut [u64], slot: usize, bits: u8) {
 impl FuncTables {
     fn build(fa: &FunctionAnalysis) -> FuncTables {
         let space = fa.hash.space() as usize;
-        let mut slot_of_hash = vec![NO_BRANCH; space];
+        let mut records = vec![EMPTY; space];
+        let mut bat = Vec::new();
         for (i, b) in fa.branches.iter().enumerate() {
-            let h = fa.hash.slot(b.pc) as usize;
-            debug_assert_eq!(slot_of_hash[h], NO_BRANCH, "perfect hash collision");
-            slot_of_hash[h] = i as u32;
-        }
-        let n = fa.branches.len();
-        let mut checked = vec![0u64; n.div_ceil(64).max(1)];
-        for (i, &c) in fa.checked.iter().enumerate() {
-            if c {
-                checked[i >> 6] |= 1u64 << (i & 63);
-            }
-        }
-        let mut bat_start = Vec::with_capacity(2 * n + 1);
-        let mut bat_target_slot = Vec::new();
-        let mut bat_action = Vec::new();
-        bat_start.push(0u32);
-        for idx in 0..n as u32 {
-            for dir in [false, true] {
-                for entry in fa.actions(idx, dir) {
-                    bat_target_slot.push(fa.branches[entry.target as usize].slot);
-                    bat_action.push(entry.action.to_bits());
+            let mut rows = [bat.len() as u32; 3];
+            for (dir, end) in [false, true].into_iter().zip(&mut rows[1..]) {
+                for entry in fa.actions(i as u32, dir) {
+                    let target = fa.branches[entry.target as usize].slot;
+                    bat.push((target, entry.action.to_bits()));
                 }
-                bat_start.push(bat_target_slot.len() as u32);
+                *end = bat.len() as u32;
             }
+            let h = fa.hash.slot(b.pc) as usize;
+            debug_assert_eq!(records[h].bsv_slot, NO_BRANCH, "perfect hash collision");
+            records[h] = BranchRecord {
+                pc: b.pc,
+                bsv_slot: b.slot,
+                checked: fa.checked.get(i).copied().unwrap_or(false),
+                bat: rows,
+            };
         }
         FuncTables {
             hash: fa.hash,
-            slot_of_hash: slot_of_hash.into_boxed_slice(),
-            pc_of: fa.branches.iter().map(|b| b.pc).collect(),
-            slot_of: fa.branches.iter().map(|b| b.slot).collect(),
-            checked: checked.into_boxed_slice(),
-            bat_start: bat_start.into_boxed_slice(),
-            bat_target_slot: bat_target_slot.into_boxed_slice(),
-            bat_action: bat_action.into_boxed_slice(),
+            records: records.into_boxed_slice(),
+            bat: bat.into_boxed_slice(),
             bsv_words: space.div_ceil(32).max(1),
             bsv_slots: space,
         }
     }
 
-    /// Resolves a PC to its branch index, `None` for foreign PCs.
+    /// Resolves a PC to its branch record, `None` for foreign PCs.
     #[inline]
-    fn branch_of_pc(&self, pc: u64) -> Option<u32> {
-        let idx = self.slot_of_hash[self.hash.slot(pc) as usize];
-        (idx != NO_BRANCH && self.pc_of[idx as usize] == pc).then_some(idx)
-    }
-
-    #[inline]
-    fn is_checked(&self, idx: u32) -> bool {
-        self.checked[(idx >> 6) as usize] >> (idx & 63) & 1 != 0
+    fn record(&self, pc: u64) -> Option<&BranchRecord> {
+        let rec = &self.records[self.hash.slot(pc) as usize];
+        (rec.pc == pc && rec.bsv_slot != NO_BRANCH).then_some(rec)
     }
 }
 
@@ -265,7 +259,7 @@ fn step(
     pc: u64,
     dir: bool,
 ) -> Option<BranchOutcome> {
-    let idx = tables.branch_of_pc(pc)?;
+    let rec = tables.record(pc)?;
     let mut outcome = BranchOutcome {
         // The BCV probe.
         table_accesses: 1,
@@ -273,12 +267,11 @@ fn step(
     };
 
     // 1. Verify.
-    if tables.is_checked(idx) {
+    if rec.checked {
         outcome.verified = true;
         outcome.table_accesses += 1; // BSV read
         stats.verified += 1;
-        let slot = tables.slot_of[idx as usize] as usize;
-        let expected = BranchStatus::from_bits(bsv_get(&frame.bsv, slot));
+        let expected = BranchStatus::from_bits(bsv_get(&frame.bsv, rec.bsv_slot as usize));
         if !expected.matches(dir) {
             outcome.alarm = true;
             stats.alarms += 1;
@@ -293,17 +286,13 @@ fn step(
     }
 
     // 2. Update: walk the flattened BAT row for (branch, direction).
-    let row = (idx as usize) * 2 + usize::from(dir);
-    let (start, end) = (
-        tables.bat_start[row] as usize,
-        tables.bat_start[row + 1] as usize,
-    );
-    for e in start..end {
-        let tslot = tables.bat_target_slot[e] as usize;
+    let d = usize::from(dir);
+    for &(tslot, action) in &tables.bat[rec.bat[d] as usize..rec.bat[d + 1] as usize] {
+        let tslot = tslot as usize;
         let old = bsv_get(&frame.bsv, tslot);
         // Action bits 01/10/11 install taken/not-taken/unknown; 00 (NC)
         // is never stored in the BAT but would leave the slot untouched.
-        let new = match tables.bat_action[e] {
+        let new = match action {
             0b01 => 0b01,
             0b10 => 0b10,
             0b11 => 0b00,
@@ -427,6 +416,7 @@ impl IpdsChecker {
     /// and is recorded as [`RuntimeError::FrameStackOverflow`]; so does a
     /// function the tables do not describe, recorded as
     /// [`RuntimeError::UnknownFunction`].
+    #[inline]
     pub fn on_call(&mut self, func: FuncId) {
         self.stats.calls += 1;
         if self.stack.len() >= MAX_FRAME_DEPTH {
@@ -454,6 +444,7 @@ impl IpdsChecker {
     /// unbalanced — e.g. a corrupted return address under fault injection.
     /// The checker counts it, records it and degrades gracefully instead of
     /// aborting.
+    #[inline]
     pub fn on_return(&mut self) -> Result<(), RuntimeError> {
         if self.skipped_calls > 0 {
             self.skipped_calls -= 1;
@@ -504,6 +495,7 @@ impl IpdsChecker {
     /// actions for the actual direction. A branch with no active frame or
     /// with a PC foreign to the top frame's function is counted, skipped
     /// (a zero outcome) and recorded as a violation.
+    #[inline]
     pub fn on_branch(&mut self, pc: u64, dir: bool) -> BranchOutcome {
         self.stats.branches += 1;
         let Some(frame) = self.stack.last_mut() else {
@@ -550,10 +542,11 @@ impl IpdsChecker {
     /// frame (test/diagnostic hook).
     pub fn expected_status(&self, pc: u64) -> Option<BranchStatus> {
         let frame = self.stack.last()?;
-        let tables = &self.tables[frame.func.0 as usize];
-        let idx = tables.branch_of_pc(pc)?;
-        let slot = tables.slot_of[idx as usize] as usize;
-        Some(BranchStatus::from_bits(bsv_get(&frame.bsv, slot)))
+        let rec = self.tables[frame.func.0 as usize].record(pc)?;
+        Some(BranchStatus::from_bits(bsv_get(
+            &frame.bsv,
+            rec.bsv_slot as usize,
+        )))
     }
 
     /// Captures the checker's mutable state. [`IpdsChecker::restore`]

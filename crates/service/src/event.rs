@@ -11,7 +11,7 @@ use ipds_ir::FuncId;
 /// `Vec<GuestEvent>` batches. The service's flush replays them through
 /// the session's pooled [`IpdsChecker`](ipds_runtime::IpdsChecker) —
 /// consecutive `Branch` events are buffered and flushed through the flat
-/// SoA batch entry point
+/// batch entry point
 /// [`on_branch_run`](ipds_runtime::IpdsChecker::on_branch_run). A stream
 /// that breaks the call/branch/return protocol is still checked: the
 /// checker skips each offending event, and the session's first one opens

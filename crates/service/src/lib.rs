@@ -17,7 +17,7 @@
 //! * [`Service`] — buffered batched ingestion: guest sessions submit
 //!   [`GuestEvent`] batches that the control plane buffers per session
 //!   (a fixed 64Ki-event bound caps guest memory use). Each flush runs one
-//!   persistent-pool task per session, driving the flat SoA checker hot
+//!   persistent-pool task per session, driving the flat checker hot
 //!   path ([`IpdsChecker::on_branch_run`](ipds_runtime::IpdsChecker::on_branch_run)).
 //!   Per-session results merge in session-id order, so fleet results are
 //!   bit-identical for every ingestion-worker count. Any event stream is

@@ -90,7 +90,7 @@ impl SessionState {
     }
 
     /// Replays one batch through the checker. Consecutive `Branch` events
-    /// buffer into the scratch arena and flush through the flat SoA batch
+    /// buffer into the scratch arena and flush through the flat batch
     /// entry point [`IpdsChecker::on_branch_run`]; call/return/fault
     /// events are barriers. Any event sequence is accepted: the checker
     /// skips and records malformed events itself. New alarms and the
@@ -172,7 +172,7 @@ impl SessionState {
     }
 }
 
-/// Flushes buffered branch events through the SoA hot path. Free function
+/// Flushes buffered branch events through the checker's batch hot path. Free function
 /// so the borrow of the scratch arena and the mutable borrow of the
 /// checker stay visibly disjoint.
 fn flush(checker: &mut IpdsChecker, scratch: &mut Vec<(u64, bool)>) {

@@ -349,7 +349,7 @@ pub struct AttackRunner<'a> {
     inputs: &'a [Input],
     golden: &'a [(u64, bool)],
     main: ipds_ir::FuncId,
-    interp: Interp<'a>,
+    interp: Interp,
     ipds: IpdsObserver<'a>,
     trace: BranchTrace,
     warm: Option<&'a WarmStart>,

@@ -320,7 +320,7 @@ pub struct FaultRunner<'a> {
     image: &'a TableImage,
     inputs: &'a [Input],
     main: ipds_ir::FuncId,
-    interp: Interp<'a>,
+    interp: Interp,
     ipds: IpdsObserver<'a>,
 }
 

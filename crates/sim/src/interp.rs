@@ -1,14 +1,23 @@
 //! The IR interpreter.
 //!
-//! Executes a [`Program`] against the flat [`Memory`] in one dispatch loop,
-//! emitting events to an [`ExecObserver`] whose compile-time `WANTS_*` flags
-//! select the hooks the loop calls. Step-level control is what the attack
-//! injector needs: it runs to a chosen instant, tampers a cell, and resumes.
+//! [`Interp::new`] lowers the [`Program`] once into a flat op array (see
+//! `decode.rs`) and every run dispatches over it in one loop, emitting
+//! events to an [`ExecObserver`] whose compile-time `WANTS_*` flags select
+//! the hooks the loop calls. Step-level control is what the attack injector
+//! needs: it runs to a chosen instant, tampers a cell, and resumes.
+//!
+//! Every op is one step: an instruction, a terminator, or a builtin call
+//! (run inline, however many cells it touches). A step is counted, then
+//! checked against the budget (an overrun consumes it and stops the run),
+//! then reported to `on_inst`, then executed; loads, stores and builtin
+//! accesses report `on_mem` before the access. [`Interp::run_steps`] stops
+//! exactly at its target.
 
 use std::collections::VecDeque;
 
-use ipds_ir::{Address, Builtin, Callee, Function, Inst, Operand, Program, Reg, Terminator, VarId};
+use ipds_ir::{Builtin, FuncId, Program};
 
+use crate::decode::{Code, Op, NO_REG};
 use crate::memory::{MemSnapshot, Memory};
 use crate::observer::ExecObserver;
 
@@ -64,71 +73,33 @@ impl Default for ExecLimits {
     }
 }
 
-/// Per-function PC layout: cumulative instruction offsets per block.
-#[derive(Debug, Clone)]
-struct PcMap {
-    block_start: Vec<u64>,
-}
-
-impl PcMap {
-    fn new(func: &Function) -> PcMap {
-        let mut block_start = Vec::with_capacity(func.blocks.len());
-        let mut off = 0u64;
-        for b in &func.blocks {
-            block_start.push(off);
-            off += b.insts.len() as u64 + 1;
-        }
-        PcMap { block_start }
-    }
-
-    fn pc(&self, func: &Function, block: usize, idx: usize) -> u64 {
-        func.pc_base + 4 * (self.block_start[block] + idx as u64)
-    }
-}
-
-#[derive(Debug, PartialEq, Eq)]
+/// One live function activation. Its registers are
+/// `regs[reg_base..reg_base + nregs]` of the interpreter's one register
+/// file; its locals are the memory frame starting at `frame_base`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Activation {
     func: u32,
-    block: usize,
-    idx: usize,
-    regs: Vec<i64>,
-    frame: usize,
-    ret_dst: Option<Reg>,
-}
-
-impl Clone for Activation {
-    fn clone(&self) -> Activation {
-        Activation {
-            func: self.func,
-            block: self.block,
-            idx: self.idx,
-            regs: self.regs.clone(),
-            frame: self.frame,
-            ret_dst: self.ret_dst,
-        }
-    }
-
-    // Snapshot captures clone the whole activation stack repeatedly; reusing
-    // the register vectors keeps that allocation-free in steady state.
-    fn clone_from(&mut self, src: &Activation) {
-        self.func = src.func;
-        self.block = src.block;
-        self.idx = src.idx;
-        self.regs.clone_from(&src.regs);
-        self.frame = src.frame;
-        self.ret_dst = src.ret_dst;
-    }
+    /// The next op to run. The innermost activation's copy is written back
+    /// whenever the dispatch loop stops short of a terminal state.
+    ip: u32,
+    reg_base: u32,
+    frame_base: usize,
+    /// The caller's register that receives the return value, or
+    /// [`NO_REG`].
+    ret_dst: u32,
 }
 
 /// A point-in-time copy of a *running* interpreter's mutable state (memory,
-/// activation stack, remaining inputs, output, step count). Restoring one
-/// via [`Interp::restore`] rewinds execution to exactly that instant — the
-/// campaign warm-start engine uses mid-run golden snapshots to skip
-/// re-executing the shared prefix of every attack.
+/// activation stack, register file, remaining inputs, output, step count).
+/// Restoring one via [`Interp::restore`] rewinds execution to exactly that
+/// instant — the campaign warm-start engine uses mid-run golden snapshots
+/// to skip re-executing the shared prefix of every attack. The decoded
+/// program is not part of it: it never changes after [`Interp::new`].
 #[derive(Debug, Clone, Default)]
 pub struct InterpSnapshot {
     mem: MemSnapshot,
     stack: Vec<Activation>,
+    regs: Vec<i64>,
     inputs: VecDeque<Input>,
     output: Vec<i64>,
     steps: u64,
@@ -141,111 +112,98 @@ impl InterpSnapshot {
     }
 }
 
-#[inline]
-fn operand_of(act: &Activation, op: Operand) -> i64 {
-    match op {
-        Operand::Reg(r) => act.regs[r.0 as usize],
-        Operand::Imm(v) => v,
-    }
-}
-
-/// Resolves an address expression to an absolute cell address.
-///
-/// `Err(raw)` carries the computed address when it is negative — a
-/// tampered or underflowed pointer. Callers turn that into a memory
-/// fault: clamping it (the old behavior) silently aliased tampered
-/// pointers onto cell 0, masking exactly the corruption the IPDS
-/// exists to surface.
-#[inline]
-fn resolve_addr(mem: &Memory, act: &Activation, addr: &Address) -> Result<usize, i64> {
-    let raw = match addr {
-        Address::Var(v) => return Ok(mem.addr_of(act.frame, *v)),
-        Address::Element { base, index } => {
-            let b = mem.addr_of(act.frame, *base);
-            let i = operand_of(act, *index);
-            // Deliberately unchecked against the array bound: this is
-            // the buffer-overflow surface. Positive overruns walk into
-            // neighboring cells; negative ones are reported via `Err`.
-            (b as i64).wrapping_add(i)
-        }
-        Address::Ptr { reg, offset } => act.regs[reg.0 as usize].wrapping_add(*offset),
-    };
-    usize::try_from(raw).map_err(|_| raw)
-}
-
-/// The interpreter.
+/// The interpreter. It owns the decoded program, so it borrows nothing.
 #[derive(Debug)]
-pub struct Interp<'a> {
-    program: &'a Program,
+pub struct Interp {
+    code: Code,
+    main: u32,
     /// The simulated memory (public so the attack injector can tamper).
     pub mem: Memory,
-    pcs: Vec<PcMap>,
     inputs: VecDeque<Input>,
     output: Vec<i64>,
     stack: Vec<Activation>,
+    /// Every live activation's registers, outermost first.
+    regs: Vec<i64>,
     status: ExecStatus,
     steps: u64,
     limits: ExecLimits,
-    /// Retired register vectors, recycled on every call so steady-state
-    /// execution (and campaign reuse via [`Interp::reset`]) allocates no
-    /// per-call register storage.
-    reg_pool: Vec<Vec<i64>>,
 }
 
-impl<'a> Interp<'a> {
-    /// Creates an interpreter poised at the entry of `main`.
+/// Pushes an activation of `func`, whose memory frame starts at
+/// `frame_base`, with zeroed registers.
+fn activate(
+    code: &Code,
+    stack: &mut Vec<Activation>,
+    regs: &mut Vec<i64>,
+    func: u32,
+    frame_base: usize,
+    ret_dst: u32,
+) {
+    let f = &code.funcs[func as usize];
+    let reg_base = regs.len();
+    regs.resize(reg_base + f.nregs as usize, 0);
+    stack.push(Activation {
+        func,
+        ip: f.entry,
+        reg_base: reg_base as u32,
+        frame_base,
+        ret_dst,
+    });
+}
+
+impl Interp {
+    /// Decodes `program` and creates an interpreter poised at the entry of
+    /// `main`.
     ///
     /// # Panics
     ///
     /// Panics if the program has no `main`.
     pub fn new(
-        program: &'a Program,
+        program: &Program,
         inputs: impl IntoIterator<Item = Input>,
         limits: ExecLimits,
-    ) -> Interp<'a> {
+    ) -> Interp {
+        let main = program.main().expect("program must define `main`").id.0;
+        let mem = Memory::new(program);
+        let code = Code::decode(program, &mem);
         let mut interp = Interp {
-            program,
-            mem: Memory::new(program),
-            pcs: program.functions.iter().map(PcMap::new).collect(),
+            code,
+            main,
+            mem,
             inputs: VecDeque::new(),
             output: Vec::new(),
             stack: Vec::new(),
+            regs: Vec::new(),
             status: ExecStatus::Running,
             steps: 0,
             limits,
-            reg_pool: Vec::new(),
         };
         interp.reset(inputs);
         interp
     }
 
     /// Rewinds the interpreter to the entry of `main` with a fresh input
-    /// stream, reusing every allocation already made (memory image, register
-    /// vectors, output buffer). Equivalent to — but much cheaper than —
-    /// constructing a new `Interp`.
+    /// stream, reusing the decoded program and every allocation already
+    /// made (memory image, register file, output buffer). Equivalent to —
+    /// but much cheaper than — constructing a new `Interp`.
     pub fn reset(&mut self, inputs: impl IntoIterator<Item = Input>) {
         self.mem.reset();
         self.inputs.clear();
         self.inputs.extend(inputs);
         self.output.clear();
-        for act in self.stack.drain(..) {
-            self.reg_pool.push(act.regs);
-        }
+        self.stack.clear();
+        self.regs.clear();
         self.status = ExecStatus::Running;
         self.steps = 0;
-        let main = self.program.main().expect("program must define `main`");
-        let frame = self.mem.push_frame(main);
-        let mut regs = self.reg_pool.pop().unwrap_or_default();
-        regs.clear();
-        regs.resize(main.next_reg as usize, 0);
-        self.stack.push(Activation {
-            func: main.id.0,
-            block: main.entry.index(),
-            idx: 0,
-            regs,
+        let frame = self.mem.push_frame_of(self.main);
+        activate(
+            &self.code,
+            &mut self.stack,
+            &mut self.regs,
+            self.main,
             frame,
-            ret_dst: None,
-        });
+            NO_REG,
+        );
     }
 
     /// The current status.
@@ -276,6 +234,7 @@ impl<'a> Interp<'a> {
         debug_assert_eq!(self.status, ExecStatus::Running, "snapshot of a dead run");
         self.mem.snapshot_into(&mut snap.mem);
         snap.stack.clone_from(&self.stack);
+        snap.regs.clone_from(&self.regs);
         snap.inputs.clone_from(&self.inputs);
         snap.output.clone_from(&self.output);
         snap.steps = self.steps;
@@ -283,14 +242,15 @@ impl<'a> Interp<'a> {
 
     /// True if the interpreter's live state equals the captured snapshot's
     /// on everything future execution depends on: step count, activation
-    /// stack (including every live register), remaining inputs, and memory
-    /// on the cells set in `read_mask` (see [`Memory::state_eq_masked`]).
+    /// stack, every live register, remaining inputs, and memory on the
+    /// cells set in `read_mask` (see [`Memory::state_eq_masked`]).
     /// Collected output is deliberately excluded: it is append-only and
     /// never read back, so it cannot influence the remaining run. Cheapest
     /// discriminators run first.
     pub fn state_eq_masked(&self, snap: &InterpSnapshot, read_mask: &[u64]) -> bool {
         self.steps == snap.steps
             && self.stack == snap.stack
+            && self.regs == snap.regs
             && self.inputs == snap.inputs
             && self.mem.state_eq_masked(&snap.mem, read_mask)
     }
@@ -309,26 +269,8 @@ impl<'a> Interp<'a> {
     /// memcpys instead; existing allocations are reused.
     pub fn restore(&mut self, snap: &InterpSnapshot) {
         self.mem.restore(&snap.mem);
-        while self.stack.len() > snap.stack.len() {
-            let act = self.stack.pop().expect("len checked");
-            self.reg_pool.push(act.regs);
-        }
-        for (i, src) in snap.stack.iter().enumerate() {
-            if let Some(dst) = self.stack.get_mut(i) {
-                dst.clone_from(src);
-            } else {
-                let mut regs = self.reg_pool.pop().unwrap_or_default();
-                regs.clone_from(&src.regs);
-                self.stack.push(Activation {
-                    func: src.func,
-                    block: src.block,
-                    idx: src.idx,
-                    regs,
-                    frame: src.frame,
-                    ret_dst: src.ret_dst,
-                });
-            }
-        }
+        self.stack.clone_from(&snap.stack);
+        self.regs.clone_from(&snap.regs);
         self.inputs.clone_from(&snap.inputs);
         self.output.clone_from(&snap.output);
         self.steps = snap.steps;
@@ -343,451 +285,472 @@ impl<'a> Interp<'a> {
     /// Runs at most `n` further steps.
     pub fn run_steps<O: ExecObserver>(&mut self, n: u64, obs: &mut O) -> ExecStatus {
         let target = self.steps.saturating_add(n);
-        while self.status == ExecStatus::Running && self.steps < target {
+        if self.status == ExecStatus::Running && self.steps < target {
             self.dispatch(target, obs);
-            if self.status == ExecStatus::Running && self.steps < target {
-                self.call_builtin(obs);
-            }
         }
         self.status.clone()
     }
 
-    /// The interpreter's dispatch loop: runs instructions, jumps, branches,
-    /// direct calls and returns until `target` steps, a builtin call (left
-    /// to [`Interp::call_builtin`]) or a terminal state, resolving function
-    /// and block references once per control transfer.
-    ///
-    /// Each step is counted (a budget overrun consumes it), reported to
-    /// `on_inst`, then executed; loads and stores report `on_mem` before the
-    /// access. The slot PC is computed only when the observer's
-    /// `WANTS_INST`/`WANTS_MEM` flags ask for it or a branch commits.
+    /// The interpreter's dispatch loop: runs ops until `target` steps or a
+    /// terminal state, resolving the running activation's function, frame
+    /// and registers once per call or return. The step's PC is only formed
+    /// when the observer's `WANTS_INST`/`WANTS_MEM` flags ask for it;
+    /// branches carry theirs.
     fn dispatch<O: ExecObserver>(&mut self, target: u64, obs: &mut O) {
-        let program = self.program;
         let Interp {
+            code,
             mem,
-            pcs,
+            inputs,
+            output,
             stack,
+            regs,
             status,
             steps,
             limits,
-            reg_pool,
             ..
         } = self;
-        'act: loop {
+        let (ops, args, funcs) = (&code.ops[..], &code.args[..], &code.funcs[..]);
+        // The step count lives in a local while the loop runs: stores to
+        // guest memory cannot alias it.
+        let mut now = *steps;
+        // Below `stop` a step needs no check: it is short of the target
+        // and within the budget.
+        let stop = target.min(limits.max_steps);
+        'run: loop {
             let depth = stack.len();
             let Some(act) = stack.last_mut() else {
-                return; // call_builtin records the exit
-            };
-            let func = &program.functions[act.func as usize];
-            let pcmap = &pcs[act.func as usize];
-            loop {
-                let bb = &func.blocks[act.block];
-                while act.idx < bb.insts.len() {
-                    if *steps >= target {
-                        return;
-                    }
-                    let inst = &bb.insts[act.idx];
-                    if let Inst::Call { callee, .. } = inst {
-                        if matches!(callee, Callee::Builtin(_)) {
-                            return;
-                        }
-                    }
-                    *steps += 1;
-                    if *steps > limits.max_steps {
-                        *status = ExecStatus::OutOfBudget;
-                        return;
-                    }
-                    let pc = if O::WANTS_INST || O::WANTS_MEM {
-                        pcmap.pc(func, act.block, act.idx)
+                // Only an empty restored snapshot gets here: its next step
+                // ends the run.
+                if now < target {
+                    now += 1;
+                    *status = if now > limits.max_steps {
+                        ExecStatus::OutOfBudget
                     } else {
-                        0
+                        ExecStatus::Exited(0)
                     };
-                    if O::WANTS_INST {
-                        obs.on_inst(pc);
+                }
+                break 'run;
+            };
+            let func = funcs[act.func as usize];
+            let fb = act.frame_base;
+            let base = act.reg_base as usize;
+            let r = &mut regs[base..base + func.nregs as usize];
+            let mut ip = act.ip as usize;
+            // A faulting step ends the run: the status is the whole story.
+            macro_rules! fault {
+                ($($msg:tt)*) => {{
+                    *status = ExecStatus::Fault(format!($($msg)*));
+                    break 'run;
+                }};
+            }
+            // Runs the branch at `ip`, whose condition register was just set
+            // to `$cond`, as the next step of the same dispatch when that
+            // step fits before `stop`; the loop's own check stops it
+            // otherwise.
+            macro_rules! branch {
+                ($cond:expr) => {{
+                    if now < stop {
+                        now += 1;
+                        let Op::Branch {
+                            taken,
+                            not_taken,
+                            pc,
+                            ..
+                        } = ops[ip]
+                        else {
+                            unreachable!("a paired comparison precedes its branch")
+                        };
+                        if O::WANTS_INST {
+                            obs.on_inst(pc);
+                        }
+                        let dir = $cond != 0;
+                        ip = if dir { taken } else { not_taken } as usize;
+                        obs.on_branch(pc, dir);
                     }
-                    match inst {
-                        Inst::Const { dst, value } => act.regs[dst.0 as usize] = *value,
-                        Inst::BinOp { dst, op, lhs, rhs } => {
-                            let a = operand_of(act, *lhs);
-                            let b = operand_of(act, *rhs);
-                            act.regs[dst.0 as usize] = op.eval(a, b);
-                        }
-                        Inst::Cmp {
-                            dst,
-                            pred,
-                            lhs,
-                            rhs,
-                        } => {
-                            let a = operand_of(act, *lhs);
-                            let b = operand_of(act, *rhs);
-                            act.regs[dst.0 as usize] = pred.eval(a, b) as i64;
-                        }
-                        Inst::Load { dst, addr } => match resolve_addr(mem, act, addr) {
-                            Ok(a) => {
-                                if O::WANTS_MEM {
-                                    obs.on_mem(pc, a, false);
-                                }
-                                act.regs[dst.0 as usize] = mem.load(a);
-                            }
-                            Err(raw) => {
-                                *status = ExecStatus::Fault(format!(
-                                    "load from out-of-bounds address {raw}"
-                                ));
-                                return;
-                            }
-                        },
-                        Inst::Store { addr, src } => match resolve_addr(mem, act, addr) {
-                            Ok(a) => {
-                                let v = operand_of(act, *src);
-                                if O::WANTS_MEM {
-                                    obs.on_mem(pc, a, true);
-                                }
-                                if !mem.store(a, v) {
-                                    *status = ExecStatus::Fault(format!("store fault at cell {a}"));
-                                    return;
-                                }
-                            }
-                            Err(raw) => {
-                                *status = ExecStatus::Fault(format!(
-                                    "store to out-of-bounds address {raw}"
-                                ));
-                                return;
-                            }
-                        },
-                        Inst::AddrOf { dst, base, offset } => {
-                            let b = mem.addr_of(act.frame, *base);
-                            let o = operand_of(act, *offset);
-                            act.regs[dst.0 as usize] = (b as i64).wrapping_add(o);
-                        }
-                        Inst::Call { dst, callee, args } => {
-                            let Callee::Direct(fid) = callee else {
-                                unreachable!("builtins bail out above")
-                            };
-                            if depth >= limits.max_depth {
-                                *status = ExecStatus::Fault("call stack overflow".into());
-                                return;
-                            }
-                            // Push the callee frame, store the arguments
-                            // (frame cells were just allocated; those stores
-                            // cannot fault), seed the register file from the
-                            // pool.
-                            let f = &program.functions[fid.0 as usize];
-                            let frame = mem.push_frame(f);
-                            for (i, &a) in args.iter().enumerate() {
-                                let v = operand_of(act, a);
-                                let addr = mem.addr_of(frame, VarId::local(i as u32));
-                                let ok = mem.store(addr, v);
-                                debug_assert!(ok);
-                            }
-                            let mut regs = reg_pool.pop().unwrap_or_default();
-                            regs.clear();
-                            regs.resize(f.next_reg as usize, 0);
-                            act.idx += 1; // advance the caller past the call
-                            let entry = f.entry.index();
-                            let fid = *fid;
-                            let ret_dst = *dst;
-                            stack.push(Activation {
-                                func: fid.0,
-                                block: entry,
-                                idx: 0,
-                                regs,
-                                frame,
-                                ret_dst,
-                            });
-                            obs.on_call(fid);
-                            continue 'act;
-                        }
-                        // Executable programs are post-deconstruction by
-                        // contract (the structural verifier rejects phis);
-                        // fault rather than guess a predecessor.
-                        Inst::Phi { .. } => {
-                            *status = ExecStatus::Fault(
-                                "phi reached the simulator (deconstruct-ssa must run first)".into(),
-                            );
-                            return;
-                        }
+                    continue;
+                }};
+            }
+            loop {
+                if now >= stop {
+                    act.ip = ip as u32;
+                    if now < target {
+                        // The step past the budget is counted, not run.
+                        now += 1;
+                        *status = ExecStatus::OutOfBudget;
                     }
-                    act.idx += 1;
+                    break 'run;
                 }
-                if *steps >= target {
-                    return;
-                }
-                *steps += 1;
-                if *steps > limits.max_steps {
-                    *status = ExecStatus::OutOfBudget;
-                    return;
-                }
+                now += 1;
+                let pc = func.pc_origin.wrapping_add(4 * ip as u64);
                 if O::WANTS_INST {
-                    obs.on_inst(pcmap.pc(func, act.block, act.idx));
+                    obs.on_inst(pc);
                 }
-                match &bb.term {
-                    Terminator::Jump(t) => {
-                        act.block = t.index();
-                        act.idx = 0;
+                match ops[ip] {
+                    Op::Const { dst, value } => r[dst as usize] = value,
+                    Op::Bin { op, dst, a, b } => {
+                        r[dst as usize] = op.eval(r[a as usize], r[b as usize]);
                     }
-                    Terminator::Branch {
+                    Op::BinImm { op, dst, a, imm } => {
+                        r[dst as usize] = op.eval(r[a as usize], imm);
+                    }
+                    Op::ImmBin { op, dst, imm, b } => {
+                        r[dst as usize] = op.eval(imm, r[b as usize]);
+                    }
+                    Op::Cmp { pred, dst, a, b } => {
+                        r[dst as usize] = pred.eval(r[a as usize], r[b as usize]) as i64;
+                    }
+                    Op::CmpImm { pred, dst, a, imm } => {
+                        r[dst as usize] = pred.eval(r[a as usize], imm) as i64;
+                    }
+                    Op::CmpBranch { pred, dst, a, b } => {
+                        let v = pred.eval(r[a as usize], r[b as usize]) as i64;
+                        r[dst as usize] = v;
+                        ip += 1;
+                        branch!(v);
+                    }
+                    Op::CmpImmBranch { pred, dst, a, imm } => {
+                        let v = pred.eval(r[a as usize], imm) as i64;
+                        r[dst as usize] = v;
+                        ip += 1;
+                        branch!(v);
+                    }
+                    Op::LoadLocal { dst, off } => {
+                        let a = fb + off as usize;
+                        if O::WANTS_MEM {
+                            obs.on_mem(pc, a, false);
+                        }
+                        r[dst as usize] = mem.cells[a];
+                    }
+                    Op::LoadIdx { dst, base, index } => {
+                        let raw = base.at(fb).wrapping_add(r[index as usize]);
+                        let Ok(a) = usize::try_from(raw) else {
+                            fault!("load from out-of-bounds address {raw}")
+                        };
+                        if O::WANTS_MEM {
+                            obs.on_mem(pc, a, false);
+                        }
+                        r[dst as usize] = mem.load(a);
+                    }
+                    Op::LoadAt { dst, base } => {
+                        let raw = base.at(fb);
+                        let Ok(a) = usize::try_from(raw) else {
+                            fault!("load from out-of-bounds address {raw}")
+                        };
+                        if O::WANTS_MEM {
+                            obs.on_mem(pc, a, false);
+                        }
+                        r[dst as usize] = mem.load(a);
+                    }
+                    Op::StoreLocal { off, src } => {
+                        let a = fb + off as usize;
+                        if O::WANTS_MEM {
+                            obs.on_mem(pc, a, true);
+                        }
+                        mem.cells[a] = r[src as usize];
+                    }
+                    Op::StoreLocalImm { off, value } => {
+                        let a = fb + off as usize;
+                        if O::WANTS_MEM {
+                            obs.on_mem(pc, a, true);
+                        }
+                        mem.cells[a] = value;
+                    }
+                    Op::StoreIdx { base, index, src } => {
+                        let raw = base.at(fb).wrapping_add(r[index as usize]);
+                        let Ok(a) = usize::try_from(raw) else {
+                            fault!("store to out-of-bounds address {raw}")
+                        };
+                        if O::WANTS_MEM {
+                            obs.on_mem(pc, a, true);
+                        }
+                        if !mem.store(a, src.get(r)) {
+                            fault!("store fault at cell {a}")
+                        }
+                    }
+                    Op::StoreAt { base, src } => {
+                        let raw = base.at(fb);
+                        let Ok(a) = usize::try_from(raw) else {
+                            fault!("store to out-of-bounds address {raw}")
+                        };
+                        if O::WANTS_MEM {
+                            obs.on_mem(pc, a, true);
+                        }
+                        if !mem.store(a, src.get(r)) {
+                            fault!("store fault at cell {a}")
+                        }
+                    }
+                    Op::AddrOf { dst, base } => r[dst as usize] = base.at(fb),
+                    Op::AddrOfIdx { dst, base, index } => {
+                        r[dst as usize] = base.at(fb).wrapping_add(r[index as usize]);
+                    }
+                    Op::Call {
+                        func: callee,
+                        dst,
+                        args: start,
+                        nargs,
+                    } => {
+                        if depth >= limits.max_depth {
+                            fault!("call stack overflow")
+                        }
+                        // The frame was just allocated, so only a
+                        // zero-sized last parameter can fall outside it.
+                        let frame = mem.push_frame_of(callee);
+                        for &(off, src) in &args[start as usize..(start + nargs) as usize] {
+                            if let Some(cell) = mem.cells.get_mut(frame + off as usize) {
+                                *cell = src.get(r);
+                            }
+                        }
+                        act.ip = ip as u32 + 1;
+                        activate(code, stack, regs, callee, frame, dst);
+                        obs.on_call(FuncId(callee));
+                        continue 'run;
+                    }
+                    Op::Builtin {
+                        b,
+                        dst,
+                        args: start,
+                        nargs,
+                    } => {
+                        // Builtins take at most three arguments
+                        // (`Builtin::arity`, which the IR verifier
+                        // enforces).
+                        let mut argv = [0i64; 3];
+                        let args = &args[start as usize..(start + nargs) as usize];
+                        for (v, &(_, src)) in argv.iter_mut().zip(args) {
+                            *v = src.get(r);
+                        }
+                        let pc = if O::WANTS_MEM { pc } else { 0 };
+                        match builtin(b, &argv, pc, mem, inputs, output, obs) {
+                            Ok(Some(v)) if dst != NO_REG => r[dst as usize] = v,
+                            Ok(_) => {}
+                            Err(end) => {
+                                *status = end;
+                                break 'run;
+                            }
+                        }
+                    }
+                    // Executable programs are post-deconstruction by
+                    // contract (the structural verifier rejects phis);
+                    // fault rather than guess a predecessor.
+                    Op::Phi => {
+                        fault!("phi reached the simulator (deconstruct-ssa must run first)")
+                    }
+                    Op::Jump { to } => {
+                        ip = to as usize;
+                        continue;
+                    }
+                    Op::Branch {
                         cond,
                         taken,
                         not_taken,
+                        pc,
                     } => {
-                        let pc = pcmap.pc(func, act.block, act.idx);
-                        let dir = act.regs[cond.0 as usize] != 0;
-                        let t = if dir { taken } else { not_taken };
-                        act.block = t.index();
-                        act.idx = 0;
+                        let dir = r[cond as usize] != 0;
+                        ip = if dir { taken } else { not_taken } as usize;
                         obs.on_branch(pc, dir);
+                        continue;
                     }
-                    Terminator::Return(v) => {
-                        let value = v.map(|op| operand_of(act, op));
-                        let fin = stack.pop().expect("active frame");
+                    Op::Ret { value } => {
+                        let value = value.get(r);
+                        let (reg_base, ret_dst) = (act.reg_base, act.ret_dst);
+                        stack.pop();
                         mem.pop_frame();
-                        if stack.is_empty() {
-                            *status = ExecStatus::Exited(value.unwrap_or(0));
-                            reg_pool.push(fin.regs);
-                            return;
-                        }
+                        regs.truncate(reg_base as usize);
+                        let Some(caller) = stack.last() else {
+                            *status = ExecStatus::Exited(value);
+                            break 'run;
+                        };
                         obs.on_return();
-                        if let Some(dst) = fin.ret_dst {
-                            let caller = stack.len() - 1;
-                            stack[caller].regs[dst.0 as usize] = value.unwrap_or(0);
+                        if ret_dst != NO_REG {
+                            regs[(caller.reg_base + ret_dst) as usize] = value;
                         }
-                        reg_pool.push(fin.regs);
-                        continue 'act;
+                        continue 'run;
                     }
                 }
+                ip += 1;
             }
         }
+        *steps = now;
     }
+}
 
-    /// Executes the one step [`Interp::dispatch`] leaves to its caller: the
-    /// builtin call it stopped at (or, on an empty stack, the exit). Step
-    /// accounting and observer events follow the dispatch loop's order.
-    fn call_builtin<O: ExecObserver>(&mut self, obs: &mut O) {
-        self.steps += 1;
-        if self.steps > self.limits.max_steps {
-            self.status = ExecStatus::OutOfBudget;
-            return;
-        }
-        let Some(act) = self.stack.last() else {
-            self.status = ExecStatus::Exited(0);
-            return;
-        };
-        let func = &self.program.functions[act.func as usize];
-        let pc = self.pcs[act.func as usize].pc(func, act.block, act.idx);
-        if O::WANTS_INST {
-            obs.on_inst(pc);
-        }
-        let Inst::Call {
-            dst,
-            callee: Callee::Builtin(b),
-            args,
-        } = &func.blocks[act.block].insts[act.idx]
-        else {
-            unreachable!("dispatch stops only at builtin calls")
-        };
-        // Builtins take at most three arguments (`Builtin::arity`, which
-        // the IR verifier enforces).
-        let mut argv = [0i64; 3];
-        for (v, a) in argv.iter_mut().zip(args) {
-            *v = operand_of(act, *a);
-        }
-        let argv = &argv[..args.len()];
-        let result = self.exec_builtin(*b, argv, if O::WANTS_MEM { pc } else { 0 }, obs);
-        if self.status != ExecStatus::Running {
-            return;
-        }
-        let act = self.stack.last_mut().expect("active frame");
-        if let (Some(d), Some(v)) = (dst, result) {
-            act.regs[d.0 as usize] = v;
-        }
-        act.idx += 1;
+/// A builtin's pointer argument as a cell address; a negative (tampered)
+/// value faults.
+fn addr_arg(what: &str, v: i64) -> Result<usize, ExecStatus> {
+    usize::try_from(v).map_err(|_| ExecStatus::Fault(format!("{what}: out-of-bounds address {v}")))
+}
+
+/// A builtin's store of `v` to `addr`, reported to `on_mem` first;
+/// `false` if the cell is not writable.
+fn store_cell<O: ExecObserver>(
+    mem: &mut Memory,
+    obs: &mut O,
+    pc: u64,
+    addr: usize,
+    v: i64,
+) -> bool {
+    if O::WANTS_MEM {
+        obs.on_mem(pc, addr, true);
     }
+    mem.store(addr, v)
+}
 
-    fn fault(&mut self, msg: impl Into<String>) {
-        self.status = ExecStatus::Fault(msg.into());
-    }
-
-    /// Converts a builtin's pointer argument into a cell address, faulting
-    /// on negative (tampered) values. `None` means the fault was recorded
-    /// and the builtin must bail out.
-    fn addr_arg(&mut self, what: &str, v: i64) -> Option<usize> {
-        match usize::try_from(v) {
-            Ok(a) => Some(a),
-            Err(_) => {
-                self.fault(format!("{what}: out-of-bounds address {v}"));
-                None
-            }
+/// The NUL-terminated cell string at `addr`, at most `max` cells.
+fn read_cstr<O: ExecObserver>(
+    mem: &Memory,
+    obs: &mut O,
+    addr: usize,
+    max: usize,
+    pc: u64,
+) -> Vec<i64> {
+    let mut out = Vec::new();
+    for i in 0..max {
+        if O::WANTS_BUILTIN_READS {
+            obs.on_mem(pc, addr + i, false);
         }
-    }
-
-    /// A builtin's store of `v` to `addr`, reported to `on_mem` first;
-    /// `false` if the cell is not writable.
-    fn store_cell<O: ExecObserver>(&mut self, pc: u64, addr: usize, v: i64, obs: &mut O) -> bool {
-        if O::WANTS_MEM {
-            obs.on_mem(pc, addr, true);
+        let c = mem.load(addr + i);
+        if c == 0 {
+            break;
         }
-        self.mem.store(addr, v)
+        out.push(c);
     }
+    out
+}
 
-    fn read_cstr<O: ExecObserver>(
-        &self,
-        addr: usize,
-        max: usize,
-        pc: u64,
-        obs: &mut O,
-    ) -> Vec<i64> {
-        let mut out = Vec::new();
-        for i in 0..max {
-            if O::WANTS_BUILTIN_READS {
-                obs.on_mem(pc, addr + i, false);
+/// Runs builtin `b` on `args` as one step. `Ok` carries its result, if it
+/// has one; `Err` the status that ends the run (a fault, or `exit`).
+/// Kept out of line so the dispatch loop stays small.
+#[inline(never)]
+fn builtin<O: ExecObserver>(
+    b: Builtin,
+    args: &[i64; 3],
+    pc: u64,
+    mem: &mut Memory,
+    inputs: &mut VecDeque<Input>,
+    output: &mut Vec<i64>,
+    obs: &mut O,
+) -> Result<Option<i64>, ExecStatus> {
+    let fault = |msg: String| Err(ExecStatus::Fault(msg));
+    match b {
+        Builtin::ReadInt => loop {
+            match inputs.pop_front() {
+                Some(Input::Int(v)) => return Ok(Some(v)),
+                Some(Input::Str(_)) => continue, // skip mismatched input
+                None => return Ok(Some(0)),
             }
-            let c = self.mem.load(addr + i);
-            if c == 0 {
-                break;
+        },
+        Builtin::ReadStr => {
+            let dst = addr_arg("read_str", args[0])?;
+            // A negative length reads nothing (only the NUL is written).
+            let max = usize::try_from(args[1]).unwrap_or(0);
+            let s = loop {
+                match inputs.pop_front() {
+                    Some(Input::Str(s)) => break s,
+                    Some(Input::Int(_)) => continue,
+                    None => break String::new(),
+                }
+            };
+            // Unbounded against the real buffer: copies up to `max`
+            // cells plus NUL. The caller passing a `max` larger than the
+            // buffer is the classic overflow bug.
+            let mut wrote = 0usize;
+            for (i, c) in s.chars().take(max).enumerate() {
+                if !store_cell(mem, obs, pc, dst + i, c as i64) {
+                    return fault(format!("read_str overflow fault at cell {}", dst + i));
+                }
+                wrote = i + 1;
             }
-            out.push(c);
+            if !store_cell(mem, obs, pc, dst + wrote, 0) {
+                return fault("read_str NUL fault".into());
+            }
+            Ok(Some(wrote as i64))
         }
-        out
-    }
-
-    fn exec_builtin<O: ExecObserver>(
-        &mut self,
-        b: Builtin,
-        args: &[i64],
-        pc: u64,
-        obs: &mut O,
-    ) -> Option<i64> {
-        match b {
-            Builtin::ReadInt => loop {
-                match self.inputs.pop_front() {
-                    Some(Input::Int(v)) => return Some(v),
-                    Some(Input::Str(_)) => continue, // skip mismatched input
-                    None => return Some(0),
-                }
-            },
-            Builtin::ReadStr => {
-                let dst = self.addr_arg("read_str", args[0])?;
-                // A negative length reads nothing (only the NUL is written).
-                let max = usize::try_from(args[1]).unwrap_or(0);
-                let s = loop {
-                    match self.inputs.pop_front() {
-                        Some(Input::Str(s)) => break s,
-                        Some(Input::Int(_)) => continue,
-                        None => break String::new(),
-                    }
-                };
-                // Unbounded against the real buffer: copies up to `max`
-                // cells plus NUL. The caller passing a `max` larger than the
-                // buffer is the classic overflow bug.
-                let mut wrote = 0usize;
-                for (i, c) in s.chars().take(max).enumerate() {
-                    if !self.store_cell(pc, dst + i, c as i64, obs) {
-                        self.fault(format!("read_str overflow fault at cell {}", dst + i));
-                        return None;
-                    }
-                    wrote = i + 1;
-                }
-                if !self.store_cell(pc, dst + wrote, 0, obs) {
-                    self.fault("read_str NUL fault");
-                    return None;
-                }
-                Some(wrote as i64)
-            }
-            Builtin::PrintInt => {
-                self.output.push(args[0]);
-                None
-            }
-            Builtin::PrintStr => {
-                let a = self.addr_arg("print_str", args[0])?;
-                let s = self.read_cstr(a, 4096, pc, obs);
-                self.output.extend(s);
-                None
-            }
-            Builtin::StrCmp | Builtin::StrNCmp => {
-                let limit = if b == Builtin::StrNCmp {
-                    usize::try_from(args[2]).unwrap_or(0)
-                } else {
-                    4096
-                };
-                let lhs = self.addr_arg("strcmp", args[0])?;
-                let rhs = self.addr_arg("strcmp", args[1])?;
-                let a = self.read_cstr(lhs, limit, pc, obs);
-                let c = self.read_cstr(rhs, limit, pc, obs);
-                for i in 0..limit {
-                    let x = a.get(i).copied().unwrap_or(0);
-                    let y = c.get(i).copied().unwrap_or(0);
-                    if x != y {
-                        return Some(if x < y { -1 } else { 1 });
-                    }
-                    if x == 0 {
-                        break;
-                    }
-                }
-                Some(0)
-            }
-            Builtin::StrCpy => {
-                let dst = self.addr_arg("strcpy", args[0])?;
-                let from = self.addr_arg("strcpy", args[1])?;
-                let src = self.read_cstr(from, 4096, pc, obs);
-                for (i, &c) in src.iter().enumerate() {
-                    if !self.store_cell(pc, dst + i, c, obs) {
-                        self.fault(format!("strcpy fault at cell {}", dst + i));
-                        return None;
-                    }
-                }
-                if !self.store_cell(pc, dst + src.len(), 0, obs) {
-                    self.fault("strcpy NUL fault");
-                }
-                None
-            }
-            Builtin::StrLen => {
-                let a = self.addr_arg("strlen", args[0])?;
-                Some(self.read_cstr(a, 4096, pc, obs).len() as i64)
-            }
-            Builtin::Atoi => {
-                let a = self.addr_arg("atoi", args[0])?;
-                let s = self.read_cstr(a, 64, pc, obs);
-                let text: String = s
-                    .iter()
-                    .map(|&c| char::from_u32(c as u32).unwrap_or('\0'))
-                    .collect();
-                Some(text.trim().parse::<i64>().unwrap_or(0))
-            }
-            Builtin::MemSet => {
-                let dst = self.addr_arg("memset", args[0])?;
-                let v = args[1];
-                // A negative count writes nothing.
-                let n = usize::try_from(args[2]).unwrap_or(0);
-                for i in 0..n {
-                    if !self.store_cell(pc, dst + i, v, obs) {
-                        self.fault(format!("memset fault at cell {}", dst + i));
-                        return None;
-                    }
-                }
-                None
-            }
-            Builtin::MemCpy => {
-                let dst = self.addr_arg("memcpy", args[0])?;
-                let src = self.addr_arg("memcpy", args[1])?;
-                let n = usize::try_from(args[2]).unwrap_or(0);
-                for i in 0..n {
-                    if O::WANTS_BUILTIN_READS {
-                        obs.on_mem(pc, src + i, false);
-                    }
-                    let v = self.mem.load(src + i);
-                    if !self.store_cell(pc, dst + i, v, obs) {
-                        self.fault(format!("memcpy fault at cell {}", dst + i));
-                        return None;
-                    }
-                }
-                None
-            }
-            Builtin::Abs => Some(args[0].wrapping_abs()),
-            Builtin::Exit => {
-                self.status = ExecStatus::Exited(args[0]);
-                None
-            }
+        Builtin::PrintInt => {
+            output.push(args[0]);
+            Ok(None)
         }
+        Builtin::PrintStr => {
+            let a = addr_arg("print_str", args[0])?;
+            output.extend(read_cstr(mem, obs, a, 4096, pc));
+            Ok(None)
+        }
+        Builtin::StrCmp | Builtin::StrNCmp => {
+            let limit = if b == Builtin::StrNCmp {
+                usize::try_from(args[2]).unwrap_or(0)
+            } else {
+                4096
+            };
+            let lhs = addr_arg("strcmp", args[0])?;
+            let rhs = addr_arg("strcmp", args[1])?;
+            let a = read_cstr(mem, obs, lhs, limit, pc);
+            let c = read_cstr(mem, obs, rhs, limit, pc);
+            for i in 0..limit {
+                let x = a.get(i).copied().unwrap_or(0);
+                let y = c.get(i).copied().unwrap_or(0);
+                if x != y {
+                    return Ok(Some(if x < y { -1 } else { 1 }));
+                }
+                if x == 0 {
+                    break;
+                }
+            }
+            Ok(Some(0))
+        }
+        Builtin::StrCpy => {
+            let dst = addr_arg("strcpy", args[0])?;
+            let from = addr_arg("strcpy", args[1])?;
+            let src = read_cstr(mem, obs, from, 4096, pc);
+            for (i, &c) in src.iter().enumerate() {
+                if !store_cell(mem, obs, pc, dst + i, c) {
+                    return fault(format!("strcpy fault at cell {}", dst + i));
+                }
+            }
+            if !store_cell(mem, obs, pc, dst + src.len(), 0) {
+                return fault("strcpy NUL fault".into());
+            }
+            Ok(None)
+        }
+        Builtin::StrLen => {
+            let a = addr_arg("strlen", args[0])?;
+            Ok(Some(read_cstr(mem, obs, a, 4096, pc).len() as i64))
+        }
+        Builtin::Atoi => {
+            let a = addr_arg("atoi", args[0])?;
+            let text: String = read_cstr(mem, obs, a, 64, pc)
+                .iter()
+                .map(|&c| char::from_u32(c as u32).unwrap_or('\0'))
+                .collect();
+            Ok(Some(text.trim().parse::<i64>().unwrap_or(0)))
+        }
+        Builtin::MemSet => {
+            let dst = addr_arg("memset", args[0])?;
+            let v = args[1];
+            // A negative count writes nothing.
+            let n = usize::try_from(args[2]).unwrap_or(0);
+            for i in 0..n {
+                if !store_cell(mem, obs, pc, dst + i, v) {
+                    return fault(format!("memset fault at cell {}", dst + i));
+                }
+            }
+            Ok(None)
+        }
+        Builtin::MemCpy => {
+            let dst = addr_arg("memcpy", args[0])?;
+            let src = addr_arg("memcpy", args[1])?;
+            let n = usize::try_from(args[2]).unwrap_or(0);
+            for i in 0..n {
+                if O::WANTS_BUILTIN_READS {
+                    obs.on_mem(pc, src + i, false);
+                }
+                let v = mem.load(src + i);
+                if !store_cell(mem, obs, pc, dst + i, v) {
+                    return fault(format!("memcpy fault at cell {}", dst + i));
+                }
+            }
+            Ok(None)
+        }
+        Builtin::Abs => Ok(Some(args[0].wrapping_abs())),
+        Builtin::Exit => Err(ExecStatus::Exited(args[0])),
     }
 }
 

@@ -7,9 +7,9 @@
 //! * [`memory`] — a flat cell memory with stack frames laid out
 //!   contiguously, so out-of-bounds writes clobber neighbouring variables
 //!   exactly like a real stack smash;
-//! * [`interp`] — a step-able interpreter emitting execution events
-//!   (instructions, memory accesses, branches, calls) to pluggable
-//!   [`observer`]s;
+//! * [`interp`] — a step-able interpreter that decodes the program once
+//!   into a flat op array and emits execution events (instructions,
+//!   memory accesses, branches, calls) to pluggable [`observer`]s;
 //! * [`attack`] — the §6 experiment protocol: golden run, single-location
 //!   memory tampering at a chosen instant (format-string = any live cell,
 //!   buffer-overflow = stack cells), control-flow diffing and detection
@@ -36,6 +36,7 @@
 //! ([`campaign_metrics`], [`fault_metrics`]), not sink output.
 
 pub mod attack;
+mod decode;
 pub mod faults;
 pub mod interp;
 pub mod memory;

@@ -46,7 +46,10 @@ pub struct MemSnapshot {
 /// The simulated memory.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    cells: Vec<i64>,
+    /// Every allocated cell: the null page, globals, then the frames. The
+    /// interpreter's decoded ops index it directly for frame-local and
+    /// global accesses, whose addresses are in bounds by construction.
+    pub(crate) cells: Vec<i64>,
     global_offsets: Vec<usize>,
     stack_base: usize,
     frames: Vec<FrameLayout>,
@@ -117,15 +120,32 @@ impl Memory {
     /// frame index. Allocation-free in steady state: the layout was computed
     /// at startup and the cell vector reuses its capacity.
     pub fn push_frame(&mut self, func: &Function) -> usize {
-        let base = self.cells.len();
-        let size = self.func_layouts[func.id.0 as usize].size;
-        self.cells.resize(base + size, 0);
-        self.frames.push(FrameLayout {
-            func: func.id.0,
-            base,
-            size,
-        });
+        self.push_frame_of(func.id.0);
         self.frames.len() - 1
+    }
+
+    /// [`Memory::push_frame`] by function index; returns the frame's first
+    /// cell.
+    pub(crate) fn push_frame_of(&mut self, func: u32) -> usize {
+        let base = self.cells.len();
+        let size = self.func_layouts[func as usize].size;
+        self.cells.resize(base + size, 0);
+        self.frames.push(FrameLayout { func, base, size });
+        base
+    }
+
+    /// Offset of local `var` of function `func` from its frame base.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range ids, like [`Memory::addr_of`].
+    pub(crate) fn local_offset(&self, func: u32, var: usize) -> usize {
+        self.func_layouts[func as usize].var_offsets[var]
+    }
+
+    /// The absolute cell of global `var`.
+    pub(crate) fn global_cell(&self, var: usize) -> usize {
+        self.global_offsets[var]
     }
 
     /// Captures the mutable memory state (cells + frame stack) into `snap`,
@@ -215,11 +235,8 @@ impl Memory {
         if addr >= self.cells.len() || addr == 0 {
             return false;
         }
-        if self
-            .readonly_from_to
-            .iter()
-            .any(|&(lo, hi)| addr >= lo && addr < hi)
-        {
+        // Read-only segments are globals, so stack stores skip the scan.
+        if addr < self.stack_base && self.is_readonly(addr) {
             return false;
         }
         self.cells[addr] = value;

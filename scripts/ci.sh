@@ -78,6 +78,10 @@ done
 for crate in ipds-dataflow ipds-absint; do
     PROPTEST_CASES=256 cargo test -q --release -p "$crate" --features props
 done
+# The decoded interpreter against the IR-walking reference: random
+# generated programs, random run_steps chunkings and a random
+# snapshot/restore point, also at 256 cases.
+PROPTEST_CASES=256 cargo test -q --release --features props --test reference_interp
 
 echo "==> bench harness compiles (vendored mini-criterion)"
 cargo build --release -p ipds-runtime --benches --features bench-harness
