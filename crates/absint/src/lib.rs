@@ -39,10 +39,10 @@
 //! The analysis is deliberately intraprocedural and entered from ⊤ (no
 //! assumptions about callers); calls and unclassified stores havoc exactly
 //! the variables the caller's [`Summaries`] say they may write. Consumers
-//! (`refine-correlations`, `lint-tables` in `ipds-analysis`) shard it
-//! per-function over `ipds-parallel` and merge in `FuncId` order, so
-//! everything here is deterministic by construction: key-sorted vector
-//! environments, index-ordered worklists, no hashing.
+//! (`refine-correlations`, `lint-tables` in `ipds-analysis`) run it
+//! function by function in `FuncId` order, and everything here is
+//! deterministic by construction: key-sorted vector environments,
+//! index-ordered worklists, no hashing.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -386,9 +386,7 @@ impl IntervalAnalysis {
     }
 }
 
-/// Analyzes every function of `program` serially, in `FuncId` order, over
-/// `view`. Callers that want parallelism shard [`IntervalAnalysis::analyze`]
-/// over `ipds-parallel` themselves and merge in the same order.
+/// Analyzes every function of `program`, in `FuncId` order, over `view`.
 pub fn analyze_program(
     program: &Program,
     alias: &AliasAnalysis,

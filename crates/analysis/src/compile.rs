@@ -1,12 +1,10 @@
 //! The whole-program analysis driver.
 //!
 //! [`analyze_program`] is the one-shot convenience: stock facts, the
-//! identity view, serial, panicking. The [`crate::pipeline`] pass manager
-//! runs what sits underneath: [`analyze_program_threaded`] over
-//! [`try_analyze_function`], fallible, counted, taking the
-//! feasibility-pruned view as an argument, and sharded per function over
-//! the shared [`ipds_parallel`] pool with results merged in function-id
-//! order (so the [`ProgramAnalysis`] is bit-identical at any thread count).
+//! identity view, panicking. The [`crate::pipeline`] pass manager runs what
+//! sits underneath: [`analyze_functions`], a loop over
+//! [`try_analyze_function`] in function-id order, fallible, counted and
+//! taking the feasibility-pruned view as an argument.
 
 use std::error::Error;
 use std::fmt;
@@ -19,7 +17,12 @@ use crate::encode::table_sizes;
 use crate::hash::{find_perfect_hash_counted, PerfectHashError};
 use crate::tables::{BranchInfo, FunctionAnalysis};
 
-/// Tuning knobs for the analysis (ablation switches and limits).
+/// Upper bound on each function's perfect-hash space (log2). The identity
+/// fallback always fits below it for functions of up to `2^24`
+/// instructions; a larger function fails with [`FunctionHashError`].
+const MAX_HASH_LOG2: u32 = 24;
+
+/// Tuning knobs for the analysis (the ablation switches).
 #[derive(Debug, Clone)]
 pub struct AnalysisConfig {
     /// Use load-anchored triggers/targets (the paper's load→load loop).
@@ -30,8 +33,6 @@ pub struct AnalysisConfig {
     /// pin exact values and emit actions through the block's terminating
     /// branch.
     pub const_store: bool,
-    /// Upper bound on the perfect-hash space (log2).
-    pub max_hash_log2: u32,
 }
 
 impl Default for AnalysisConfig {
@@ -40,7 +41,6 @@ impl Default for AnalysisConfig {
             load_anchors: true,
             store_anchors: true,
             const_store: false,
-            max_hash_log2: 24,
         }
     }
 }
@@ -128,9 +128,9 @@ impl AnalysisCounters {
 ///
 /// # Errors
 ///
-/// [`FunctionHashError`] when no collision-free hash exists within
-/// `config.max_hash_log2` (only possible when the cap is below the identity
-/// fallback for this function's instruction count).
+/// [`FunctionHashError`] when no collision-free hash exists within a
+/// `2^24`-slot space (only possible for a function with more than `2^24`
+/// instructions).
 pub fn try_analyze_function(
     program: &Program,
     func: &Function,
@@ -145,7 +145,7 @@ pub fn try_analyze_function(
         .iter()
         .map(|&b| func.terminator_pc(b))
         .collect();
-    let (hash, hash_retries) = find_perfect_hash_counted(&pcs, func.pc_base, config.max_hash_log2)
+    let (hash, hash_retries) = find_perfect_hash_counted(&pcs, func.pc_base, MAX_HASH_LOG2)
         .map_err(|error| FunctionHashError {
             function: func.name.clone(),
             error,
@@ -180,59 +180,48 @@ pub fn try_analyze_function(
 }
 
 /// Runs alias analysis, summaries and per-function correlation over the
-/// whole program (the identity view), serially.
+/// whole program (the identity view).
 ///
 /// # Panics
 ///
-/// Panics if a perfect-hash search fails within `config.max_hash_log2`
+/// Panics if a perfect-hash search fails within a `2^24`-slot space
 /// (possible only for pathological functions with more than `2^24`
 /// instructions).
 pub fn analyze_program(program: &Program, config: &AnalysisConfig) -> ProgramAnalysis {
     let facts = Facts::compute(program);
     let full = PrunedCfg::full(program);
-    analyze_program_threaded(program, &facts.alias, &facts.summaries, config, 1, &full)
+    analyze_functions(program, &facts.alias, &facts.summaries, config, &full)
         .map(|(analysis, _)| analysis)
         .expect("perfect hash search must succeed within the identity fallback")
 }
 
 /// Per-function correlation/hash/encode over precomputed whole-program
 /// facts and the feasibility-pruned `view` ([`PrunedCfg::full`] for the
-/// stock tables), sharded by [`FuncId`] across `threads` workers and merged
-/// in id order — the result (and the summed counters) are
-/// **bit-identical** to the serial path for any thread count.
+/// stock tables), one function after another in [`FuncId`] order, with the
+/// counters summed.
 ///
 /// # Errors
 ///
 /// The first (in function-id order) [`FunctionHashError`], if any function's
 /// hash search fails.
-pub fn analyze_program_threaded(
+pub fn analyze_functions(
     program: &Program,
     alias: &AliasAnalysis,
     summaries: &Summaries,
     config: &AnalysisConfig,
-    threads: usize,
     view: &PrunedCfg,
 ) -> Result<(ProgramAnalysis, AnalysisCounters), FunctionHashError> {
-    let per_func = ipds_parallel::map_indexed(
-        program.functions.len() as u32,
-        threads,
-        || (),
-        |(), i| {
-            let func = &program.functions[i as usize];
-            try_analyze_function(
-                program,
-                func,
-                alias,
-                summaries,
-                config,
-                view.function(func.id),
-            )
-        },
-    );
-    let mut functions = Vec::with_capacity(per_func.len());
+    let mut functions = Vec::with_capacity(program.functions.len());
     let mut counters = AnalysisCounters::default();
-    for result in per_func {
-        let (analysis, func_counters) = result?;
+    for func in &program.functions {
+        let (analysis, func_counters) = try_analyze_function(
+            program,
+            func,
+            alias,
+            summaries,
+            config,
+            view.function(func.id),
+        )?;
         counters.merge(&func_counters);
         functions.push(analysis);
     }

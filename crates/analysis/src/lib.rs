@@ -55,8 +55,8 @@ pub mod verify_tables;
 
 pub use action::{BrAction, BranchStatus};
 pub use compile::{
-    analyze_program, analyze_program_threaded, try_analyze_function, AnalysisConfig,
-    AnalysisCounters, FunctionHashError, ProgramAnalysis,
+    analyze_functions, analyze_program, try_analyze_function, AnalysisConfig, AnalysisCounters,
+    FunctionHashError, ProgramAnalysis,
 };
 pub use encode::{BitReader, BitWriter, TableSizes};
 pub use hash::{find_perfect_hash, find_perfect_hash_counted, HashParams, PerfectHashError};

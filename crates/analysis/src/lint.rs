@@ -22,9 +22,8 @@
 //! continued along the triggering direction to the target branch, so the
 //! report pinpoints an execution that reaches the questionable action.
 //!
-//! Auditing is read-only and sharded per function over [`ipds_parallel`],
-//! merged in `FuncId` order; the rendered report is bit-identical at any
-//! thread count.
+//! Auditing is read-only and runs function by function in `FuncId` order;
+//! the report sorts its diagnostics, so its rendering is deterministic.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -267,38 +266,33 @@ pub fn lint_function(
     out
 }
 
-/// Audits every function with the feasibility-pruned `view` as the oracle
-/// ([`PrunedCfg::full`] for the stock world), sharding over `threads`
-/// workers and merging in `FuncId` order — the report is bit-identical at
-/// any thread count.
-#[allow(clippy::too_many_arguments)]
+/// Audits every function, in `FuncId` order, with the feasibility-pruned
+/// `view` as the oracle ([`PrunedCfg::full`] for the stock world).
 pub fn lint_program(
     program: &Program,
     alias: &AliasAnalysis,
     summaries: &Summaries,
     intervals: &[IntervalAnalysis],
     analysis: &ProgramAnalysis,
-    threads: usize,
     view: &PrunedCfg,
 ) -> LintReport {
-    let per_func = ipds_parallel::map_indexed(
-        program.functions.len().min(analysis.functions.len()) as u32,
-        threads,
-        || (),
-        |(), i| {
-            let func = &program.functions[i as usize];
+    let mut diagnostics: Vec<LintDiagnostic> = program
+        .functions
+        .iter()
+        .zip(intervals)
+        .zip(&analysis.functions)
+        .flat_map(|((func, intervals), tables)| {
             lint_function(
                 program,
                 func,
                 alias,
                 summaries,
-                &intervals[i as usize],
-                &analysis.functions[i as usize],
+                intervals,
+                tables,
                 view.function(func.id),
             )
-        },
-    );
-    let mut diagnostics: Vec<LintDiagnostic> = per_func.into_iter().flatten().collect();
+        })
+        .collect();
     diagnostics.sort_by(|a, b| {
         (a.severity, a.func, a.trigger, a.dir, a.target)
             .cmp(&(b.severity, b.func, b.trigger, b.dir, b.target))
@@ -418,13 +412,10 @@ mod tests {
         alias: &AliasAnalysis,
         summaries: &Summaries,
         analysis: &ProgramAnalysis,
-        threads: usize,
     ) -> LintReport {
         let full = PrunedCfg::full(program);
         let intervals = ipds_absint::analyze_program(program, alias, summaries, &full);
-        lint_program(
-            program, alias, summaries, &intervals, analysis, threads, &full,
-        )
+        lint_program(program, alias, summaries, &intervals, analysis, &full)
     }
 
     const CORRELATED: &str = "int mode; \
@@ -436,7 +427,7 @@ mod tests {
     #[test]
     fn stock_tables_lint_clean() {
         let (program, alias, summaries, analysis) = setup(CORRELATED);
-        let report = lint(&program, &alias, &summaries, &analysis, 1);
+        let report = lint(&program, &alias, &summaries, &analysis);
         assert_eq!(report.error_count(), 0, "{report}");
     }
 
@@ -458,7 +449,7 @@ mod tests {
             target: 1,
             action: BrAction::SetTaken,
         });
-        let report = lint(&program, &alias, &summaries, &analysis, 1);
+        let report = lint(&program, &alias, &summaries, &analysis);
         assert_eq!(report.error_count(), 1, "{report}");
         let d = report.errors().next().unwrap();
         assert_eq!(d.rule, LintRule::UnprovableAction);
@@ -488,7 +479,7 @@ mod tests {
             BrAction::SetTaken => BrAction::SetNotTaken,
             _ => BrAction::SetTaken,
         };
-        let report = lint(&program, &alias, &summaries, &analysis, 1);
+        let report = lint(&program, &alias, &summaries, &analysis);
         assert!(
             report
                 .errors()
@@ -508,7 +499,7 @@ mod tests {
              if (mode > 5) { print_int(2); } \
              return 0; }",
         );
-        let report = lint(&program, &alias, &summaries, &analysis, 1);
+        let report = lint(&program, &alias, &summaries, &analysis);
         assert_eq!(report.error_count(), 0, "{report}");
         assert!(
             report.warnings().any(|d| d.rule == LintRule::DeadTrigger),
@@ -535,7 +526,7 @@ mod tests {
             target: 2,
             action: BrAction::SetTaken,
         });
-        let report = lint(&program, &alias, &summaries, &analysis, 1);
+        let report = lint(&program, &alias, &summaries, &analysis);
         let d = report
             .errors()
             .find(|d| d.rule == LintRule::UnprovableAction)
@@ -546,24 +537,5 @@ mod tests {
             "witness {:?} reaches the target only through a proved-dead edge",
             d.witness
         );
-    }
-
-    #[test]
-    fn report_is_identical_across_thread_counts() {
-        let (program, alias, summaries, mut analysis) = setup(CORRELATED);
-        analysis.functions[0]
-            .bat
-            .entry((0, false))
-            .or_default()
-            .push(BatEntry {
-                target: 0,
-                action: BrAction::SetTaken,
-            });
-        let serial = lint(&program, &alias, &summaries, &analysis, 1);
-        for threads in [2, 4, 8] {
-            let par = lint(&program, &alias, &summaries, &analysis, threads);
-            assert_eq!(serial, par, "{threads} threads");
-            assert_eq!(serial.to_string(), par.to_string());
-        }
     }
 }

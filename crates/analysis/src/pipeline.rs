@@ -11,11 +11,9 @@
 //! first typed [`PipelineError`].
 //!
 //! The `analyze-functions` pass is where the paper's per-function work
-//! (correlate → perfect hash → encode) lives; it shards functions over the
-//! shared [`ipds_parallel`] pool and merges in id order, so its output is
-//! **bit-identical to the serial path at any thread count** — a property
-//! `ipdsc build --determinism` and the pipeline tests assert by comparing
-//! image bytes.
+//! (correlate → perfect hash → encode) lives. Like every per-function pass
+//! it is a plain loop in `FuncId` order, so a build is deterministic: the
+//! pipeline tests build every workload twice and compare image bytes.
 //!
 //! Every analysis pass reads the session's one set of facts and its CFG
 //! view ([`CompilationSession::view`]). The view starts as the identity;
@@ -29,7 +27,7 @@
 //!
 //! The plain one-call drivers remain ([`crate::analyze_program`],
 //! `ipds_ir::parse`); this layer is for callers that want staged products,
-//! timings, table verification, or threaded analysis: [`build_source`] and
+//! timings or table verification: [`build_source`] and
 //! [`build_program`] are the two entry points, and [`PassManager::standard`]
 //! is the canonical pass order they run.
 
@@ -47,7 +45,7 @@ use ipds_ir::{BlockId, CompileError, Program};
 use ipds_telemetry::MetricsRegistry;
 
 use crate::compile::{
-    analyze_program_threaded, AnalysisConfig, AnalysisCounters, FunctionHashError, ProgramAnalysis,
+    analyze_functions, AnalysisConfig, AnalysisCounters, FunctionHashError, ProgramAnalysis,
 };
 use crate::image::TableImage;
 use crate::lint::{lint_program, LintReport};
@@ -82,10 +80,11 @@ pub const PIPELINE_COUNTERS: &[&str] = &[
 /// nothing on the stock workloads and a cap keeps build time predictable.
 const MAX_PRUNE_ROUNDS: u64 = 2;
 
-/// What to build and how: the knobs `ipdsc build` exposes.
-#[derive(Debug, Clone)]
+/// What to build and how: the knobs `ipdsc build` exposes. The default
+/// runs the stock pipeline with every opt-in pass off.
+#[derive(Debug, Clone, Default)]
 pub struct BuildOptions {
-    /// Analysis tuning (ablation switches, hash-space cap).
+    /// Analysis tuning (the ablation switches).
     pub config: AnalysisConfig,
     /// Register-promotion budget in percent (`0..=100`). When non-zero the
     /// `ssa → mem2reg → deconstruct-ssa` window runs between verify-ir and
@@ -96,9 +95,6 @@ pub struct BuildOptions {
     pub promote: u32,
     /// Run the load-forwarding optimizer between verify-ir and alias.
     pub optimize: bool,
-    /// Worker threads for per-function analysis (`0`/`1` = serial; results
-    /// are identical either way).
-    pub threads: usize,
     /// Append the `verify-tables` pass after image emission.
     pub verify: bool,
     /// Run the interval analyzer and the `refine-correlations` pass before
@@ -115,21 +111,6 @@ pub struct BuildOptions {
     /// [`crate::lint`]). Findings land in [`BuildOutput::lint`]; the build
     /// itself still succeeds — callers decide what a `LintError` costs.
     pub lint: bool,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions {
-            config: AnalysisConfig::default(),
-            promote: 0,
-            optimize: false,
-            threads: 1,
-            verify: false,
-            refine: false,
-            prune_feasibility: false,
-            lint: false,
-        }
-    }
 }
 
 /// Wall-clock record of one executed pass.
@@ -596,8 +577,7 @@ impl Pass for SummariesPass {
 }
 
 /// Per-function interval abstract interpretation (the feasibility oracle
-/// the refine and lint passes consume), sharded by function id and merged
-/// in id order.
+/// the refine and lint passes consume), in function-id order.
 pub struct IntervalsPass;
 
 impl Pass for IntervalsPass {
@@ -608,37 +588,10 @@ impl Pass for IntervalsPass {
     fn run(&self, session: &mut CompilationSession) -> Result<(), PipelineError> {
         let program = session.need_program("intervals")?;
         let (alias, summaries) = need_facts(session, "intervals")?;
-        let intervals = analyze_intervals(
-            program,
-            alias,
-            summaries,
-            &session.view,
-            session.options.threads,
-        );
+        let intervals = ipds_absint::analyze_program(program, alias, summaries, &session.view);
         session.intervals = Some(intervals);
         Ok(())
     }
-}
-
-/// Per-function intervals over `view`, sharded by function id and merged
-/// in id order.
-fn analyze_intervals(
-    program: &Program,
-    alias: &AliasAnalysis,
-    summaries: &Summaries,
-    view: &PrunedCfg,
-    threads: usize,
-) -> Vec<IntervalAnalysis> {
-    let intervals = ipds_parallel::map_indexed(
-        program.functions.len() as u32,
-        threads,
-        || (),
-        |(), i| {
-            let func = &program.functions[i as usize];
-            IntervalAnalysis::analyze(program, func, alias, summaries, view.function(func.id))
-        },
-    );
-    intervals
 }
 
 /// The feasibility-aware analysis loop: collects interval-proved dead
@@ -648,9 +601,7 @@ fn analyze_intervals(
 /// rounds). Each round replaces the session's view and its alias,
 /// summaries and intervals in place, so every later pass reads the pruned
 /// world through the same fields an unpruned build uses. When nothing is
-/// provably dead the session is left untouched. Every recomputation shards
-/// by function id and merges in id order, so the loop is bit-identical at
-/// any thread count.
+/// provably dead the session is left untouched.
 pub struct PruneCfgPass;
 
 impl PruneCfgPass {
@@ -686,7 +637,6 @@ impl Pass for PruneCfgPass {
     }
 
     fn run(&self, session: &mut CompilationSession) -> Result<(), PipelineError> {
-        let threads = session.options.threads;
         // A field borrow, so the loop below can replace the facts beside it.
         let program = session
             .program
@@ -715,7 +665,7 @@ impl Pass for PruneCfgPass {
             });
             let alias = AliasAnalysis::analyze(program, &view);
             let summaries = Summaries::compute(program, &alias, &view);
-            let intervals = analyze_intervals(program, &alias, &summaries, &view, threads);
+            let intervals = ipds_absint::analyze_program(program, &alias, &summaries, &view);
             session.view = view;
             session.alias = Some(alias);
             session.summaries = Some(summaries);
@@ -734,7 +684,7 @@ impl Pass for PruneCfgPass {
 
 /// Folds interval facts back into the tables: promotes interval-proved
 /// directions, demotes directional actions no oracle re-proves (see
-/// [`crate::refine`]). Sharded by function id, merged in id order.
+/// [`crate::refine`]). Refines each function's tables in place.
 pub struct RefineCorrelationsPass;
 
 impl Pass for RefineCorrelationsPass {
@@ -750,35 +700,19 @@ impl Pass for RefineCorrelationsPass {
         let program = session.need_program("refine-correlations")?;
         let (alias, summaries) = need_facts(session, "refine-correlations")?;
         let intervals = need_intervals(session, "refine-correlations")?;
-        let view = &session.view;
-        let functions = std::mem::take(&mut analysis.functions);
-        let refined = ipds_parallel::map_indexed(
-            functions.len() as u32,
-            session.options.threads,
-            || (),
-            |(), i| {
-                let mut tables = functions[i as usize].clone();
-                let func = &program.functions[tables.func.0 as usize];
-                let stats = refine_function(
-                    program,
-                    func,
-                    alias,
-                    summaries,
-                    &intervals[i as usize],
-                    &mut tables,
-                    view.function(func.id),
-                );
-                (tables, stats)
-            },
-        );
         let mut stats = RefineStats::default();
-        analysis.functions = refined
-            .into_iter()
-            .map(|(tables, func_stats)| {
-                stats.merge(func_stats);
-                tables
-            })
-            .collect();
+        for (tables, intervals) in analysis.functions.iter_mut().zip(intervals) {
+            let func = &program.functions[tables.func.0 as usize];
+            stats.merge(refine_function(
+                program,
+                func,
+                alias,
+                summaries,
+                intervals,
+                tables,
+                session.view.function(func.id),
+            ));
+        }
         session.metrics.add("pipeline.refine_proved", stats.proved);
         session
             .metrics
@@ -820,7 +754,6 @@ impl Pass for LintTablesPass {
             summaries,
             intervals,
             analysis,
-            session.options.threads,
             &session.view,
         );
         session
@@ -866,9 +799,8 @@ fn need_facts<'a>(
     }
 }
 
-/// Per-function correlate → perfect-hash → encode, sharded by function id
-/// over the persistent global worker pool (`ipds_parallel::map_indexed`)
-/// and merged in id order (bit-identical to serial at any thread count).
+/// Per-function correlate → perfect-hash → encode, in function-id order
+/// (see [`analyze_functions`]).
 pub struct AnalyzeFunctionsPass;
 
 impl Pass for AnalyzeFunctionsPass {
@@ -879,12 +811,11 @@ impl Pass for AnalyzeFunctionsPass {
     fn run(&self, session: &mut CompilationSession) -> Result<(), PipelineError> {
         let program = session.need_program("analyze-functions")?;
         let (alias, summaries) = need_facts(session, "analyze-functions")?;
-        let (analysis, counters) = analyze_program_threaded(
+        let (analysis, counters) = analyze_functions(
             program,
             alias,
             summaries,
             &session.options.config,
-            session.options.threads,
             &session.view,
         )?;
         session.metrics.add("pipeline.branches", counters.branches);
@@ -1083,27 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_build_is_bit_identical() {
-        let serial = build_source(SRC, BuildOptions::default()).unwrap();
-        for threads in [2, 4, 8] {
-            let par = build_source(
-                SRC,
-                BuildOptions {
-                    threads,
-                    ..BuildOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                serial.image.as_bytes(),
-                par.image.as_bytes(),
-                "{threads} threads"
-            );
-            assert_eq!(serial.counters, par.counters);
-        }
-    }
-
-    #[test]
     fn parse_errors_are_typed() {
         let err = build_source("fn main( {", BuildOptions::default()).unwrap_err();
         assert!(matches!(err, PipelineError::Compile(_)));
@@ -1144,16 +1054,15 @@ mod tests {
     }
 
     #[test]
-    fn refine_and_lint_passes_are_gated_and_deterministic() {
-        let opts = |threads| BuildOptions {
+    fn refine_and_lint_passes_are_gated() {
+        let opts = BuildOptions {
             refine: true,
             lint: true,
             verify: true,
-            threads,
             ..BuildOptions::default()
         };
-        let serial = build_source(SRC, opts(1)).expect("refined pipeline must succeed");
-        let names: Vec<_> = serial.timings.iter().map(|t| t.name).collect();
+        let out = build_source(SRC, opts).expect("refined pipeline must succeed");
+        let names: Vec<_> = out.timings.iter().map(|t| t.name).collect();
         assert_eq!(
             names,
             [
@@ -1170,18 +1079,8 @@ mod tests {
                 "lint-tables"
             ]
         );
-        let report = serial.lint.as_ref().expect("lint report present");
+        let report = out.lint.as_ref().expect("lint report present");
         assert_eq!(report.error_count(), 0, "{report}");
-        for threads in [2, 4, 8] {
-            let par = build_source(SRC, opts(threads)).unwrap();
-            assert_eq!(
-                serial.image.as_bytes(),
-                par.image.as_bytes(),
-                "{threads} threads"
-            );
-            assert_eq!(serial.refine, par.refine, "{threads} threads");
-            assert_eq!(serial.lint, par.lint, "{threads} threads");
-        }
     }
 
     #[test]
@@ -1235,38 +1134,26 @@ mod tests {
     }
 
     #[test]
-    fn pruned_build_prunes_verifies_and_stays_thread_identical() {
-        let opts = |threads| BuildOptions {
+    fn pruned_build_prunes_and_verifies() {
+        let opts = BuildOptions {
             prune_feasibility: true,
             verify: true,
             refine: true,
             lint: true,
-            threads,
             ..BuildOptions::default()
         };
-        let serial = build_source(PRUNE_SRC, opts(1)).expect("pruned pipeline must succeed");
+        let out = build_source(PRUNE_SRC, opts).expect("pruned pipeline must succeed");
         assert!(
-            serial.metrics.counter("pipeline.pruned_edges") >= 1,
+            out.metrics.counter("pipeline.pruned_edges") >= 1,
             "the mode > 5 taken edge is provably dead"
         );
         assert!(
-            serial.metrics.counter("pipeline.pruned_blocks") >= 1,
+            out.metrics.counter("pipeline.pruned_blocks") >= 1,
             "the dead edge orphans its then-block"
         );
-        assert!(serial.metrics.counter("pipeline.prune_rounds") >= 1);
-        let report = serial.lint.as_ref().expect("lint report present");
+        assert!(out.metrics.counter("pipeline.prune_rounds") >= 1);
+        let report = out.lint.as_ref().expect("lint report present");
         assert_eq!(report.error_count(), 0, "{report}");
-        for threads in [2, 4, 8] {
-            let par = build_source(PRUNE_SRC, opts(threads)).unwrap();
-            assert_eq!(
-                serial.image.as_bytes(),
-                par.image.as_bytes(),
-                "{threads} threads"
-            );
-            assert_eq!(serial.counters, par.counters, "{threads} threads");
-            assert_eq!(serial.refine, par.refine, "{threads} threads");
-            assert_eq!(serial.lint, par.lint, "{threads} threads");
-        }
     }
 
     #[test]
@@ -1340,28 +1227,18 @@ mod tests {
     }
 
     #[test]
-    fn promotion_levels_verify_and_stay_thread_identical() {
+    fn promotion_levels_verify_and_lint_clean() {
         for promote in [25, 50, 75, 100] {
-            let opts = |threads| BuildOptions {
+            let opts = BuildOptions {
                 promote,
                 verify: true,
                 refine: true,
                 lint: true,
-                threads,
                 ..BuildOptions::default()
             };
-            let serial =
-                build_source(SRC, opts(1)).unwrap_or_else(|e| panic!("promote {promote}: {e}"));
-            let report = serial.lint.as_ref().unwrap();
+            let out = build_source(SRC, opts).unwrap_or_else(|e| panic!("promote {promote}: {e}"));
+            let report = out.lint.as_ref().unwrap();
             assert_eq!(report.error_count(), 0, "promote {promote}: {report}");
-            for threads in [2, 4, 8] {
-                let par = build_source(SRC, opts(threads)).unwrap();
-                assert_eq!(
-                    serial.image.as_bytes(),
-                    par.image.as_bytes(),
-                    "promote {promote}, {threads} threads"
-                );
-            }
         }
     }
 

@@ -31,9 +31,8 @@
 //!
 //! The pass mutates [`FunctionAnalysis`] in place and recomputes the
 //! encoded table sizes whenever it changed a row, keeping the
-//! `verify-tables` invariants intact. Per-function work is sharded over
-//! [`ipds_parallel`] by the pipeline and merged in `FuncId` order, so
-//! refined tables are bit-identical at any thread count.
+//! `verify-tables` invariants intact. The pipeline refines one function
+//! after another in `FuncId` order.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -117,7 +117,6 @@ fn compile(w: &Workload, config: &Config, optimize: bool) -> (Arc<Protected>, Ar
     let build = Protected::build()
         .analysis(config.clone())
         .optimize(optimize)
-        .threads(ipds_sim::default_threads())
         .verify_tables(true)
         .lint_tables(true)
         .from_program(program)
@@ -128,7 +127,6 @@ fn compile(w: &Workload, config: &Config, optimize: bool) -> (Arc<Protected>, Ar
     let refine = Protected::build()
         .analysis(config.clone())
         .optimize(optimize)
-        .threads(ipds_sim::default_threads())
         .verify_tables(true)
         .refine_correlations(true)
         .from_program(w.program())

@@ -2,12 +2,14 @@
 //!
 //! ```text
 //! ipdsc compile FILE [--dump]           parse + analyze, print table summary
-//! ipdsc build (FILE | --workloads) [--threads N] [--optimize] [--timings]
-//!             [--verify-tables] [--determinism] [--promote PCT] [--prune]
+//! ipdsc build (FILE | --workloads) [--optimize] [--timings]
+//!             [--verify-tables] [--promote PCT] [--prune]
 //!             explicit pass pipeline
-//! ipdsc lint (FILE | --workloads) [--threads N] [--optimize] [--refine]
+//! ipdsc lint (FILE | --workloads) [--optimize] [--refine]
 //!             [--promote PCT] [--prune]   audit emitted tables; exit
 //!             nonzero on any lint error
+//! ipdsc faults (FILE | --workloads) [--flips N] [--seed S] [--threads T]
+//!             [--no-checksum] [--input LIST]   fault-injection campaign
 //! ipdsc run FILE [--input LIST] [--events FILE]   run under IPDS checking
 //! ipdsc attack FILE --var NAME --value V --step N [--input LIST] [--events FILE]
 //! ipdsc campaign FILE [--attacks N] [--seed S] [--model fs|boa|block] [--input LIST]
@@ -24,18 +26,15 @@
 //! shadow-validated at planning time, so a nonzero exit means the service
 //! itself failed to surface one — the CI smoke gate.
 //!
-//! `build` drives the explicit pass pipeline: `--threads N` shards the
-//! per-function analysis (output is bit-identical to serial), `--timings`
-//! prints per-pass wall-clock spans, `--verify-tables` appends the
-//! table-verification pass, and `--determinism` proves serial and threaded
-//! builds emit byte-identical images (it therefore conflicts with an
-//! explicit `--threads 1`). `--promote PCT` opens the SSA/`mem2reg` window
-//! at that register-promotion budget before analysis. `--prune` runs the
-//! `prune-cfg` pass: interval-proved dead edges are dropped from the
-//! discovery CFG and correlation discovery re-runs over the pruned view
-//! (see `docs/PIPELINE.md`). `--workloads` builds every bundled workload
-//! under **both** optimizer settings instead of reading a file — the CI
-//! gate.
+//! `build` drives the explicit pass pipeline, one function after another:
+//! `--timings` prints per-pass wall-clock spans and `--verify-tables`
+//! appends the table-verification pass. `--promote PCT` opens the
+//! SSA/`mem2reg` window at that register-promotion budget before analysis.
+//! `--prune` runs the `prune-cfg` pass: interval-proved dead edges are
+//! dropped from the discovery CFG and correlation discovery re-runs over
+//! the pruned view (see `docs/PIPELINE.md`). `--workloads` builds every
+//! bundled workload under **both** optimizer settings instead of reading a
+//! file — the CI gate.
 //!
 //! `lint` replays every emitted BAT action against the interval-analysis
 //! and anchor-pair oracles (see `docs/ABSINT.md`) and prints one ranked
@@ -48,9 +47,11 @@
 //! `--input 1,42,s:hello,0`. `--events FILE` streams one JSON object per
 //! checked branch (see `docs/OBSERVABILITY.md` for the schema).
 //!
-//! Numeric flags parse strictly into their own type: a value that is
-//! missing, malformed, negative where a count is expected, or out of range
-//! is a usage error, as is an unknown `--model`. `run`, `attack`,
+//! Each command accepts only its own flags, each at most once: an unknown,
+//! misspelled or repeated flag, or a second positional argument, is a
+//! usage error. Numeric flags parse strictly into their own type: a value
+//! that is missing, malformed, negative where a count is expected, or out
+//! of range is a usage error, as is an unknown `--model`. `run`, `attack`,
 //! `campaign`, `time`, `trace` and `faults FILE` refuse a program without
 //! a `main`, and `campaign FILE` and `faults FILE` check the program's
 //! clean run first and refuse to attack a program whose clean run faults.
@@ -61,8 +62,10 @@ use std::io::BufWriter;
 use std::process::ExitCode;
 use std::str::FromStr;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use ipds::sim::{ExecStatus, GoldenRun};
-use ipds::telemetry::JsonlSink;
+use ipds::telemetry::{BranchRecord, EventSink, Expectation, JsonlSink};
 use ipds::{Config, Input, Protected, RunReport};
 use ipds_runtime::HwConfig;
 use ipds_sim::AttackModel;
@@ -81,8 +84,9 @@ fn main() -> ExitCode {
 /// Why a command stopped.
 #[derive(Debug)]
 enum CliError {
-    /// The command line is malformed: a missing or unparsable flag value,
-    /// an unknown `--model`, a missing FILE.
+    /// The command line is malformed: an unknown or repeated flag, a
+    /// missing or unparsable flag value, an unknown `--model`, a missing
+    /// or extra FILE.
     Usage(String),
     /// The program's clean run faults, so there is no golden run for a
     /// campaign to attack.
@@ -125,24 +129,30 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {
         return Err(CliError::Usage("missing command".into()));
     };
-    if cmd == "build" {
-        return build_cmd(&args[1..]);
+    let Some((values, switches)) = accepted_flags(cmd) else {
+        return Err(CliError::Usage(format!("unknown command `{cmd}`")));
+    };
+    let rest = &args[1..];
+    let file = positional(cmd, rest, values, switches)?;
+    match cmd.as_str() {
+        "build" => return build_cmd(rest, file),
+        "lint" => return lint_cmd(rest, file),
+        "faults" => return faults_cmd(rest, file),
+        "serve" => {
+            if let Some(file) = file {
+                return Err(CliError::Usage(format!(
+                    "`serve` takes no FILE, got `{file}`"
+                )));
+            }
+            return serve_cmd(rest);
+        }
+        _ => {}
     }
-    if cmd == "lint" {
-        return lint_cmd(&args[1..]);
-    }
-    if cmd == "faults" {
-        return faults_cmd(&args[1..]);
-    }
-    if cmd == "serve" {
-        return serve_cmd(&args[1..]);
-    }
-    let Some(file) = args.get(1) else {
+    let Some(file) = file else {
         return Err(CliError::Usage(format!("`{cmd}` needs a FILE")));
     };
     let source = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
     let source = source.as_str();
-    let rest = &args[2..];
     match cmd.as_str() {
         "compile" => compile(source, has_flag(rest, "--dump")),
         "run" => run_program(
@@ -175,18 +185,99 @@ fn run(args: &[String]) -> Result<(), CliError> {
             &inputs_of(rest)?,
             flag(rest, "--limit")?.unwrap_or(64),
         ),
-        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
+        other => unreachable!("`{other}` has accepted flags but no command"),
     }
 }
 
 fn usage() -> String {
     "usage: ipdsc <compile|build|lint|faults|serve|run|attack|campaign|time|trace> FILE [options]\n\
      (build, lint and faults also accept --workloads instead of FILE)\n\
-     build/lint options: --threads T --optimize --promote PCT --prune (--determinism needs threads > 1)\n\
+     build options: --optimize --timings --verify-tables --promote PCT --prune\n\
+     lint options: --optimize --refine --promote PCT --prune\n\
      faults options: --flips N --seed S --threads T --no-checksum --input LIST\n\
      serve options: --workloads LIST|all --sessions N --batch B --threads T --seed S --window W\n\
      see `ipdsc` module docs for options"
         .to_string()
+}
+
+/// The flags `cmd` accepts: first those that take a value, then the
+/// switches. `None` for an unknown command.
+fn accepted_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match cmd {
+        "compile" => (&[], &["--dump"]),
+        "build" => (
+            &["--promote"],
+            &[
+                "--workloads",
+                "--optimize",
+                "--timings",
+                "--verify-tables",
+                "--prune",
+            ],
+        ),
+        "lint" => (
+            &["--promote"],
+            &["--workloads", "--optimize", "--refine", "--prune"],
+        ),
+        "faults" => (
+            &["--flips", "--seed", "--threads", "--input"],
+            &["--workloads", "--no-checksum"],
+        ),
+        "serve" => (
+            &[
+                "--workloads",
+                "--sessions",
+                "--batch",
+                "--threads",
+                "--seed",
+                "--window",
+            ],
+            &[],
+        ),
+        "run" => (&["--input", "--events"], &[]),
+        "attack" => (&["--var", "--value", "--step", "--input", "--events"], &[]),
+        "campaign" => (&["--attacks", "--seed", "--model", "--input"], &[]),
+        "time" => (&["--input"], &[]),
+        "trace" => (&["--input", "--limit"], &[]),
+        _ => return None,
+    })
+}
+
+/// Checks every argument after the command against the flags it accepts
+/// and returns the one positional argument (the FILE), if given. An
+/// unknown or repeated flag or a second positional argument is a usage
+/// error; a value flag's missing value is left for [`flag_value`] to
+/// report.
+fn positional<'a>(
+    cmd: &str,
+    args: &'a [String],
+    values: &[&str],
+    switches: &[&str],
+) -> Result<Option<&'a String>, CliError> {
+    let mut file = None;
+    let mut seen: Vec<&str> = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        let arg = &args[i];
+        let takes_value = values.contains(&arg.as_str());
+        i += if takes_value { 2 } else { 1 };
+        if takes_value || switches.contains(&arg.as_str()) {
+            if seen.contains(&arg.as_str()) {
+                return Err(CliError::Usage(format!("`{arg}` is given twice")));
+            }
+            seen.push(arg);
+            continue;
+        }
+        if arg.starts_with("--") {
+            return Err(CliError::Usage(format!("`{cmd}` does not take `{arg}`")));
+        }
+        if let Some(first) = file.replace(arg) {
+            return Err(CliError::Usage(format!(
+                "`{cmd}` takes one FILE, got `{first}` and `{arg}`"
+            )));
+        }
+    }
+    Ok(file)
 }
 
 /// `ipdsc serve`: runs the `ipdsd` fleet service against a deterministic
@@ -271,8 +362,7 @@ fn serve_cmd(args: &[String]) -> Result<(), CliError> {
 
 /// `ipdsc lint`: audit the emitted tables of a file or every bundled
 /// workload. Exit status reflects error-severity findings only.
-fn lint_cmd(args: &[String]) -> Result<(), CliError> {
-    let threads = flag::<usize>(args, "--threads")?.unwrap_or(1).max(1);
+fn lint_cmd(args: &[String], file: Option<&String>) -> Result<(), CliError> {
     let optimized = has_flag(args, "--optimize");
     let refine = has_flag(args, "--refine");
     let promote = promote_pct(args)?;
@@ -280,7 +370,6 @@ fn lint_cmd(args: &[String]) -> Result<(), CliError> {
     let spec = || {
         Protected::build()
             .optimize(optimized)
-            .threads(threads)
             .refine_correlations(refine)
             .promote(promote)
             .prune_feasibility(prune)
@@ -310,10 +399,7 @@ fn lint_cmd(args: &[String]) -> Result<(), CliError> {
             ipds::workloads::all().len()
         );
     } else {
-        let file = args
-            .iter()
-            .find(|&a| !a.starts_with("--") && !is_flag_value(args, a))
-            .ok_or_else(|| CliError::Usage("missing FILE".into()))?;
+        let file = file.ok_or_else(|| CliError::Usage("missing FILE".into()))?;
         let source = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
         let build = spec()
             .compile(&source)
@@ -330,7 +416,7 @@ fn lint_cmd(args: &[String]) -> Result<(), CliError> {
 /// `ipdsc faults`: a seeded fault-injection campaign over a file or every
 /// bundled workload (see `docs/FAULTS.md`). Exit status is nonzero when
 /// any table-image flip survives the loader with the checksum on.
-fn faults_cmd(args: &[String]) -> Result<(), CliError> {
+fn faults_cmd(args: &[String], file: Option<&String>) -> Result<(), CliError> {
     let flips = flag::<u32>(args, "--flips")?.unwrap_or(32).max(1);
     let seed = flag(args, "--seed")?.unwrap_or(2006);
     let threads = flag::<usize>(args, "--threads")?.unwrap_or(1).max(1);
@@ -375,10 +461,7 @@ fn faults_cmd(args: &[String]) -> Result<(), CliError> {
             report(w.name, r);
         }
     } else {
-        let file = args
-            .iter()
-            .find(|&a| !a.starts_with("--") && !is_flag_value(args, a))
-            .ok_or_else(|| CliError::Usage("missing FILE".into()))?;
+        let file = file.ok_or_else(|| CliError::Usage("missing FILE".into()))?;
         let source = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
         let p = runnable(file, &source)?;
         let inputs = inputs_of(args)?;
@@ -404,119 +487,51 @@ fn faults_cmd(args: &[String]) -> Result<(), CliError> {
 
 /// `ipdsc build`: the explicit pass pipeline over a file or every bundled
 /// workload.
-fn build_cmd(args: &[String]) -> Result<(), CliError> {
-    let threads = flag::<usize>(args, "--threads")?.unwrap_or(1).max(1);
+fn build_cmd(args: &[String], file: Option<&String>) -> Result<(), CliError> {
     let timings = has_flag(args, "--timings");
     let verify = has_flag(args, "--verify-tables");
-    let determinism = has_flag(args, "--determinism");
     let promote = promote_pct(args)?;
     let prune = has_flag(args, "--prune");
-    if determinism && flag::<usize>(args, "--threads")? == Some(1) {
-        return Err(CliError::Usage(
-            "--determinism proves serial and threaded builds agree, so it needs \
-             more than one thread; drop `--threads 1` (or the flag itself — the \
-             check always compares against a wide build)"
-                .to_string(),
-        ));
-    }
-
-    if has_flag(args, "--workloads") {
-        let mut total_image_bytes = 0usize;
-        for w in ipds::workloads::all() {
-            for optimized in [false, true] {
-                let build = build_one(
-                    |spec| spec.from_program(w.program()),
-                    optimized,
-                    threads,
-                    verify,
-                    determinism,
-                    promote,
-                    prune,
-                    &format!("{} (opt={optimized})", w.name),
-                    timings,
-                )?;
-                total_image_bytes += build.image.len();
-            }
-        }
-        println!(
-            "built {} workloads x 2 optimizer settings, {total_image_bytes} image bytes total{}{}",
-            ipds::workloads::all().len(),
-            if verify { ", tables verified" } else { "" },
-            if determinism {
-                ", serial/threaded byte-identical"
-            } else {
-                ""
-            },
-        );
-        return Ok(());
-    }
-
-    let file = args
-        .iter()
-        .find(|&a| !a.starts_with("--") && !is_flag_value(args, a))
-        .ok_or_else(|| CliError::Usage("missing FILE".into()))?;
-    let source = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
-    let optimized = has_flag(args, "--optimize");
-    build_one(
-        |spec| spec.compile(&source),
-        optimized,
-        threads,
-        verify,
-        determinism,
-        promote,
-        prune,
-        file,
-        timings,
-    )?;
-    Ok(())
-}
-
-/// True if `arg` is the value slot of a value-taking flag (e.g. the `4` of
-/// `--threads 4`), so the positional-FILE scan skips it.
-fn is_flag_value(args: &[String], arg: &String) -> bool {
-    const VALUE_FLAGS: &[&str] = &[
-        "--threads",
-        "--flips",
-        "--seed",
-        "--input",
-        "--sessions",
-        "--batch",
-        "--window",
-        "--workloads",
-        "--promote",
-    ];
-    args.iter()
-        .position(|a| std::ptr::eq(a, arg))
-        .and_then(|i| i.checked_sub(1))
-        .and_then(|i| args.get(i))
-        .is_some_and(|prev| VALUE_FLAGS.contains(&prev.as_str()))
-}
-
-/// Builds one program through the pipeline, printing a summary (and
-/// per-pass timings / determinism proof when asked). `run` finishes a
-/// configured spec from whatever front end the caller has (source text or a
-/// prebuilt program), so the determinism check can rebuild at other thread
-/// counts.
-#[allow(clippy::too_many_arguments)]
-fn build_one(
-    run: impl Fn(ipds::BuildSpec) -> Result<ipds::Build, ipds::Error>,
-    optimized: bool,
-    threads: usize,
-    verify: bool,
-    determinism: bool,
-    promote: u32,
-    prune: bool,
-    label: &str,
-    timings: bool,
-) -> Result<ipds::Build, String> {
-    let spec = || {
+    let spec = |optimized| {
         Protected::build()
             .optimize(optimized)
             .verify_tables(verify)
             .promote(promote)
             .prune_feasibility(prune)
     };
-    let build = run(spec().threads(threads)).map_err(|e| format!("{label}: {e}"))?;
+
+    if has_flag(args, "--workloads") {
+        let mut total_image_bytes = 0usize;
+        for w in ipds::workloads::all() {
+            for optimized in [false, true] {
+                let label = format!("{} (opt={optimized})", w.name);
+                let build = spec(optimized).from_program(w.program());
+                total_image_bytes += report_build(&label, build, timings)?;
+            }
+        }
+        println!(
+            "built {} workloads x 2 optimizer settings, {total_image_bytes} image bytes total{}",
+            ipds::workloads::all().len(),
+            if verify { ", tables verified" } else { "" },
+        );
+        return Ok(());
+    }
+
+    let file = file.ok_or_else(|| CliError::Usage("missing FILE".into()))?;
+    let source = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
+    let build = spec(has_flag(args, "--optimize")).compile(&source);
+    report_build(file, build, timings)?;
+    Ok(())
+}
+
+/// Prints one build's summary (and its per-pass timings when asked);
+/// returns its image size.
+fn report_build(
+    label: &str,
+    build: Result<ipds::Build, ipds::Error>,
+    timings: bool,
+) -> Result<usize, String> {
+    let build = build.map_err(|e| format!("{label}: {e}"))?;
     println!(
         "{label}: {} functions, {} branches ({} checked), {} BAT entries, {} hash retries, image {} bytes",
         build.protected.analysis.functions.len(),
@@ -531,19 +546,7 @@ fn build_one(
             println!("  {:<18} {:>9.3} ms", span.name, span.seconds * 1e3);
         }
     }
-    if determinism {
-        // Prove the parallel analysis is bit-identical: serial vs a
-        // deliberately oversubscribed thread count.
-        let serial = run(spec().threads(1)).map_err(|e| format!("{label}: {e}"))?;
-        let wide = run(spec().threads(threads.max(4))).map_err(|e| format!("{label}: {e}"))?;
-        if serial.image.as_bytes() != wide.image.as_bytes() {
-            return Err(format!(
-                "{label}: DETERMINISM VIOLATION — serial and {}-thread images differ",
-                threads.max(4)
-            ));
-        }
-    }
-    Ok(build)
+    Ok(build.image.len())
 }
 
 fn has_flag(args: &[String], name: &str) -> bool {
@@ -812,69 +815,65 @@ fn campaign(
     Ok(())
 }
 
+/// Prints one line per checked branch, up to `limit` lines: the `ipdsc
+/// trace` rendering of the per-branch records a run session streams.
+struct TraceSink {
+    printed: AtomicUsize,
+    limit: usize,
+}
+
+impl EventSink for TraceSink {
+    fn wants_branch_details(&self) -> bool {
+        true
+    }
+
+    fn on_branch(&self, record: &BranchRecord) {
+        if self.printed.load(Ordering::Relaxed) >= self.limit {
+            return;
+        }
+        self.printed.fetch_add(1, Ordering::Relaxed);
+        let expected = match record.expected {
+            Some(Expectation::Taken) => "T",
+            Some(Expectation::NotTaken) => "NT",
+            Some(Expectation::Unknown) => "UN",
+            None => "?",
+        };
+        println!(
+            "  br {:>4}  pc {:#06x}  {}  expected {:<2}  {}{}",
+            record.seq,
+            record.pc,
+            if record.taken { "T " } else { "NT" },
+            expected,
+            if record.verified {
+                "verified"
+            } else {
+                "unchecked"
+            },
+            if record.alarm { "  <-- ALARM" } else { "" },
+        );
+    }
+}
+
 fn trace(file: &str, source: &str, inputs: &[Input], limit: usize) -> Result<(), CliError> {
-    use ipds::runtime::IpdsChecker;
-    use ipds::sim::{ExecLimits, Interp};
-    use ipds_sim::ExecObserver;
-
-    struct Tracer {
-        checker: IpdsChecker,
-        printed: usize,
-        limit: usize,
-    }
-    impl ExecObserver for Tracer {
-        fn on_branch(&mut self, pc: u64, dir: bool) {
-            let expected = self
-                .checker
-                .expected_status(pc)
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| "?".into());
-            let out = self.checker.on_branch(pc, dir);
-            if self.printed < self.limit {
-                self.printed += 1;
-                println!(
-                    "  br {:>4}  pc {:#06x}  {}  expected {:<2}  {}{}",
-                    self.checker.stats().branches,
-                    pc,
-                    if dir { "T " } else { "NT" },
-                    expected,
-                    if out.verified {
-                        "verified"
-                    } else {
-                        "unchecked"
-                    },
-                    if out.alarm { "  <-- ALARM" } else { "" },
-                );
-            }
-        }
-        fn on_call(&mut self, func: ipds::ir::FuncId) {
-            self.checker.on_call(func);
-        }
-        fn on_return(&mut self) {
-            let _ = self.checker.on_return();
-        }
-    }
-
     let p = runnable(file, source)?;
-    let main = p.program.main().expect("runnable checked for main");
-    let mut tracer = Tracer {
-        checker: IpdsChecker::new(&p.analysis),
-        printed: 0,
+    let sink = TraceSink {
+        printed: AtomicUsize::new(0),
         limit,
     };
-    tracer.checker.on_call(main.id);
-    let mut interp = Interp::new(&p.program, inputs.to_vec(), ExecLimits::default());
-    let status = interp.run(&mut tracer);
-    if tracer.printed == limit {
+    let r = p
+        .session()
+        .inputs(inputs)
+        .sink(&sink)
+        .run()
+        .map_err(|e| CliError::Failed(e.to_string()))?;
+    if sink.printed.into_inner() == limit {
         println!("  ... (trace capped at {limit} branches; --limit N to widen)");
     }
-    println!("status : {status:?}");
-    println!("output : {:?}", interp.output());
+    println!("status : {:?}", r.status);
+    println!("output : {:?}", r.output);
     println!(
         "summary: {} branches, {} verified, {} alarms",
-        tracer.checker.stats().branches,
-        tracer.checker.stats().verified,
-        tracer.checker.stats().alarms,
+        r.stats.branches, r.stats.verified, r.stats.alarms,
     );
     Ok(())
 }

@@ -360,14 +360,12 @@ impl Protected {
     }
 
     /// Starts configuring a build through the explicit pass pipeline —
-    /// per-pass timings, threaded per-function analysis, optional
-    /// table verification. Defaults: default analysis config, optimizer
-    /// off, serial, no verification.
+    /// per-pass timings, optional table verification. Defaults: default
+    /// analysis config, optimizer off, no verification.
     ///
     /// ```
     /// # fn main() -> Result<(), ipds::Error> {
     /// let build = ipds::Protected::build()
-    ///     .threads(4)
     ///     .verify_tables(true)
     ///     .compile("fn main() -> int { return 0; }")?;
     /// assert!(!build.timings.is_empty());
@@ -495,10 +493,7 @@ impl Protected {
     /// [`CampaignSpec::golden`]).
     pub fn campaign_artifacts(&self, inputs: &[Input]) -> (GoldenRun, ExecLimits) {
         let golden = GoldenRun::capture(&self.program, inputs, ExecLimits::default());
-        let limits = ExecLimits {
-            max_steps: golden.steps.saturating_mul(4).max(100_000),
-            max_depth: 256,
-        };
+        let limits = golden.campaign_limits();
         (golden, limits)
     }
 
@@ -545,7 +540,7 @@ pub struct BuildSpec {
 }
 
 impl BuildSpec {
-    /// Analysis tuning (ablation switches, hash-space cap).
+    /// Analysis tuning (the ablation switches).
     pub fn analysis(mut self, config: AnalysisConfig) -> Self {
         self.options.config = config;
         self
@@ -565,13 +560,6 @@ impl BuildSpec {
     /// Values above 100 are clamped.
     pub fn promote(mut self, pct: u32) -> Self {
         self.options.promote = pct.min(100);
-        self
-    }
-
-    /// Worker threads for per-function analysis (default 1 = serial; the
-    /// output is bit-identical for every thread count).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads;
         self
     }
 
@@ -1051,11 +1039,6 @@ mod tests {
             .run()
             .unwrap();
         assert!(matches!(r.status, ExecStatus::OutOfBudget));
-
-        // BuildSpec picks up the threads (output bit-identical anyway).
-        let serial = Protected::build().compile(SRC).unwrap();
-        let threaded = Protected::build().threads(2).compile(SRC).unwrap();
-        assert_eq!(serial.image.as_bytes(), threaded.image.as_bytes());
     }
 
     #[test]
@@ -1168,15 +1151,6 @@ mod tests {
             plain.run(&inputs).output,
             build.protected.run(&inputs).output
         );
-    }
-
-    #[test]
-    fn pipeline_build_threads_are_bit_identical() {
-        let serial = Protected::build().compile(SRC).unwrap();
-        for threads in [2, 8] {
-            let par = Protected::build().threads(threads).compile(SRC).unwrap();
-            assert_eq!(serial.image.as_bytes(), par.image.as_bytes());
-        }
     }
 
     #[test]

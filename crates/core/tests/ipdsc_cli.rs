@@ -1,8 +1,10 @@
 //! `ipdsc` refuses bad input with a usage error instead of panicking or
 //! running something else: a program without `main` cannot be run, a
-//! program whose clean run faults cannot be attacked, and malformed, negative or unknown flag values are rejected
-//! rather than replaced by a default or wrapped into a huge count. Every
-//! case must exit with status 1 and one `ipdsc:` message on stderr.
+//! program whose clean run faults cannot be attacked, malformed, negative
+//! or unknown flag values are rejected rather than replaced by a default or
+//! wrapped into a huge count, and a flag the command does not accept (or
+//! one given twice) is rejected rather than ignored. Every case must exit
+//! with status 1 and one `ipdsc:` message on stderr.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -84,4 +86,69 @@ fn malformed_flag_values_are_usage_errors() {
         );
         assert!(stderr.contains("usage:"), "{flag} {value}: {stderr}");
     }
+}
+
+#[test]
+fn flags_a_command_does_not_accept_are_usage_errors() {
+    let file = program("ipdsc_cli_strict.mc", BENIGN);
+    let file = file.to_str().unwrap();
+    for args in [
+        vec!["build", file, "--thread", "4", "--determinsm"],
+        vec!["build", file, "--threads", "4"],
+        vec!["build", "--workloads", "--determinism"],
+        vec!["lint", "--workloads", "--threads", "4"],
+        vec!["run", file, "--inputs", "1"],
+        vec!["campaign", file, "--attack", "4"],
+        vec!["trace", file, "--dump"],
+        vec!["serve", "--session", "4"],
+    ] {
+        let stderr = fails_cleanly(&args);
+        let flag = args[1..]
+            .iter()
+            .find(|a| a.starts_with("--") && **a != "--workloads");
+        let flag = flag.expect("each case has one rejected flag");
+        assert!(
+            stderr.contains(&format!("`{}` does not take `{flag}`", args[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.lines().filter(|l| l.starts_with("ipdsc:")).count(),
+            1,
+            "{args:?}: {stderr}"
+        );
+    }
+    for args in [vec!["run", file, "extra"], vec!["serve", file]] {
+        let stderr = fails_cleanly(&args);
+        assert!(stderr.contains("FILE"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+    // A repeated flag would otherwise silently drop one of its values.
+    let stderr = fails_cleanly(&["campaign", file, "--attacks", "4", "--attacks", "9"]);
+    assert!(stderr.contains("`--attacks` is given twice"), "{stderr}");
+}
+
+#[test]
+fn trace_prints_one_line_per_checked_branch() {
+    let file = program("ipdsc_cli_trace.mc", BENIGN);
+    let trace = |limit: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_ipdsc"))
+            .args(["trace", file.to_str().unwrap(), "--input", "1"])
+            .args(["--limit", limit])
+            .output()
+            .expect("spawn ipdsc");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stdout).expect("utf-8 trace")
+    };
+    let tail = "status : Exited(0)\n\
+                output : [1, 2]\n\
+                summary: 2 branches, 2 verified, 0 alarms\n";
+    // The first branch has no expectation yet (UN); it sets the second's.
+    let first = "  br    1  pc 0x1010  T   expected UN  verified\n";
+    let second = "  br    2  pc 0x1028  T   expected T   verified\n";
+    assert_eq!(trace("64"), format!("{first}{second}{tail}"));
+    assert_eq!(
+        trace("1"),
+        format!("{first}  ... (trace capped at 1 branches; --limit N to widen)\n{tail}")
+    );
 }

@@ -1,16 +1,17 @@
 //! # ipds-parallel — the deterministic persistent worker pool
 //!
-//! Both halves of the system fan embarrassingly parallel work over threads:
-//! the sim side runs independently seeded attacks, the compiler side
-//! analyzes independent functions. Both need the *same* contract, so the
-//! pool lives here, below either of them:
+//! The runtime side of the system fans embarrassingly parallel work over
+//! threads: the campaign and fault engines run independently seeded
+//! attacks and faults, and the fleet service flushes independent sessions.
+//! They need the *same* contract, so the pool lives here, below all of
+//! them (the compiler's per-function passes run serially):
 //!
 //! * **Persistent workers.** A [`Pool`] spawns its worker threads once and
 //!   parks them on a condvar between calls. Repeated [`map_indexed`] calls
 //!   are broadcast to the *same* threads — the per-call cost is one mutex
 //!   round-trip and a wakeup, not a fleet of `clone(2)` calls. The
 //!   process-wide [`Pool::global`] instance is what the free function
-//!   uses, so every campaign shard, fault batch and compiler shard in a
+//!   uses, so every campaign shard, fault batch and fleet flush in a
 //!   process shares one set of threads.
 //! * **One claim cursor.** Participants take contiguous *chunks* of the
 //!   index space from one shared atomic cursor (chunk size adapts to the
@@ -53,7 +54,7 @@ use std::thread;
 pub const MIN_TASKS_PER_WORKER: u32 = 8;
 
 /// Picks a worker count: the machine's available parallelism capped at 8
-/// (both campaign and analysis shards are short; more threads just pay
+/// (campaign and fault shards are short; more threads just pay
 /// startup cost).
 pub fn default_threads() -> usize {
     thread::available_parallelism()

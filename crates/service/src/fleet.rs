@@ -372,8 +372,8 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
         rest.find(|s| Some(s % w.len()) != mem_wl).or(fallback)
     };
 
-    // Golden artifacts and limits per workload (limits derived the same
-    // way `campaign_artifacts` derives them: a tampered run that loops
+    // Golden artifacts and limits per workload (the campaign limits
+    // `GoldenRun::campaign_limits` derives, so a tampered run that loops
     // cannot drag the plan out).
     let session_inputs = |s: usize| {
         let wl = &w[s % w.len()];
@@ -386,11 +386,7 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
             "workload `{}` golden run must exit cleanly",
             cw.name
         );
-        let limits = ExecLimits {
-            max_steps: golden.steps.saturating_mul(4).max(100_000),
-            max_depth: 256,
-        };
-        (golden.steps, limits)
+        (golden.steps, golden.campaign_limits())
     };
 
     // The hot workload's sessions all replay the *same* tampered stream —

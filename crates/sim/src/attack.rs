@@ -157,6 +157,18 @@ impl GoldenRun {
             status,
         }
     }
+
+    /// The execution limits of every run a campaign derives from this
+    /// golden run: four times its steps, but at least 100,000, and a call
+    /// depth of 256. A tampered run that loops stops there instead of
+    /// dragging the campaign out, while a run that follows the clean path
+    /// always fits.
+    pub fn campaign_limits(&self) -> ExecLimits {
+        ExecLimits {
+            max_steps: self.steps.saturating_mul(4).max(100_000),
+            max_depth: 256,
+        }
+    }
 }
 
 /// Periodic snapshots of the clean execution: interpreter state, checker

@@ -78,7 +78,6 @@ fn full_featured_build_emits_exactly_the_documented_keys() {
         w.source,
         BuildOptions {
             optimize: true,
-            threads: 2,
             verify: true,
             refine: true,
             lint: true,

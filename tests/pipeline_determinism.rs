@@ -1,42 +1,92 @@
-//! Acceptance tests for the compiler pass pipeline: the threaded
-//! per-function analysis must be **bit-identical** to serial on every
-//! workload under every optimizer setting, and the `verify-tables` pass must
-//! hold on all of them — and catch corruption with typed errors.
+//! Acceptance tests for the compiler pass pipeline: a build must be
+//! **deterministic** — every workload rebuilt under every optimizer,
+//! promotion and pruning setting emits the same image bytes, also when
+//! several builds run at once on different threads — and the
+//! `verify-tables` pass must hold on all of them, and catch corruption with
+//! typed errors.
 
 use ipds::analysis::pipeline::{build_program, BuildOptions};
 use ipds::analysis::{verify_tables, AnalysisConfig, TableVerifyError};
 use ipds::workloads;
 
-fn options(optimized: bool, threads: usize, verify: bool) -> BuildOptions {
+fn options(optimized: bool, verify: bool) -> BuildOptions {
     BuildOptions {
         config: AnalysisConfig::default(),
         optimize: optimized,
-        threads,
         verify,
         ..BuildOptions::default()
     }
 }
 
+/// Two builds of one program in one process must agree byte for byte. Each
+/// build's hash maps draw fresh random seeds, so an output that depends on
+/// hash-map iteration order shows up here as a mismatch.
+#[test]
+fn images_are_bit_identical_across_rebuilds() {
+    for w in workloads::extended() {
+        for optimized in [false, true] {
+            for promote in [0, 25, 50, 100] {
+                for prune_feasibility in [false, true] {
+                    let opts = BuildOptions {
+                        promote,
+                        prune_feasibility,
+                        ..options(optimized, false)
+                    };
+                    let label = format!(
+                        "{} (opt={optimized}, promote={promote}, prune={prune_feasibility})",
+                        w.name
+                    );
+                    let first = build_program(w.program(), opts.clone())
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    let again = build_program(w.program(), opts)
+                        .unwrap_or_else(|e| panic!("{label} rebuilt: {e}"));
+                    assert_eq!(
+                        first.image.as_bytes(),
+                        again.image.as_bytes(),
+                        "{label}: image differs between two builds"
+                    );
+                    assert_eq!(
+                        first.counters, again.counters,
+                        "{label}: counters differ between two builds"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The compiler is serial, so a build's output cannot depend on how many
+/// threads it runs on — as long as it keeps no process-wide state. Running
+/// 1, 2, 4 and 8 builds of one workload at once, on as many threads, must
+/// give every one of them the serial build's image and counters.
 #[test]
 fn images_are_bit_identical_across_thread_counts() {
     for w in workloads::all() {
         for optimized in [false, true] {
-            let serial = build_program(w.program(), options(optimized, 1, false))
+            let opts = options(optimized, false);
+            let serial = build_program(w.program(), opts.clone())
                 .unwrap_or_else(|e| panic!("{} serial: {e}", w.name));
             for threads in [2usize, 4, 8] {
-                let par = build_program(w.program(), options(optimized, threads, false))
-                    .unwrap_or_else(|e| panic!("{} x{threads}: {e}", w.name));
-                assert_eq!(
-                    serial.image.as_bytes(),
-                    par.image.as_bytes(),
-                    "{} (opt={optimized}) differs at {threads} threads",
-                    w.name
-                );
-                assert_eq!(
-                    serial.counters, par.counters,
-                    "{} (opt={optimized}) counters differ at {threads} threads",
-                    w.name
-                );
+                let builds: Vec<_> = std::thread::scope(|s| {
+                    let handles: Vec<_> = (0..threads)
+                        .map(|_| s.spawn(|| build_program(w.program(), opts.clone())))
+                        .collect();
+                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                });
+                for par in builds {
+                    let par = par.unwrap_or_else(|e| panic!("{} x{threads}: {e}", w.name));
+                    assert_eq!(
+                        serial.image.as_bytes(),
+                        par.image.as_bytes(),
+                        "{} (opt={optimized}) differs at {threads} threads",
+                        w.name
+                    );
+                    assert_eq!(
+                        serial.counters, par.counters,
+                        "{} (opt={optimized}) counters differ at {threads} threads",
+                        w.name
+                    );
+                }
             }
         }
     }
@@ -46,7 +96,7 @@ fn images_are_bit_identical_across_thread_counts() {
 fn verify_tables_passes_on_every_workload() {
     for w in workloads::all() {
         for optimized in [false, true] {
-            build_program(w.program(), options(optimized, 4, true)).unwrap_or_else(|e| {
+            build_program(w.program(), options(optimized, true)).unwrap_or_else(|e| {
                 panic!("{} (opt={optimized}) failed verification: {e}", w.name)
             });
         }
@@ -56,7 +106,7 @@ fn verify_tables_passes_on_every_workload() {
 #[test]
 fn verify_tables_catches_corrupted_bat_entry() {
     let w = &workloads::all()[0];
-    let build = build_program(w.program(), options(false, 1, false)).unwrap();
+    let build = build_program(w.program(), options(false, false)).unwrap();
     let program = build.program;
     let mut analysis = build.analysis;
     let f = analysis
@@ -78,7 +128,7 @@ fn verify_tables_catches_corrupted_bat_entry() {
 #[test]
 fn verify_tables_catches_forged_hash() {
     let w = &workloads::all()[0];
-    let build = build_program(w.program(), options(false, 1, false)).unwrap();
+    let build = build_program(w.program(), options(false, false)).unwrap();
     let program = build.program;
     let mut analysis = build.analysis;
     let f = analysis
@@ -100,7 +150,7 @@ fn verify_tables_catches_forged_hash() {
 #[test]
 fn pipeline_metrics_expose_compile_counters() {
     let w = &workloads::all()[0];
-    let build = build_program(w.program(), options(false, 2, true)).unwrap();
+    let build = build_program(w.program(), options(false, true)).unwrap();
     assert_eq!(
         build.metrics.counter("pipeline.branches"),
         build.counters.branches

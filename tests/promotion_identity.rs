@@ -60,21 +60,27 @@ fn the_ssa_window_at_budget_zero_is_byte_identical_on_every_stock_workload() {
 #[test]
 fn every_budget_is_thread_count_invariant() {
     // The ablation's determinism leg: at each promotion level the emitted
-    // image is bit-identical across 1/2/4/8 analysis threads.
+    // image is bit-identical whether 1, 2, 4 or 8 builds run at once.
     for w in workloads::extended() {
         for promote in [25, 100] {
+            let opts = BuildOptions {
+                promote,
+                ..BuildOptions::default()
+            };
             let mut images = Vec::new();
             for threads in [1usize, 2, 4, 8] {
-                let out = build_program(
-                    w.program(),
-                    BuildOptions {
-                        promote,
-                        threads,
-                        ..BuildOptions::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{} @ {promote}% x{threads}: {e}", w.name));
-                images.push(out.image.as_bytes().to_vec());
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = (0..threads)
+                        .map(|_| s.spawn(|| build_program(w.program(), opts.clone())))
+                        .collect();
+                    for h in handles {
+                        let out = h
+                            .join()
+                            .unwrap()
+                            .unwrap_or_else(|e| panic!("{} @ {promote}% x{threads}: {e}", w.name));
+                        images.push(out.image.as_bytes().to_vec());
+                    }
+                });
             }
             assert!(
                 images.windows(2).all(|p| p[0] == p[1]),

@@ -5,28 +5,27 @@
 //! 1. **Refinement is sound and deterministic** — a refine-enabled build
 //!    passes `verify-tables` on every workload under both optimizer
 //!    settings, never demotes a stock directional action (they are all
-//!    interval-provable), and produces bit-identical images and stats at
-//!    1, 2, 4 and 8 threads.
+//!    interval-provable), and a rebuild produces bit-identical images and
+//!    stats.
 //! 2. **Refined tables keep the zero-false-positive guarantee** — clean
 //!    executions of refined programs never alarm, so the extra `SET_T` /
 //!    `SET_NT` promotions the refiner adds are actually sound.
 //! 3. **Stock tables lint clean** — `lint-tables` reports zero errors on
-//!    every workload, and the report (including its rendering) is identical
-//!    at every thread count.
+//!    every workload, and a rebuild reports the same (including its
+//!    rendering).
 //! 4. **Golden diagnostics** — a deliberately unsound BAT action seeded into
 //!    a workload's tables produces at least one `LintError` carrying a
-//!    concrete witness path, and the rendered report is byte-identical at
-//!    1, 2, 4 and 8 threads.
+//!    concrete witness path, and auditing again renders the same report
+//!    byte for byte.
 
 use ipds::analysis::pipeline::{build_program, BuildOptions};
 use ipds::analysis::{lint_program, BatEntry, BrAction, LintSeverity};
 use ipds::{workloads, Protected};
 use ipds_dataflow::{Facts, PrunedCfg};
 
-fn refine_options(optimized: bool, threads: usize) -> BuildOptions {
+fn refine_options(optimized: bool) -> BuildOptions {
     BuildOptions {
         optimize: optimized,
-        threads,
         verify: true,
         refine: true,
         lint: false,
@@ -38,28 +37,26 @@ fn refine_options(optimized: bool, threads: usize) -> BuildOptions {
 fn refined_workloads_verify_and_are_deterministic() {
     for w in workloads::all() {
         for optimized in [false, true] {
-            let serial = build_program(w.program(), refine_options(optimized, 1))
-                .unwrap_or_else(|e| panic!("{} refined serial: {e}", w.name));
+            let first = build_program(w.program(), refine_options(optimized))
+                .unwrap_or_else(|e| panic!("{} refined: {e}", w.name));
             assert_eq!(
-                serial.refine.demoted, 0,
+                first.refine.demoted, 0,
                 "{} (opt={optimized}): stock directional actions must all re-prove",
                 w.name
             );
-            for threads in [2usize, 4, 8] {
-                let par = build_program(w.program(), refine_options(optimized, threads))
-                    .unwrap_or_else(|e| panic!("{} refined x{threads}: {e}", w.name));
-                assert_eq!(
-                    serial.image.as_bytes(),
-                    par.image.as_bytes(),
-                    "{} (opt={optimized}) refined image differs at {threads} threads",
-                    w.name
-                );
-                assert_eq!(
-                    serial.refine, par.refine,
-                    "{} (opt={optimized}) refine stats differ at {threads} threads",
-                    w.name
-                );
-            }
+            let again = build_program(w.program(), refine_options(optimized))
+                .unwrap_or_else(|e| panic!("{} refined again: {e}", w.name));
+            assert_eq!(
+                first.image.as_bytes(),
+                again.image.as_bytes(),
+                "{} (opt={optimized}) refined image differs between two builds",
+                w.name
+            );
+            assert_eq!(
+                first.refine, again.refine,
+                "{} (opt={optimized}) refine stats differ between two builds",
+                w.name
+            );
         }
     }
 }
@@ -85,38 +82,35 @@ fn refined_workloads_stay_false_positive_free() {
 }
 
 #[test]
-fn stock_workloads_lint_clean_at_every_thread_count() {
+fn stock_workloads_lint_clean_on_every_rebuild() {
     for w in workloads::all() {
-        let lint_at = |threads| {
+        let lint = || {
             Protected::build()
-                .threads(threads)
                 .lint_tables(true)
                 .from_program(w.program())
                 .unwrap_or_else(|e| panic!("{} lint build: {e}", w.name))
                 .lint
                 .expect("lint was requested")
         };
-        let serial = lint_at(1);
+        let first = lint();
         assert_eq!(
-            serial.error_count(),
+            first.error_count(),
             0,
-            "{} must lint clean:\n{serial}",
+            "{} must lint clean:\n{first}",
             w.name
         );
-        for threads in [2usize, 4, 8] {
-            let par = lint_at(threads);
-            assert_eq!(
-                serial, par,
-                "{} lint report differs at {threads} threads",
-                w.name
-            );
-            assert_eq!(
-                serial.to_string(),
-                par.to_string(),
-                "{} rendered report differs at {threads} threads",
-                w.name
-            );
-        }
+        let again = lint();
+        assert_eq!(
+            first, again,
+            "{} lint report differs between two builds",
+            w.name
+        );
+        assert_eq!(
+            first.to_string(),
+            again.to_string(),
+            "{} rendered report differs between two builds",
+            w.name
+        );
     }
 }
 
@@ -147,19 +141,17 @@ fn seeded_unsound_action_yields_a_stable_error_report() {
                 },
             });
             row.sort_by_key(|e| e.target);
-            let report = lint_program(
-                &program, &alias, &summaries, &intervals, &analysis, 1, &full,
-            );
+            let report = lint_program(&program, &alias, &summaries, &intervals, &analysis, &full);
             if report.error_count() > 0 {
                 seeded = Some((analysis, report));
                 break 'hunt;
             }
         }
     }
-    let (analysis, serial) = seeded.expect("some feasible row must reject the forged action");
+    let (analysis, report) = seeded.expect("some feasible row must reject the forged action");
 
-    assert!(serial.error_count() >= 1, "forged action must be an error");
-    let err = serial
+    assert!(report.error_count() >= 1, "forged action must be an error");
+    let err = report
         .errors()
         .next()
         .expect("error_count >= 1 implies an error");
@@ -168,7 +160,7 @@ fn seeded_unsound_action_yields_a_stable_error_report() {
         !err.witness.is_empty(),
         "diagnostics must carry a concrete witness path"
     );
-    let rendered = serial.to_string();
+    let rendered = report.to_string();
     assert!(
         rendered.contains("witness:"),
         "rendered report must show the witness:\n{rendered}"
@@ -178,16 +170,12 @@ fn seeded_unsound_action_yields_a_stable_error_report() {
         "rendered report must name the function:\n{rendered}"
     );
 
-    // The report — struct and rendering — must be bit-stable across shards.
-    for threads in [2usize, 4, 8] {
-        let par = lint_program(
-            &program, &alias, &summaries, &intervals, &analysis, threads, &full,
-        );
-        assert_eq!(serial, par, "lint report differs at {threads} threads");
-        assert_eq!(
-            rendered,
-            par.to_string(),
-            "rendered report differs at {threads} threads"
-        );
-    }
+    // The report — struct and rendering — must be stable across audits.
+    let again = lint_program(&program, &alias, &summaries, &intervals, &analysis, &full);
+    assert_eq!(report, again, "lint report differs between two audits");
+    assert_eq!(
+        rendered,
+        again.to_string(),
+        "rendered report differs between two audits"
+    );
 }
