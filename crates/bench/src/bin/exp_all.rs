@@ -17,23 +17,22 @@
 //! values that follow from the seed (counts, coverage, lint, faults, fleet
 //! outcome): it is byte-identical at every `--threads`, committed, and
 //! gated byte-for-byte (`crates/bench/tests/exp_all_phases.rs`).
-//! `results/bench_timing.json` holds everything wall-clock or
-//! thread-count dependent (phase seconds, the scaling sweep, per-pass
-//! compile seconds, the NullSink overhead probe, fleet rates) and is not
-//! committed.
+//! `results/bench_timing.json` holds the thread-scaling sweep that
+//! `scripts/ci.sh` gates (and the thread count it ran at); it is
+//! wall-clock dependent and not committed. Per-pass compile times come
+//! from `ipdsc build --timings`, per-layer costs from the `benchmark/`
+//! workspace's `--trace 1` pass.
 //!
 //! Every seeded protocol runs at the constant seed 2006 the results files
 //! are generated at.
 
-use std::fmt::Display;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ipds_bench::ablation::{FeasibilityRow, PromotionRow};
 use ipds_bench::artifacts::CompileReport;
 use ipds_runtime::HwConfig;
-use ipds_sim::attack::{aggregate, attack_rng, AttackRunner, Campaign};
-use ipds_telemetry::{MetricsRegistry, PhaseRecorder};
+use ipds_telemetry::MetricsRegistry;
 
 /// The sections of the full run, in the order it prints them.
 const PHASES: &str =
@@ -73,17 +72,13 @@ fn main() {
         }
     };
     let hw = HwConfig::table1_default();
-    // Per-phase wall-clock for the timing file's `phases` array, in run order.
-    let wall = PhaseRecorder::new();
 
     if runs("table1") {
         ipds_bench::table1::print(&hw);
         gap();
     }
     if runs("fig7") {
-        let f7 = wall.time("fig7", || {
-            ipds_bench::fig7::run_threaded(attacks, 2006, 2006, None, threads)
-        });
+        let f7 = ipds_bench::fig7::run_threaded(attacks, 2006, 2006, None, threads);
         ipds_bench::fig7::print(&f7);
         gap();
         if phase == Some("fig7") {
@@ -91,51 +86,49 @@ fn main() {
         }
     }
     if runs("fig8") {
-        let f8 = wall.time("fig8", ipds_bench::fig8::run);
+        let f8 = ipds_bench::fig8::run();
         ipds_bench::fig8::print(&f8);
         gap();
     }
     if runs("fig9") {
-        let f9 = wall.time("fig9", || ipds_bench::fig9::run(&hw, 2006));
+        let f9 = ipds_bench::fig9::run(&hw, 2006);
         ipds_bench::fig9::print(&f9);
         gap();
     }
     if runs("latency") {
-        let lat = wall.time("latency", || ipds_bench::latency::run(&hw, 2006));
+        let lat = ipds_bench::latency::run(&hw, 2006);
         ipds_bench::latency::print(&lat);
         gap();
     }
     if runs("ablation") {
-        let ab = wall.time("ablation", || {
-            ipds_bench::ablation::run(attacks.min(50), 2006, 2006)
-        });
-        let buf = wall.time("buffer_sweep", || ipds_bench::ablation::buffer_sweep(2006));
+        let ab = ipds_bench::ablation::run(attacks.min(50), 2006, 2006);
+        let buf = ipds_bench::ablation::buffer_sweep(2006);
         ipds_bench::ablation::print(&ab, &buf);
         gap();
     }
     let promotion = runs("promotion").then(|| {
-        let rows = wall.time("promotion", ipds_bench::ablation::promotion_sweep);
+        let rows = ipds_bench::ablation::promotion_sweep();
         ipds_bench::ablation::print_promotion(&rows);
         gap();
         rows
     });
     let feasibility = runs("feasibility").then(|| {
-        let rows = wall.time("feasibility", ipds_bench::ablation::feasibility_sweep);
+        let rows = ipds_bench::ablation::feasibility_sweep();
         ipds_bench::ablation::print_feasibility(&rows);
         gap();
         rows
     });
     if runs("context") {
-        let ctx = wall.time("context", || ipds_bench::context::run(&hw));
+        let ctx = ipds_bench::context::run(&hw);
         ipds_bench::context::print(&ctx);
         gap();
     }
     if runs("micro") {
-        let micro = wall.time("micro", || ipds_bench::micro::run(&hw));
+        let micro = ipds_bench::micro::run(&hw);
         ipds_bench::micro::print(&micro);
     }
     let faults = runs("faults").then(|| {
-        let faults = wall.time("faults", || fault_campaigns(24, threads));
+        let faults = fault_campaigns(24, threads);
         println!(
             "fault injection: {} faults, {} detected, {} masked, {} crashed, \
              {} image flips undetected, p50 latency {} branches",
@@ -150,7 +143,7 @@ fn main() {
         faults
     });
     let fleet = runs("fleet").then(|| {
-        let fleet = wall.time("fleet", || fleet_phase(threads));
+        let fleet = fleet_phase(threads);
         println!(
             "fleet service: {} sessions ({} rejected), {} events, {} incidents -> \
              {} root causes ({} tampered image, {} hot region, {} isolated noise), \
@@ -164,16 +157,11 @@ fn main() {
             fleet.hot_regions,
             fleet.isolated_noise,
         );
-        // Throughput is wall-clock-dependent, so stderr like the overhead probe.
-        eprintln!(
-            "fleet throughput: {:.0} sessions/s, {:.0} events/s ({threads} threads)",
-            fleet.sessions_per_sec, fleet.events_per_sec
-        );
         gap();
         fleet
     });
-    // A single phase ends here: the sweep, the probes and the artifacts
-    // need every section's results.
+    // A single phase ends here: the sweep and the artifacts need every
+    // section's results.
     let (Some(promotion), Some(feasibility), Some(faults), Some(fleet)) =
         (promotion, feasibility, faults, fleet)
     else {
@@ -188,13 +176,6 @@ fn main() {
             s.threads, s.attacks, s.seconds, s.attacks_per_sec, s.speedup
         );
     }
-    let overhead = null_sink_overhead(300, 5);
-    // Wall-clock-dependent, so stderr: stdout stays byte-identical run-to-run.
-    eprintln!(
-        "NullSink telemetry overhead: {:+.2}% \
-         (bare engine {:.0} attacks/s, instrumented {:.0} attacks/s)",
-        overhead.percent, overhead.bare_aps, overhead.instrumented_aps
-    );
     let counters = campaign_counters(attacks.min(50), threads);
     let compiles = compile_reports();
     let campaign = campaign_json(
@@ -206,15 +187,7 @@ fn main() {
         &faults,
         &fleet,
     );
-    let timing = timing_json(
-        attacks,
-        threads,
-        &wall.snapshot(),
-        &scaling,
-        &overhead,
-        &compiles,
-        &fleet,
-    );
+    let timing = timing_json(threads, &scaling);
     for (path, json) in [
         ("results/bench_campaign.json", campaign),
         ("results/bench_timing.json", timing),
@@ -356,87 +329,6 @@ fn scaling_sweep(attacks: u32, default_threads: usize) -> Vec<Scaling> {
         .collect()
 }
 
-/// The telemetry zero-cost claim, measured: attacks/sec of a bare
-/// single-threaded loop (runner + RNG + result fold) vs the campaign engine
-/// at one thread, whose checker observer carries a `NullSink` and which
-/// also folds the outcomes into its metrics registry. Best-of-`reps` to
-/// shed scheduler noise.
-struct Overhead {
-    bare_aps: f64,
-    instrumented_aps: f64,
-    /// Instrumented slowdown in percent (negative = faster).
-    percent: f64,
-}
-
-fn null_sink_overhead(attacks: u32, reps: u32) -> Overhead {
-    let w = ipds_workloads::all()
-        .into_iter()
-        .find(|w| w.name == "telnetd")
-        .expect("telnetd workload");
-    let art = ipds_bench::artifacts::campaign_artifacts(&w, &ipds::Config::default(), false, 2006);
-    let campaign = Campaign {
-        attacks,
-        seed: 0x0bed,
-        model: w.vuln,
-        limits: art.limits,
-    };
-
-    let mut bare_best = f64::INFINITY;
-    let mut instr_best = f64::INFINITY;
-    for _ in 0..reps {
-        // Bare loop: the engine shape without its registry fold —
-        // including the golden-snapshot capture the engine performs per
-        // call, so the probe isolates telemetry cost rather than the
-        // warm-start win (docs/PERF.md describes both).
-        let start = Instant::now();
-        let warm = ipds_sim::WarmStart::capture(
-            &art.protected.program,
-            &art.protected.analysis,
-            &art.inputs,
-            art.golden.steps,
-            art.limits,
-        );
-        let mut runner = AttackRunner::new(
-            &art.protected.program,
-            &art.protected.analysis,
-            &art.inputs,
-            &art.golden.trace,
-            campaign.limits,
-        )
-        .with_warm_start(&warm);
-        let outcomes: Vec<_> = (0..attacks)
-            .map(|i| {
-                let (mut rng, trigger) = attack_rng(&campaign, art.golden.steps, i);
-                runner.run(trigger, campaign.model, &mut rng)
-            })
-            .collect();
-        let bare_result = aggregate(attacks, &outcomes);
-        bare_best = bare_best.min(start.elapsed().as_secs_f64());
-
-        // Instrumented engine, NullSink: must compile down to the same.
-        let start = Instant::now();
-        let (instr_result, _) = ipds_sim::run_campaign(
-            &art.protected.program,
-            &art.protected.analysis,
-            &art.inputs,
-            &art.golden,
-            &campaign,
-            1,
-            None,
-        );
-        instr_best = instr_best.min(start.elapsed().as_secs_f64());
-        assert_eq!(
-            bare_result, instr_result,
-            "NullSink engine must be byte-identical to the bare loop"
-        );
-    }
-    Overhead {
-        bare_aps: f64::from(attacks) / bare_best,
-        instrumented_aps: f64::from(attacks) / instr_best,
-        percent: 100.0 * (instr_best / bare_best - 1.0),
-    }
-}
-
 /// Aggregated fault-injection results across every workload (see
 /// `docs/FAULTS.md`): outcome totals, the exact-median detection latency
 /// over every detection, and the merged latency histogram.
@@ -506,8 +398,6 @@ struct FleetSummary {
     tampered_images: u64,
     hot_regions: u64,
     isolated_noise: u64,
-    sessions_per_sec: f64,
-    events_per_sec: f64,
 }
 
 fn fleet_phase(threads: usize) -> FleetSummary {
@@ -532,8 +422,6 @@ fn fleet_phase(threads: usize) -> FleetSummary {
         tampered_images: m.counter("fleet.tampered_images"),
         hot_regions: m.counter("fleet.hot_regions"),
         isolated_noise: m.counter("fleet.isolated_noise"),
-        sessions_per_sec: report.sessions_per_sec,
-        events_per_sec: report.events_per_sec,
     }
 }
 
@@ -557,8 +445,8 @@ fn campaign_counters(attacks: u32, threads: usize) -> MetricsRegistry {
         .1
 }
 
-/// Per-pass compile breakdown for every workload under the default config,
-/// both optimizer settings. The earlier figures already compiled all of
+/// Compile reports for every workload under the default config, both
+/// optimizer settings. The earlier figures already compiled all of
 /// these through the pass pipeline, so this only reads the artifact cache.
 fn compile_reports() -> Vec<Arc<CompileReport>> {
     let config = ipds::Config::default();
@@ -735,41 +623,10 @@ fn campaign_json(
     json
 }
 
-/// Renders `results/bench_timing.json`: everything wall-clock or
-/// `--threads` dependent — the thread count, the Fig. 7 campaign's seconds
-/// and attacks/sec, the scaling sweep, per-phase wall-clock, per-pass
-/// compile seconds, the NullSink overhead probe and the fleet's rates.
-fn timing_json(
-    attacks: u32,
-    threads: usize,
-    wall: &[(String, f64)],
-    scaling: &[Scaling],
-    overhead: &Overhead,
-    compiles: &[Arc<CompileReport>],
-    fleet: &FleetSummary,
-) -> String {
-    let fig7_seconds = wall
-        .iter()
-        .find(|(name, _)| name == "fig7")
-        .map(|&(_, seconds)| seconds)
-        .unwrap_or(0.0);
-    let total_attacks = u64::from(attacks) * ipds_workloads::all().len() as u64;
-    let attacks_per_sec = if fig7_seconds > 0.0 {
-        total_attacks as f64 / fig7_seconds
-    } else {
-        0.0
-    };
-    fn span(&(ref name, seconds): &(impl Display, f64)) -> String {
-        format!("{{ \"name\": \"{name}\", \"seconds\": {seconds:.6} }}")
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!(
-        "  \"fig7\": {{\n    \"seconds\": {fig7_seconds:.6},\n    \
-         \"attacks_per_sec\": {attacks_per_sec:.1}\n  }},\n"
-    ));
+/// Renders `results/bench_timing.json`: the thread count of the run and
+/// the scaling sweep `scripts/ci.sh` gates — the only wall-clock numbers
+/// `exp_all` keeps.
+fn timing_json(threads: usize, scaling: &[Scaling]) -> String {
     let scaling = rows(scaling, "    ", |s| {
         format!(
             "{{ \"threads\": {}, \"attacks\": {}, \"seconds\": {:.6}, \
@@ -777,30 +634,5 @@ fn timing_json(
             s.threads, s.attacks, s.seconds, s.attacks_per_sec, s.speedup
         )
     });
-    json.push_str(&format!("  \"scaling\": [\n{scaling}\n  ],\n"));
-    json.push_str(&format!(
-        "  \"phases\": [\n{}\n  ],\n",
-        rows(wall, "    ", span)
-    ));
-    let compile = rows(compiles, "    ", |r| {
-        format!(
-            "{{ \"workload\": \"{}\", \"optimized\": {},\n      \"passes\": [\n{}\n      ] }}",
-            r.workload,
-            r.optimized,
-            rows(&r.passes, "        ", span)
-        )
-    });
-    json.push_str(&format!("  \"compile\": [\n{compile}\n  ],\n"));
-    json.push_str(&format!(
-        "  \"null_sink\": {{\n    \"bare_attacks_per_sec\": {:.1},\n    \
-         \"instrumented_attacks_per_sec\": {:.1},\n    \"overhead_percent\": {:.3}\n  }},\n",
-        overhead.bare_aps, overhead.instrumented_aps, overhead.percent
-    ));
-    json.push_str(&format!(
-        "  \"fleet\": {{\n    \"sessions_per_sec\": {:.1},\n    \
-         \"events_per_sec\": {:.1}\n  }}\n",
-        fleet.sessions_per_sec, fleet.events_per_sec
-    ));
-    json.push_str("}\n");
-    json
+    format!("{{\n  \"threads\": {threads},\n  \"scaling\": [\n{scaling}\n  ]\n}}\n")
 }

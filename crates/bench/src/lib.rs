@@ -5,9 +5,9 @@
 //! table the paper reports. The one binary, `exp_all`, runs them all in
 //! sequence or one phase at a time (`exp_all <phase>`). Its full run also
 //! writes `results/bench_campaign.json` (the deterministic counts, gated
-//! byte-for-byte) and `results/bench_timing.json` (wall-clock numbers, not
-//! committed); the per-layer costs are measured by the `benchmark/`
-//! workspace's `--trace 1` pass.
+//! byte-for-byte) and `results/bench_timing.json` (the thread-scaling
+//! sweep, not committed); the per-layer costs are measured by the
+//! `benchmark/` workspace's `--trace 1` pass.
 //!
 //! | Paper artifact | Module | `exp_all` phase |
 //! |---|---|---|

@@ -62,8 +62,6 @@ use std::io::BufWriter;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use ipds::sim::{ExecStatus, GoldenRun};
 use ipds::telemetry::{BranchRecord, EventSink, Expectation, JsonlSink};
 use ipds::{Config, Input, Protected, RunReport};
@@ -708,9 +706,9 @@ fn run_session(
     match events {
         Some(path) => {
             let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-            let sink = JsonlSink::new(BufWriter::new(file), 0);
+            let mut sink = JsonlSink::new(BufWriter::new(file));
             let report = session
-                .sink(&sink)
+                .sink(&mut sink)
                 .run()
                 .map_err(|e| CliError::Failed(e.to_string()))?;
             sink.finish().map_err(|e| format!("writing {path}: {e}"))?;
@@ -815,23 +813,21 @@ fn campaign(
     Ok(())
 }
 
-/// Prints one line per checked branch, up to `limit` lines: the `ipdsc
-/// trace` rendering of the per-branch records a run session streams.
+/// Prints one line per checked branch, for the first `limit` branches:
+/// the `ipdsc trace` rendering of the per-branch records a run session
+/// streams.
 struct TraceSink {
-    printed: AtomicUsize,
-    limit: usize,
+    limit: u64,
 }
 
 impl EventSink for TraceSink {
-    fn wants_branch_details(&self) -> bool {
-        true
-    }
+    const WANTS_BRANCHES: bool = true;
 
-    fn on_branch(&self, record: &BranchRecord) {
-        if self.printed.load(Ordering::Relaxed) >= self.limit {
+    fn on_branch(&mut self, record: &BranchRecord) {
+        // `seq` counts branches from 1, so it is also the line number.
+        if record.seq > self.limit {
             return;
         }
-        self.printed.fetch_add(1, Ordering::Relaxed);
         let expected = match record.expected {
             Some(Expectation::Taken) => "T",
             Some(Expectation::NotTaken) => "NT",
@@ -856,17 +852,14 @@ impl EventSink for TraceSink {
 
 fn trace(file: &str, source: &str, inputs: &[Input], limit: usize) -> Result<(), CliError> {
     let p = runnable(file, source)?;
-    let sink = TraceSink {
-        printed: AtomicUsize::new(0),
-        limit,
-    };
+    let limit = limit as u64;
     let r = p
         .session()
         .inputs(inputs)
-        .sink(&sink)
+        .sink(TraceSink { limit })
         .run()
         .map_err(|e| CliError::Failed(e.to_string()))?;
-    if sink.printed.into_inner() == limit {
+    if r.stats.branches > limit {
         println!("  ... (trace capped at {limit} branches; --limit N to widen)");
     }
     println!("status : {:?}", r.status);

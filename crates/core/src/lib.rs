@@ -81,7 +81,7 @@ use ipds_ir::{CompileError, Program, VarId};
 use ipds_runtime::{Alarm, HwConfig, IpdsChecker, IpdsStats, RuntimeError};
 use ipds_sim::pipeline::core::timed_run;
 use ipds_sim::{AttackModel, Campaign, ExecLimits, ExecStatus, Interp, IpdsObserver, PerfReport};
-use ipds_telemetry::{EventSink, MetricsRegistry, NullSink, NULL_SINK};
+use ipds_telemetry::{EventSink, MetricsRegistry, NullSink};
 
 pub use ipds_analysis::{
     self as analysis, BrAction, BranchStatus, LintDiagnostic, LintReport, LintRule, LintSeverity,
@@ -386,7 +386,7 @@ impl Protected {
             inputs: &[],
             limits: ExecLimits::default(),
             tamper: None,
-            sink: &NULL_SINK,
+            sink: NullSink,
         }
     }
 
@@ -427,7 +427,7 @@ impl Protected {
     /// Panics if the program has no `main`; [`Protected::session`] reports
     /// that as [`Error::NoMain`] instead.
     pub fn run(&self, inputs: &[Input]) -> RunReport {
-        self.run_impl(inputs, ExecLimits::default(), None, &NULL_SINK)
+        self.run_impl(inputs, ExecLimits::default(), None, NullSink)
     }
 
     /// Resolves a variable name against `main`'s frame, then the globals.
@@ -461,7 +461,7 @@ impl Protected {
         inputs: &[Input],
         limits: ExecLimits,
         tamper: Option<(u64, VarId, i64)>,
-        sink: &S,
+        sink: S,
     ) -> RunReport {
         let mut interp = Interp::new(&self.program, inputs.to_vec(), limits);
         let mut obs = IpdsObserver::with_sink(IpdsChecker::new(&self.analysis), sink);
@@ -657,16 +657,17 @@ impl Build {
 
 /// Builder for one protected execution (see [`Protected::session`]).
 ///
-/// The sink type parameter defaults to [`NullSink`], so uninstrumented
-/// sessions monomorphize to exactly the code the plain `run*` methods
-/// produce.
+/// The session owns its sink. The sink type parameter defaults to
+/// [`NullSink`], so uninstrumented sessions monomorphize to exactly the
+/// code the plain `run*` methods produce; to keep a sink after the run,
+/// attach it by `&mut` borrow.
 #[derive(Debug)]
 pub struct RunSession<'a, S: EventSink = NullSink> {
     protected: &'a Protected,
     inputs: &'a [Input],
     limits: ExecLimits,
     tamper: Option<(u64, &'a str, i64)>,
-    sink: &'a S,
+    sink: S,
 }
 
 impl<'a, S: EventSink> RunSession<'a, S> {
@@ -690,7 +691,9 @@ impl<'a, S: EventSink> RunSession<'a, S> {
     }
 
     /// Attaches an event sink; every committed branch is reported to it.
-    pub fn sink<T: EventSink>(self, sink: &'a T) -> RunSession<'a, T> {
+    /// Pass `&mut sink` to keep the sink (say, to finish a
+    /// [`JsonlSink`](ipds_telemetry::JsonlSink)) after the run.
+    pub fn sink<T: EventSink>(self, sink: T) -> RunSession<'a, T> {
         RunSession {
             protected: self.protected,
             inputs: self.inputs,

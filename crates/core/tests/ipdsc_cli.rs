@@ -147,8 +147,41 @@ fn trace_prints_one_line_per_checked_branch() {
     let first = "  br    1  pc 0x1010  T   expected UN  verified\n";
     let second = "  br    2  pc 0x1028  T   expected T   verified\n";
     assert_eq!(trace("64"), format!("{first}{second}{tail}"));
+    // A limit equal to the branch count drops nothing, so no cap line.
+    assert_eq!(trace("2"), format!("{first}{second}{tail}"));
     assert_eq!(
         trace("1"),
         format!("{first}  ... (trace capped at 1 branches; --limit N to widen)\n{tail}")
+    );
+}
+
+#[test]
+fn run_events_writes_one_branch_line_per_branch_and_a_summary() {
+    let file = program("ipdsc_cli_events.mc", BENIGN);
+    let events = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("ipdsc_cli_events.jsonl");
+    let _ = std::fs::remove_file(&events);
+    let run = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_ipdsc"))
+            .args(["run", file.to_str().unwrap(), "--input", "1"])
+            .args(extra)
+            .output()
+            .expect("spawn ipdsc");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let plain = run(&[]);
+    assert_eq!(run(&["--events", events.to_str().unwrap()]), plain);
+    // Both branches carry the BSV's pre-verify expectation: none yet for
+    // the first (`?`), taken for the second, which the first one set.
+    let jsonl = std::fs::read_to_string(&events).expect("events file");
+    assert_eq!(
+        jsonl,
+        "{\"type\":\"branch\",\"seq\":1,\"pc\":4112,\"taken\":true,\"expected\":\"?\",\
+         \"verified\":true,\"alarm\":false,\"bat_actions\":2,\"bsv_transitions\":2,\
+         \"table_accesses\":4}\n\
+         {\"type\":\"branch\",\"seq\":2,\"pc\":4136,\"taken\":true,\"expected\":\"T\",\
+         \"verified\":true,\"alarm\":false,\"bat_actions\":2,\"bsv_transitions\":0,\
+         \"table_accesses\":4}\n\
+         {\"type\":\"summary\",\"events\":2,\"dropped\":0}\n"
     );
 }

@@ -362,7 +362,7 @@ pub struct AttackRunner<'a> {
     golden: &'a [(u64, bool)],
     main: ipds_ir::FuncId,
     interp: Interp,
-    ipds: IpdsObserver<'a>,
+    ipds: IpdsObserver,
     trace: BranchTrace,
     warm: Option<&'a WarmStart>,
 }

@@ -321,7 +321,7 @@ pub struct FaultRunner<'a> {
     inputs: &'a [Input],
     main: ipds_ir::FuncId,
     interp: Interp,
-    ipds: IpdsObserver<'a>,
+    ipds: IpdsObserver,
 }
 
 impl<'a> FaultRunner<'a> {

@@ -29,9 +29,10 @@
 //!   and the mean detection latency.
 //!
 //! Per-branch telemetry flows through an [`EventSink`] (re-exported from
-//! [`ipds-telemetry`](ipds_telemetry)) attached to an [`IpdsObserver`];
-//! with [`NullSink`] the hooks monomorphize away and the uninstrumented
-//! behaviour — and performance — is preserved bit-for-bit. Campaign and
+//! [`ipds-telemetry`](ipds_telemetry)) owned by an [`IpdsObserver`]; with
+//! [`NullSink`], whose `WANTS_BRANCHES` is `false`, the record path is
+//! compiled out and the uninstrumented behaviour — and performance — is
+//! preserved bit-for-bit. Campaign and
 //! fault registries are folds over index-ordered outcomes
 //! ([`campaign_metrics`], [`fault_metrics`]), not sink output.
 

@@ -1,10 +1,16 @@
 //! Execution observers: how the interpreter feeds the IPDS and the timing
 //! model.
+//!
+//! [`IpdsObserver`] owns an [`EventSink`] and asks it, through the
+//! compile-time [`EventSink::WANTS_BRANCHES`], whether to report at all.
+//! With the default [`NullSink`] the flag is `false`: the record path (the
+//! pre-verify BSV probe and the [`BranchRecord`]) is compiled out, and the
+//! zero-sized sink adds no bytes to the observer.
 
 use ipds_analysis::BranchStatus;
 use ipds_ir::FuncId;
 use ipds_runtime::IpdsChecker;
-use ipds_telemetry::{BranchRecord, EventSink, Expectation, NullSink, NULL_SINK};
+use ipds_telemetry::{BranchRecord, EventSink, Expectation, NullSink};
 
 /// Maps the analysis-side expected status onto the telemetry mirror type.
 pub fn expectation_of(status: BranchStatus) -> Expectation {
@@ -69,42 +75,39 @@ impl ExecObserver for NullObserver {}
 /// Adapts the functional [`IpdsChecker`] to the observer interface.
 ///
 /// This is the wiring of Fig. 6: every committed branch is sent to the IPDS;
-/// calls and returns push/pop table frames. The observer additionally
-/// forwards one [`BranchRecord`] per committed branch to an
-/// [`EventSink`] — with the default [`NullSink`] every hook monomorphizes
-/// to an empty inlined body, so the uninstrumented path costs nothing.
+/// calls and returns push/pop table frames. When its sink's
+/// [`EventSink::WANTS_BRANCHES`] is `true`, the observer additionally
+/// forwards one [`BranchRecord`] per committed branch to it.
 #[derive(Debug)]
-pub struct IpdsObserver<'a, S: EventSink = NullSink> {
+pub struct IpdsObserver<S: EventSink = NullSink> {
     /// The wrapped checker (exposed for result inspection).
     pub checker: IpdsChecker,
-    sink: &'a S,
+    sink: S,
 }
 
-impl<'a> IpdsObserver<'a, NullSink> {
+impl IpdsObserver {
     /// Wraps a checker with telemetry disabled.
-    pub fn new(checker: IpdsChecker) -> IpdsObserver<'a, NullSink> {
-        IpdsObserver {
-            checker,
-            sink: &NULL_SINK,
-        }
+    pub fn new(checker: IpdsChecker) -> IpdsObserver {
+        IpdsObserver::with_sink(checker, NullSink)
     }
 }
 
-impl<'a, S: EventSink> IpdsObserver<'a, S> {
+impl<S: EventSink> IpdsObserver<S> {
     /// Wraps a checker, reporting every checked branch to `sink`.
-    pub fn with_sink(checker: IpdsChecker, sink: &'a S) -> IpdsObserver<'a, S> {
+    pub fn with_sink(checker: IpdsChecker, sink: S) -> IpdsObserver<S> {
         IpdsObserver { checker, sink }
     }
 }
 
-impl<S: EventSink> ExecObserver for IpdsObserver<'_, S> {
+impl<S: EventSink> ExecObserver for IpdsObserver<S> {
     fn on_branch(&mut self, pc: u64, dir: bool) {
-        // The pre-verify BSV probe is only paid for detail sinks (JSONL).
-        let expected = if self.sink.wants_branch_details() {
-            self.checker.expected_status(pc).map(expectation_of)
-        } else {
-            None
-        };
+        // The pre-verify BSV probe and the record are paid only by sinks
+        // that read them; for the rest this branch is the whole hook.
+        if !S::WANTS_BRANCHES {
+            self.checker.on_branch(pc, dir);
+            return;
+        }
+        let expected = self.checker.expected_status(pc).map(expectation_of);
         let out = self.checker.on_branch(pc, dir);
         self.sink.on_branch(&BranchRecord {
             seq: self.checker.stats().branches,
@@ -204,5 +207,18 @@ impl ExecObserver for BranchTrace {
         if self.cap == 0 || self.trace.len() < self.cap {
             self.trace.push((pc, dir));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_default_sink_adds_nothing_to_the_observer() {
+        assert_eq!(
+            std::mem::size_of::<IpdsObserver>(),
+            std::mem::size_of::<IpdsChecker>()
+        );
     }
 }

@@ -1,25 +1,25 @@
-//! # ipds-telemetry — structured events, metrics and phase profiling
+//! # ipds-telemetry — structured events and metrics
 //!
 //! The IPDS is a *monitoring* device: its value is the telemetry it emits
-//! (alarms, check rates, BAT activity, detection statistics, overhead
-//! accounting). This crate is the observability substrate every other layer
-//! threads that telemetry through:
+//! (alarms, check rates, BAT activity, detection statistics). This crate is
+//! the observability substrate every other layer threads that telemetry
+//! through:
 //!
 //! * [`EventSink`] — the structured event interface. The interpreter-side
-//!   observer reports one record per checked branch to a sink shared by
-//!   reference. Two implementations ship:
-//!   [`NullSink`] (the default; every hook is an empty inlined body, so the
-//!   instrumented code paths compile down to the uninstrumented ones) and
-//!   [`JsonlSink`] (a bounded-buffer JSON-lines writer for per-event
-//!   records). Sinks keep no counters: the checker's own `IpdsStats` and
-//!   the [`MetricsRegistry`] are the one counting vocabulary.
+//!   observer owns a sink and reports one record per checked branch to it.
+//!   Two implementations ship: [`NullSink`] (the default; its
+//!   [`EventSink::WANTS_BRANCHES`] is `false`, so the observer builds no
+//!   record and the instrumented code compiles to the uninstrumented
+//!   code) and [`JsonlSink`] (a JSON-lines writer for per-event records).
+//!   Sinks keep no counters: the checker's own `IpdsStats` and the
+//!   [`MetricsRegistry`] are the one counting vocabulary.
 //! * [`MetricsRegistry`] — named monotonic counters and log₂-bucketed
 //!   [`Histogram`]s. A campaign's registry is one fold over its
 //!   index-ordered outcomes, computed after the parallel map.
-//! * [`PhaseRecorder`] — accumulating wall-clock spans per named phase;
-//!   the experiment driver times each of its sections with one.
 //!
 //! The crate depends only on `std` and sits below every other IPDS crate.
+//! It measures no time: wall-clock belongs to the benchmark's traced pass
+//! and to `ipdsc build --timings`.
 //!
 //! ## Determinism
 //!
@@ -32,8 +32,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Write};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// Expected direction of a checked branch, as the BSV records it.
 ///
@@ -69,9 +67,8 @@ pub struct BranchRecord {
     /// Actual committed direction (`true` = taken).
     pub taken: bool,
     /// Expected direction read from the BSV *before* the verify-then-update
-    /// step. Populated only when the sink asks for details
-    /// ([`EventSink::wants_branch_details`]); the probe costs one extra BSV
-    /// read per branch.
+    /// step (one extra BSV read per branch, paid only by sinks whose
+    /// [`EventSink::WANTS_BRANCHES`] is `true`).
     pub expected: Option<Expectation>,
     /// The BCV marked this branch and it was verified against the BSV.
     pub verified: bool,
@@ -87,23 +84,37 @@ pub struct BranchRecord {
 
 /// Consumer of the structured event stream.
 ///
-/// Sinks are shared by reference, so every hook takes `&self` and
-/// implementations use interior mutability (a mutex for writers). Default bodies ignore everything — [`NullSink`] is exactly
-/// the defaults, and monomorphization inlines the empty bodies away,
-/// keeping the disabled path zero-cost.
-pub trait EventSink: Sync {
-    /// True if this sink consumes the per-branch record stream and
-    /// [`BranchRecord::expected`] should be populated (the extra pre-verify
-    /// probe). Defaults to `false`, as for [`NullSink`].
-    #[inline]
-    fn wants_branch_details(&self) -> bool {
-        false
-    }
+/// A sink is owned by the one run that feeds it, so its hook takes
+/// `&mut self` and needs no interior mutability. The default body ignores
+/// everything — [`NullSink`] is exactly the defaults — and
+/// [`EventSink::WANTS_BRANCHES`] tells the observer at compile time
+/// whether to build records at all.
+pub trait EventSink {
+    /// Whether this sink consumes [`EventSink::on_branch`]. The flag is a
+    /// compile-time constant, like the interpreter observers' `WANTS_*`:
+    /// when it is `false` (the default, as for [`NullSink`]) the observer
+    /// neither probes the BSV for [`BranchRecord::expected`] nor builds the
+    /// record, so the disabled path compiles to the bare checker step. A
+    /// sink that overrides `on_branch` must set it to `true` or it is
+    /// never called.
+    const WANTS_BRANCHES: bool = false;
 
     /// A committed conditional branch was checked.
     #[inline]
-    fn on_branch(&self, record: &BranchRecord) {
+    fn on_branch(&mut self, record: &BranchRecord) {
         let _ = record;
+    }
+}
+
+/// A borrowed sink reports to the sink it borrows, so a caller can attach
+/// a sink to a run and still own it afterwards (to call
+/// [`JsonlSink::finish`], say).
+impl<S: EventSink> EventSink for &mut S {
+    const WANTS_BRANCHES: bool = S::WANTS_BRANCHES;
+
+    #[inline]
+    fn on_branch(&mut self, record: &BranchRecord) {
+        (**self).on_branch(record);
     }
 }
 
@@ -113,83 +124,45 @@ pub struct NullSink;
 
 impl EventSink for NullSink {}
 
-/// Shared reference to the canonical [`NullSink`] instance.
-pub static NULL_SINK: NullSink = NullSink;
-
-struct JsonlInner<W: Write> {
+/// JSON-lines event writer.
+///
+/// Each event becomes one self-describing JSON object per line (schema in
+/// `docs/OBSERVABILITY.md`); [`JsonlSink::finish`] appends a trailing
+/// `summary` line with the number of lines written and the number of
+/// writes that failed (`dropped`).
+#[derive(Debug)]
+pub struct JsonlSink<W: Write> {
     writer: W,
     written: u64,
     dropped: u64,
 }
 
-/// Bounded JSON-lines event writer.
-///
-/// Each event becomes one self-describing JSON object per line (schema in
-/// `docs/OBSERVABILITY.md`). At most `cap` event lines are written
-/// (0 = unlimited); further events are counted as dropped and reported by
-/// the trailing `summary` line that [`JsonlSink::finish`] appends. Writes
-/// go through a mutex — this is the *detail* sink, not the hot-path one.
-pub struct JsonlSink<W: Write + Send> {
-    inner: Mutex<JsonlInner<W>>,
-    cap: u64,
-}
-
-impl<W: Write + Send> fmt::Debug for JsonlSink<W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock().unwrap();
-        f.debug_struct("JsonlSink")
-            .field("cap", &self.cap)
-            .field("written", &inner.written)
-            .field("dropped", &inner.dropped)
-            .finish()
-    }
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Creates a sink writing at most `cap` event lines (0 = unlimited).
-    pub fn new(writer: W, cap: u64) -> JsonlSink<W> {
+impl<W: Write> JsonlSink<W> {
+    /// Creates a sink writing to `writer`.
+    pub fn new(writer: W) -> JsonlSink<W> {
         JsonlSink {
-            inner: Mutex::new(JsonlInner {
-                writer,
-                written: 0,
-                dropped: 0,
-            }),
-            cap,
-        }
-    }
-
-    fn emit(&self, line: fmt::Arguments<'_>) {
-        let mut inner = self.inner.lock().unwrap();
-        if self.cap != 0 && inner.written >= self.cap {
-            inner.dropped += 1;
-            return;
-        }
-        // I/O errors surface on finish(); events are best-effort.
-        if inner.writer.write_fmt(line).is_ok() {
-            inner.written += 1;
-        } else {
-            inner.dropped += 1;
+            writer,
+            written: 0,
+            dropped: 0,
         }
     }
 
     /// Writes the trailing summary line, flushes, and returns the writer.
-    pub fn finish(self) -> io::Result<W> {
-        let inner = self.inner.into_inner().unwrap();
-        let mut writer = inner.writer;
+    pub fn finish(mut self) -> io::Result<W> {
         writeln!(
-            writer,
+            self.writer,
             "{{\"type\":\"summary\",\"events\":{},\"dropped\":{}}}",
-            inner.written, inner.dropped
+            self.written, self.dropped
         )?;
-        writer.flush()?;
-        Ok(writer)
+        self.writer.flush()?;
+        Ok(self.writer)
     }
 }
 
 impl JsonlSink<Vec<u8>> {
     /// In-memory sink (tests, small traces).
-    pub fn buffered(cap: u64) -> JsonlSink<Vec<u8>> {
-        JsonlSink::new(Vec::new(), cap)
+    pub fn buffered() -> JsonlSink<Vec<u8>> {
+        JsonlSink::new(Vec::new())
     }
 }
 
@@ -202,16 +175,16 @@ fn opt_expectation(e: Option<Expectation>) -> &'static str {
     }
 }
 
-impl<W: Write + Send> EventSink for JsonlSink<W> {
-    fn wants_branch_details(&self) -> bool {
-        true
-    }
+impl<W: Write> EventSink for JsonlSink<W> {
+    const WANTS_BRANCHES: bool = true;
 
-    fn on_branch(&self, r: &BranchRecord) {
-        self.emit(format_args!(
+    fn on_branch(&mut self, r: &BranchRecord) {
+        // I/O errors surface on finish(); events are best-effort.
+        let line = writeln!(
+            self.writer,
             "{{\"type\":\"branch\",\"seq\":{},\"pc\":{},\"taken\":{},\"expected\":{},\
              \"verified\":{},\"alarm\":{},\"bat_actions\":{},\"bsv_transitions\":{},\
-             \"table_accesses\":{}}}\n",
+             \"table_accesses\":{}}}",
             r.seq,
             r.pc,
             r.taken,
@@ -221,7 +194,12 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
             r.bat_actions,
             r.bsv_transitions,
             r.table_accesses,
-        ));
+        );
+        if line.is_ok() {
+            self.written += 1;
+        } else {
+            self.dropped += 1;
+        }
     }
 }
 
@@ -339,44 +317,6 @@ impl MetricsRegistry {
     }
 }
 
-/// Accumulating wall-clock spans per named phase.
-///
-/// Spans with the same name accumulate; snapshot order is first-recorded
-/// order, so a driver serializes its phases in the order it ran them.
-#[derive(Debug, Default)]
-pub struct PhaseRecorder {
-    inner: Mutex<Vec<(String, f64)>>,
-}
-
-impl PhaseRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> PhaseRecorder {
-        PhaseRecorder::default()
-    }
-
-    /// Runs `f`, accumulating its wall-clock under `name`.
-    pub fn time<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.add(name, start.elapsed().as_secs_f64());
-        out
-    }
-
-    /// Adds `seconds` to the named phase.
-    pub fn add(&self, name: &str, seconds: f64) {
-        let mut inner = self.inner.lock().unwrap();
-        match inner.iter_mut().find(|(n, _)| n == name) {
-            Some((_, total)) => *total += seconds,
-            None => inner.push((name.to_string(), seconds)),
-        }
-    }
-
-    /// All phases in first-recorded order with accumulated seconds.
-    pub fn snapshot(&self) -> Vec<(String, f64)> {
-        self.inner.lock().unwrap().clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,18 +336,44 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_bounds_and_summarizes() {
-        let sink = JsonlSink::buffered(2);
-        for i in 0..5 {
-            sink.on_branch(&branch(i, false));
+    fn jsonl_sink_writes_every_event_and_summarizes() {
+        // Lent by `&mut`, as `ipdsc` lends its sink to a run session.
+        fn report(mut sink: impl EventSink, record: &BranchRecord) {
+            sink.on_branch(record);
+        }
+        let mut sink = JsonlSink::buffered();
+        for i in 0..3 {
+            report(&mut sink, &branch(i, false));
         }
         let out = String::from_utf8(sink.finish().unwrap()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3, "2 events + summary: {out}");
+        assert_eq!(lines.len(), 4, "3 events + summary: {out}");
         assert!(lines[0].contains("\"type\":\"branch\""));
         assert!(lines[0].contains("\"seq\":0"));
-        assert!(lines[2].contains("\"events\":2"));
-        assert!(lines[2].contains("\"dropped\":3"));
+        assert_eq!(
+            lines[3],
+            "{\"type\":\"summary\",\"events\":3,\"dropped\":0}"
+        );
+    }
+
+    /// A writer whose every write fails.
+    struct Broken;
+
+    impl Write for Broken {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::other("broken"))
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_sink_counts_failed_writes_as_dropped() {
+        let mut sink = JsonlSink::new(Broken);
+        sink.on_branch(&branch(1, true));
+        sink.on_branch(&branch(2, false));
+        assert_eq!((sink.written, sink.dropped), (0, 2));
     }
 
     #[test]
@@ -436,21 +402,10 @@ mod tests {
     }
 
     #[test]
-    fn phase_recorder_accumulates_in_order() {
-        let rec = PhaseRecorder::new();
-        rec.time("compile", || {});
-        rec.add("golden", 0.25);
-        rec.add("compile", 1.0);
-        let snap = rec.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0, "compile");
-        assert!(snap[0].1 >= 1.0);
-        assert_eq!(snap[1], ("golden".to_string(), 0.25));
-    }
-
-    #[test]
     fn null_sink_ignores_everything() {
-        NULL_SINK.on_branch(&branch(1, true));
-        assert!(!NULL_SINK.wants_branch_details());
+        const { assert!(!NullSink::WANTS_BRANCHES) };
+        const { assert!(!<&mut NullSink as EventSink>::WANTS_BRANCHES) };
+        const { assert!(<&mut JsonlSink<Vec<u8>> as EventSink>::WANTS_BRANCHES) };
+        NullSink.on_branch(&branch(1, true));
     }
 }

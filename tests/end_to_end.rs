@@ -1,6 +1,7 @@
 //! Cross-crate integration: compile → analyze → run → attack → time, over
 //! the full workload suite.
 
+use ipds::telemetry::JsonlSink;
 use ipds::{Config, Protected};
 use ipds_runtime::HwConfig;
 use ipds_sim::AttackModel;
@@ -190,4 +191,37 @@ fn contiguous_overflows_hit_harder_than_single_cells() {
         block_cf > single_cf,
         "block {block_cf} should exceed single {single_cf}"
     );
+}
+
+#[test]
+fn jsonl_sink_sees_every_branch_without_changing_the_run() {
+    // Streaming per-branch records is an observer: the session's report
+    // is the same with or without a sink, and the sink writes exactly one
+    // branch line per branch the checker counted.
+    for w in ipds_workloads::all() {
+        let protected = Protected::from_program(w.program(), &Config::default());
+        let inputs = w.inputs(1);
+        let plain = protected.session().inputs(&inputs).run().unwrap();
+        let mut sink = JsonlSink::buffered();
+        let streamed = protected
+            .session()
+            .inputs(&inputs)
+            .sink(&mut sink)
+            .run()
+            .unwrap();
+        assert_eq!(format!("{streamed:?}"), format!("{plain:?}"), "{}", w.name);
+        let jsonl = String::from_utf8(sink.finish().unwrap()).unwrap();
+        let branches = jsonl
+            .lines()
+            .filter(|l| l.starts_with("{\"type\":\"branch\","))
+            .count();
+        assert_eq!(branches as u64, plain.stats.branches, "{}", w.name);
+        assert!(plain.stats.branches > 0, "{}", w.name);
+        assert_eq!(
+            jsonl.lines().last(),
+            Some(format!("{{\"type\":\"summary\",\"events\":{branches},\"dropped\":0}}").as_str()),
+            "{}",
+            w.name
+        );
+    }
 }

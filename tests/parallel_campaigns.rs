@@ -159,6 +159,51 @@ fn campaign_registry_is_the_outcome_fold_of_a_cold_loop() {
 }
 
 #[test]
+fn campaign_engine_equals_a_hand_driven_warm_loop() {
+    // The engine's own shape, written out: one warm-started runner, the
+    // seeded per-attack RNG, the outcome fold. At one thread and at two
+    // the engine must return exactly that loop's result and registry.
+    for w in ipds_workloads::all() {
+        let protected = protect(&w);
+        let inputs = w.inputs(INPUT_SEED);
+        let (golden, limits) = protected.campaign_artifacts(&inputs);
+        let campaign = Campaign {
+            attacks: ATTACKS,
+            seed: SEED,
+            model: w.vuln,
+            limits,
+        };
+        let warm = protected.warm_start(&inputs, &golden, limits);
+        let mut runner = AttackRunner::new(
+            &protected.program,
+            &protected.analysis,
+            &inputs,
+            &golden.trace,
+            limits,
+        )
+        .with_warm_start(&warm);
+        let outcomes: Vec<_> = (0..ATTACKS)
+            .map(|i| {
+                let (mut rng, trigger) = attack_rng(&campaign, golden.steps, i);
+                runner.run(trigger, w.vuln, &mut rng)
+            })
+            .collect();
+        let by_hand = ipds_sim::attack::aggregate(ATTACKS, &outcomes);
+        for threads in [1, 2] {
+            let (result, metrics) = metered(&w, threads);
+            assert_eq!(result, by_hand, "{} @ {threads} threads", w.name);
+            assert_eq!(
+                result.mean_lag_branches.to_bits(),
+                by_hand.mean_lag_branches.to_bits(),
+                "{} @ {threads} threads",
+                w.name
+            );
+            assert_eq!(metrics, campaign_metrics(&outcomes), "{}", w.name);
+        }
+    }
+}
+
+#[test]
 fn warm_start_matches_cold_execution_on_every_workload() {
     // The differential oracle for the warm-start fast path: the same
     // seeded attacks, run cold from step 0 and warm from golden snapshots
