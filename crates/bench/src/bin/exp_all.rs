@@ -9,9 +9,9 @@
 //!   additionally prints the contiguous-overflow comparison.
 //! * `ATTACKS` — Fig. 7 attacks per workload (default 100; the ablation
 //!   grid runs at most 50).
-//! * `--threads T` — campaign, fault and fleet workers (default: the
-//!   machine's parallelism, capped at 8). Results are bit-identical for
-//!   every `T`.
+//! * `--threads T` — campaign, fault and fleet workers, 1 to 64 (default:
+//!   the machine's parallelism, capped at 8). Results are bit-identical
+//!   for every `T`.
 //!
 //! The full run writes two files. `results/bench_campaign.json` holds only
 //! values that follow from the seed (counts, coverage, lint, faults, fleet
@@ -38,6 +38,10 @@ use ipds_telemetry::MetricsRegistry;
 const PHASES: &str =
     "table1 fig7 fig8 fig9 latency ablation promotion feasibility context micro faults fleet";
 
+/// The widest `--threads` accepted: a campaign or fleet flush may start
+/// that many OS threads at once.
+const MAX_THREADS: usize = 64;
+
 fn usage_error(msg: &str) -> ! {
     eprintln!("exp_all: {msg}\nusage: exp_all [PHASE] [ATTACKS] [--threads T]\nphases: {PHASES}");
     std::process::exit(2)
@@ -54,7 +58,10 @@ fn main() {
                 threads = args
                     .next()
                     .and_then(|t| t.parse().ok())
-                    .unwrap_or_else(|| usage_error("--threads takes a number"))
+                    .filter(|t| (1..=MAX_THREADS).contains(t))
+                    .unwrap_or_else(|| {
+                        usage_error(&format!("--threads takes a number from 1 to {MAX_THREADS}"))
+                    })
             }
             a if attacks.is_none() && a.parse::<u32>().is_ok() => attacks = a.parse().ok(),
             a if phase.is_none() && PHASES.split(' ').any(|p| p == a) => phase = Some(arg),

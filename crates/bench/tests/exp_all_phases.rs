@@ -72,6 +72,18 @@ fn unknown_phase_exits_nonzero_with_usage() {
     assert!(stderr.contains("fig10"), "{stderr}");
 }
 
+#[test]
+fn thread_counts_outside_one_to_sixty_four_exit_with_usage() {
+    for value in ["0", "65", "18446744073709551615", "many"] {
+        let out = exp_all(&["table1", "--threads", value]);
+        assert!(!out.status.success(), "--threads {value}");
+        assert!(out.stdout.is_empty(), "--threads {value}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("--threads takes"), "{stderr}");
+        assert!(stderr.contains("usage: exp_all [PHASE]"), "{stderr}");
+    }
+}
+
 /// The byte gate: the full run, at one thread and at three, each in its own
 /// scratch directory so the checked-in `results/` is never written.
 #[test]

@@ -26,6 +26,9 @@
 //! shadow-validated at planning time, so a nonzero exit means the service
 //! itself failed to surface one — the CI smoke gate.
 //!
+//! `faults` and `serve` take `--threads T` from 1 to 64 (default 1); any
+//! other count is a usage error. Results are identical at every `T`.
+//!
 //! `build` drives the explicit pass pipeline, one function after another:
 //! `--timings` prints per-pass wall-clock spans and `--verify-tables`
 //! appends the table-verification pass. `--promote PCT` opens the
@@ -306,8 +309,8 @@ fn serve_cmd(args: &[String]) -> Result<(), CliError> {
     if let Some(b) = flag::<usize>(args, "--batch")? {
         spec = spec.batch(b.max(1));
     }
-    if let Some(t) = flag::<usize>(args, "--threads")? {
-        spec = spec.threads(t.max(1));
+    if let Some(t) = threads_flag(args)? {
+        spec = spec.threads(t);
     }
     if let Some(s) = flag(args, "--seed")? {
         spec = spec.seed(s);
@@ -417,7 +420,7 @@ fn lint_cmd(args: &[String], file: Option<&String>) -> Result<(), CliError> {
 fn faults_cmd(args: &[String], file: Option<&String>) -> Result<(), CliError> {
     let flips = flag::<u32>(args, "--flips")?.unwrap_or(32).max(1);
     let seed = flag(args, "--seed")?.unwrap_or(2006);
-    let threads = flag::<usize>(args, "--threads")?.unwrap_or(1).max(1);
+    let threads = threads_flag(args)?.unwrap_or(1);
     let checksum = !has_flag(args, "--no-checksum");
 
     let mut undetected = 0u32;
@@ -589,6 +592,20 @@ fn flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, CliError> 
             })
         })
         .transpose()
+}
+
+/// The widest `--threads` accepted: a campaign or fleet flush may start
+/// that many OS threads at once.
+const MAX_THREADS: usize = 64;
+
+/// Parses `--threads T`, refusing a count outside `1..=MAX_THREADS`.
+fn threads_flag(args: &[String]) -> Result<Option<usize>, CliError> {
+    match flag::<usize>(args, "--threads")? {
+        Some(t) if !(1..=MAX_THREADS).contains(&t) => Err(CliError::Usage(format!(
+            "--threads takes 1 to {MAX_THREADS}, got `{t}`"
+        ))),
+        t => Ok(t),
+    }
 }
 
 /// Parses `--model fs|boa|block` (default `fs`, the format-string model).

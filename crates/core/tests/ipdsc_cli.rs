@@ -1,9 +1,10 @@
 //! `ipdsc` refuses bad input with a usage error instead of panicking or
 //! running something else: a program without `main` cannot be run, a
 //! program whose clean run faults cannot be attacked, malformed, negative
-//! or unknown flag values are rejected rather than replaced by a default or
-//! wrapped into a huge count, and a flag the command does not accept (or
-//! one given twice) is rejected rather than ignored. Every case must exit
+//! or unknown flag values (and `--threads` outside 1 to 64) are rejected
+//! rather than replaced by a default or wrapped into a huge count, and a
+//! flag the command does not accept (or one given twice) is rejected
+//! rather than ignored. Every case must exit
 //! with status 1 and one `ipdsc:` message on stderr.
 
 use std::path::PathBuf;
@@ -85,6 +86,32 @@ fn malformed_flag_values_are_usage_errors() {
             "{flag} {value}: {stderr}"
         );
         assert!(stderr.contains("usage:"), "{flag} {value}: {stderr}");
+    }
+}
+
+#[test]
+fn thread_counts_outside_one_to_sixty_four_are_usage_errors() {
+    // Refused before anything runs, not clamped and not handed to the
+    // thread spawner.
+    let file = program("ipdsc_cli_threads.mc", BENIGN);
+    let file = file.to_str().unwrap();
+    for value in ["0", "65", "18446744073709551615"] {
+        for args in [
+            vec!["faults", file, "--flips", "2", "--threads", value],
+            vec!["serve", "--sessions", "2", "--threads", value],
+        ] {
+            let stderr = fails_cleanly(&args);
+            assert!(
+                stderr.contains("--threads") && stderr.contains(value),
+                "{args:?}: {stderr}"
+            );
+            assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+            assert_eq!(
+                stderr.lines().filter(|l| l.starts_with("ipdsc:")).count(),
+                1,
+                "{args:?}: {stderr}"
+            );
+        }
     }
 }
 

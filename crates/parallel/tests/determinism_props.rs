@@ -1,7 +1,8 @@
-//! Property tests for the pool's determinism contract: the result vector
-//! (content *and* order) is identical for every thread count and every
-//! task runs exactly once, no matter how adversarially the task durations
-//! are skewed (see docs/PERF.md).
+//! Property tests for `map_indexed`'s determinism contract: the result
+//! vector (content *and* order) is identical for every thread count and
+//! every task runs exactly once, no matter how adversarially the task
+//! durations are skewed (see docs/PERF.md). The case count follows
+//! `PROPTEST_CASES` (the vendored harness's default is 256).
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -71,16 +72,14 @@ fn delays(shape: Skew, tasks: u32, jitter: &[u64]) -> Vec<u64> {
 }
 
 /// What one task deterministically computes (keyed by index only — any
-/// dependence on scheduling would be a pool bug this test must catch).
+/// dependence on scheduling would be a bug this test must catch).
 fn task_value(i: u32) -> u64 {
     (u64::from(i)).wrapping_mul(0x9e3779b97f4a7c15) >> 7
 }
 
 proptest! {
-    #![proptest_config(proptest::test_runner::Config::with_cases(24))]
-
     /// For every skew shape and thread count — including zero tasks and
-    /// fewer tasks than workers — the pool returns the serial answer in
+    /// fewer tasks than workers — `map_indexed` returns the serial answer in
     /// index order and executes each task exactly once.
     #[test]
     fn skewed_durations_never_perturb_results(

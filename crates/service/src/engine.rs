@@ -1,6 +1,6 @@
 //! The long-lived service: a control plane that buffers each session's
-//! batches and flushes them, one pool task per session, on the persistent
-//! worker pool.
+//! batches and flushes them, one [`ipds_parallel::map_indexed`] task per
+//! session, on scoped worker threads.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -68,7 +68,7 @@ struct Live {
 
 /// The `ipdsd` engine: a control plane that checks guest sessions out of
 /// one [`SessionPool`], buffers their batches, and checks the buffered
-/// batches on the persistent [`ipds_parallel`] pool.
+/// batches on scoped threads of [`ipds_parallel::map_indexed`].
 ///
 /// `submit` only appends a batch to its session's pending list. A *flush*
 /// runs one [`ipds_parallel::map_indexed`] task per session with pending
@@ -103,7 +103,7 @@ pub struct Service<'a> {
 
 impl<'a> Service<'a> {
     /// Starts a service over the verified artifacts that checks sessions
-    /// on up to `workers` pool threads. Sessions open by workload *name*;
+    /// on up to `workers` threads. Sessions open by workload *name*;
     /// a name with no verified artifact is refused (see
     /// [`Service::open`]).
     pub fn start(artifacts: &'a [Arc<WorkloadArtifact>], workers: usize) -> Service<'a> {
@@ -200,13 +200,13 @@ impl<'a> Service<'a> {
         Ok(())
     }
 
-    /// Checks every buffered batch: one pool task per session with pending
-    /// batches, in session-id order.
+    /// Checks every buffered batch: one `map_indexed` task per session with
+    /// pending batches, in session-id order.
     fn flush(&mut self) {
         self.buffered = 0;
         let artifacts = self.artifacts;
         // Each task locks only its own session, so the locks never contend;
-        // they hand the pool's shared `Fn` closure mutable access.
+        // they hand `map_indexed`'s shared `Fn` closure mutable access.
         let tasks: Vec<Mutex<&mut Live>> = self
             .live
             .values_mut()

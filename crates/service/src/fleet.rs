@@ -62,7 +62,7 @@ impl Default for ServiceSpec {
 impl ServiceSpec {
     /// Starts from the defaults: all ten workloads, 64 sessions, batches
     /// of 256 events, a 16-session concurrency window, machine-default
-    /// pool threads, seed `0x1bd5`.
+    /// worker threads, seed `0x1bd5`.
     pub fn new() -> ServiceSpec {
         ServiceSpec::default()
     }
@@ -87,7 +87,7 @@ impl ServiceSpec {
         self
     }
 
-    /// Pool threads the service's flushes may use (default: machine-wide
+    /// Worker threads the service's flushes may use (default: machine-wide
     /// [`ipds_sim::default_threads`]). Fleet results are bit-identical
     /// for every value.
     pub fn threads(mut self, threads: usize) -> Self {

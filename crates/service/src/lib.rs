@@ -17,8 +17,9 @@
 //! * [`Service`] — buffered batched ingestion: guest sessions submit
 //!   [`GuestEvent`] batches that the control plane buffers per session
 //!   (a fixed 64Ki-event bound caps guest memory use). Each flush runs one
-//!   persistent-pool task per session, driving the flat checker hot
-//!   path ([`IpdsChecker::on_branch_run`](ipds_runtime::IpdsChecker::on_branch_run)).
+//!   [`ipds_parallel::map_indexed`] task per session on scoped threads,
+//!   driving the flat checker hot path
+//!   ([`IpdsChecker::on_branch_run`](ipds_runtime::IpdsChecker::on_branch_run)).
 //!   Per-session results merge in session-id order, so fleet results are
 //!   bit-identical for every ingestion-worker count. Any event stream is
 //!   accepted: the checker skips and records malformed events, and a
@@ -33,8 +34,8 @@
 //!   throughput accounting. This is what `ipdsc serve` and the `exp_all`
 //!   fleet phase run.
 //!
-//! The crate is std-only — the `ipds-parallel` pool, no async runtime — and every
-//! observable result is deterministic given the spec. See
+//! The crate is std-only — `ipds-parallel`'s scoped threads, no async
+//! runtime — and every observable result is deterministic given the spec. See
 //! `docs/SERVICE.md` for the architecture, the session lifecycle and the
 //! canonical counter tables below.
 

@@ -682,21 +682,21 @@ pub fn campaign_metrics(outcomes: &[AttackOutcome]) -> MetricsRegistry {
 }
 
 /// The campaign engine: runs `campaign.attacks` seeded attacks against
-/// `program` over a precomputed golden run, across up to `threads` workers
-/// of the persistent [`ipds_parallel`] pool.
+/// `program` over a precomputed golden run, across up to `threads` scoped
+/// worker threads of [`ipds_parallel::map_indexed`].
 ///
 /// A campaign is embarrassingly parallel: every attack is seeded
 /// independently ([`attack_seed`]), runs against the same immutable
 /// artifacts (program, analysis, inputs, golden trace) and contributes one
 /// [`AttackOutcome`]. Each worker owns one reusable [`AttackRunner`] arena;
-/// the pool hands out attack indices dynamically (attack durations vary
+/// the workers claim attack indices dynamically (attack durations vary
 /// wildly — a tamper that sends the victim into a budget-exhausting loop
 /// costs orders of magnitude more than one that crashes it immediately)
-/// and returns the outcomes in seed order, so [`aggregate`] and
+/// and the outcomes come back in seed order, so [`aggregate`] and
 /// [`campaign_metrics`] fold the same sequence whatever the thread count.
-/// A batch too small to split (`threads <= 1`, or below the pool's
-/// per-worker work floor) runs inline on the calling thread as a plain
-/// loop.
+/// A batch too small to split (`threads <= 1`, or below
+/// [`ipds_parallel`]'s per-worker work floor) runs inline on the calling
+/// thread as a plain loop.
 ///
 /// The [`CampaignResult`] is therefore **bit-identical** for every thread
 /// count (including the `f64` lag mean, which is sensitive to summation
@@ -776,7 +776,7 @@ mod tests {
         return 0; }";
 
     /// A looping variant of [`VICTIM`]: enough branches per run that a
-    /// 40-attack campaign splits across several pool workers.
+    /// 40-attack campaign splits across several workers.
     const LOOP_VICTIM: &str = "fn main() -> int { int user; int req; int i; \
         user = read_int(); \
         for (i = 0; i < 6; i = i + 1) { \

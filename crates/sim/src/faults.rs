@@ -593,9 +593,9 @@ pub fn fault_metrics(campaign: &FaultCampaign, outcomes: &[FaultOutcome]) -> Met
     metrics
 }
 
-/// Runs a fault campaign across up to `threads` workers of the persistent
-/// [`ipds_parallel`] pool (a batch too small to split runs inline as a
-/// plain loop). Results — including the latency vector and the metrics
+/// Runs a fault campaign across up to `threads` scoped worker threads of
+/// [`ipds_parallel::map_indexed`] (a batch too small to split runs inline
+/// as a plain loop). Results — including the latency vector and the metrics
 /// registry — are bit-identical for every thread count: faults are
 /// independently seeded, outcomes come back in index order, and
 /// [`aggregate_faults`] and [`fault_metrics`] fold them (see

@@ -13,8 +13,8 @@
 //! * [`attack`] — the §6 experiment protocol: golden run, single-location
 //!   memory tampering at a chosen instant (format-string = any live cell,
 //!   buffer-overflow = stack cells), control-flow diffing and detection
-//!   measurement over seeded campaigns, sharded over the persistent
-//!   [`ipds_parallel`] worker pool with results bit-identical at every
+//!   measurement over seeded campaigns, sharded over scoped threads by
+//!   [`ipds_parallel::map_indexed`] with results bit-identical at every
 //!   thread count (attacks are independently seeded; outcomes merge in
 //!   seed order);
 //! * [`faults`] — a deterministic seeded fault-injection engine striking

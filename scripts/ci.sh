@@ -64,10 +64,10 @@ cargo test -q --release --features props
 for crate in ipds-ir ipds-dataflow ipds-analysis ipds-absint ipds-parallel; do
     cargo test -q --release -p "$crate" --features props
 done
-# The range and interval laws take well under a second, so they also run
-# at the vendored default of 256 cases: 64 cases missed a Range::shift
-# wraparound that 256 cases find.
-for crate in ipds-dataflow ipds-absint; do
+# The range and interval laws and map_indexed's determinism property take
+# well under a second, so they also run at the vendored default of 256
+# cases: 64 cases missed a Range::shift wraparound that 256 cases find.
+for crate in ipds-dataflow ipds-absint ipds-parallel; do
     PROPTEST_CASES=256 cargo test -q --release -p "$crate" --features props
 done
 # The decoded interpreter against the IR-walking reference: random
@@ -103,16 +103,13 @@ diff <(cargo run -q --release -p ipds-bench --bin exp_all -- 100) results/exp_al
     || { echo "exp_all 100 no longer reproduces results/exp_all.txt"; exit 1; }
 echo "results/exp_all.txt reproduced"
 
-echo "==> pool-reuse gate (persistent pool: repeated use stays bit-identical)"
-# The persistent pool must serve back-to-back batches and whole campaigns
-# through the *same* worker threads without drifting: 100 consecutive
-# calls on one pool vs. fresh-pool vs. serial, the global pool must not
-# respawn threads between calls, repeated warm-started campaigns must
-# match serial at every thread count, and where the service's flushes
-# onto the pool fall must be invisible in results.
-cargo test -q --release -p ipds-parallel \
-    a_dedicated_pool_serves_repeated_calls_deterministically
-cargo test -q --release -p ipds-parallel the_global_pool_reuses_its_threads
+echo "==> repeated-batch gate (back-to-back batches stay bit-identical)"
+# Back-to-back batches and whole campaigns must not drift: 100
+# consecutive map_indexed calls vs. the serial loop at 1/2/4/8 threads,
+# repeated warm-started campaigns must match serial at every thread
+# count, and where the service's flushes fall must be invisible in
+# results.
+cargo test -q --release -p ipds-parallel repeated_calls_match_the_serial_loop
 cargo test -q --release --test parallel_campaigns \
     repeated_campaigns_reuse_the_persistent_pool
 cargo test -q --release --test service_fleet flush_points_never_change_results
@@ -147,10 +144,11 @@ echo "==> scaling gate (every thread count must pull its weight; see docs/PERF.m
 # the per-repeat Tn/T1 ratios ("speedup").
 # EVERY multi-thread point is gated against the 1-thread baseline — not
 # just the last row. On a real multicore box any speedup below 1.0 is a
-# regression: with a persistent pool and >=250 ms of work per point,
-# parallelism is at worst free. A single-hardware-thread box can at best
-# tie, so the floor there only catches a pool collapse (a serialization
-# bug reads ~0.1x; honest time-slicing reads ~0.9-1.0x).
+# regression: with >=250 ms of work per point, spawning a call's helper
+# threads costs nothing measurable, so parallelism is at worst free. A
+# single-hardware-thread box can at best tie, so the floor there only
+# catches a fan-out collapse (a serialization bug reads ~0.1x; honest
+# time-slicing reads ~0.9-1.0x).
 cores=$(nproc 2>/dev/null || echo 1)
 floor=1.00
 [ "$cores" -le 1 ] && floor=0.70

@@ -1,16 +1,18 @@
 //! Workspace-level guarantee for the parallel campaign engine: for every
-//! workload and every attack model, the persistent worker pool produces
-//! results bit-identical to the serial path, and the whole protocol is
-//! deterministic under the in-repo RNG (same seed ⇒ same figures, on any
-//! machine, at any thread count, no matter how many campaigns already ran
-//! through the pool). Telemetry rides the same guarantee: a campaign's
-//! registry is one fold over its seed-ordered outcomes, so it is
-//! bit-identical too, and warm-started attacks report exactly what cold
-//! ones do.
+//! workload and every attack model, the scoped worker threads of
+//! `ipds_parallel::map_indexed` produce results bit-identical to the serial
+//! path, and the whole protocol is deterministic under the in-repo RNG
+//! (same seed ⇒ same figures, on any machine, at any thread count, no
+//! matter how many campaigns already ran in the process). Telemetry rides
+//! the same guarantee: a campaign's registry is one fold over its
+//! seed-ordered outcomes, so it is bit-identical too, and warm-started
+//! attacks report exactly what cold ones do, on the stock workloads and on
+//! generated programs.
 
 use ipds::telemetry::MetricsRegistry;
 use ipds_sim::attack::{attack_rng, campaign_metrics};
-use ipds_sim::{AttackModel, AttackRunner, Campaign};
+use ipds_sim::{AttackModel, AttackRunner, Campaign, ExecLimits, GoldenRun, Input, WarmStart};
+use ipds_workloads::generator::{generate_program, GenConfig};
 
 const ATTACKS: u32 = 24;
 const SEED: u64 = 2006;
@@ -245,6 +247,82 @@ fn warm_start_matches_cold_execution_on_every_workload() {
 }
 
 #[test]
+fn warm_start_matches_cold_execution_on_generated_programs() {
+    // The same oracle on programs the stock workloads do not cover: for
+    // every generated program and attack model, warm-started attacks must
+    // report exactly what cold ones do, and the four-thread engine must
+    // fold to the cold outcomes' result and registry.
+    const ORACLE_ATTACKS: u32 = 32;
+    let cfg = GenConfig {
+        num_vars: 8,
+        max_stmts: 10,
+        max_depth: 4,
+        loop_bound: 8,
+    };
+    let inputs: Vec<Input> = (0..48).map(|i| Input::Int(i % 13 - 6)).collect();
+    let limits = ExecLimits {
+        max_steps: 2_000_000,
+        max_depth: 64,
+    };
+    let mut cf_changed = 0;
+    for seed in 0..32u64 {
+        let program = ipds_ir::parse(&generate_program(seed, cfg)).unwrap();
+        let protected = ipds::Protected::from_program(program, &ipds::Config::default());
+        let (program, analysis) = (&protected.program, &protected.analysis);
+        let golden = GoldenRun::capture(program, &inputs, limits);
+        let warm = WarmStart::capture(program, analysis, &inputs, golden.steps, limits);
+        let mut cold = AttackRunner::new(program, analysis, &inputs, &golden.trace, limits);
+        let mut warmed = AttackRunner::new(program, analysis, &inputs, &golden.trace, limits)
+            .with_warm_start(&warm);
+        for model in [
+            AttackModel::FormatString,
+            AttackModel::BufferOverflow,
+            AttackModel::ContiguousOverflow,
+        ] {
+            let campaign = Campaign {
+                attacks: ORACLE_ATTACKS,
+                seed: SEED,
+                model,
+                limits,
+            };
+            let mut outcomes = Vec::new();
+            for i in 0..ORACLE_ATTACKS {
+                let (mut rng_cold, trigger) = attack_rng(&campaign, golden.steps, i);
+                let (mut rng_warm, _) = attack_rng(&campaign, golden.steps, i);
+                let outcome = cold.run(trigger, model, &mut rng_cold);
+                assert_eq!(
+                    outcome,
+                    warmed.run(trigger, model, &mut rng_warm),
+                    "seed {seed} {model:?} attack {i} trigger {trigger}"
+                );
+                cf_changed += usize::from(outcome.control_flow_changed);
+                outcomes.push(outcome);
+            }
+            let (result, metrics) = ipds_sim::run_campaign(
+                program,
+                analysis,
+                &inputs,
+                &golden,
+                &campaign,
+                4,
+                Some(&warm),
+            );
+            assert_eq!(
+                result,
+                ipds_sim::attack::aggregate(ORACLE_ATTACKS, &outcomes),
+                "seed {seed} {model:?}"
+            );
+            assert_eq!(
+                metrics,
+                campaign_metrics(&outcomes),
+                "seed {seed} {model:?}"
+            );
+        }
+    }
+    assert!(cf_changed > 0, "no attack changed control flow");
+}
+
+#[test]
 fn null_sink_campaign_matches_uninstrumented_engine() {
     // Campaigns carry no event sink, so the plain engine at its default
     // thread count is the uninstrumented baseline: an explicit thread
@@ -282,12 +360,11 @@ fn null_sink_campaign_matches_uninstrumented_engine() {
 
 #[test]
 fn repeated_campaigns_reuse_the_persistent_pool_bit_identically() {
-    // 100 consecutive campaigns through the shared persistent pool, with
-    // the golden run and warm start captured once and amortized across
-    // all of them: every repetition at every thread count must match the
-    // first serial result bit for bit. This is the regression shape that
-    // motivated the pool rework — a campaign-per-shard driver hammering
-    // the engine in a loop.
+    // 100 consecutive campaigns in one process, with the golden run and
+    // warm start captured once and amortized across all of them: every
+    // repetition at every thread count must match the first serial result
+    // bit for bit. This is the shape of a campaign-per-shard driver
+    // hammering the engine in a loop.
     let w = ipds_workloads::all()
         .into_iter()
         .find(|w| w.name == "telnetd")
