@@ -493,7 +493,7 @@ impl Protected {
     /// [`CampaignSpec::golden`]).
     pub fn campaign_artifacts(&self, inputs: &[Input]) -> (GoldenRun, ExecLimits) {
         let golden = GoldenRun::capture(&self.program, inputs, ExecLimits::default());
-        let limits = golden.campaign_limits();
+        let limits = ExecLimits::campaign(golden.steps);
         (golden, limits)
     }
 

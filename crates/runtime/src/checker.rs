@@ -25,10 +25,12 @@
 //!
 //! The verify-then-update protocol itself is written once, as the private
 //! `step` below: [`IpdsChecker::on_branch`] resolves the frame stack and
-//! runs it for one branch, [`IpdsChecker::on_branch_run`] resolves it once
-//! and runs it for a whole *run* of committed branches, so callers that
-//! replay recorded traces (the fleet service, microbenchmarks) pay the
-//! stack touch once per run instead of once per event.
+//! runs it for one branch, and one private run loop resolves it once for a
+//! whole *run* of committed branches: [`IpdsChecker::on_branch_run`] feeds
+//! it one run, and [`IpdsChecker::replay`] each run of a [`GuestEvent`]
+//! stream, with calls, returns and BSV faults as the barriers between runs.
+//! Callers that replay recorded streams (the fleet service,
+//! microbenchmarks) thus pay the stack touch once per run, not per event.
 //!
 //! # Malformed event streams
 //!
@@ -45,6 +47,7 @@ use ipds_analysis::{BranchStatus, FunctionAnalysis, ProgramAnalysis};
 use ipds_ir::FuncId;
 
 use crate::error::RuntimeError;
+use crate::event::GuestEvent;
 
 /// The canonical `checker.*` metric keys the campaign engine emits
 /// (documented in `docs/PERF.md`, enforced by `tests/docs_metrics.rs`).
@@ -522,20 +525,56 @@ impl IpdsChecker {
     /// [`IpdsChecker::violation`] exactly as if each branch had gone
     /// through `on_branch`.
     pub fn on_branch_run(&mut self, events: &[(u64, bool)]) {
-        let Some(frame) = self.stack.last_mut() else {
-            for &(pc, dir) in events {
-                self.on_branch(pc, dir);
+        self.run(events.iter().copied());
+    }
+
+    /// Checks a committed event stream in order: each run of consecutive
+    /// `Branch` events as [`IpdsChecker::on_branch_run`] does, and `Call`,
+    /// `Return` and `FaultBsv` as [`IpdsChecker::on_call`],
+    /// [`IpdsChecker::on_return`] and [`IpdsChecker::inject_bsv`] do. Any
+    /// sequence is accepted, and replaying a stream whole or in pieces
+    /// gives the same state.
+    pub fn replay(&mut self, events: &[GuestEvent]) {
+        let mut at = 0;
+        while let Some(&event) = events.get(at) {
+            match event {
+                GuestEvent::Branch { .. } => {
+                    at += self.run(events[at..].iter().map_while(|e| match *e {
+                        GuestEvent::Branch { pc, taken } => Some((pc, taken)),
+                        _ => None,
+                    }));
+                    continue;
+                }
+                GuestEvent::Call(func) => self.on_call(func),
+                GuestEvent::Return => _ = self.on_return(),
+                GuestEvent::FaultBsv { slot, status } => _ = self.inject_bsv(slot as usize, status),
             }
-            return;
+            at += 1;
+        }
+    }
+
+    /// Checks every branch `branches` yields against the top frame,
+    /// resolved once, and returns how many it consumed.
+    #[inline(always)]
+    fn run(&mut self, branches: impl Iterator<Item = (u64, bool)>) -> usize {
+        let mut consumed = 0;
+        let Some(frame) = self.stack.last_mut() else {
+            for (pc, dir) in branches {
+                self.on_branch(pc, dir);
+                consumed += 1;
+            }
+            return consumed;
         };
         let tables = &self.tables[frame.func.0 as usize];
-        for &(pc, dir) in events {
+        for (pc, dir) in branches {
+            consumed += 1;
             self.stats.branches += 1;
             if step(tables, frame, &mut self.stats, &mut self.alarms, pc, dir).is_none() {
                 let error = RuntimeError::ForeignBranch { pc };
                 violate(&mut self.violation, error, self.stats.branches);
             }
         }
+        consumed
     }
 
     /// Reads the expected status currently recorded for a branch of the top

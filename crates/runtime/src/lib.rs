@@ -14,7 +14,9 @@
 //! spill to protected memory like Itanium's register stack engine.
 //!
 //! This crate provides the *functional* checker ([`checker::IpdsChecker`]) —
-//! used directly by the attack-detection experiments — plus the cost
+//! used directly by the attack-detection experiments and fed whole
+//! committed streams ([`event::GuestEvent`]) through
+//! [`IpdsChecker::replay`] by the fleet service — plus the cost
 //! bookkeeping the timing model in `ipds-sim` consumes: per-branch request
 //! costs ([`checker::BranchOutcome`]), on-chip occupancy and spill/fill
 //! traffic ([`onchip::OnChipModel`]), and context-switch costs
@@ -24,6 +26,7 @@ pub mod checker;
 pub mod config;
 pub mod context;
 pub mod error;
+pub mod event;
 pub mod onchip;
 
 pub use checker::{
@@ -32,4 +35,5 @@ pub use checker::{
 };
 pub use config::HwConfig;
 pub use error::RuntimeError;
+pub use event::GuestEvent;
 pub use onchip::{OnChipModel, SpillStats};

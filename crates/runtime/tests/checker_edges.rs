@@ -1,8 +1,8 @@
 //! Checker edge cases: multiple alarms, status introspection, deep stacks,
-//! malformed event streams.
+//! malformed event streams, stream replay.
 
 use ipds_analysis::{analyze_program, AnalysisConfig, BranchStatus};
-use ipds_runtime::{BranchOutcome, IpdsChecker, IpdsStats, RuntimeError, Violation};
+use ipds_runtime::{BranchOutcome, GuestEvent, IpdsChecker, IpdsStats, RuntimeError, Violation};
 
 fn analysis(src: &str) -> ipds_analysis::ProgramAnalysis {
     analyze_program(&ipds_ir::parse(src).unwrap(), &AnalysisConfig::default())
@@ -141,4 +141,79 @@ fn unchecked_branches_still_fire_their_bat_rows() {
     ipds.on_branch(pcs[1], true);
     assert_eq!(ipds.expected_status(pcs[2]), Some(BranchStatus::Unknown));
     assert!(!ipds.on_branch(pcs[2], false).alarm);
+}
+
+#[test]
+fn replay_equals_the_stream_fed_one_event_at_a_time() {
+    let a = analysis(
+        "fn main() -> int { int x; x = read_int(); \
+         if (x < 5) { print_int(1); } \
+         if (x < 5) { print_int(2); } \
+         if (x < 5) { print_int(3); } \
+         return 0; }",
+    );
+    let main = &a.functions[0];
+    let pcs: Vec<u64> = main.branches.iter().map(|b| b.pc).collect();
+    let verdict = |c: &IpdsChecker| (*c.stats(), c.alarms().to_vec(), c.violation());
+    let fresh = verdict(&IpdsChecker::new(&a));
+
+    // An empty slice, and a BSV fault with no frame, change nothing.
+    let mut ipds = IpdsChecker::new(&a);
+    ipds.replay(&[]);
+    assert_eq!(verdict(&ipds), fresh);
+    let fault = |slot: u32, status| GuestEvent::FaultBsv { slot, status };
+    ipds.replay(&[fault(0, BranchStatus::Taken)]);
+    assert_eq!((verdict(&ipds), ipds.depth()), (fresh, 0));
+    // A branch before any call is counted and recorded.
+    ipds.replay(&[GuestEvent::Branch {
+        pc: pcs[0],
+        taken: true,
+    }]);
+    assert_eq!(ipds.stats().branches, 1);
+    assert_eq!(
+        ipds.violation(),
+        Some(Violation {
+            error: RuntimeError::NoActiveFrame,
+            branch_seq: 1,
+        })
+    );
+
+    // Runs of branches between calls, a nested frame, a BSV fault, a
+    // foreign PC and one return too many.
+    let branch = |pc: u64, taken: bool| GuestEvent::Branch { pc, taken };
+    let slot = main.branches[2].slot;
+    let stream = [
+        GuestEvent::Call(main.func),
+        branch(pcs[0], true),
+        branch(pcs[1], false),
+        GuestEvent::Call(main.func),
+        branch(pcs[0], false),
+        GuestEvent::Return,
+        fault(slot, BranchStatus::Taken),
+        branch(pcs[2], false),
+        branch(0xDEAD_BEE0, true),
+        GuestEvent::Return,
+        GuestEvent::Return,
+    ];
+    let mut whole = IpdsChecker::new(&a);
+    whole.replay(&stream);
+    let mut single = IpdsChecker::new(&a);
+    single.on_call(main.func);
+    single.on_branch(pcs[0], true);
+    single.on_branch(pcs[1], false);
+    single.on_call(main.func);
+    single.on_branch(pcs[0], false);
+    single.on_return().unwrap();
+    single.inject_bsv(slot as usize, BranchStatus::Taken);
+    single.on_branch(pcs[2], false);
+    single.on_branch(0xDEAD_BEE0, true);
+    single.on_return().unwrap();
+    assert!(single.on_return().is_err());
+    assert_eq!(verdict(&whole), verdict(&single));
+    assert_eq!(whole.alarms().len(), 2, "the contradiction and the fault");
+    assert_eq!(whole.stats().underflows, 1);
+    assert_eq!(
+        whole.violation().map(|v| v.error),
+        Some(RuntimeError::ForeignBranch { pc: 0xDEAD_BEE0 })
+    );
 }

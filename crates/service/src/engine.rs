@@ -5,11 +5,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
-use ipds_runtime::IpdsStats;
+use ipds_runtime::{GuestEvent, IpdsStats};
 use ipds_telemetry::MetricsRegistry;
 
 use crate::cache::WorkloadArtifact;
-use crate::event::GuestEvent;
 use crate::incident::{correlate, Incident, IncidentKind, RootCause};
 use crate::pool::{SessionPool, SessionPoolStats, SessionState};
 use crate::ServiceError;

@@ -7,15 +7,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ipds_analysis::{analyze_program, AnalysisConfig, BranchStatus, ProgramAnalysis, TableImage};
-use ipds_ir::Program;
+use ipds_ir::{FuncId, Program};
+use ipds_runtime::{GuestEvent, IpdsChecker};
 use ipds_sim::rng::StdRng;
-use ipds_sim::{ExecLimits, ExecObserver, ExecStatus, GoldenRun, Input, Interp};
+use ipds_sim::{EventRecorder, ExecLimits, ExecStatus, Input, Interp};
 use ipds_telemetry::MetricsRegistry;
 use ipds_workloads::Workload;
 
 use crate::cache::ImageCache;
 use crate::engine::{Service, SessionSummary};
-use crate::event::GuestEvent;
 use crate::incident::{correlate, Incident, IncidentKind, RootCause};
 use crate::pool::SessionState;
 
@@ -198,24 +198,6 @@ impl FleetReport {
     }
 }
 
-/// Records a guest's committed control-flow events.
-#[derive(Debug, Default)]
-struct EventRecorder {
-    events: Vec<GuestEvent>,
-}
-
-impl ExecObserver for EventRecorder {
-    fn on_branch(&mut self, pc: u64, dir: bool) {
-        self.events.push(GuestEvent::Branch { pc, taken: dir });
-    }
-    fn on_call(&mut self, func: ipds_ir::FuncId) {
-        self.events.push(GuestEvent::Call(func));
-    }
-    fn on_return(&mut self) {
-        self.events.push(GuestEvent::Return);
-    }
-}
-
 /// Per-tag seed derivation, mirroring `attack_seed`/`fault_seed`.
 fn derive(seed: u64, tag: u64) -> u64 {
     seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(tag.wrapping_add(1))
@@ -228,29 +210,34 @@ const TAG_MEM: u64 = 0x40_0000;
 const TAG_BSV: u64 = 0x50_0000;
 const TAG_IMAGE: u64 = 0x60_0000;
 
-/// One compiled workload plus its golden-run-derived limits.
+/// One compiled workload.
 struct CompiledWorkload {
     name: String,
     program: Program,
+    main: FuncId,
     analysis: ProgramAnalysis,
 }
 
-/// Replays a stream through a reference checker — by construction the
-/// exact code path the service's flushes run.
-fn shadow(analysis: &ProgramAnalysis, name: &str, events: &[GuestEvent]) -> SessionState {
-    let mut state = SessionState::fresh(analysis, 0, 0);
-    state.ingest(name, events);
-    state
+/// Replays a stream through a reference checker — the replay the
+/// service's flushes run.
+fn shadow(analysis: &ProgramAnalysis, events: &[GuestEvent]) -> IpdsChecker {
+    let mut checker = IpdsChecker::new(analysis);
+    checker.replay(events);
+    checker
 }
 
-/// Records the clean stream for one input script.
-fn clean_stream(cw: &CompiledWorkload, inputs: &[Input], limits: ExecLimits) -> Vec<GuestEvent> {
-    let main = cw.program.main().expect("workload defines main").id;
-    let mut interp = Interp::new(&cw.program, inputs.to_vec(), limits);
-    let mut rec = EventRecorder::default();
-    rec.events.push(GuestEvent::Call(main));
-    interp.run(&mut rec);
-    rec.events
+/// Interprets one clean session once under the default limits, returning
+/// its committed stream and step count.
+fn clean_run(cw: &CompiledWorkload, inputs: &[Input]) -> (Vec<GuestEvent>, u64) {
+    let mut interp = Interp::new(&cw.program, inputs.to_vec(), ExecLimits::default());
+    let mut rec = EventRecorder::new(cw.main);
+    let status = interp.run(&mut rec);
+    assert!(
+        matches!(status, ExecStatus::Exited(_)),
+        "workload `{}` golden run must exit cleanly",
+        cw.name
+    );
+    (rec.events, interp.steps())
 }
 
 /// Searches seeded candidates for a memory tamper the checker *detects*:
@@ -261,17 +248,15 @@ fn detected_mem_stream(
     cw: &CompiledWorkload,
     inputs: &[Input],
     golden_steps: u64,
-    limits: ExecLimits,
     seed: u64,
 ) -> Vec<GuestEvent> {
-    let main = cw.program.main().expect("workload defines main").id;
+    let limits = ExecLimits::campaign(golden_steps);
     let mut interp = Interp::new(&cw.program, inputs.to_vec(), limits);
     for k in 0..SEARCH_TRIES {
         let mut rng = StdRng::seed_from_u64(derive(seed, k));
         let trigger = rng.gen_range(1..golden_steps.max(2));
         interp.reset(inputs.iter().cloned());
-        let mut rec = EventRecorder::default();
-        rec.events.push(GuestEvent::Call(main));
+        let mut rec = EventRecorder::new(cw.main);
         interp.run_steps(trigger, &mut rec);
         if *interp.status() != ExecStatus::Running {
             continue;
@@ -284,10 +269,7 @@ fn detected_mem_stream(
         let old = interp.mem.load(cell);
         interp.mem.tamper(cell, old ^ (1i64 << rng.gen_range(0..8)));
         interp.run(&mut rec);
-        if shadow(&cw.analysis, &cw.name, &rec.events)
-            .checker
-            .detected()
-        {
+        if shadow(&cw.analysis, &rec.events).detected() {
             return rec.events;
         }
     }
@@ -308,14 +290,13 @@ fn detected_bsv_stream(cw: &CompiledWorkload, clean: &[GuestEvent], seed: u64) -
         }
         let pos = rng.gen_range(1..clean.len());
         // Learn the injection surface at `pos` from a shadow prefix.
-        let prefix = shadow(&cw.analysis, &cw.name, &clean[..pos]);
-        let slots = prefix.checker.top_bsv_len();
-        if slots == 0 || prefix.checker.detected() {
+        let mut prefix = shadow(&cw.analysis, &clean[..pos]);
+        let slots = prefix.top_bsv_len();
+        if slots == 0 || prefix.detected() {
             continue;
         }
         let slot = rng.gen_range(0..slots) as u32;
-        let mut probe = prefix;
-        let status = match probe.checker.inject_bsv(slot as usize, BranchStatus::Taken) {
+        let status = match prefix.inject_bsv(slot as usize, BranchStatus::Taken) {
             Some(BranchStatus::Taken) => BranchStatus::NotTaken,
             Some(_) => BranchStatus::Taken,
             None => continue,
@@ -324,7 +305,7 @@ fn detected_bsv_stream(cw: &CompiledWorkload, clean: &[GuestEvent], seed: u64) -
         events.extend_from_slice(&clean[..pos]);
         events.push(GuestEvent::FaultBsv { slot, status });
         events.extend_from_slice(&clean[pos..]);
-        if shadow(&cw.analysis, &cw.name, &events).checker.detected() {
+        if shadow(&cw.analysis, &events).detected() {
             return events;
         }
     }
@@ -345,6 +326,7 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
             let analysis = analyze_program(&program, &AnalysisConfig::default());
             CompiledWorkload {
                 name: wl.name.to_string(),
+                main: program.main().expect("workload defines main").id,
                 program,
                 analysis,
             }
@@ -372,21 +354,12 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
         rest.find(|s| Some(s % w.len()) != mem_wl).or(fallback)
     };
 
-    // Golden artifacts and limits per workload (the campaign limits
-    // `GoldenRun::campaign_limits` derives, so a tampered run that loops
-    // cannot drag the plan out).
+    // Each session is interpreted clean once: that run is its stream, and
+    // its step count sets the campaign limits of a tampered run (so one
+    // that loops cannot drag the plan out).
     let session_inputs = |s: usize| {
         let wl = &w[s % w.len()];
         wl.inputs(derive(spec.seed, TAG_INPUTS + s as u64))
-    };
-    let limits_for = |cw: &CompiledWorkload, inputs: &[Input]| {
-        let golden = GoldenRun::capture(&cw.program, inputs, ExecLimits::default());
-        assert!(
-            matches!(golden.status, ExecStatus::Exited(_)),
-            "workload `{}` golden run must exit cleanly",
-            cw.name
-        );
-        (golden.steps, golden.campaign_limits())
     };
 
     // The hot workload's sessions all replay the *same* tampered stream —
@@ -395,12 +368,11 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
     let hot_stream: Option<Arc<Vec<GuestEvent>>> = hot_victim.map(|hv| {
         let cw = &compiled[hv];
         let inputs = w[hv].inputs(derive(spec.seed, TAG_HOT));
-        let (steps, limits) = limits_for(cw, &inputs);
+        let (_, steps) = clean_run(cw, &inputs);
         Arc::new(detected_mem_stream(
             cw,
             &inputs,
             steps,
-            limits,
             derive(spec.seed, TAG_HOT + 1),
         ))
     });
@@ -415,24 +387,22 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
             Arc::clone(hot_stream.as_ref().expect("hot stream planned"))
         } else {
             let inputs = session_inputs(s);
-            let (steps, limits) = limits_for(cw, &inputs);
+            let (clean, steps) = clean_run(cw, &inputs);
             if mem_session == Some(s) {
                 Arc::new(detected_mem_stream(
                     cw,
                     &inputs,
                     steps,
-                    limits,
                     derive(spec.seed, TAG_MEM + s as u64),
                 ))
             } else if bsv_session == Some(s) {
-                let clean = clean_stream(cw, &inputs, limits);
                 Arc::new(detected_bsv_stream(
                     cw,
                     &clean,
                     derive(spec.seed, TAG_BSV + s as u64),
                 ))
             } else {
-                Arc::new(clean_stream(cw, &inputs, limits))
+                Arc::new(clean)
             }
         };
         scripts.push(SessionScript {
@@ -463,8 +433,8 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
         })
         .collect();
 
-    // Ground truth: replay every script through the reference checker —
-    // the expected incidents are *exactly* what a correct service must
+    // Ground truth: ingest every script into a fresh `SessionState` — the
+    // expected incidents are *exactly* what a correct service must
     // produce, and the expected causes follow from the documented
     // correlation rules.
     let mut expected_incidents = Vec::new();
@@ -480,7 +450,8 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
             });
             continue;
         }
-        let state = shadow(&compiled[wi].analysis, &script.workload, &script.events);
+        let mut state = SessionState::fresh(&compiled[wi].analysis, 0, 0);
+        state.ingest(&script.workload, &script.events);
         expected_incidents.extend(state.incidents().iter().map(|inc| Incident {
             session: s as u64,
             ..inc.clone()

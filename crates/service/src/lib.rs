@@ -12,14 +12,14 @@
 //!   bytes shares the verified artifact. Corrupted images never enter the
 //!   cache.
 //! * [`SessionPool`] — pooled per-session checker state (the checker's
-//!   flat tables, BSV arenas and scratch buffers are recycled on session
-//!   close instead of rebuilt).
+//!   flat tables and BSV arenas are recycled on session close instead of
+//!   rebuilt).
 //! * [`Service`] — buffered batched ingestion: guest sessions submit
 //!   [`GuestEvent`] batches that the control plane buffers per session
 //!   (a fixed 64Ki-event bound caps guest memory use). Each flush runs one
 //!   [`ipds_parallel::map_indexed`] task per session on scoped threads,
-//!   driving the flat checker hot path
-//!   ([`IpdsChecker::on_branch_run`](ipds_runtime::IpdsChecker::on_branch_run)).
+//!   replaying each buffered batch through the flat checker hot path
+//!   ([`IpdsChecker::replay`](ipds_runtime::IpdsChecker::replay)).
 //!   Per-session results merge in session-id order, so fleet results are
 //!   bit-identical for every ingestion-worker count. Any event stream is
 //!   accepted: the checker skips and records malformed events, and a
@@ -44,7 +44,6 @@
 mod cache;
 mod engine;
 mod error;
-mod event;
 mod fleet;
 mod incident;
 mod pool;
@@ -52,9 +51,9 @@ mod pool;
 pub use cache::{CacheStats, ImageCache, WorkloadArtifact};
 pub use engine::{Service, ServiceReport, SessionSummary};
 pub use error::ServiceError;
-pub use event::GuestEvent;
 pub use fleet::{FleetOutcome, FleetPlan, FleetReport, ServiceSpec};
 pub use incident::{correlate, Incident, IncidentKind, RootCause};
+pub use ipds_runtime::GuestEvent;
 pub use pool::{SessionPool, SessionPoolStats, SessionState};
 
 /// Canonical `service.*` counter keys, in the order documented in

@@ -2,10 +2,9 @@
 
 use std::sync::Arc;
 
-use ipds_runtime::IpdsChecker;
+use ipds_runtime::{GuestEvent, IpdsChecker};
 
 use crate::cache::WorkloadArtifact;
-use crate::event::GuestEvent;
 use crate::incident::{Incident, IncidentKind};
 
 /// Pool traffic counters (the `service.pool_*` telemetry keys).
@@ -22,29 +21,27 @@ pub struct SessionPoolStats {
 }
 
 /// Everything one open guest session owns on the service side: the pooled
-/// checker (built from the shared artifact's tables), the branch-batch
-/// scratch arena, and the incident fold state. Recycled — not dropped —
-/// on close, so the BSV frame pool and scratch allocations survive into
-/// the next session of the same workload.
+/// checker (built from the shared artifact's tables) and the incident fold
+/// state. Recycled — not dropped — on close, so the checker's tables and
+/// BSV frame pool survive into the next session of the same workload.
 #[derive(Debug)]
 pub struct SessionState {
-    /// The wrapped checker (exposed for inspection; tests and the shadow
-    /// validator read alarms and stats off it).
+    /// The wrapped checker (exposed for inspection; tests read alarms and
+    /// stats off it).
     pub checker: IpdsChecker,
     /// Index of the workload artifact this session runs.
     pub workload: usize,
     session: u64,
     events: u64,
     batches: u64,
-    scratch: Vec<(u64, bool)>,
     incidents: Vec<Incident>,
     alarms_folded: usize,
 }
 
 impl SessionState {
-    /// Builds a fresh (un-pooled) session over loaded tables — the shadow
-    /// validator's entry point; the service itself checks sessions out of
-    /// a [`SessionPool`].
+    /// Builds a fresh (un-pooled) session over loaded tables — the fleet
+    /// planner's ground-truth entry point; the service itself checks
+    /// sessions out of a [`SessionPool`].
     pub fn fresh(analysis: &ipds_analysis::ProgramAnalysis, workload: usize, session: u64) -> Self {
         SessionState {
             checker: IpdsChecker::new(analysis),
@@ -52,7 +49,6 @@ impl SessionState {
             session,
             events: 0,
             batches: 0,
-            scratch: Vec::new(),
             incidents: Vec::new(),
             alarms_folded: 0,
         }
@@ -64,7 +60,6 @@ impl SessionState {
         self.session = session;
         self.events = 0;
         self.batches = 0;
-        self.scratch.clear();
         self.incidents.clear();
         self.alarms_folded = 0;
     }
@@ -89,33 +84,14 @@ impl SessionState {
         &self.incidents
     }
 
-    /// Replays one batch through the checker. Consecutive `Branch` events
-    /// buffer into the scratch arena and flush through the flat batch
-    /// entry point [`IpdsChecker::on_branch_run`]; call/return/fault
-    /// events are barriers. Any event sequence is accepted: the checker
-    /// skips and records malformed events itself. New alarms and the
-    /// checker's first violation then fold into the session's incidents.
+    /// Replays one batch through the checker with
+    /// [`IpdsChecker::replay`], which accepts any event sequence: it skips
+    /// and records malformed events itself. New alarms and the checker's
+    /// first violation then fold into the session's incidents.
     pub fn ingest(&mut self, workload_name: &str, events: &[GuestEvent]) {
         self.batches += 1;
         self.events += events.len() as u64;
-        for ev in events {
-            match *ev {
-                GuestEvent::Branch { pc, taken } => self.scratch.push((pc, taken)),
-                GuestEvent::Call(func) => {
-                    flush(&mut self.checker, &mut self.scratch);
-                    self.checker.on_call(func);
-                }
-                GuestEvent::Return => {
-                    flush(&mut self.checker, &mut self.scratch);
-                    let _ = self.checker.on_return();
-                }
-                GuestEvent::FaultBsv { slot, status } => {
-                    flush(&mut self.checker, &mut self.scratch);
-                    self.checker.inject_bsv(slot as usize, status);
-                }
-            }
-        }
-        flush(&mut self.checker, &mut self.scratch);
+        self.checker.replay(events);
         self.fold(workload_name);
     }
 
@@ -169,16 +145,6 @@ impl SessionState {
             seq,
             alarm_count: alarms,
         });
-    }
-}
-
-/// Flushes buffered branch events through the checker's batch hot path. Free function
-/// so the borrow of the scratch arena and the mutable borrow of the
-/// checker stay visibly disjoint.
-fn flush(checker: &mut IpdsChecker, scratch: &mut Vec<(u64, bool)>) {
-    if !scratch.is_empty() {
-        checker.on_branch_run(scratch);
-        scratch.clear();
     }
 }
 

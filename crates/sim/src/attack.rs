@@ -149,24 +149,12 @@ impl GoldenRun {
     /// Runs the golden (clean) execution and records its branch trace.
     pub fn capture(program: &Program, inputs: &[Input], limits: ExecLimits) -> GoldenRun {
         let mut interp = Interp::new(program, inputs.to_vec(), limits);
-        let mut trace = BranchTrace::with_cap(0);
+        let mut trace = BranchTrace::default();
         let status = interp.run(&mut trace);
         GoldenRun {
             trace: trace.trace,
             steps: interp.steps(),
             status,
-        }
-    }
-
-    /// The execution limits of every run a campaign derives from this
-    /// golden run: four times its steps, but at least 100,000, and a call
-    /// depth of 256. A tampered run that loops stops there instead of
-    /// dragging the campaign out, while a run that follows the clean path
-    /// always fits.
-    pub fn campaign_limits(&self) -> ExecLimits {
-        ExecLimits {
-            max_steps: self.steps.saturating_mul(4).max(100_000),
-            max_depth: 256,
         }
     }
 }
@@ -286,7 +274,7 @@ impl WarmStart {
         let mut interp = Interp::new(program, inputs.to_vec(), limits);
         let mut ipds = IpdsObserver::new(IpdsChecker::new(analysis));
         ipds.checker.on_call(main);
-        let mut trace = BranchTrace::with_cap(0);
+        let mut trace = BranchTrace::default();
         let mut reads = ReadSetRecorder::default();
         let mut snaps = Vec::new();
         let mut segments = Vec::new();
@@ -386,7 +374,7 @@ impl<'a> AttackRunner<'a> {
             main: program.main().expect("program must define `main`").id,
             interp: Interp::new(program, inputs.to_vec(), limits),
             ipds: IpdsObserver::new(IpdsChecker::new(analysis)),
-            trace: BranchTrace::with_cap(0),
+            trace: BranchTrace::default(),
             warm: None,
         }
     }
@@ -830,7 +818,7 @@ mod tests {
         let mut interp = Interp::new(&p, inputs, ExecLimits::default());
         let mut ipds = IpdsObserver::new(IpdsChecker::new(&a));
         ipds.checker.on_call(p.main().unwrap().id);
-        let mut trace = BranchTrace::with_cap(0);
+        let mut trace = BranchTrace::default();
 
         // Run until the first branch committed (user == 1, not taken).
         loop {

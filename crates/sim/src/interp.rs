@@ -73,6 +73,20 @@ impl Default for ExecLimits {
     }
 }
 
+impl ExecLimits {
+    /// The execution limits of every run a campaign derives from a golden
+    /// run of `golden_steps` steps: four times its steps, but at least
+    /// 100,000, and the default call depth. A tampered run that loops
+    /// stops there instead of dragging the campaign out, while a run that
+    /// follows the clean path always fits.
+    pub fn campaign(golden_steps: u64) -> ExecLimits {
+        ExecLimits {
+            max_steps: golden_steps.saturating_mul(4).max(100_000),
+            ..ExecLimits::default()
+        }
+    }
+}
+
 /// One live function activation. Its registers are
 /// `regs[reg_base..reg_base + nregs]` of the interpreter's one register
 /// file; its locals are the memory frame starting at `frame_base`.
@@ -975,7 +989,7 @@ mod tests {
              fn main() -> int { int x; x = read_int(); if (x < 5) { f(); } return 0; }",
         )
         .unwrap();
-        let mut tr = BranchTrace::with_cap(0);
+        let mut tr = BranchTrace::default();
         let mut i = Interp::new(&p, vec![Input::Int(1)], ExecLimits::default());
         i.run(&mut tr);
         assert_eq!(tr.trace.len(), 1);

@@ -59,7 +59,7 @@ pub use faults::{
 pub use interp::{ExecLimits, ExecStatus, Input, Interp};
 pub use ipds_parallel::default_threads;
 pub use memory::Memory;
-pub use observer::{expectation_of, ExecObserver, IpdsObserver, NullObserver};
+pub use observer::{expectation_of, EventRecorder, ExecObserver, IpdsObserver, NullObserver};
 pub use pipeline::{PerfReport, TimingModel};
 pub use rng::{SplitMix64, StdRng};
 pub use telemetry::{EventSink, JsonlSink, MetricsRegistry, NullSink};

@@ -9,7 +9,7 @@
 
 use ipds_analysis::BranchStatus;
 use ipds_ir::FuncId;
-use ipds_runtime::IpdsChecker;
+use ipds_runtime::{GuestEvent, IpdsChecker};
 use ipds_telemetry::{BranchRecord, EventSink, Expectation, NullSink};
 
 /// Maps the analysis-side expected status onto the telemetry mirror type.
@@ -180,22 +180,11 @@ impl<A: ExecObserver, B: ExecObserver> ExecObserver for Tee<'_, A, B> {
 /// Records the committed branch trace (for control-flow diffing).
 #[derive(Debug, Default, Clone)]
 pub struct BranchTrace {
-    /// `(pc, direction)` pairs in commit order, capped at `cap`.
+    /// `(pc, direction)` pairs in commit order.
     pub trace: Vec<(u64, bool)>,
-    /// Maximum entries kept (0 = unlimited).
-    pub cap: usize,
 }
 
 impl BranchTrace {
-    /// Creates a trace recorder keeping at most `cap` entries (0 =
-    /// unlimited).
-    pub fn with_cap(cap: usize) -> BranchTrace {
-        BranchTrace {
-            trace: Vec::new(),
-            cap,
-        }
-    }
-
     /// Empties the recorded trace, keeping its allocation for reuse.
     pub fn clear(&mut self) {
         self.trace.clear();
@@ -204,9 +193,37 @@ impl BranchTrace {
 
 impl ExecObserver for BranchTrace {
     fn on_branch(&mut self, pc: u64, dir: bool) {
-        if self.cap == 0 || self.trace.len() < self.cap {
-            self.trace.push((pc, dir));
+        self.trace.push((pc, dir));
+    }
+}
+
+/// Records a run's committed control flow as the [`GuestEvent`] stream
+/// that [`IpdsChecker::replay`] checks.
+#[derive(Debug, Clone)]
+pub struct EventRecorder {
+    /// Committed events in order, starting with the `Call` into `main`.
+    pub events: Vec<GuestEvent>,
+}
+
+impl EventRecorder {
+    /// Starts a stream with `Call(main)`: the interpreter enters `main`
+    /// without reporting it, the way every checked run begins.
+    pub fn new(main: FuncId) -> EventRecorder {
+        EventRecorder {
+            events: vec![GuestEvent::Call(main)],
         }
+    }
+}
+
+impl ExecObserver for EventRecorder {
+    fn on_branch(&mut self, pc: u64, taken: bool) {
+        self.events.push(GuestEvent::Branch { pc, taken });
+    }
+    fn on_call(&mut self, func: FuncId) {
+        self.events.push(GuestEvent::Call(func));
+    }
+    fn on_return(&mut self) {
+        self.events.push(GuestEvent::Return);
     }
 }
 

@@ -110,8 +110,7 @@ echo "==> repeated-batch gate (back-to-back batches stay bit-identical)"
 # count, and where the service's flushes fall must be invisible in
 # results.
 cargo test -q --release -p ipds-parallel repeated_calls_match_the_serial_loop
-cargo test -q --release --test parallel_campaigns \
-    repeated_campaigns_reuse_the_persistent_pool
+cargo test -q --release --test parallel_campaigns repeated_campaigns_stay_bit_identical
 cargo test -q --release --test service_fleet flush_points_never_change_results
 
 echo "==> hostile-stream gate (malformed GuestEvent streams are typed incidents, never panics)"
@@ -120,7 +119,9 @@ echo "==> hostile-stream gate (malformed GuestEvent streams are typed incidents,
 # one FrameStackOverflow, a hostile session must leave the rest of a fleet
 # untouched at 1 and 4 workers, and the fast checker must agree with the
 # reference checker written from paper §5 on golden, tampered and
-# malformed streams, per event and in runs.
+# malformed streams, per event, in on_branch_run runs and through
+# IpdsChecker::replay over seeded chunks. The checker's own edge tests
+# pin replay's empty, frameless and whole-vs-per-event cases.
 cargo test -q --release --test service_fleet \
     malformed_stream_opens_protocol_violation
 cargo test -q --release --test service_fleet \
@@ -128,6 +129,7 @@ cargo test -q --release --test service_fleet \
 cargo test -q --release --test service_fleet \
     a_hostile_session_leaves_the_rest_of_the_fleet_untouched
 cargo test -q --release --test reference_checker
+cargo test -q --release -p ipds-runtime --test checker_edges
 
 echo "==> interval reference gate (the live-register interval analyzer matches the all-registers reference)"
 # Every block's reachability and entry variables, and every branch edge's

@@ -359,9 +359,10 @@ fn null_sink_campaign_matches_uninstrumented_engine() {
 }
 
 #[test]
-fn repeated_campaigns_reuse_the_persistent_pool_bit_identically() {
-    // 100 consecutive campaigns in one process, with the golden run and
-    // warm start captured once and amortized across all of them: every
+fn repeated_campaigns_stay_bit_identical() {
+    // 101 consecutive campaigns in one process (one serial base, then 25
+    // rounds at 1, 2, 4 and 8 threads), with the golden run and warm
+    // start captured once and amortized across all of them: every
     // repetition at every thread count must match the first serial result
     // bit for bit. This is the shape of a campaign-per-shard driver
     // hammering the engine in a loop.

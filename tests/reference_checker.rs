@@ -9,15 +9,17 @@
 //! `GuestEvent` streams — golden runs of every stock workload, seeded
 //! memory tampers that alarm, and malformed streams — and must agree on
 //! statistics, alarms and the first protocol violation. `IpdsChecker` is
-//! driven both one event at a time and with its branches batched into
-//! runs that are cut at seeded points. The reference models the checker's
+//! driven one event at a time, with its branches batched into
+//! `on_branch_run` runs that are cut at seeded points, and through
+//! `IpdsChecker::replay` over seeded chunks of the stream, as the service
+//! ingests batches. The reference models the checker's
 //! one deliberate limit, the [`MAX_FRAME_DEPTH`] frame cap, as a count of
 //! skipped calls whose returns pop nothing.
 
 use ipds::analysis::{BranchStatus, ProgramAnalysis};
 use ipds::ir::{FuncId, Program};
 use ipds::runtime::{Alarm, IpdsChecker, IpdsStats, RuntimeError, Violation, MAX_FRAME_DEPTH};
-use ipds::sim::{ExecLimits, ExecObserver, ExecStatus, Input, Interp, StdRng};
+use ipds::sim::{EventRecorder, ExecLimits, ExecStatus, Input, Interp, StdRng};
 use ipds::{GuestEvent, Protected};
 
 /// One function activation: the BSV, one status per branch, indexed like
@@ -187,15 +189,32 @@ fn fast(analysis: &ProgramAnalysis, stream: &[GuestEvent], cuts: Option<u64>) ->
         }
     }
     checker.on_branch_run(&run);
-    (
-        *checker.stats(),
-        checker.alarms().to_vec(),
-        checker.violation(),
-    )
+    verdict(&checker)
 }
 
-/// Diffs the reference against `IpdsChecker` per event and at three seeded
-/// run splittings; returns the reference verdict.
+/// Replays `stream` through one `IpdsChecker` with `replay`, in
+/// consecutive chunks of 1 to 64 events drawn from the seed, as the
+/// service ingests batches.
+fn replayed(analysis: &ProgramAnalysis, stream: &[GuestEvent], seed: u64) -> Verdict {
+    let mut checker = IpdsChecker::new(analysis);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rest = stream;
+    while !rest.is_empty() {
+        let (chunk, tail) = rest.split_at(rng.gen_range(1..65usize).min(rest.len()));
+        checker.replay(chunk);
+        rest = tail;
+    }
+    verdict(&checker)
+}
+
+fn verdict(checker: &IpdsChecker) -> Verdict {
+    let stats = *checker.stats();
+    (stats, checker.alarms().to_vec(), checker.violation())
+}
+
+/// Diffs the reference against `IpdsChecker` per event, and at three
+/// seeded run splittings and replay chunkings; returns the reference
+/// verdict.
 fn agree(analysis: &ProgramAnalysis, stream: &[GuestEvent], what: &str) -> Verdict {
     let want = reference(analysis, stream);
     assert_eq!(fast(analysis, stream, None), want, "{what}: per event");
@@ -205,43 +224,28 @@ fn agree(analysis: &ProgramAnalysis, stream: &[GuestEvent], what: &str) -> Verdi
             want,
             "{what}: runs cut at seed {seed}"
         );
+        let got = replayed(analysis, stream, seed);
+        assert_eq!(got, want, "{what}: replayed in chunks at seed {seed}");
     }
     want
 }
 
-/// Records a run's committed control-flow events.
-struct Recorder(Vec<GuestEvent>);
-
-impl ExecObserver for Recorder {
-    fn on_branch(&mut self, pc: u64, taken: bool) {
-        self.0.push(GuestEvent::Branch { pc, taken });
-    }
-    fn on_call(&mut self, func: FuncId) {
-        self.0.push(GuestEvent::Call(func));
-    }
-    fn on_return(&mut self) {
-        self.0.push(GuestEvent::Return);
-    }
-}
-
 fn golden(program: &Program, inputs: &[Input]) -> (Vec<GuestEvent>, u64) {
-    let main = program.main().expect("workloads define main").id;
-    let mut rec = Recorder(vec![GuestEvent::Call(main)]);
+    let mut rec = EventRecorder::new(program.main().expect("workloads define main").id);
     let mut interp = Interp::new(program, inputs.to_vec(), ExecLimits::default());
     interp.run(&mut rec);
-    (rec.0, interp.steps())
+    (rec.events, interp.steps())
 }
 
 /// A seeded single-bit flip of one live memory cell at a seeded step of
 /// the golden run, as the Fig. 7 campaigns tamper; the whole run's stream.
 fn tampered(program: &Program, inputs: &[Input], golden_steps: u64, seed: u64) -> Vec<GuestEvent> {
-    let main = program.main().expect("workloads define main").id;
     let limits = ExecLimits {
         max_steps: golden_steps * 4 + 10_000,
         ..ExecLimits::default()
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut rec = Recorder(vec![GuestEvent::Call(main)]);
+    let mut rec = EventRecorder::new(program.main().expect("workloads define main").id);
     let mut interp = Interp::new(program, inputs.to_vec(), limits);
     interp.run_steps(rng.gen_range(1..golden_steps.max(2)), &mut rec);
     let cells = interp.mem.live_mutable_cells();
@@ -253,7 +257,7 @@ fn tampered(program: &Program, inputs: &[Input], golden_steps: u64, seed: u64) -
             .tamper(cell, old ^ (1i64 << rng.gen_range(0..8u32)));
     }
     interp.run(&mut rec);
-    rec.0
+    rec.events
 }
 
 /// A golden stream with seeded protocol damage: dropped events, extra

@@ -9,7 +9,7 @@ use ipds::analysis::TableImage;
 use ipds::ir::FuncId;
 use ipds::runtime::{RuntimeError, MAX_FRAME_DEPTH};
 use ipds::service::SessionState;
-use ipds::sim::{ExecLimits, ExecObserver, Interp};
+use ipds::sim::{EventRecorder, ExecLimits, Interp};
 use ipds::{
     correlate, BranchStatus, GuestEvent, ImageCache, Incident, IncidentKind, Protected, RootCause,
     Service, ServiceError, ServiceSpec,
@@ -288,21 +288,6 @@ fn correlation_rules_are_deterministic() {
     );
 }
 
-/// Records a guest's committed control-flow events.
-struct Recorder(Vec<GuestEvent>);
-
-impl ExecObserver for Recorder {
-    fn on_branch(&mut self, pc: u64, taken: bool) {
-        self.0.push(GuestEvent::Branch { pc, taken });
-    }
-    fn on_call(&mut self, func: ipds::ir::FuncId) {
-        self.0.push(GuestEvent::Call(func));
-    }
-    fn on_return(&mut self) {
-        self.0.push(GuestEvent::Return);
-    }
-}
-
 #[test]
 fn flush_points_never_change_results() {
     // The service checks buffered batches only at flush points: a full
@@ -315,9 +300,9 @@ fn flush_points_never_change_results() {
     let artifacts = [artifact];
     let main = p.program.main().unwrap().id;
     let clean = |seed: u64| {
-        let mut rec = Recorder(vec![GuestEvent::Call(main)]);
+        let mut rec = EventRecorder::new(main);
         Interp::new(&p.program, w.inputs(seed), ExecLimits::default()).run(&mut rec);
-        rec.0
+        rec.events
     };
     // Session 0 alone streams well past the 64Ki-event flush bound, so
     // flushes fall mid-stream. Sessions 1..=4 then interleave: 3 closes
@@ -467,9 +452,9 @@ fn a_hostile_session_leaves_the_rest_of_the_fleet_untouched() {
     let artifacts = [artifact];
     let main = p.program.main().unwrap().id;
     let clean = |seed: u64| {
-        let mut rec = Recorder(vec![GuestEvent::Call(main)]);
+        let mut rec = EventRecorder::new(main);
         Interp::new(&p.program, w.inputs(seed), ExecLimits::default()).run(&mut rec);
-        rec.0
+        rec.events
     };
     const HOSTILE: u64 = 7;
     let mut hostile = vec![GuestEvent::Branch { pc: 0, taken: true }];
