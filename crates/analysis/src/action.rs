@@ -28,15 +28,6 @@ impl BranchStatus {
         }
     }
 
-    /// The status asserting direction `dir`.
-    pub fn from_dir(dir: bool) -> BranchStatus {
-        if dir {
-            BranchStatus::Taken
-        } else {
-            BranchStatus::NotTaken
-        }
-    }
-
     /// 2-bit encoding used by the packed tables (00 = unknown, 01 = taken,
     /// 10 = not-taken).
     pub fn to_bits(self) -> u8 {

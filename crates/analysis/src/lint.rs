@@ -158,11 +158,6 @@ impl LintReport {
     pub fn warning_count(&self) -> usize {
         self.warnings().count()
     }
-
-    /// True when nothing at all was found.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
 }
 
 impl fmt::Display for LintReport {

@@ -185,8 +185,8 @@ impl CompilationSession {
         }
     }
 
-    /// A session starting from an already-built IR program (workloads build
-    /// their programs programmatically; the front-end passes are skipped).
+    /// A session starting from an already-parsed (or hand-built) IR
+    /// program; the front-end passes are skipped.
     pub fn from_program(program: Program, options: BuildOptions) -> CompilationSession {
         CompilationSession {
             program: Some(program),
@@ -916,7 +916,7 @@ pub fn build_source(source: &str, options: BuildOptions) -> Result<BuildOutput, 
 }
 
 /// Runs the standard pipeline (minus the front end) over an existing IR
-/// program — the entry the workload generators use.
+/// program, such as a parsed workload's.
 ///
 /// # Errors
 ///

@@ -58,14 +58,6 @@ impl FunctionAnalysis {
             .map(|i| i as u32)
     }
 
-    /// Index of the branch with the given PC, if any.
-    pub fn branch_index_by_pc(&self, pc: u64) -> Option<u32> {
-        self.branches
-            .iter()
-            .position(|b| b.pc == pc)
-            .map(|i| i as u32)
-    }
-
     /// The BAT entries fired when branch `idx` commits with direction `dir`.
     pub fn actions(&self, idx: u32, dir: bool) -> &[BatEntry] {
         self.bat.get(&(idx, dir)).map(Vec::as_slice).unwrap_or(&[])

@@ -65,11 +65,14 @@ pub struct AblationRow {
 /// Runs the correlation-class ablation. The extra `optimized` row applies
 /// the block-local load-forwarding pass first, reproducing the paper's
 /// observation that "compiler optimizations can remove some correlations,
-/// reducing the detection rate".
-pub fn run(attacks: u32, seed: u64, input_seed: u64) -> Vec<AblationRow> {
+/// reducing the detection rate". Campaigns run on `threads` workers; the
+/// rows are bit-identical at every count.
+pub fn run(attacks: u32, seed: u64, input_seed: u64, threads: usize) -> Vec<AblationRow> {
     let mut rows = Vec::new();
     for v in variants() {
-        rows.push(measure(v.name, &v.config, false, attacks, seed, input_seed));
+        rows.push(measure(
+            v.name, &v.config, false, attacks, seed, input_seed, threads,
+        ));
     }
     rows.push(measure(
         "optimized",
@@ -78,6 +81,7 @@ pub fn run(attacks: u32, seed: u64, input_seed: u64) -> Vec<AblationRow> {
         attacks,
         seed,
         input_seed,
+        threads,
     ));
     rows
 }
@@ -89,21 +93,16 @@ fn measure(
     attacks: u32,
     seed: u64,
     input_seed: u64,
+    threads: usize,
 ) -> AblationRow {
-    let threads = ipds_sim::default_threads();
     let mut det = 0.0;
     let mut cf = 0.0;
     let mut stats = Vec::new();
     for w in all() {
-        // The artifact cache recompiles per variant but shares the golden
-        // run across variants: the analysis config cannot change the clean
-        // execution, only what the checker watches.
-        let art = crate::artifacts::campaign_artifacts(&w, config, optimize, input_seed);
-        let r = art
-            .protected
+        let protected = crate::compile(&w, config, optimize).protected;
+        let r = protected
             .campaign_spec()
-            .inputs(&art.inputs)
-            .golden(&art.golden, art.limits)
+            .inputs(&w.inputs(input_seed))
             .attacks(attacks)
             .seed(seed ^ w.name.len() as u64)
             .model(w.vuln)
@@ -111,7 +110,7 @@ fn measure(
             .run();
         det += r.detected_rate();
         cf += r.cf_changed_rate();
-        stats.push(art.protected.size_stats());
+        stats.push(protected.size_stats());
     }
     let n = all().len() as f64;
     AblationRow {
@@ -358,15 +357,26 @@ pub struct BufferRow {
     pub spills: u64,
 }
 
-/// Runs the buffer-sizing sweep.
+/// Runs the buffer-sizing sweep: the Fig. 9 measurement at five on-chip
+/// buffer sizes, over one compile per workload.
 pub fn buffer_sweep(input_seed: u64) -> Vec<BufferRow> {
+    let programs: Vec<_> = all()
+        .iter()
+        .map(|w| {
+            let protected = crate::compile(w, &Config::default(), false).protected;
+            (w.name, protected, w.inputs(input_seed))
+        })
+        .collect();
     let mut rows = Vec::new();
     for shift in [0u32, 2, 4, 6, 8] {
         let mut hw = HwConfig::table1_default();
         hw.bat_stack_bits >>= shift;
         hw.bsv_stack_bits >>= shift;
         hw.bcv_stack_bits >>= shift;
-        let fig9 = crate::fig9::run(&hw, input_seed);
+        let fig9: Vec<_> = programs
+            .iter()
+            .map(|(name, protected, inputs)| crate::fig9::measure(name, protected, inputs, &hw))
+            .collect();
         rows.push(BufferRow {
             onchip_bits: hw.total_onchip_bits(),
             mean_normalized: crate::fig9::mean_normalized(&fig9),
@@ -415,7 +425,7 @@ mod tests {
 
     #[test]
     fn disabling_anchors_reduces_detection() {
-        let rows = run(15, 5, 5);
+        let rows = run(15, 5, 5, 2);
         let full = rows.iter().find(|r| r.name == "full").unwrap();
         let no_load = rows.iter().find(|r| r.name == "no-load").unwrap();
         assert!(full.mean_detected >= no_load.mean_detected, "{rows:?}");

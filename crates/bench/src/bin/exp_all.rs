@@ -26,11 +26,11 @@
 //! Every seeded protocol runs at the constant seed 2006 the results files
 //! are generated at.
 
-use std::sync::Arc;
 use std::time::Instant;
 
+use ipds::analysis::AnalysisCounters;
 use ipds_bench::ablation::{FeasibilityRow, PromotionRow};
-use ipds_bench::artifacts::CompileReport;
+use ipds_bench::fig7::Target;
 use ipds_runtime::HwConfig;
 use ipds_telemetry::MetricsRegistry;
 
@@ -84,14 +84,18 @@ fn main() {
         ipds_bench::table1::print(&hw);
         gap();
     }
-    if runs("fig7") {
-        let f7 = ipds_bench::fig7::run_threaded(attacks, 2006, 2006, None, threads);
+    // Prepared once: the figure, its extra section and the scaling sweep
+    // all campaign against the same targets.
+    let targets = runs("fig7").then(|| {
+        let targets = ipds_bench::fig7::targets(2006);
+        let f7 = ipds_bench::fig7::run(&targets, attacks, 2006, None, threads);
         ipds_bench::fig7::print(&f7);
         gap();
         if phase == Some("fig7") {
-            print_contiguous_overflow(attacks, threads);
+            print_contiguous_overflow(&targets, attacks, threads);
         }
-    }
+        targets
+    });
     if runs("fig8") {
         let f8 = ipds_bench::fig8::run();
         ipds_bench::fig8::print(&f8);
@@ -108,7 +112,7 @@ fn main() {
         gap();
     }
     if runs("ablation") {
-        let ab = ipds_bench::ablation::run(attacks.min(50), 2006, 2006);
+        let ab = ipds_bench::ablation::run(attacks.min(50), 2006, 2006, threads);
         let buf = ipds_bench::ablation::buffer_sweep(2006);
         ipds_bench::ablation::print(&ab, &buf);
         gap();
@@ -169,13 +173,13 @@ fn main() {
     });
     // A single phase ends here: the sweep and the artifacts need every
     // section's results.
-    let (Some(promotion), Some(feasibility), Some(faults), Some(fleet)) =
-        (promotion, feasibility, faults, fleet)
+    let (Some(targets), Some(promotion), Some(feasibility), Some(faults), Some(fleet)) =
+        (targets, promotion, feasibility, faults, fleet)
     else {
         return;
     };
 
-    let scaling = scaling_sweep(attacks, threads);
+    let scaling = scaling_sweep(&targets, attacks, threads);
     // Wall-clock-dependent, so stderr: stdout stays byte-identical run-to-run.
     for s in &scaling {
         eprintln!(
@@ -183,7 +187,7 @@ fn main() {
             s.threads, s.attacks, s.seconds, s.attacks_per_sec, s.speedup
         );
     }
-    let counters = campaign_counters(attacks.min(50), threads);
+    let counters = campaign_counters(&targets, attacks.min(50), threads);
     let compiles = compile_reports();
     let campaign = campaign_json(
         attacks,
@@ -213,10 +217,10 @@ fn main() {
 /// workload's model overridden by the contiguous-block overflow (the
 /// unrefined shape §6 says real overflows take) — smashing a run of cells
 /// hits correlated state more often.
-fn print_contiguous_overflow(attacks: u32, threads: usize) {
-    let rows = ipds_bench::fig7::run_threaded(
+fn print_contiguous_overflow(targets: &[Target], attacks: u32, threads: usize) {
+    let rows = ipds_bench::fig7::run(
+        targets,
         attacks,
-        2006,
         2006,
         Some(ipds_sim::AttackModel::ContiguousOverflow),
         threads,
@@ -266,22 +270,22 @@ fn median(mut sample: Vec<f64>) -> f64 {
 }
 
 /// Re-runs the Fig. 7 campaign at 1/2/4/8 threads (plus the machine
-/// default if it is higher). All compiles, golden runs and warm starts are
-/// already cached by the earlier phases, so this times the campaign engine
-/// alone. The per-workload attack count is calibrated upward until the
-/// 1-thread point takes at least [`MIN_POINT_SECONDS`], so the sweep never
-/// degenerates into a thread-dispatch benchmark. Then every point is timed
-/// once per repeat, [`SWEEP_REPEATS`] times, interleaved; each row records
-/// the calibrated `attacks`, its median `seconds` and the median per-repeat
-/// speedup, so the curve is interpretable. On an N-core machine the sweep
+/// default if it is higher). The targets' compiles, golden runs and warm
+/// starts were prepared before the first timed point, so this times the
+/// campaign engine alone. The per-workload attack count is calibrated
+/// upward until the 1-thread point takes at least [`MIN_POINT_SECONDS`], so
+/// the sweep never degenerates into a thread-dispatch benchmark. Then every
+/// point is timed once per repeat, [`SWEEP_REPEATS`] times, interleaved;
+/// each row records the calibrated `attacks`, its median `seconds` and the
+/// median per-repeat speedup, so the curve is interpretable. On an N-core machine the sweep
 /// shows the near-linear speedup (bit-identical results at every point).
 /// `scripts/ci.sh` gates on every point of the resulting curve — see
 /// docs/PERF.md for the methodology.
-fn scaling_sweep(attacks: u32, default_threads: usize) -> Vec<Scaling> {
-    let workloads = ipds_workloads::all().len() as u64;
+fn scaling_sweep(targets: &[Target], attacks: u32, default_threads: usize) -> Vec<Scaling> {
+    let workloads = targets.len() as u64;
     let time_point = |attacks: u32, threads: usize| -> f64 {
         let start = Instant::now();
-        ipds_bench::fig7::run_threaded(attacks, 2006, 2006, None, threads);
+        ipds_bench::fig7::run(targets, attacks, 2006, None, threads);
         start.elapsed().as_secs_f64()
     };
 
@@ -351,8 +355,8 @@ struct FaultsSummary {
 }
 
 /// Runs one seeded fault campaign per workload (deterministic for any
-/// `threads`) and folds the results. Compiles and golden runs come from the
-/// shared artifact cache the earlier figures already populated.
+/// `threads`) and folds the results. Each campaign captures its own golden
+/// run.
 fn fault_campaigns(flips: u32, threads: usize) -> FaultsSummary {
     let mut summary = FaultsSummary {
         flips_per_site: flips,
@@ -366,12 +370,10 @@ fn fault_campaigns(flips: u32, threads: usize) -> FaultsSummary {
     };
     let mut latencies: Vec<u64> = Vec::new();
     for w in ipds_workloads::all() {
-        let art =
-            ipds_bench::artifacts::campaign_artifacts(&w, &ipds::Config::default(), false, 2006);
-        let (r, metrics) = art
+        let (r, metrics) = ipds_bench::compile(&w, &ipds::Config::default(), false)
             .protected
             .fault_spec()
-            .inputs(&art.inputs)
+            .inputs(&w.inputs(2006))
             .flips(flips)
             .seed(2006)
             .threads(threads)
@@ -432,37 +434,89 @@ fn fleet_phase(threads: usize) -> FleetSummary {
     }
 }
 
-/// One metered campaign, for the event-count section of the JSON (what the
-/// checker actually did, not how long it took).
-fn campaign_counters(attacks: u32, threads: usize) -> MetricsRegistry {
-    let w = ipds_workloads::all()
-        .into_iter()
-        .find(|w| w.name == "telnetd")
+/// One metered cold campaign against telnetd's Fig. 7 target, for the
+/// event-count section of the JSON (what the checker actually did, not how
+/// long it took).
+fn campaign_counters(targets: &[Target], attacks: u32, threads: usize) -> MetricsRegistry {
+    let t = targets
+        .iter()
+        .find(|t| t.workload.name == "telnetd")
         .expect("telnetd workload");
-    let art = ipds_bench::artifacts::campaign_artifacts(&w, &ipds::Config::default(), false, 2006);
-    art.protected
+    t.protected
         .campaign_spec()
-        .inputs(&art.inputs)
-        .golden(&art.golden, art.limits)
+        .inputs(&t.inputs)
+        .golden(&t.golden, t.limits)
         .attacks(attacks)
         .seed(0x0bed)
-        .model(w.vuln)
+        .model(t.workload.vuln)
         .threads(threads)
         .run_metered()
         .1
 }
 
+/// Compile record for one workload variant: table sizes, lint and refine
+/// counts and how hard the perfect-hash search worked.
+struct CompileReport {
+    /// Workload name.
+    workload: &'static str,
+    /// Whether the load-forwarding optimizer ran.
+    optimized: bool,
+    /// Analysis counters (branches, checked, BAT entries, hash retries).
+    counters: AnalysisCounters,
+    /// Serialized table-image size in bytes.
+    image_bytes: usize,
+    /// Encoded BAT size across all functions, in bytes (rounded up).
+    bat_bytes: usize,
+    /// `lint-tables` errors (always 0 for stock workloads; the build would
+    /// be rejected otherwise).
+    lint_errors: u64,
+    /// `lint-tables` warnings (dead-trigger diagnostics and the like).
+    lint_warnings: u64,
+    /// Directional BAT actions the interval refiner re-proved, measured on a
+    /// separate refine-enabled build whose tables are discarded.
+    refine_proved: u64,
+    /// Directional BAT actions the interval refiner demoted to `SET_UN` on
+    /// that same discarded build.
+    refine_demoted: u64,
+}
+
 /// Compile reports for every workload under the default config, both
-/// optimizer settings. The earlier figures already compiled all of
-/// these through the pass pipeline, so this only reads the artifact cache.
-fn compile_reports() -> Vec<Arc<CompileReport>> {
+/// optimizer settings.
+fn compile_reports() -> Vec<CompileReport> {
     let config = ipds::Config::default();
     let mut reports = Vec::new();
     for w in ipds_workloads::all() {
         for optimized in [false, true] {
-            reports.push(ipds_bench::artifacts::compile_report(
-                &w, &config, optimized,
-            ));
+            let build = ipds_bench::compile(&w, &config, optimized);
+            let lint = build.lint.as_ref().expect("lint was requested");
+            // The reported tables are the campaigns' tables, so the refiner
+            // runs on a second build: only its counters are kept.
+            let refine = ipds::Protected::build()
+                .analysis(config.clone())
+                .optimize(optimized)
+                .verify_tables(true)
+                .refine_correlations(true)
+                .from_program(w.program())
+                .unwrap_or_else(|e| panic!("{} failed to build refined: {e}", w.name))
+                .refine;
+            let bat_bits: usize = build
+                .protected
+                .analysis
+                .functions
+                .iter()
+                .map(|f| f.sizes.bat_bits)
+                .sum();
+            reports.push(CompileReport {
+                workload: w.name,
+                optimized,
+                counters: build.counters,
+                image_bytes: build.image.len(),
+                bat_bytes: bat_bits.div_ceil(8),
+                lint_errors: lint.error_count() as u64,
+                lint_warnings: lint.warning_count() as u64,
+                refine_proved: refine.proved,
+                refine_demoted: refine.demoted,
+            });
         }
     }
     reports
@@ -487,7 +541,7 @@ fn rows<T>(items: &[T], indent: &str, row: impl Fn(&T) -> String) -> String {
 fn campaign_json(
     attacks: u32,
     counters: &MetricsRegistry,
-    compiles: &[Arc<CompileReport>],
+    compiles: &[CompileReport],
     promotion: &[PromotionRow],
     feasibility: &[FeasibilityRow],
     faults: &FaultsSummary,
@@ -642,4 +696,23 @@ fn timing_json(threads: usize, scaling: &[Scaling]) -> String {
         )
     });
     format!("{{\n  \"threads\": {threads},\n  \"scaling\": [\n{scaling}\n  ]\n}}\n")
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn compile_reports_count_the_tables() {
+        let reports = super::compile_reports();
+        assert_eq!(reports.len(), 2 * ipds_workloads::all().len());
+        for r in &reports {
+            let variant = format!("{} optimized={}", r.workload, r.optimized);
+            assert!(r.counters.branches > 0, "{variant} has branches");
+            assert!(r.image_bytes > 0, "{variant}: image must be serialized");
+            assert_eq!(r.lint_errors, 0, "{variant}: stock workloads lint clean");
+            assert_eq!(
+                r.refine_demoted, 0,
+                "{variant}: stock directional actions are all interval-provable"
+            );
+        }
+    }
 }

@@ -27,12 +27,16 @@ pub struct ContextRow {
 /// state is each workload's whole-program footprint (a pessimistic "deep
 /// call chain" assumption) with the top frame being `main`'s tables.
 pub fn run(hw: &HwConfig) -> Vec<(String, Vec<ContextRow>)> {
-    let workloads = all();
+    let compiled: Vec<_> = all()
+        .iter()
+        .map(|w| {
+            let build = crate::compile(w, &ipds::Config::default(), false);
+            (w.name, build.protected)
+        })
+        .collect();
     let mut out = Vec::new();
-    for pair in workloads.windows(2) {
-        let (a, b) = (&pair[0], &pair[1]);
-        let fa = crate::artifacts::protected(a, &ipds::Config::default(), false);
-        let fb = crate::artifacts::protected(b, &ipds::Config::default(), false);
+    for pair in compiled.windows(2) {
+        let ((a, fa), (b, fb)) = (&pair[0], &pair[1]);
         let resident_a: usize = fa.analysis.functions.iter().map(|f| f.sizes.total()).sum();
         let resident_b: usize = fb.analysis.functions.iter().map(|f| f.sizes.total()).sum();
         let top_a = fa
@@ -49,7 +53,7 @@ pub fn run(hw: &HwConfig) -> Vec<(String, Vec<ContextRow>)> {
         let unprot = switch_to_unprotected();
 
         out.push((
-            format!("{} -> {}", a.name, b.name),
+            format!("{a} -> {b}"),
             vec![
                 ContextRow {
                     strategy: "full synchronous swap",

@@ -7,7 +7,53 @@
 //! detected. The paper measured 49.4% / 29.3% on average (⇒ 59.3% of
 //! control-flow-changing attacks detected).
 
-use ipds_workloads::all;
+use ipds::{GoldenRun, Protected, WarmStart};
+use ipds_sim::{AttackModel, ExecLimits, Input};
+use ipds_workloads::Workload;
+
+/// One workload prepared for Fig. 7 campaigns: compiled under the default
+/// analysis, with the golden run, campaign limits and warm start captured
+/// for one benign input script. None of it depends on the campaign
+/// parameters, so a driver that launches several campaigns (the figure,
+/// the contiguous-overflow extra, the thread-scaling sweep) prepares the
+/// targets once with [`targets`] and passes them to each [`run`].
+pub struct Target {
+    /// The server workload.
+    pub workload: Workload,
+    /// The compiled program plus its IPDS tables.
+    pub protected: Protected,
+    /// The benign input script the golden run consumed.
+    pub inputs: Vec<Input>,
+    /// The clean reference execution.
+    pub golden: GoldenRun,
+    /// Campaign limits derived from the golden run.
+    pub limits: ExecLimits,
+    /// Golden snapshots campaigns fast-forward from.
+    pub warm: WarmStart,
+}
+
+/// Prepares every server workload for campaigns against the benign traffic
+/// of `input_seed`: one compile, one golden run and one warm-start capture
+/// each.
+pub fn targets(input_seed: u64) -> Vec<Target> {
+    ipds_workloads::all()
+        .into_iter()
+        .map(|workload| {
+            let protected = crate::compile(&workload, &ipds::Config::default(), false).protected;
+            let inputs = workload.inputs(input_seed);
+            let (golden, limits) = protected.campaign_artifacts(&inputs);
+            let warm = protected.warm_start(&inputs, &golden, limits);
+            Target {
+                workload,
+                protected,
+                inputs,
+                golden,
+                limits,
+                warm,
+            }
+        })
+        .collect()
+}
 
 /// One bar pair of Fig. 7.
 #[derive(Debug, Clone)]
@@ -24,53 +70,45 @@ pub struct Fig7Row {
     pub detected_given_cf: f64,
 }
 
-/// Runs the Fig. 7 experiment.
+/// Runs the Fig. 7 experiment over prepared `targets`, one row each.
 ///
-/// `attacks` is per workload (paper: 100); `seed` controls the campaign,
-/// `input_seed` the benign traffic. Uses every available core — the
-/// campaign engine is bit-identical at every thread count, so the figure
-/// does not depend on it.
-pub fn run(attacks: u32, seed: u64, input_seed: u64) -> Vec<Fig7Row> {
-    run_threaded(attacks, seed, input_seed, None, ipds_sim::default_threads())
-}
-
-/// The fully parameterized driver behind [`run`]: explicit attack model
-/// override (the contiguous-overflow comparison, the block-smash shape §6
-/// says real overflows take before the paper refines to single locations)
-/// and worker-thread count. Compiles and golden-runs each workload at most
-/// once per process via the [`crate::artifacts`] cache.
-pub fn run_threaded(
+/// `attacks` is per workload (paper: 100) and `seed` controls the
+/// campaign. `model` overrides every workload's own attack model (the
+/// contiguous-overflow comparison: the block-smash shape §6 says real
+/// overflows take before the paper refines to single locations). The
+/// campaign engine is bit-identical at every `threads`, so the figure does
+/// not depend on it.
+pub fn run(
+    targets: &[Target],
     attacks: u32,
     seed: u64,
-    input_seed: u64,
-    model: Option<ipds_sim::AttackModel>,
+    model: Option<AttackModel>,
     threads: usize,
 ) -> Vec<Fig7Row> {
-    let mut rows = Vec::new();
-    for w in all() {
-        let art =
-            crate::artifacts::campaign_artifacts(&w, &ipds::Config::default(), false, input_seed);
-        let warm = crate::artifacts::warm_start(&w, &ipds::Config::default(), false, input_seed);
-        let r = art
-            .protected
-            .campaign_spec()
-            .inputs(&art.inputs)
-            .golden(&art.golden, art.limits)
-            .warm_start(&warm)
-            .attacks(attacks)
-            .seed(seed ^ w.name.len() as u64)
-            .model(model.unwrap_or(w.vuln))
-            .threads(threads)
-            .run();
-        rows.push(Fig7Row {
-            name: w.name,
-            attacks,
-            cf_changed_rate: r.cf_changed_rate(),
-            detected_rate: r.detected_rate(),
-            detected_given_cf: r.detected_given_cf(),
-        });
-    }
-    rows
+    targets
+        .iter()
+        .map(|t| {
+            let w = &t.workload;
+            let r = t
+                .protected
+                .campaign_spec()
+                .inputs(&t.inputs)
+                .golden(&t.golden, t.limits)
+                .warm_start(&t.warm)
+                .attacks(attacks)
+                .seed(seed ^ w.name.len() as u64)
+                .model(model.unwrap_or(w.vuln))
+                .threads(threads)
+                .run();
+            Fig7Row {
+                name: w.name,
+                attacks,
+                cf_changed_rate: r.cf_changed_rate(),
+                detected_rate: r.detected_rate(),
+                detected_given_cf: r.detected_given_cf(),
+            }
+        })
+        .collect()
 }
 
 /// Averages across workloads (the paper's summary sentence).
@@ -119,7 +157,7 @@ mod tests {
 
     #[test]
     fn small_fig7_run_has_sane_shape() {
-        let rows = run(20, 1, 1);
+        let rows = run(&targets(1), 20, 1, None, ipds_sim::default_threads());
         assert_eq!(rows.len(), 10);
         for r in &rows {
             assert!(r.detected_rate <= r.cf_changed_rate + 1e-9, "{r:?}");
@@ -131,16 +169,47 @@ mod tests {
         assert!(det < cf, "IPDS cannot catch every cf change");
     }
 
+    /// The prepared golden run, limits and warm start change nothing: at 1
+    /// and 3 threads, every row equals a fresh compile's campaign that
+    /// captures its own golden run and starts every attack cold.
     #[test]
-    fn thread_count_does_not_change_the_figure() {
-        let serial = run_threaded(12, 2, 2, None, 1);
-        let par = run_threaded(12, 2, 2, None, 4);
-        assert_eq!(serial.len(), par.len());
-        for (a, b) in serial.iter().zip(&par) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.cf_changed_rate.to_bits(), b.cf_changed_rate.to_bits());
-            assert_eq!(a.detected_rate.to_bits(), b.detected_rate.to_bits());
-            assert_eq!(a.detected_given_cf.to_bits(), b.detected_given_cf.to_bits());
+    fn prepared_targets_reproduce_direct_campaigns() {
+        let prepared = targets(3);
+        let direct: Vec<_> = prepared
+            .iter()
+            .map(|t| {
+                let w = &t.workload;
+                crate::compile(w, &ipds::Config::default(), false)
+                    .protected
+                    .campaign_spec()
+                    .inputs(&w.inputs(3))
+                    .attacks(12)
+                    .seed(9 ^ w.name.len() as u64)
+                    .model(w.vuln)
+                    .run()
+            })
+            .collect();
+        for threads in [1, 3] {
+            let rows = run(&prepared, 12, 9, None, threads);
+            assert_eq!(rows.len(), direct.len());
+            for (row, r) in rows.iter().zip(&direct) {
+                let got = [
+                    row.cf_changed_rate,
+                    row.detected_rate,
+                    row.detected_given_cf,
+                ];
+                let want = [
+                    r.cf_changed_rate(),
+                    r.detected_rate(),
+                    r.detected_given_cf(),
+                ];
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{} at {threads} threads",
+                    row.name
+                );
+            }
         }
     }
 }

@@ -20,7 +20,7 @@ pub struct Fig8Result {
 pub fn run() -> Fig8Result {
     let mut rows = Vec::new();
     for w in all() {
-        let protected = crate::artifacts::protected(&w, &ipds::Config::default(), false);
+        let protected = crate::compile(&w, &ipds::Config::default(), false).protected;
         rows.push((w.name, protected.size_stats()));
     }
     let merged = SizeStats::merge(&rows.iter().map(|(_, s)| *s).collect::<Vec<_>>());

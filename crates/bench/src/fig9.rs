@@ -5,7 +5,9 @@
 //! 0.79%; the shape to reproduce is "negligible, always ≥ 1.0×, worst cases
 //! from spill traffic and queue pressure".
 
+use ipds::Protected;
 use ipds_runtime::HwConfig;
+use ipds_sim::Input;
 use ipds_workloads::all;
 
 /// One bar of Fig. 9.
@@ -29,28 +31,37 @@ pub struct Fig9Row {
 
 /// Runs the Fig. 9 experiment with the given hardware config.
 pub fn run(hw: &HwConfig, input_seed: u64) -> Vec<Fig9Row> {
-    let mut rows = Vec::new();
-    for w in all() {
-        let protected = crate::artifacts::protected(&w, &ipds::Config::default(), false);
-        let inputs = w.inputs(input_seed);
-        let base = protected.timed_baseline(&inputs, hw);
-        let with = protected.timed(&inputs, hw);
-        assert_eq!(
-            base.instructions, with.instructions,
-            "{}: timing must not change function",
-            w.name
-        );
-        rows.push(Fig9Row {
-            name: w.name,
-            base_cycles: base.cycles,
-            ipds_cycles: with.cycles,
-            normalized: with.cycles as f64 / base.cycles.max(1) as f64,
-            instructions: base.instructions,
-            stall_cycles: with.ipds_stall_cycles,
-            spills: with.spills,
-        });
+    all()
+        .iter()
+        .map(|w| {
+            let protected = crate::compile(w, &ipds::Config::default(), false).protected;
+            measure(w.name, &protected, &w.inputs(input_seed), hw)
+        })
+        .collect()
+}
+
+/// Times one compiled workload under `hw`, without and with the IPDS unit.
+pub fn measure(
+    name: &'static str,
+    protected: &Protected,
+    inputs: &[Input],
+    hw: &HwConfig,
+) -> Fig9Row {
+    let base = protected.timed_baseline(inputs, hw);
+    let with = protected.timed(inputs, hw);
+    assert_eq!(
+        base.instructions, with.instructions,
+        "{name}: timing must not change function"
+    );
+    Fig9Row {
+        name,
+        base_cycles: base.cycles,
+        ipds_cycles: with.cycles,
+        normalized: with.cycles as f64 / base.cycles.max(1) as f64,
+        instructions: base.instructions,
+        stall_cycles: with.ipds_stall_cycles,
+        spills: with.spills,
     }
-    rows
 }
 
 /// Mean normalized performance across workloads.

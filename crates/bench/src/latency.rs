@@ -28,7 +28,7 @@ pub struct LatencyRow {
 pub fn run(hw: &HwConfig, input_seed: u64) -> Vec<LatencyRow> {
     let mut rows = Vec::new();
     for w in all() {
-        let protected = crate::artifacts::protected(&w, &ipds::Config::default(), false);
+        let protected = crate::compile(&w, &ipds::Config::default(), false).protected;
         let inputs = w.inputs(input_seed);
         let report = protected.timed(&inputs, hw);
         rows.push(LatencyRow {

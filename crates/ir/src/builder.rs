@@ -1,10 +1,10 @@
 //! Programmatic construction of IR functions.
 //!
-//! Tests, microbenchmarks and the random program generator in
-//! `ipds-workloads` build IR directly instead of going through MiniC. The
-//! builder hands out fresh registers and blocks and enforces the
-//! single-static-definition discipline on `finish` (via the verifier when
-//! assembled into a program).
+//! Tests that need an exact CFG shape build IR directly instead of going
+//! through MiniC; workloads, microbenchmarks and the random program
+//! generator are all MiniC source. The builder hands out fresh registers
+//! and blocks and enforces the single-static-definition discipline on
+//! `finish` (via the verifier when assembled into a program).
 //!
 //! # Example
 //!
@@ -92,15 +92,6 @@ impl FunctionBuilder {
         id
     }
 
-    /// Declares an array local of `size` cells and returns its id.
-    pub fn add_array(&mut self, name: impl Into<String>, size: u32) -> VarId {
-        let id = VarId::local(self.func.vars.len() as u32);
-        self.func
-            .vars
-            .push(Variable::array(name, VarKind::Local, size));
-        id
-    }
-
     fn fresh(&mut self) -> Reg {
         let r = Reg(self.func.next_reg);
         self.func.next_reg += 1;
@@ -136,42 +127,6 @@ impl FunctionBuilder {
         });
     }
 
-    /// Emits an indexed load `base[index]`.
-    pub fn load_elem(&mut self, base: VarId, index: Operand) -> Reg {
-        let dst = self.fresh();
-        self.push(Inst::Load {
-            dst,
-            addr: Address::Element { base, index },
-        });
-        dst
-    }
-
-    /// Emits an indexed store `base[index] = src`.
-    pub fn store_elem(&mut self, base: VarId, index: Operand, src: Operand) {
-        self.push(Inst::Store {
-            addr: Address::Element { base, index },
-            src,
-        });
-    }
-
-    /// Emits a load through a pointer register.
-    pub fn load_ptr(&mut self, ptr: Reg, offset: i64) -> Reg {
-        let dst = self.fresh();
-        self.push(Inst::Load {
-            dst,
-            addr: Address::Ptr { reg: ptr, offset },
-        });
-        dst
-    }
-
-    /// Emits a store through a pointer register.
-    pub fn store_ptr(&mut self, ptr: Reg, offset: i64, src: Operand) {
-        self.push(Inst::Store {
-            addr: Address::Ptr { reg: ptr, offset },
-            src,
-        });
-    }
-
     /// Emits `dst = &base[offset]`.
     pub fn addr_of(&mut self, base: VarId, offset: Operand) -> Reg {
         let dst = self.fresh();
@@ -194,22 +149,6 @@ impl FunctionBuilder {
             pred,
             lhs,
             rhs,
-        });
-        dst
-    }
-
-    /// Emits a call to a user function.
-    pub fn call_direct(
-        &mut self,
-        callee: FuncId,
-        args: Vec<Operand>,
-        want_result: bool,
-    ) -> Option<Reg> {
-        let dst = want_result.then(|| self.fresh());
-        self.push(Inst::Call {
-            dst,
-            callee: Callee::Direct(callee),
-            args,
         });
         dst
     }
@@ -247,12 +186,6 @@ impl FunctionBuilder {
     /// Finishes and returns the function (id/pc assignment are the program
     /// assembler's job; defaults are `FuncId(0)` / `0x1000`).
     pub fn finish(self) -> Function {
-        self.func
-    }
-
-    /// Finishes with an explicit function id.
-    pub fn finish_with_id(mut self, id: FuncId) -> Function {
-        self.func.id = id;
         self.func
     }
 }

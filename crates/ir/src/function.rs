@@ -136,11 +136,6 @@ impl Variable {
             init: Vec::new(),
         }
     }
-
-    /// True if this is a single-cell scalar.
-    pub fn is_scalar(&self) -> bool {
-        self.size == 1
-    }
 }
 
 /// A basic block terminator.

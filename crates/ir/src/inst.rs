@@ -43,14 +43,6 @@ impl Operand {
             Operand::Imm(_) => None,
         }
     }
-
-    /// Returns the immediate value if this operand is one.
-    pub fn as_imm(&self) -> Option<i64> {
-        match self {
-            Operand::Reg(_) => None,
-            Operand::Imm(v) => Some(*v),
-        }
-    }
 }
 
 impl From<Reg> for Operand {

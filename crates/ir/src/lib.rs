@@ -15,7 +15,7 @@
 //!   attacker tampers memory, registers are only transiently live.
 //! * **Lowering** from the AST to the IR ([`lower`]), a structural
 //!   [`verify`]-er, a [`pretty`] printer, and a programmatic
-//!   [`builder::FunctionBuilder`] used by tests and the workload generators.
+//!   [`builder::FunctionBuilder`] used by tests that need an exact CFG.
 //! * CFG utilities ([`mod@cfg`]): predecessors, reverse post-order, dominators.
 //!
 //! ## Example

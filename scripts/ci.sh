@@ -15,6 +15,16 @@ for crate in ipds-ir ipds-analysis ipds-dataflow ipds-absint; do
     cargo clippy -p "$crate" --all-targets -- -D warnings
 done
 
+echo "==> no process-global mutable state in library or binary sources"
+# Every cache or counter is owned by the caller that builds it: no
+# OnceLock/LazyLock, thread_local!, static mut, or static Mutex/RwLock/atomic.
+global_state='OnceLock|LazyLock|thread_local!|static mut |static [A-Za-z_0-9]+ *: *[^=]*(Mutex|RwLock|Atomic)'
+if grep -rnE "$global_state" crates/*/src; then
+    echo "process-global mutable state found (above)" >&2
+    exit 1
+fi
+echo "no process-global mutable state"
+
 echo "==> rustdoc (deny warnings: no broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 

@@ -23,7 +23,8 @@ fn fig8_table_sizes_band() {
 fn fig7_detection_band() {
     // 30 attacks per workload keeps this quick in debug; bands are wide
     // accordingly.
-    let rows = ipds_bench::fig7::run(30, 2006, 2006);
+    let targets = ipds_bench::fig7::targets(2006);
+    let rows = ipds_bench::fig7::run(&targets, 30, 2006, None, ipds_sim::default_threads());
     let (cf, det, given) = ipds_bench::fig7::averages(&rows);
     assert!(cf > 0.15 && cf < 0.65, "cf-changed {cf}");
     assert!(det > 0.03 && det < 0.40, "detected {det}");
@@ -69,8 +70,9 @@ fn context_switch_band() {
 
 #[test]
 fn experiments_are_deterministic() {
-    let a = ipds_bench::fig7::run(15, 7, 7);
-    let b = ipds_bench::fig7::run(15, 7, 7);
+    let threads = ipds_sim::default_threads();
+    let a = ipds_bench::fig7::run(&ipds_bench::fig7::targets(7), 15, 7, None, threads);
+    let b = ipds_bench::fig7::run(&ipds_bench::fig7::targets(7), 15, 7, None, threads);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.cf_changed_rate, y.cf_changed_rate, "{}", x.name);
         assert_eq!(x.detected_rate, y.detected_rate, "{}", x.name);
