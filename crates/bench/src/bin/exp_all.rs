@@ -370,23 +370,23 @@ fn fault_campaigns(flips: u32, threads: usize) -> FaultsSummary {
     };
     let mut latencies: Vec<u64> = Vec::new();
     for w in ipds_workloads::all() {
-        let (r, metrics) = ipds_bench::compile(&w, &ipds::Config::default(), false)
+        let r = ipds_bench::compile(&w, &ipds::Config::default(), false)
             .protected
             .fault_spec()
             .inputs(&w.inputs(2006))
             .flips(flips)
             .seed(2006)
             .threads(threads)
-            .run_metered();
+            .run();
         summary.injected += u64::from(r.injected);
         summary.detected += u64::from(r.detected);
         summary.masked += u64::from(r.masked);
         summary.crashed += u64::from(r.crashed);
         summary.image_undetected += u64::from(r.image_undetected);
-        latencies.extend_from_slice(&r.latencies);
-        if let Some(h) = metrics.histogram("faults.detect_latency_branches") {
-            summary.latency.merge(h);
+        for &l in &r.latencies {
+            summary.latency.observe(l);
         }
+        latencies.extend_from_slice(&r.latencies);
     }
     latencies.sort_unstable();
     summary.p50 = latencies.get(latencies.len() / 2).copied().unwrap_or(0);
@@ -450,8 +450,8 @@ fn campaign_counters(targets: &[Target], attacks: u32, threads: usize) -> Metric
         .seed(0x0bed)
         .model(t.workload.vuln)
         .threads(threads)
-        .run_metered()
-        .1
+        .run()
+        .metrics
 }
 
 /// Compile record for one workload variant: table sizes, lint and refine

@@ -46,8 +46,9 @@
 //! }
 //! ```
 //!
-//! To see what the checker did, read a run's [`RunReport::stats`] or a
-//! campaign's `checker.*` counters from [`CampaignSpec::run_metered`]; to
+//! To see what the checker did, read a run's [`RunReport::stats`] or the
+//! `checker.*` counters in a campaign result's
+//! [`metrics`](CampaignResult::metrics); to
 //! stream one run's per-branch records, attach an [`EventSink`] with
 //! [`RunSession::sink`] — see `docs/OBSERVABILITY.md`:
 //!
@@ -62,13 +63,13 @@
 //! let report = protected.session().inputs(&[Input::Int(1)]).run().unwrap();
 //! assert!(report.stats.branches > 0);
 //!
-//! let (_, metrics) = protected
+//! let campaign = protected
 //!     .campaign_spec()
 //!     .inputs(&[Input::Int(1)])
 //!     .attacks(8)
-//!     .run_metered();
-//! assert_eq!(metrics.counter("campaign.attacks"), 8);
-//! assert!(metrics.counter("checker.branches") > 0);
+//!     .run();
+//! assert_eq!(campaign.metrics.counter("campaign.attacks"), 8);
+//! assert!(campaign.metrics.counter("checker.branches") > 0);
 //! ```
 
 use std::fmt;
@@ -465,8 +466,7 @@ impl Protected {
     ) -> RunReport {
         let mut interp = Interp::new(&self.program, inputs.to_vec(), limits);
         let mut obs = IpdsObserver::with_sink(IpdsChecker::new(&self.analysis), sink);
-        obs.checker
-            .on_call(self.program.main().expect("main required").id);
+        obs.checker.on_call(interp.main());
         if let Some((trigger_step, var, value)) = tamper {
             interp.run_steps(trigger_step, &mut obs);
             // Tampering is a no-op when the program already finished (the
@@ -792,7 +792,13 @@ impl<'a> CampaignSpec<'a> {
         self
     }
 
-    /// Runs the campaign.
+    /// Runs the campaign. The result's
+    /// [`metrics`](CampaignResult::metrics) hold the `campaign.*` attack
+    /// counters, the step and detection-lag histograms and the checker's
+    /// summed `checker.*` work, folded from the seed-ordered outcomes with
+    /// the typed figures by [`ipds_sim::attack::aggregate`]. The whole
+    /// result is bit-identical for every thread count (see
+    /// `docs/PERF.md`).
     ///
     /// # Panics
     ///
@@ -800,20 +806,6 @@ impl<'a> CampaignSpec<'a> {
     /// campaign over a crashing victim is meaningless) or a worker thread
     /// panics.
     pub fn run(&self) -> CampaignResult {
-        self.run_metered().0
-    }
-
-    /// Runs the campaign and returns its metrics — `campaign.*` attack
-    /// counters, step and detection-lag histograms, and the checker's
-    /// summed `checker.*` work, folded from the seed-ordered outcomes by
-    /// [`ipds_sim::campaign_metrics`] — alongside the result. Both are
-    /// bit-identical for every thread count (see `docs/PERF.md`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program has no `main`, the golden run faults or a
-    /// worker thread panics.
-    pub fn run_metered(&self) -> (CampaignResult, MetricsRegistry) {
         match self.golden {
             Some((golden, limits)) => self.run_against(golden, limits),
             None => {
@@ -823,11 +815,7 @@ impl<'a> CampaignSpec<'a> {
         }
     }
 
-    fn run_against(
-        &self,
-        golden: &GoldenRun,
-        limits: ExecLimits,
-    ) -> (CampaignResult, MetricsRegistry) {
+    fn run_against(&self, golden: &GoldenRun, limits: ExecLimits) -> CampaignResult {
         let campaign = Campaign {
             attacks: self.attacks,
             seed: self.seed,
@@ -900,26 +888,18 @@ impl<'a> FaultSpec<'a> {
         self
     }
 
-    /// Runs the campaign.
+    /// Runs the campaign. The result's
+    /// [`metrics`](FaultCampaignResult::metrics) hold the `faults.*`
+    /// counters and the detection-latency histogram, folded from the
+    /// index-ordered outcomes with the typed tallies by
+    /// [`ipds_sim::faults::aggregate_faults`]. The whole result is
+    /// bit-identical for every thread count.
     ///
     /// # Panics
     ///
     /// Panics if the program has no `main`, the golden run faults or a
     /// worker thread panics.
     pub fn run(&self) -> FaultCampaignResult {
-        self.run_metered().0
-    }
-
-    /// Runs the campaign and returns its `faults.*` metrics (counters plus
-    /// the detection-latency histogram, folded from the index-ordered
-    /// outcomes by [`ipds_sim::fault_metrics`]) alongside the result. Both
-    /// are bit-identical for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program has no `main`, the golden run faults or a
-    /// worker thread panics.
-    pub fn run_metered(&self) -> (FaultCampaignResult, MetricsRegistry) {
         let image = TableImage::build(&self.protected.analysis);
         let (golden, limits) = self.protected.campaign_artifacts(self.inputs);
         let campaign = FaultCampaign {

@@ -9,8 +9,8 @@ use ipds_runtime::{GuestEvent, IpdsStats};
 use ipds_telemetry::MetricsRegistry;
 
 use crate::cache::WorkloadArtifact;
-use crate::incident::{correlate, Incident, IncidentKind, RootCause};
-use crate::pool::{SessionPool, SessionPoolStats, SessionState};
+use crate::incident::{correlate, Incident, IncidentKind, RootCause, MIN_CLUSTER};
+use crate::pool::{SessionPool, SessionState};
 use crate::ServiceError;
 
 /// Buffered events, summed over all sessions, that trigger a flush: 64Ki,
@@ -53,8 +53,6 @@ pub struct ServiceReport {
     /// The `service.*` / `fleet.*` counters and histograms (see
     /// `docs/SERVICE.md` for the canonical table).
     pub metrics: MetricsRegistry,
-    /// The session pool's traffic.
-    pub pool: SessionPoolStats,
 }
 
 /// An open session: its pooled checker state and the batches submitted
@@ -91,9 +89,6 @@ pub struct Service<'a> {
     buffered: usize,
     summaries: Vec<SessionSummary>,
     metrics: MetricsRegistry,
-    /// Minimum same-PC cluster size the correlation stage folds into a
-    /// [`RootCause::HotMemoryRegion`] (default 3).
-    pub min_cluster: usize,
     closed: u64,
     batches: u64,
     events: u64,
@@ -119,7 +114,6 @@ impl<'a> Service<'a> {
             buffered: 0,
             summaries: Vec::new(),
             metrics: MetricsRegistry::new(),
-            min_cluster: 3,
             closed: 0,
             batches: 0,
             events: 0,
@@ -277,7 +271,7 @@ impl<'a> Service<'a> {
             .iter()
             .flat_map(|s| s.incidents.iter().cloned())
             .collect();
-        let root_causes = correlate(&incidents, self.min_cluster);
+        let root_causes = correlate(&incidents, MIN_CLUSTER);
         let pool = self.pool.stats();
         let mut metrics = self.metrics;
         // Every accepted open is one checkout, and the pool's high water is
@@ -311,7 +305,6 @@ impl<'a> Service<'a> {
             incidents,
             root_causes,
             metrics,
-            pool,
         }
     }
 }

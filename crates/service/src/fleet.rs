@@ -7,16 +7,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ipds_analysis::{analyze_program, AnalysisConfig, BranchStatus, ProgramAnalysis, TableImage};
-use ipds_ir::{FuncId, Program};
+use ipds_ir::Program;
 use ipds_runtime::{GuestEvent, IpdsChecker};
-use ipds_sim::rng::StdRng;
+use ipds_sim::rng::{split_seed, StdRng};
 use ipds_sim::{EventRecorder, ExecLimits, ExecStatus, Input, Interp};
 use ipds_telemetry::MetricsRegistry;
 use ipds_workloads::Workload;
 
 use crate::cache::ImageCache;
 use crate::engine::{Service, SessionSummary};
-use crate::incident::{correlate, Incident, IncidentKind, RootCause};
+use crate::incident::{correlate, Incident, IncidentKind, RootCause, MIN_CLUSTER};
 use crate::pool::SessionState;
 
 /// Candidate schedules tried per injection before giving up (every try is
@@ -42,7 +42,6 @@ pub struct ServiceSpec {
     threads: usize,
     seed: u64,
     window: usize,
-    min_cluster: usize,
 }
 
 impl Default for ServiceSpec {
@@ -54,7 +53,6 @@ impl Default for ServiceSpec {
             threads: ipds_sim::default_threads(),
             seed: 0x1bd5,
             window: 16,
-            min_cluster: 3,
         }
     }
 }
@@ -110,13 +108,6 @@ impl ServiceSpec {
         self
     }
 
-    /// Minimum same-PC cluster the correlation stage calls a hot region
-    /// (default 3).
-    pub fn min_cluster(mut self, min_cluster: usize) -> Self {
-        self.min_cluster = min_cluster.max(1);
-        self
-    }
-
     /// Builds the deterministic fleet plan: compiles the workloads, picks
     /// the injection roles, generates and shadow-validates every session
     /// stream. Expensive (it interprets every session once) — tests that
@@ -151,7 +142,6 @@ pub struct FleetPlan {
     expected_causes: Vec<RootCause>,
     batch: usize,
     window: usize,
-    min_cluster: usize,
 }
 
 /// The worker-count-invariant projection of a fleet run — what the
@@ -198,11 +188,6 @@ impl FleetReport {
     }
 }
 
-/// Per-tag seed derivation, mirroring `attack_seed`/`fault_seed`.
-fn derive(seed: u64, tag: u64) -> u64 {
-    seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(tag.wrapping_add(1))
-}
-
 /// Tag spaces keeping every derived stream disjoint.
 const TAG_INPUTS: u64 = 0x20_0000;
 const TAG_HOT: u64 = 0x30_0000;
@@ -214,7 +199,6 @@ const TAG_IMAGE: u64 = 0x60_0000;
 struct CompiledWorkload {
     name: String,
     program: Program,
-    main: FuncId,
     analysis: ProgramAnalysis,
 }
 
@@ -230,7 +214,7 @@ fn shadow(analysis: &ProgramAnalysis, events: &[GuestEvent]) -> IpdsChecker {
 /// its committed stream and step count.
 fn clean_run(cw: &CompiledWorkload, inputs: &[Input]) -> (Vec<GuestEvent>, u64) {
     let mut interp = Interp::new(&cw.program, inputs.to_vec(), ExecLimits::default());
-    let mut rec = EventRecorder::new(cw.main);
+    let mut rec = EventRecorder::new(interp.main());
     let status = interp.run(&mut rec);
     assert!(
         matches!(status, ExecStatus::Exited(_)),
@@ -253,10 +237,10 @@ fn detected_mem_stream(
     let limits = ExecLimits::campaign(golden_steps);
     let mut interp = Interp::new(&cw.program, inputs.to_vec(), limits);
     for k in 0..SEARCH_TRIES {
-        let mut rng = StdRng::seed_from_u64(derive(seed, k));
+        let mut rng = StdRng::seed_from_u64(split_seed(seed, k));
         let trigger = rng.gen_range(1..golden_steps.max(2));
         interp.reset(inputs.iter().cloned());
-        let mut rec = EventRecorder::new(cw.main);
+        let mut rec = EventRecorder::new(interp.main());
         interp.run_steps(trigger, &mut rec);
         if *interp.status() != ExecStatus::Running {
             continue;
@@ -284,7 +268,7 @@ fn detected_mem_stream(
 /// chosen to contradict the slot's current expectation.
 fn detected_bsv_stream(cw: &CompiledWorkload, clean: &[GuestEvent], seed: u64) -> Vec<GuestEvent> {
     for k in 0..SEARCH_TRIES {
-        let mut rng = StdRng::seed_from_u64(derive(seed, k));
+        let mut rng = StdRng::seed_from_u64(split_seed(seed, k));
         if clean.len() < 2 {
             break;
         }
@@ -318,7 +302,7 @@ fn detected_bsv_stream(cw: &CompiledWorkload, clean: &[GuestEvent], seed: u64) -
 fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
     let w = &spec.workloads;
     assert!(!w.is_empty(), "fleet needs at least one workload");
-    let mut rng = StdRng::seed_from_u64(derive(spec.seed, 0));
+    let mut rng = StdRng::seed_from_u64(split_seed(spec.seed, 0));
     let compiled: Vec<CompiledWorkload> = w
         .iter()
         .map(|wl| {
@@ -326,7 +310,6 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
             let analysis = analyze_program(&program, &AnalysisConfig::default());
             CompiledWorkload {
                 name: wl.name.to_string(),
-                main: program.main().expect("workload defines main").id,
                 program,
                 analysis,
             }
@@ -359,7 +342,7 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
     // that loops cannot drag the plan out).
     let session_inputs = |s: usize| {
         let wl = &w[s % w.len()];
-        wl.inputs(derive(spec.seed, TAG_INPUTS + s as u64))
+        wl.inputs(split_seed(spec.seed, TAG_INPUTS + s as u64))
     };
 
     // The hot workload's sessions all replay the *same* tampered stream —
@@ -367,13 +350,13 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
     // same PC.
     let hot_stream: Option<Arc<Vec<GuestEvent>>> = hot_victim.map(|hv| {
         let cw = &compiled[hv];
-        let inputs = w[hv].inputs(derive(spec.seed, TAG_HOT));
+        let inputs = w[hv].inputs(split_seed(spec.seed, TAG_HOT));
         let (_, steps) = clean_run(cw, &inputs);
         Arc::new(detected_mem_stream(
             cw,
             &inputs,
             steps,
-            derive(spec.seed, TAG_HOT + 1),
+            split_seed(spec.seed, TAG_HOT + 1),
         ))
     });
 
@@ -393,13 +376,13 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
                     cw,
                     &inputs,
                     steps,
-                    derive(spec.seed, TAG_MEM + s as u64),
+                    split_seed(spec.seed, TAG_MEM + s as u64),
                 ))
             } else if bsv_session == Some(s) {
                 Arc::new(detected_bsv_stream(
                     cw,
                     &clean,
-                    derive(spec.seed, TAG_BSV + s as u64),
+                    split_seed(spec.seed, TAG_BSV + s as u64),
                 ))
             } else {
                 Arc::new(clean)
@@ -422,7 +405,7 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
             if Some(wi) == image_victim {
                 let mut bytes = image.as_bytes().to_vec();
                 let payload = image.payload_offset().expect("built image has a header");
-                let mut rng = StdRng::seed_from_u64(derive(spec.seed, TAG_IMAGE));
+                let mut rng = StdRng::seed_from_u64(split_seed(spec.seed, TAG_IMAGE));
                 let off = (payload + rng.gen_range(0..(bytes.len() - payload).max(1)))
                     .min(bytes.len() - 1);
                 bytes[off] ^= 1u8 << rng.gen_range(0..8);
@@ -457,7 +440,7 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
             ..inc.clone()
         }));
     }
-    let expected_causes = correlate(&expected_incidents, spec.min_cluster);
+    let expected_causes = correlate(&expected_incidents, MIN_CLUSTER);
 
     FleetPlan {
         images,
@@ -466,7 +449,6 @@ fn plan_fleet(spec: &ServiceSpec) -> FleetPlan {
         expected_causes,
         batch: spec.batch,
         window: spec.window,
-        min_cluster: spec.min_cluster,
     }
 }
 
@@ -493,7 +475,6 @@ impl FleetPlan {
         }
         let started = Instant::now();
         let mut service = Service::start(&artifacts, threads);
-        service.min_cluster = self.min_cluster;
         let mut s = 0;
         while s < self.scripts.len() {
             let end = (s + self.window).min(self.scripts.len());

@@ -108,6 +108,10 @@ impl fmt::Display for RootCause {
     }
 }
 
+/// The same-PC cluster size at which the service's correlation stage calls
+/// a group of alarming sessions a [`RootCause::HotMemoryRegion`].
+pub(crate) const MIN_CLUSTER: usize = 3;
+
 /// Folds concurrent incidents into fleet-level root causes.
 ///
 /// Rules, in order:

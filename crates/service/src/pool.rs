@@ -14,8 +14,6 @@ pub struct SessionPoolStats {
     pub checkouts: u64,
     /// Checkouts served from the free list — no fresh checker was built.
     pub reuses: u64,
-    /// Sessions returned to the free list on close.
-    pub recycled: u64,
     /// Most sessions simultaneously checked out.
     pub high_water: u64,
 }
@@ -187,7 +185,6 @@ impl<'a> SessionPool<'a> {
     /// Returns closed session state to the free list (arenas kept).
     pub fn recycle(&mut self, state: SessionState) {
         self.live = self.live.saturating_sub(1);
-        self.stats.recycled += 1;
         self.free[state.workload].push(state);
     }
 

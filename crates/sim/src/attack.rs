@@ -20,12 +20,13 @@ use ipds_telemetry::MetricsRegistry;
 
 use crate::interp::{ExecLimits, ExecStatus, Input, Interp, InterpSnapshot};
 use crate::observer::{BranchTrace, IpdsObserver, Tee};
-use crate::rng::StdRng;
+use crate::rng::{split_seed, StdRng};
 use ipds_runtime::CheckerSnapshot;
 
 /// The canonical `campaign.*` counter list. docs/OBSERVABILITY.md documents
-/// exactly these keys, and every [`campaign_metrics`] registry holds exactly
-/// this set plus the `checker.*` keys (enforced by `tests/docs_metrics.rs`).
+/// exactly these keys, and every [`CampaignResult::metrics`] registry holds
+/// exactly this set plus the `checker.*` keys (enforced by
+/// `tests/docs_metrics.rs`).
 pub const CAMPAIGN_COUNTERS: &[&str] = &[
     "campaign.attacks",
     "campaign.attacks_tampered",
@@ -88,6 +89,9 @@ pub struct CampaignResult {
     pub detected: u32,
     /// Mean semantic detection lag in branches (over detected attacks).
     pub mean_lag_branches: f64,
+    /// The same fold's named metrics: the [`CAMPAIGN_COUNTERS`], the
+    /// [`CAMPAIGN_HISTOGRAMS`] and the summed `checker.*` work.
+    pub metrics: MetricsRegistry,
 }
 
 impl CampaignResult {
@@ -269,11 +273,10 @@ impl WarmStart {
         golden_steps: u64,
         limits: ExecLimits,
     ) -> WarmStart {
-        let main = program.main().expect("program must define `main`").id;
         let interval = WarmStart::interval(golden_steps);
         let mut interp = Interp::new(program, inputs.to_vec(), limits);
         let mut ipds = IpdsObserver::new(IpdsChecker::new(analysis));
-        ipds.checker.on_call(main);
+        ipds.checker.on_call(interp.main());
         let mut trace = BranchTrace::default();
         let mut reads = ReadSetRecorder::default();
         let mut snaps = Vec::new();
@@ -348,7 +351,6 @@ impl WarmStart {
 pub struct AttackRunner<'a> {
     inputs: &'a [Input],
     golden: &'a [(u64, bool)],
-    main: ipds_ir::FuncId,
     interp: Interp,
     ipds: IpdsObserver,
     trace: BranchTrace,
@@ -371,7 +373,6 @@ impl<'a> AttackRunner<'a> {
         AttackRunner {
             inputs,
             golden,
-            main: program.main().expect("program must define `main`").id,
             interp: Interp::new(program, inputs.to_vec(), limits),
             ipds: IpdsObserver::new(IpdsChecker::new(analysis)),
             trace: BranchTrace::default(),
@@ -414,7 +415,7 @@ impl<'a> AttackRunner<'a> {
             self.ipds.checker.reset();
             // Mirror the interpreter's startup convention: main's frame is
             // active.
-            self.ipds.checker.on_call(self.main);
+            self.ipds.checker.on_call(self.interp.main());
             let mut tee = Tee::new(&mut self.trace, &mut self.ipds);
             self.interp.run_steps(trigger_step, &mut tee);
             0
@@ -580,7 +581,15 @@ fn first_divergence_from(
 /// The derived RNG seed of attack `i` (the campaign seed split by a
 /// splitmix-style multiplicative stream).
 pub fn attack_seed(campaign: &Campaign, i: u32) -> u64 {
-    campaign.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1))
+    split_seed(campaign.seed, u64::from(i))
+}
+
+/// Draws a trigger step anywhere in the first 95% of a golden run of
+/// `golden_steps`, so the perturbation has room to manifest. Attacks and
+/// live-state faults share this draw.
+pub(crate) fn trigger_in_run(rng: &mut StdRng, golden_steps: u64) -> u64 {
+    let hi = (golden_steps.saturating_mul(95) / 100).max(2);
+    rng.gen_range(1..hi)
 }
 
 /// Derives attack `i`'s RNG stream and trigger step: the per-attack seeding
@@ -589,60 +598,30 @@ pub fn attack_seed(campaign: &Campaign, i: u32) -> u64 {
 /// [`AttackRunner`] loop produce bit-identical outcomes.
 pub fn attack_rng(campaign: &Campaign, golden_steps: u64, i: u32) -> (StdRng, u64) {
     let mut rng = StdRng::seed_from_u64(attack_seed(campaign, i));
-    // Trigger anywhere in the first 95% of the run so the attack has room
-    // to manifest.
-    let hi = (golden_steps.saturating_mul(95) / 100).max(2);
-    let trigger = rng.gen_range(1..hi);
+    let trigger = trigger_in_run(&mut rng, golden_steps);
     (rng, trigger)
 }
 
-/// Folds per-attack outcomes (in seed order) into a [`CampaignResult`].
-/// Every thread count folds through this one function — same fold, same
-/// floating-point association order, bit-identical means.
+/// Folds per-attack outcomes (in seed order) into a [`CampaignResult`]: the
+/// typed Fig. 7 figures and, in one pass, its [`MetricsRegistry`] — the
+/// [`CAMPAIGN_COUNTERS`], the [`CAMPAIGN_HISTOGRAMS`] and the summed checker
+/// work under the `checker.*` keys. Every thread count folds through this
+/// one function — same fold, same floating-point association order,
+/// bit-identical means — so a hand-driven [`AttackRunner`] loop and
+/// [`run_campaign`] at any thread count produce the same result.
 pub fn aggregate(attacks: u32, outcomes: &[AttackOutcome]) -> CampaignResult {
-    let mut result = CampaignResult {
-        attacks,
-        cf_changed: 0,
-        detected: 0,
-        mean_lag_branches: 0.0,
-    };
-    let mut lags = Vec::new();
-    for outcome in outcomes {
-        if outcome.control_flow_changed {
-            result.cf_changed += 1;
-        }
-        if outcome.detected {
-            result.detected += 1;
-        }
-        if let Some(lag) = outcome.detection_lag_branches {
-            lags.push(lag as f64);
-        }
-    }
-    if !lags.is_empty() {
-        result.mean_lag_branches = lags.iter().sum::<f64>() / lags.len() as f64;
-    }
-    result
-}
-
-/// Folds per-attack outcomes (in seed order) into the campaign's
-/// [`MetricsRegistry`]: the [`CAMPAIGN_COUNTERS`], the
-/// [`CAMPAIGN_HISTOGRAMS`] and the summed checker work under the
-/// `checker.*` keys. Like [`aggregate`], it is a pure function of the
-/// outcomes, so a hand-driven [`AttackRunner`] loop and [`run_campaign`] at
-/// any thread count produce the same registry.
-pub fn campaign_metrics(outcomes: &[AttackOutcome]) -> MetricsRegistry {
     let mut metrics = MetricsRegistry::new();
+    let (mut tampered, mut cf_changed, mut detected) = (0, 0, 0);
+    let (mut lag_sum, mut lags) = (0.0, 0u32);
     let mut work = IpdsStats::default();
     for outcome in outcomes {
-        metrics.add("campaign.attacks", 1);
+        tampered += u32::from(outcome.tampered);
+        cf_changed += u32::from(outcome.control_flow_changed);
+        detected += u32::from(outcome.detected);
         metrics.observe("campaign.attack_steps", outcome.steps);
-        metrics.add("campaign.attacks_tampered", u64::from(outcome.tampered));
-        metrics.add(
-            "campaign.attacks_cf_changed",
-            u64::from(outcome.control_flow_changed),
-        );
-        metrics.add("campaign.attacks_detected", u64::from(outcome.detected));
         if let Some(lag) = outcome.detection_lag_branches {
+            lag_sum += lag as f64;
+            lags += 1;
             metrics.observe("campaign.detection_lag_branches", lag);
         }
         let s = &outcome.checker;
@@ -654,6 +633,10 @@ pub fn campaign_metrics(outcomes: &[AttackOutcome]) -> MetricsRegistry {
         work.alarms += s.alarms;
         work.max_depth = work.max_depth.max(s.max_depth);
     }
+    metrics.add("campaign.attacks", outcomes.len() as u64);
+    metrics.add("campaign.attacks_tampered", u64::from(tampered));
+    metrics.add("campaign.attacks_cf_changed", u64::from(cf_changed));
+    metrics.add("campaign.attacks_detected", u64::from(detected));
     // A checker allocates a BSV buffer only when every buffer it owns is
     // live, so a cold worker's pool retains as many buffers as the deepest
     // frame stack it ran, up to the cap. The whole-run `max_depth` gives
@@ -666,7 +649,17 @@ pub fn campaign_metrics(outcomes: &[AttackOutcome]) -> MetricsRegistry {
     metrics.add("checker.bsv_transitions", work.bsv_transitions);
     metrics.add("checker.table_accesses", work.table_accesses);
     metrics.add("checker.alarms", work.alarms);
-    metrics
+    CampaignResult {
+        attacks,
+        cf_changed,
+        detected,
+        mean_lag_branches: if lags == 0 {
+            0.0
+        } else {
+            lag_sum / f64::from(lags)
+        },
+        metrics,
+    }
 }
 
 /// The campaign engine: runs `campaign.attacks` seeded attacks against
@@ -680,15 +673,15 @@ pub fn campaign_metrics(outcomes: &[AttackOutcome]) -> MetricsRegistry {
 /// the workers claim attack indices dynamically (attack durations vary
 /// wildly — a tamper that sends the victim into a budget-exhausting loop
 /// costs orders of magnitude more than one that crashes it immediately)
-/// and the outcomes come back in seed order, so [`aggregate`] and
-/// [`campaign_metrics`] fold the same sequence whatever the thread count.
+/// and the outcomes come back in seed order, so [`aggregate`] folds the
+/// same sequence whatever the thread count.
 /// A batch too small to split (`threads <= 1`, or below
 /// [`ipds_parallel`]'s per-worker work floor) runs inline on the calling
 /// thread as a plain loop.
 ///
 /// The [`CampaignResult`] is therefore **bit-identical** for every thread
-/// count (including the `f64` lag mean, which is sensitive to summation
-/// order), and so is the registry. See `docs/PERF.md`.
+/// count, its registry and its `f64` lag mean (which is sensitive to
+/// summation order) included. See `docs/PERF.md`.
 ///
 /// `warm` is a precomputed [`WarmStart`], so a driver running many
 /// campaigns against the same artifacts (the scaling sweep, the ablation
@@ -709,7 +702,7 @@ pub fn run_campaign(
     campaign: &Campaign,
     threads: usize,
     warm: Option<&WarmStart>,
-) -> (CampaignResult, MetricsRegistry) {
+) -> CampaignResult {
     assert!(
         !matches!(golden.status, ExecStatus::Fault(_)),
         "golden run must not fault: {:?}",
@@ -742,10 +735,7 @@ pub fn run_campaign(
             runner.run(trigger, campaign.model, &mut rng)
         },
     );
-    (
-        aggregate(campaign.attacks, &outcomes),
-        campaign_metrics(&outcomes),
-    )
+    aggregate(campaign.attacks, &outcomes)
 }
 
 #[cfg(test)]
@@ -789,7 +779,7 @@ mod tests {
         threads: usize,
     ) -> CampaignResult {
         let golden = GoldenRun::capture(p, inputs, c.limits);
-        run_campaign(p, a, inputs, &golden, c, threads, None).0
+        run_campaign(p, a, inputs, &golden, c, threads, None)
     }
 
     #[test]

@@ -32,10 +32,10 @@ use ipds_ir::Program;
 use ipds_runtime::{IpdsChecker, RuntimeError};
 use ipds_telemetry::MetricsRegistry;
 
-use crate::attack::GoldenRun;
+use crate::attack::{trigger_in_run, GoldenRun};
 use crate::interp::{ExecLimits, ExecStatus, Input, Interp};
 use crate::observer::IpdsObserver;
-use crate::rng::StdRng;
+use crate::rng::{split_seed, StdRng};
 
 /// The canonical `faults.*` counter list. `docs/FAULTS.md` documents exactly
 /// these keys and every fault campaign emits exactly this set (enforced by
@@ -215,6 +215,9 @@ pub struct FaultCampaignResult {
     /// Detection latencies in fault-index order (one entry per detected
     /// fault), so the exact percentiles are reproducible.
     pub latencies: Vec<u64>,
+    /// The same fold's named metrics: every [`FAULT_COUNTERS`] key and the
+    /// [`FAULT_HISTOGRAMS`] latency histogram.
+    pub metrics: MetricsRegistry,
 }
 
 impl FaultCampaignResult {
@@ -239,7 +242,7 @@ impl FaultCampaignResult {
 /// protocol the attack engine uses, so campaigns are bit-identical at every
 /// thread count.
 pub fn fault_seed(campaign: &FaultCampaign, i: u32) -> u64 {
-    campaign.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1))
+    split_seed(campaign.seed, u64::from(i))
 }
 
 /// The site fault `i` strikes: round-robin over the three sites, so every
@@ -303,13 +306,6 @@ pub fn fault_plan(campaign: &FaultCampaign, golden_steps: u64, i: u32) -> FaultP
     }
 }
 
-/// Trigger anywhere in the first 95% of the golden run, mirroring the
-/// attack engine's protocol.
-fn trigger_in_run(rng: &mut StdRng, golden_steps: u64) -> u64 {
-    let hi = (golden_steps.saturating_mul(95) / 100).max(2);
-    rng.gen_range(1..hi)
-}
-
 /// Reusable fault executor: one interpreter arena plus one checker, recycled
 /// across every live-state fault it runs. Each worker of
 /// [`run_fault_campaign`] owns one `FaultRunner`; the borrowed program, analysis, image and
@@ -319,7 +315,6 @@ pub struct FaultRunner<'a> {
     analysis: &'a ProgramAnalysis,
     image: &'a TableImage,
     inputs: &'a [Input],
-    main: ipds_ir::FuncId,
     interp: Interp,
     ipds: IpdsObserver,
 }
@@ -341,7 +336,6 @@ impl<'a> FaultRunner<'a> {
             analysis,
             image,
             inputs,
-            main: program.main().expect("program must define `main`").id,
             interp: Interp::new(program, inputs.to_vec(), limits),
             ipds: IpdsObserver::new(IpdsChecker::new(analysis)),
         }
@@ -411,7 +405,7 @@ impl<'a> FaultRunner<'a> {
         // not graded as a detection.
         self.interp.reset(self.inputs.iter().cloned());
         let mut obs = IpdsObserver::new(IpdsChecker::new(&loaded));
-        obs.checker.on_call(self.main);
+        obs.checker.on_call(self.interp.main());
         let status = self.interp.run(&mut obs);
         grade_run(&obs.checker, 0, true, status)
     }
@@ -421,7 +415,7 @@ impl<'a> FaultRunner<'a> {
     fn run_live_fault(&mut self, plan: &FaultPlan) -> FaultOutcome {
         self.interp.reset(self.inputs.iter().cloned());
         self.ipds.checker.reset();
-        self.ipds.checker.on_call(self.main);
+        self.ipds.checker.on_call(self.interp.main());
         self.interp.run_steps(plan.trigger_step, &mut self.ipds);
 
         let branches_at_injection = self.ipds.checker.stats().branches;
@@ -510,8 +504,10 @@ fn grade_run(
 }
 
 /// Folds per-fault outcomes (in index order) into a
-/// [`FaultCampaignResult`]. Every thread count folds through this one
-/// function — same fold, same latency order.
+/// [`FaultCampaignResult`]: the typed tallies and, in the same pass, its
+/// [`MetricsRegistry`] — every [`FAULT_COUNTERS`] key (zero when no fault
+/// reached it) and the [`FAULT_HISTOGRAMS`] latency histogram. Every thread
+/// count folds through this one function — same fold, same latency order.
 pub fn aggregate_faults(
     campaign: &FaultCampaign,
     outcomes: &[FaultOutcome],
@@ -526,6 +522,7 @@ pub fn aggregate_faults(
         crashed: 0,
         image_undetected: 0,
         latencies: Vec::new(),
+        metrics: MetricsRegistry::new(),
     };
     for (i, outcome) in outcomes.iter().enumerate() {
         let site = fault_site(i as u32);
@@ -540,6 +537,9 @@ pub fn aggregate_faults(
             } => {
                 result.detected += 1;
                 result.latencies.push(*latency_branches);
+                result
+                    .metrics
+                    .observe("faults.detect_latency_branches", *latency_branches);
             }
             FaultOutcome::Masked => {
                 result.masked += 1;
@@ -550,47 +550,19 @@ pub fn aggregate_faults(
             FaultOutcome::Crashed { .. } => result.crashed += 1,
         }
     }
+    for (key, value) in [
+        ("faults.injected", result.injected),
+        ("faults.image", result.image),
+        ("faults.checker", result.checker),
+        ("faults.memory", result.memory),
+        ("faults.detected", result.detected),
+        ("faults.masked", result.masked),
+        ("faults.crashed", result.crashed),
+        ("faults.image_undetected", result.image_undetected),
+    ] {
+        result.metrics.add(key, u64::from(value));
+    }
     result
-}
-
-/// Folds per-fault outcomes (in index order) into the campaign's
-/// [`MetricsRegistry`]: every [`FAULT_COUNTERS`] key (zero when no fault
-/// reached it) and the [`FAULT_HISTOGRAMS`] latency histogram. Like
-/// [`aggregate_faults`], it is a pure function of the campaign and the
-/// outcomes, whatever thread count produced them.
-pub fn fault_metrics(campaign: &FaultCampaign, outcomes: &[FaultOutcome]) -> MetricsRegistry {
-    let mut metrics = MetricsRegistry::new();
-    for key in FAULT_COUNTERS {
-        metrics.add(key, 0);
-    }
-    for (i, outcome) in outcomes.iter().enumerate() {
-        let site = fault_site(i as u32);
-        metrics.add("faults.injected", 1);
-        metrics.add(
-            match site {
-                FaultSite::TableImage => "faults.image",
-                FaultSite::CheckerState => "faults.checker",
-                FaultSite::Memory => "faults.memory",
-            },
-            1,
-        );
-        match outcome {
-            FaultOutcome::Detected {
-                latency_branches, ..
-            } => {
-                metrics.add("faults.detected", 1);
-                metrics.observe("faults.detect_latency_branches", *latency_branches);
-            }
-            FaultOutcome::Masked => {
-                metrics.add("faults.masked", 1);
-                if site == FaultSite::TableImage && campaign.checksum {
-                    metrics.add("faults.image_undetected", 1);
-                }
-            }
-            FaultOutcome::Crashed { .. } => metrics.add("faults.crashed", 1),
-        }
-    }
-    metrics
 }
 
 /// Runs a fault campaign across up to `threads` scoped worker threads of
@@ -598,8 +570,7 @@ pub fn fault_metrics(campaign: &FaultCampaign, outcomes: &[FaultOutcome]) -> Met
 /// as a plain loop). Results — including the latency vector and the metrics
 /// registry — are bit-identical for every thread count: faults are
 /// independently seeded, outcomes come back in index order, and
-/// [`aggregate_faults`] and [`fault_metrics`] fold them (see
-/// `docs/PERF.md`).
+/// [`aggregate_faults`] folds them (see `docs/PERF.md`).
 ///
 /// `golden` is the clean run of `program` on `inputs` (captured once by the
 /// caller, as for [`crate::attack::run_campaign`]); fault triggers are
@@ -616,7 +587,7 @@ pub fn run_fault_campaign(
     golden: &GoldenRun,
     campaign: &FaultCampaign,
     threads: usize,
-) -> (FaultCampaignResult, MetricsRegistry) {
+) -> FaultCampaignResult {
     assert!(
         !matches!(golden.status, ExecStatus::Fault(_)),
         "golden run must not fault: {:?}",
@@ -628,10 +599,7 @@ pub fn run_fault_campaign(
         || FaultRunner::new(program, analysis, image, inputs, campaign.limits),
         |runner, i| runner.run(campaign, &fault_plan(campaign, golden.steps, i)),
     );
-    (
-        aggregate_faults(campaign, &outcomes),
-        fault_metrics(campaign, &outcomes),
-    )
+    aggregate_faults(campaign, &outcomes)
 }
 
 #[cfg(test)]
@@ -656,7 +624,7 @@ mod tests {
         inputs: &[Input],
         c: &FaultCampaign,
         threads: usize,
-    ) -> (FaultCampaignResult, MetricsRegistry) {
+    ) -> FaultCampaignResult {
         let golden = GoldenRun::capture(p, inputs, c.limits);
         run_fault_campaign(p, a, image, inputs, &golden, c, threads)
     }
@@ -692,11 +660,11 @@ mod tests {
             checksum: true,
             limits: ExecLimits::default(),
         };
-        let (r, metrics) = run(&p, &a, &image, &inputs, &c, 1);
+        let r = run(&p, &a, &image, &inputs, &c, 1);
         assert_eq!(r.injected, 48);
         assert_eq!(r.image, 16);
         assert_eq!(r.image_undetected, 0, "checksum must catch every flip");
-        assert_eq!(metrics.counter("faults.image_undetected"), 0);
+        assert_eq!(r.metrics.counter("faults.image_undetected"), 0);
         // Image rejections are latency-0 detections.
         assert!(r.detected >= r.image);
         assert_eq!(r.detected as usize, r.latencies.len());
@@ -712,14 +680,11 @@ mod tests {
                 checksum,
                 limits: ExecLimits::default(),
             };
-            let (serial, serial_metrics) = run(&p, &a, &image, &inputs, &c, 1);
+            let serial = run(&p, &a, &image, &inputs, &c, 1);
             for threads in [2, 4, 8] {
-                let (par, par_metrics) = run(&p, &a, &image, &inputs, &c, threads);
+                let par = run(&p, &a, &image, &inputs, &c, threads);
+                // Equality covers the whole registry too.
                 assert_eq!(serial, par, "checksum={checksum} threads={threads}");
-                assert_eq!(
-                    serial_metrics, par_metrics,
-                    "the whole registry must fold identically"
-                );
             }
         }
     }
@@ -733,7 +698,8 @@ mod tests {
             checksum: true,
             limits: ExecLimits::default(),
         };
-        let (r, metrics) = run(&p, &a, &image, &inputs, &c, 1);
+        let r = run(&p, &a, &image, &inputs, &c, 1);
+        let metrics = &r.metrics;
         assert_eq!(r.detected + r.masked + r.crashed, r.injected);
         assert_eq!(r.image + r.checker + r.memory, r.injected);
         assert_eq!(metrics.counter("faults.injected"), u64::from(r.injected));
@@ -758,7 +724,7 @@ mod tests {
             checksum: false,
             limits: ExecLimits::default(),
         };
-        let (r, _) = run(&p, &a, &image, &inputs, &c, 1);
+        let r = run(&p, &a, &image, &inputs, &c, 1);
         // Restamped images load (unless structurally broken), so not every
         // image fault can be a load-time rejection — the masked/detected
         // split comes from the runtime.
@@ -775,8 +741,8 @@ mod tests {
             checksum: true,
             limits: ExecLimits::default(),
         };
-        let (_, metrics) = run(&p, &a, &image, &inputs, &c, 1);
-        let emitted: Vec<&str> = metrics.counters().map(|(k, _)| k).collect();
+        let r = run(&p, &a, &image, &inputs, &c, 1);
+        let emitted: Vec<&str> = r.metrics.counters().map(|(k, _)| k).collect();
         let mut canonical: Vec<&str> = FAULT_COUNTERS.to_vec();
         canonical.sort_unstable();
         assert_eq!(emitted, canonical);

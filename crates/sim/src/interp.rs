@@ -220,6 +220,12 @@ impl Interp {
         );
     }
 
+    /// The entry function, resolved once by [`Interp::new`]: the frame a
+    /// run starts in, which a checker driven alongside enters first.
+    pub fn main(&self) -> FuncId {
+        FuncId(self.main)
+    }
+
     /// The current status.
     pub fn status(&self) -> &ExecStatus {
         &self.status

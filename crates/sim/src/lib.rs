@@ -32,9 +32,10 @@
 //! [`ipds-telemetry`](ipds_telemetry)) owned by an [`IpdsObserver`]; with
 //! [`NullSink`], whose `WANTS_BRANCHES` is `false`, the record path is
 //! compiled out and the uninstrumented behaviour — and performance — is
-//! preserved bit-for-bit. Campaign and
-//! fault registries are folds over index-ordered outcomes
-//! ([`campaign_metrics`], [`fault_metrics`]), not sink output.
+//! preserved bit-for-bit. A campaign's registry is not sink output: it is
+//! [`CampaignResult::metrics`] (or [`FaultCampaignResult::metrics`]), built
+//! by the same single fold over index-ordered outcomes as the typed figures
+//! ([`attack::aggregate`], [`faults::aggregate_faults`]).
 
 pub mod attack;
 mod decode;
@@ -48,13 +49,13 @@ pub mod rng;
 pub use ipds_telemetry as telemetry;
 
 pub use attack::{
-    attack_seed, campaign_metrics, run_campaign, AttackModel, AttackOutcome, AttackRunner,
-    Campaign, CampaignResult, GoldenRun, WarmStart, CAMPAIGN_COUNTERS, CAMPAIGN_HISTOGRAMS,
+    attack_seed, run_campaign, AttackModel, AttackOutcome, AttackRunner, Campaign, CampaignResult,
+    GoldenRun, WarmStart, CAMPAIGN_COUNTERS, CAMPAIGN_HISTOGRAMS,
 };
 pub use faults::{
-    fault_metrics, fault_plan, fault_seed, fault_site, run_fault_campaign, AnomalyReport,
-    FaultCampaign, FaultCampaignResult, FaultMutation, FaultOutcome, FaultPlan, FaultRunner,
-    FaultSite, FAULT_COUNTERS, FAULT_HISTOGRAMS,
+    fault_plan, fault_seed, fault_site, run_fault_campaign, AnomalyReport, FaultCampaign,
+    FaultCampaignResult, FaultMutation, FaultOutcome, FaultPlan, FaultRunner, FaultSite,
+    FAULT_COUNTERS, FAULT_HISTOGRAMS,
 };
 pub use interp::{ExecLimits, ExecStatus, Input, Interp};
 pub use ipds_parallel::default_threads;

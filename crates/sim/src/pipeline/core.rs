@@ -269,13 +269,12 @@ pub fn timed_run(
     config: &HwConfig,
     limits: ExecLimits,
 ) -> PerfReport {
+    let mut interp = Interp::new(program, inputs.to_vec(), limits);
     let mut model = TimingModel::new(config.clone(), analysis);
     if let Some(ipds) = &mut model.ipds {
-        let main = program.main().expect("main").id;
-        ipds.checker.on_call(main);
-        ipds.onchip.on_call(main, config);
+        ipds.checker.on_call(interp.main());
+        ipds.onchip.on_call(interp.main(), config);
     }
-    let mut interp = Interp::new(program, inputs.to_vec(), limits);
     let status = interp.run(&mut model);
     model.report(status)
 }

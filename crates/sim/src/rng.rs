@@ -12,6 +12,13 @@
 //! drawn from each per-attack seed differs from the old `rand::StdRng`
 //! (ChaCha12) stream. EXPERIMENTS.md records the recalibrated numbers.
 
+/// The seed of stream `index` split off a master `seed`: the per-index
+/// derivation behind [`attack_seed`](crate::attack_seed),
+/// [`fault_seed`](crate::fault_seed) and the fleet planner's tagged streams.
+pub fn split_seed(seed: u64, index: u64) -> u64 {
+    seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index.wrapping_add(1))
+}
+
 /// SplitMix64: a tiny 64-bit generator used to expand one seed word into
 /// the xoshiro state. Also usable on its own for cheap hashing-style
 /// streams.

@@ -37,14 +37,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The campaign spec builder: every knob is defaultable, and the result
     // and its metrics are bit-identical for any thread count.
-    let (result, metrics) = protected
+    let result = protected
         .campaign_spec()
         .inputs(&inputs)
         .attacks(attacks)
         .seed(0xA77AC4)
         .model(workload.vuln)
         .threads(ipds_sim::default_threads())
-        .run_metered();
+        .run();
+    let metrics = &result.metrics;
     println!("\n{attacks} independent attacks:");
     println!(
         "  changed control flow : {:>4}  ({:.1}%)",

@@ -25,6 +25,15 @@ if grep -rnE "$global_state" crates/*/src; then
 fi
 echo "no process-global mutable state"
 
+echo "==> main is resolved once, by the interpreter"
+# `Interp::new` resolves `main` and every other site asks the interpreter
+# (`Interp::main`), so no library or binary source re-derives it.
+if grep -rnF 'main().expect(' crates/*/src | grep -v '^crates/sim/src/interp.rs:'; then
+    echo 'main re-derived outside Interp::new (above)' >&2
+    exit 1
+fi
+echo "main resolved once"
+
 echo "==> rustdoc (deny warnings: no broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 

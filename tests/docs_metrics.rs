@@ -20,6 +20,7 @@ use ipds::analysis::PIPELINE_COUNTERS;
 use ipds::runtime::CHECKER_COUNTERS;
 use ipds::service::{FLEET_COUNTERS, SERVICE_COUNTERS, SERVICE_HISTOGRAMS};
 use ipds::sim::{CAMPAIGN_COUNTERS, CAMPAIGN_HISTOGRAMS, FAULT_COUNTERS, FAULT_HISTOGRAMS};
+use ipds::telemetry::Histogram;
 use ipds::workloads;
 
 /// Extracts every `<prefix><snake_case>` token from a documentation file.
@@ -115,25 +116,48 @@ fn faults_doc_agrees_with_the_canonical_key_list() {
 
 #[test]
 fn fault_campaigns_emit_exactly_the_documented_keys() {
-    let w = &workloads::all()[0];
-    let p = ipds::Protected::from_program(w.program(), &ipds::Config::default());
-    let inputs = w.inputs(7);
-    let (_, metrics) = p
-        .fault_spec()
-        .inputs(&inputs)
-        .flips(4)
-        .seed(7)
-        .run_metered();
-    let counters: BTreeSet<String> = metrics.counters().map(|(k, _)| k.to_string()).collect();
+    // On every workload: exactly the documented keys, and a registry that
+    // agrees with the typed tallies folded beside it.
     let canonical: BTreeSet<String> = FAULT_COUNTERS.iter().map(|s| s.to_string()).collect();
-    assert_eq!(
-        counters, canonical,
-        "a fault campaign must emit exactly FAULT_COUNTERS"
-    );
-    for key in FAULT_HISTOGRAMS {
-        assert!(
-            metrics.histogram(key).is_some(),
-            "a fault campaign must emit the `{key}` histogram"
+    for w in workloads::all() {
+        let p = ipds::Protected::from_program(w.program(), &ipds::Config::default());
+        let inputs = w.inputs(7);
+        let r = p.fault_spec().inputs(&inputs).flips(4).seed(7).run();
+        let metrics = &r.metrics;
+        let counters: BTreeSet<String> = metrics.counters().map(|(k, _)| k.to_string()).collect();
+        assert_eq!(
+            counters, canonical,
+            "{}: a fault campaign must emit exactly FAULT_COUNTERS",
+            w.name
+        );
+        for key in FAULT_HISTOGRAMS {
+            assert!(
+                metrics.histogram(key).is_some(),
+                "{}: a fault campaign must emit the `{key}` histogram",
+                w.name
+            );
+        }
+        for (key, typed) in [
+            ("faults.injected", r.injected),
+            ("faults.image", r.image),
+            ("faults.checker", r.checker),
+            ("faults.memory", r.memory),
+            ("faults.detected", r.detected),
+            ("faults.masked", r.masked),
+            ("faults.crashed", r.crashed),
+            ("faults.image_undetected", r.image_undetected),
+        ] {
+            assert_eq!(metrics.counter(key), u64::from(typed), "{}: {key}", w.name);
+        }
+        let mut latency = Histogram::default();
+        for &l in &r.latencies {
+            latency.observe(l);
+        }
+        assert_eq!(
+            metrics.histogram("faults.detect_latency_branches"),
+            Some(&latency),
+            "{}: the latency histogram must be the typed latencies observed",
+            w.name
         );
     }
 }
@@ -169,7 +193,6 @@ fn fleet_runs_emit_exactly_the_documented_keys() {
         .sessions(8)
         .batch(64)
         .window(4)
-        .min_cluster(2)
         .run();
     let emitted: BTreeSet<String> = report
         .metrics
@@ -224,34 +247,48 @@ fn observability_doc_agrees_with_the_canonical_campaign_key_list() {
 
 #[test]
 fn attack_campaigns_emit_exactly_the_campaign_and_checker_counters() {
-    let w = &workloads::all()[0];
-    let p = ipds::Protected::from_program(w.program(), &ipds::Config::default());
-    let inputs = w.inputs(7);
-    for threads in [1, 4] {
-        let (_, metrics) = p
-            .campaign_spec()
-            .inputs(&inputs)
-            .attacks(8)
-            .seed(7)
-            .threads(threads)
-            .run_metered();
-        let emitted: BTreeSet<&str> = metrics.counters().map(|(k, _)| k).collect();
-        let canonical: BTreeSet<&str> = CAMPAIGN_COUNTERS
-            .iter()
-            .chain(CHECKER_COUNTERS)
-            .copied()
-            .collect();
-        assert_eq!(
-            emitted, canonical,
-            "a {threads}-thread campaign must emit exactly the campaign and checker keys"
-        );
-        for (key, _) in metrics.histograms() {
-            assert!(
-                CAMPAIGN_HISTOGRAMS.contains(&key),
-                "undocumented campaign histogram `{key}`"
+    // On every workload and at two thread counts: exactly the documented
+    // keys, and a registry that agrees with the typed figures folded
+    // beside it.
+    let canonical: BTreeSet<&str> = CAMPAIGN_COUNTERS
+        .iter()
+        .chain(CHECKER_COUNTERS)
+        .copied()
+        .collect();
+    for w in workloads::all() {
+        let p = ipds::Protected::from_program(w.program(), &ipds::Config::default());
+        let inputs = w.inputs(7);
+        for threads in [1, 4] {
+            let r = p
+                .campaign_spec()
+                .inputs(&inputs)
+                .attacks(8)
+                .seed(7)
+                .threads(threads)
+                .run();
+            let metrics = &r.metrics;
+            let emitted: BTreeSet<&str> = metrics.counters().map(|(k, _)| k).collect();
+            assert_eq!(
+                emitted, canonical,
+                "{}: a {threads}-thread campaign must emit exactly the campaign and checker keys",
+                w.name
             );
+            for (key, _) in metrics.histograms() {
+                assert!(
+                    CAMPAIGN_HISTOGRAMS.contains(&key),
+                    "{}: undocumented campaign histogram `{key}`",
+                    w.name
+                );
+            }
+            assert!(metrics.histogram("campaign.attack_steps").is_some());
+            assert_eq!(metrics.counter("campaign.attacks"), 8);
+            for (key, typed) in [
+                ("campaign.attacks", r.attacks),
+                ("campaign.attacks_cf_changed", r.cf_changed),
+                ("campaign.attacks_detected", r.detected),
+            ] {
+                assert_eq!(metrics.counter(key), u64::from(typed), "{}: {key}", w.name);
+            }
         }
-        assert!(metrics.histogram("campaign.attack_steps").is_some());
-        assert_eq!(metrics.counter("campaign.attacks"), 8);
     }
 }

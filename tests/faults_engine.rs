@@ -26,30 +26,27 @@ fn protect(name: &str) -> (Protected, Vec<ipds::Input>) {
 fn campaigns_are_bit_identical_across_thread_counts() {
     let (p, inputs) = protect("telnetd");
     for checksum in [true, false] {
-        let (serial, serial_metrics) = p
+        let serial = p
             .fault_spec()
             .inputs(&inputs)
             .flips(8)
             .seed(2006)
             .checksum(checksum)
             .threads(1)
-            .run_metered();
+            .run();
         for threads in [2usize, 4, 8] {
-            let (parallel, parallel_metrics) = p
+            let parallel = p
                 .fault_spec()
                 .inputs(&inputs)
                 .flips(8)
                 .seed(2006)
                 .checksum(checksum)
                 .threads(threads)
-                .run_metered();
+                .run();
+            // The result carries its registry, so this compares it whole.
             assert_eq!(
                 serial, parallel,
                 "checksum={checksum} threads={threads}: results must be bit-identical"
-            );
-            assert_eq!(
-                serial_metrics, parallel_metrics,
-                "checksum={checksum} threads={threads}: the whole registry must be bit-identical"
             );
         }
     }

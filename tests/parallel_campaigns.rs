@@ -9,8 +9,7 @@
 //! attacks report exactly what cold ones do, on the stock workloads and on
 //! generated programs.
 
-use ipds::telemetry::MetricsRegistry;
-use ipds_sim::attack::{attack_rng, campaign_metrics};
+use ipds_sim::attack::{aggregate, attack_rng};
 use ipds_sim::{AttackModel, AttackRunner, Campaign, ExecLimits, GoldenRun, Input, WarmStart};
 use ipds_workloads::generator::{generate_program, GenConfig};
 
@@ -47,11 +46,8 @@ fn campaign_pair(
     (serial, parallel)
 }
 
-/// Runs one metered campaign of the workload's own attack model.
-fn metered(
-    w: &ipds_workloads::Workload,
-    threads: usize,
-) -> (ipds::CampaignResult, MetricsRegistry) {
+/// Runs one campaign of the workload's own attack model.
+fn own_model_campaign(w: &ipds_workloads::Workload, threads: usize) -> ipds::CampaignResult {
     let protected = protect(w);
     let inputs = w.inputs(INPUT_SEED);
     protected
@@ -61,7 +57,7 @@ fn metered(
         .seed(SEED)
         .model(w.vuln)
         .threads(threads)
-        .run_metered()
+        .run()
 }
 
 #[test]
@@ -99,23 +95,27 @@ fn campaigns_are_deterministic_under_the_in_repo_rng() {
 #[test]
 fn metered_registries_are_bit_identical_across_thread_counts() {
     for w in ipds_workloads::all() {
-        let (base_result, base_metrics) = metered(&w, 1);
+        let base = own_model_campaign(&w, 1);
         assert_eq!(
-            base_metrics.counter("campaign.attacks"),
+            base.metrics.counter("campaign.attacks"),
             u64::from(ATTACKS),
             "{}",
             w.name
         );
         assert_eq!(
-            base_metrics.counter("campaign.attacks_detected"),
-            u64::from(base_result.detected),
+            base.metrics.counter("campaign.attacks_detected"),
+            u64::from(base.detected),
             "{}",
             w.name
         );
         for threads in [2, 4, 8] {
-            let (result, metrics) = metered(&w, threads);
-            assert_eq!(base_result, result, "{} {threads} threads", w.name);
-            assert_eq!(base_metrics, metrics, "{} {threads} threads", w.name);
+            // The result carries its registry, so this compares it whole.
+            assert_eq!(
+                base,
+                own_model_campaign(&w, threads),
+                "{} {threads} threads",
+                w.name
+            );
         }
     }
 }
@@ -124,8 +124,8 @@ fn metered_registries_are_bit_identical_across_thread_counts() {
 fn campaign_registry_is_the_outcome_fold_of_a_cold_loop() {
     // The engine warm-starts its attacks; a hand-driven runner without a
     // warm start runs every attack cold from step 0. Folding the cold
-    // outcomes with the public `campaign_metrics` must give the engine's
-    // whole registry, checker work included.
+    // outcomes with the public `aggregate` must give the engine's whole
+    // result: the typed figures and the registry, checker work included.
     for w in ipds_workloads::all() {
         let protected = protect(&w);
         let inputs = w.inputs(INPUT_SEED);
@@ -149,14 +149,12 @@ fn campaign_registry_is_the_outcome_fold_of_a_cold_loop() {
                 cold.run(trigger, w.vuln, &mut rng)
             })
             .collect();
-        let (result, metrics) = metered(&w, 2);
         assert_eq!(
-            result,
-            ipds_sim::attack::aggregate(ATTACKS, &outcomes),
+            own_model_campaign(&w, 2),
+            aggregate(ATTACKS, &outcomes),
             "{}",
             w.name
         );
-        assert_eq!(metrics, campaign_metrics(&outcomes), "{}", w.name);
     }
 }
 
@@ -190,9 +188,9 @@ fn campaign_engine_equals_a_hand_driven_warm_loop() {
                 runner.run(trigger, w.vuln, &mut rng)
             })
             .collect();
-        let by_hand = ipds_sim::attack::aggregate(ATTACKS, &outcomes);
+        let by_hand = aggregate(ATTACKS, &outcomes);
         for threads in [1, 2] {
-            let (result, metrics) = metered(&w, threads);
+            let result = own_model_campaign(&w, threads);
             assert_eq!(result, by_hand, "{} @ {threads} threads", w.name);
             assert_eq!(
                 result.mean_lag_branches.to_bits(),
@@ -200,7 +198,6 @@ fn campaign_engine_equals_a_hand_driven_warm_loop() {
                 "{} @ {threads} threads",
                 w.name
             );
-            assert_eq!(metrics, campaign_metrics(&outcomes), "{}", w.name);
         }
     }
 }
@@ -298,7 +295,7 @@ fn warm_start_matches_cold_execution_on_generated_programs() {
                 cf_changed += usize::from(outcome.control_flow_changed);
                 outcomes.push(outcome);
             }
-            let (result, metrics) = ipds_sim::run_campaign(
+            let result = ipds_sim::run_campaign(
                 program,
                 analysis,
                 &inputs,
@@ -309,12 +306,7 @@ fn warm_start_matches_cold_execution_on_generated_programs() {
             );
             assert_eq!(
                 result,
-                ipds_sim::attack::aggregate(ORACLE_ATTACKS, &outcomes),
-                "seed {seed} {model:?}"
-            );
-            assert_eq!(
-                metrics,
-                campaign_metrics(&outcomes),
+                aggregate(ORACLE_ATTACKS, &outcomes),
                 "seed {seed} {model:?}"
             );
         }
@@ -400,14 +392,15 @@ fn attack_step_histogram_accounts_for_every_attack() {
         .into_iter()
         .find(|w| w.name == "telnetd")
         .unwrap();
-    let (result, metrics) = metered(&w, 4);
-    let steps = metrics
+    let result = own_model_campaign(&w, 4);
+    let steps = result
+        .metrics
         .histogram("campaign.attack_steps")
         .expect("campaign.attack_steps");
     assert_eq!(steps.count, u64::from(ATTACKS));
     // Detection lag is only recorded for detected attacks.
     let detected = u64::from(result.detected);
-    match metrics.histogram("campaign.detection_lag_branches") {
+    match result.metrics.histogram("campaign.detection_lag_branches") {
         Some(lag) => assert_eq!(lag.count, detected),
         None => assert_eq!(detected, 0),
     }
