@@ -26,15 +26,22 @@
 //! the injection instant and the flag (zero for load-time rejections); the
 //! latencies feed the `faults.detect_latency_branches` histogram and the
 //! exact-median `detect_latency_p50` the benchmark JSON carries.
+//!
+//! The checker only observes the run (Fig. 6): nothing it holds can steer
+//! the interpreter. So a checker-state fault and a checksum-off image fault
+//! leave the program on its clean path, and [`FaultRunner`] checks them by
+//! replaying the clean run's committed event stream, recorded once per
+//! runner, through [`IpdsChecker::replay`]. Only memory faults, which can
+//! change the path, re-run the interpreter.
 
 use ipds_analysis::{BranchStatus, ProgramAnalysis, TableImage};
-use ipds_ir::Program;
+use ipds_ir::{FuncId, Program};
 use ipds_runtime::{IpdsChecker, RuntimeError};
 use ipds_telemetry::MetricsRegistry;
 
 use crate::attack::{trigger_in_run, GoldenRun};
 use crate::interp::{ExecLimits, ExecStatus, Input, Interp};
-use crate::observer::IpdsObserver;
+use crate::observer::{EventRecorder, ExecObserver, IpdsObserver};
 use crate::rng::{split_seed, StdRng};
 
 /// The canonical `faults.*` counter list. `docs/FAULTS.md` documents exactly
@@ -306,10 +313,57 @@ pub fn fault_plan(campaign: &FaultCampaign, golden_steps: u64, i: u32) -> FaultP
     }
 }
 
-/// Reusable fault executor: one interpreter arena plus one checker, recycled
-/// across every live-state fault it runs. Each worker of
-/// [`run_fault_campaign`] owns one `FaultRunner`; the borrowed program, analysis, image and
-/// inputs are shared by all of them.
+/// An [`EventRecorder`] that also stamps each event with the interpreter
+/// step that committed it.
+#[derive(Debug)]
+struct StampedRecorder {
+    rec: EventRecorder,
+    /// `stamps[k]` is the step count when `rec.events[k]` committed: 0 for
+    /// the opening `Call(main)`, then non-decreasing.
+    stamps: Vec<u64>,
+    step: u64,
+}
+
+impl StampedRecorder {
+    fn new(main: FuncId) -> StampedRecorder {
+        StampedRecorder {
+            rec: EventRecorder::new(main),
+            stamps: vec![0],
+            step: 0,
+        }
+    }
+}
+
+impl ExecObserver for StampedRecorder {
+    // Every executed step is reported to `on_inst` before it commits
+    // anything, so the count is the step number of the events that follow.
+    const WANTS_INST: bool = true;
+
+    fn on_inst(&mut self, _pc: u64) {
+        self.step += 1;
+    }
+    fn on_branch(&mut self, pc: u64, taken: bool) {
+        self.rec.on_branch(pc, taken);
+        self.stamps.push(self.step);
+    }
+    fn on_call(&mut self, func: FuncId) {
+        self.rec.on_call(func);
+        self.stamps.push(self.step);
+    }
+    fn on_return(&mut self) {
+        self.rec.on_return();
+        self.stamps.push(self.step);
+    }
+}
+
+/// Reusable fault executor. It records the clean run once, when it is
+/// built, as the committed [`GuestEvent`](ipds_runtime::GuestEvent) stream
+/// with each event stamped by the interpreter step that committed it.
+/// Checker-state and checksum-off image faults cannot change the program's
+/// path, so they replay that stream through a checker; memory faults re-run
+/// one interpreter arena, recycled across faults. Each worker of
+/// [`run_fault_campaign`] owns one `FaultRunner`; the borrowed program,
+/// analysis, image and inputs are shared by all of them.
 #[derive(Debug)]
 pub struct FaultRunner<'a> {
     analysis: &'a ProgramAnalysis,
@@ -317,10 +371,14 @@ pub struct FaultRunner<'a> {
     inputs: &'a [Input],
     interp: Interp,
     ipds: IpdsObserver,
+    golden: StampedRecorder,
+    golden_steps: u64,
+    golden_status: ExecStatus,
 }
 
 impl<'a> FaultRunner<'a> {
-    /// Builds a runner over shared campaign artifacts.
+    /// Builds a runner over shared campaign artifacts and records the clean
+    /// run of `program` on `inputs` under `limits`.
     ///
     /// # Panics
     ///
@@ -332,21 +390,30 @@ impl<'a> FaultRunner<'a> {
         inputs: &'a [Input],
         limits: ExecLimits,
     ) -> FaultRunner<'a> {
+        let mut interp = Interp::new(program, inputs.to_vec(), limits);
+        let mut golden = StampedRecorder::new(interp.main());
+        let golden_status = interp.run(&mut golden);
         FaultRunner {
             analysis,
             image,
             inputs,
-            interp: Interp::new(program, inputs.to_vec(), limits),
+            golden_steps: interp.steps(),
+            interp,
             ipds: IpdsObserver::new(IpdsChecker::new(analysis)),
+            golden,
+            golden_status,
         }
     }
 
     /// Executes one planned fault and grades its outcome.
     pub fn run(&mut self, campaign: &FaultCampaign, plan: &FaultPlan) -> FaultOutcome {
-        match &plan.mutation {
-            FaultMutation::ImageBits(bits) => self.run_image_fault(campaign, bits),
-            FaultMutation::BsvStatus { .. } | FaultMutation::MemoryBit { .. } => {
-                self.run_live_fault(plan)
+        match plan.mutation {
+            FaultMutation::ImageBits(ref bits) => self.run_image_fault(campaign, bits),
+            FaultMutation::BsvStatus { slot, status } => {
+                self.run_checker_fault(plan.trigger_step, slot, status)
+            }
+            FaultMutation::MemoryBit { cell, bit } => {
+                self.run_memory_fault(plan.trigger_step, cell, bit)
             }
         }
     }
@@ -398,67 +465,84 @@ impl<'a> FaultRunner<'a> {
                 latency_branches: 0,
             };
         }
-        // Run the clean program under the corrupted tables: any alarm on
+        // Check the clean run under the corrupted tables: any alarm on
         // this benign trace is the runtime detecting the corruption. A PC
         // the corrupted tables no longer know is an unverifiable probe
         // miss: the checker skips it and records a violation, which is
         // not graded as a detection.
-        self.interp.reset(self.inputs.iter().cloned());
-        let mut obs = IpdsObserver::new(IpdsChecker::new(&loaded));
-        obs.checker.on_call(self.interp.main());
-        let status = self.interp.run(&mut obs);
-        grade_run(&obs.checker, 0, true, status)
+        let mut checker = IpdsChecker::new(&loaded);
+        checker.replay(&self.golden.rec.events);
+        grade_run(&checker, 0, true, &self.golden_status)
     }
 
-    /// Runs to the trigger step, injects into live checker/memory state,
-    /// and grades how the rest of the run ends.
-    fn run_live_fault(&mut self, plan: &FaultPlan) -> FaultOutcome {
+    /// Replays the clean stream up to the trigger step, forces a BSV slot
+    /// of the live top frame, replays the rest and grades the checker's
+    /// verdict with the clean run's final status.
+    fn run_checker_fault(
+        &mut self,
+        trigger_step: u64,
+        slot: u64,
+        status: BranchStatus,
+    ) -> FaultOutcome {
+        if trigger_step >= self.golden_steps {
+            // The run ended before the trigger: nothing live to strike.
+            return FaultOutcome::Masked;
+        }
+        // Every event committed within the first `trigger_step` steps.
+        let at = self.golden.stamps.partition_point(|&s| s <= trigger_step);
+        let events = &self.golden.rec.events;
+        let checker = &mut self.ipds.checker;
+        checker.reset();
+        checker.replay(&events[..at]);
+        let branches_at_injection = checker.stats().branches;
+        let len = checker.top_bsv_len();
+        let injected = len > 0 && {
+            let s = (slot % len as u64) as usize;
+            match checker.inject_bsv(s, status) {
+                // The slot already held the forced status: rotate so the
+                // fault actually changes state.
+                Some(old) if old == status => {
+                    let rotated = match status {
+                        BranchStatus::Taken => BranchStatus::NotTaken,
+                        BranchStatus::NotTaken => BranchStatus::Unknown,
+                        BranchStatus::Unknown => BranchStatus::Taken,
+                    };
+                    checker.inject_bsv(s, rotated).is_some()
+                }
+                Some(_) => true,
+                None => false,
+            }
+        };
+        if !injected {
+            return FaultOutcome::Masked;
+        }
+        checker.replay(&events[at..]);
+        grade_run(checker, branches_at_injection, false, &self.golden_status)
+    }
+
+    /// Runs the interpreter to the trigger step, flips one bit of a live
+    /// memory cell, and grades how the rest of the run ends.
+    fn run_memory_fault(&mut self, trigger_step: u64, cell: u64, bit: u32) -> FaultOutcome {
         self.interp.reset(self.inputs.iter().cloned());
         self.ipds.checker.reset();
         self.ipds.checker.on_call(self.interp.main());
-        self.interp.run_steps(plan.trigger_step, &mut self.ipds);
+        self.interp.run_steps(trigger_step, &mut self.ipds);
 
         let branches_at_injection = self.ipds.checker.stats().branches;
-        let running = self.interp.status() == &ExecStatus::Running;
-        let injected = running
-            && match plan.mutation {
-                FaultMutation::BsvStatus { slot, status } => {
-                    let len = self.ipds.checker.top_bsv_len();
-                    len > 0 && {
-                        let s = (slot % len as u64) as usize;
-                        match self.ipds.checker.inject_bsv(s, status) {
-                            // The slot already held the forced status:
-                            // rotate so the fault actually changes state.
-                            Some(old) if old == status => {
-                                let rotated = match status {
-                                    BranchStatus::Taken => BranchStatus::NotTaken,
-                                    BranchStatus::NotTaken => BranchStatus::Unknown,
-                                    BranchStatus::Unknown => BranchStatus::Taken,
-                                };
-                                self.ipds.checker.inject_bsv(s, rotated).is_some()
-                            }
-                            Some(_) => true,
-                            None => false,
-                        }
-                    }
-                }
-                FaultMutation::MemoryBit { cell, bit } => {
-                    let live = self.interp.mem.live_mutable_cells();
-                    !live.is_empty() && {
-                        let a = live[(cell % live.len() as u64) as usize];
-                        let old = self.interp.mem.load(a);
-                        self.interp.mem.tamper(a, old ^ (1i64 << bit))
-                    }
-                }
-                FaultMutation::ImageBits(_) => unreachable!("dispatched in run()"),
-            };
-
-        let status = self.interp.run(&mut self.ipds);
+        let injected = self.interp.status() == &ExecStatus::Running && {
+            let live = self.interp.mem.live_mutable_cells();
+            !live.is_empty() && {
+                let a = live[(cell % live.len() as u64) as usize];
+                let old = self.interp.mem.load(a);
+                self.interp.mem.tamper(a, old ^ (1i64 << bit))
+            }
+        };
         if !injected {
             // No live target at the trigger instant: the fault missed.
             return FaultOutcome::Masked;
         }
-        grade_run(&self.ipds.checker, branches_at_injection, false, status)
+        let status = self.interp.run(&mut self.ipds);
+        grade_run(&self.ipds.checker, branches_at_injection, false, &status)
     }
 }
 
@@ -468,7 +552,7 @@ fn grade_run(
     checker: &IpdsChecker,
     branches_at_injection: u64,
     counted_underflows_expected: bool,
-    status: ExecStatus,
+    status: &ExecStatus,
 ) -> FaultOutcome {
     if let Some(alarm) = checker
         .alarms()
@@ -499,7 +583,9 @@ fn grade_run(
     }
     match status {
         ExecStatus::Exited(_) => FaultOutcome::Masked,
-        status => FaultOutcome::Crashed { status },
+        status => FaultOutcome::Crashed {
+            status: status.clone(),
+        },
     }
 }
 

@@ -93,6 +93,10 @@ done
 # generated programs, random run_steps chunkings and a random
 # snapshot/restore point, also at 256 cases.
 PROPTEST_CASES=256 cargo test -q --release --features props --test reference_interp
+# Replayed checker-state faults against the interpreted fault path:
+# random generated programs, random trigger steps and random BSV
+# mutations, also at 256 cases.
+PROPTEST_CASES=256 cargo test -q --release --features props --test reference_faults
 
 echo "==> bench harness compiles (vendored mini-criterion)"
 cargo build --release -p ipds-runtime --benches --features bench-harness
@@ -100,9 +104,17 @@ cargo build --release -p ipds-runtime --benches --features bench-harness
 echo "==> campaign smoke (fig7 phase, 10 attacks/workload)"
 cargo run -q --release -p ipds-bench --bin exp_all -- fig7 10
 
-echo "==> fault-injection gate (every checksummed image flip must be rejected)"
+echo "==> fault-injection gate (every checksummed image flip must be rejected; checksum-off runs agree across thread counts)"
 cargo run -q --release -p ipds --bin ipdsc -- \
     faults --workloads --flips 24 --seed 2006 --threads 4
+# Checksum off, the corrupted tables load and the runtime must catch them:
+# the campaign must print the same result at 1 and 4 threads.
+diff <(cargo run -q --release -p ipds --bin ipdsc -- \
+        faults --workloads --no-checksum --flips 24 --seed 2006 --threads 1) \
+    <(cargo run -q --release -p ipds --bin ipdsc -- \
+        faults --workloads --no-checksum --flips 24 --seed 2006 --threads 4) \
+    || { echo "checksum-off fault campaign differs between 1 and 4 threads"; exit 1; }
+echo "checksum-off fault campaign is thread-count invariant"
 
 echo "==> serve smoke (fleet monitor must surface every injected tamper)"
 # `ipdsc serve` exits nonzero if any shadow-validated injected tamper is

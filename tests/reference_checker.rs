@@ -7,14 +7,15 @@
 //! `FunctionAnalysis::actions` for the BAT: no perfect hash, no 2-bit
 //! packing, no flattened tables. Both checkers replay the same
 //! `GuestEvent` streams — golden runs of every stock workload, seeded
-//! memory tampers that alarm, and malformed streams — and must agree on
-//! statistics, alarms and the first protocol violation. `IpdsChecker` is
-//! driven one event at a time, with its branches batched into
-//! `on_branch_run` runs that are cut at seeded points, and through
-//! `IpdsChecker::replay` over seeded chunks of the stream, as the service
-//! ingests batches. The reference models the checker's
-//! one deliberate limit, the [`MAX_FRAME_DEPTH`] frame cap, as a count of
-//! skipped calls whose returns pop nothing.
+//! memory tampers that alarm, golden runs with a `FaultBsv` at a seeded
+//! position (the stream a replayed checker-state fault checks), and
+//! malformed streams — and must agree on statistics, alarms and the first
+//! protocol violation. `IpdsChecker` is driven one event at a time, with
+//! its branches batched into `on_branch_run` runs that are cut at seeded
+//! points, and through `IpdsChecker::replay` over seeded chunks of the
+//! stream, as the service ingests batches. The reference models the
+//! checker's one deliberate limit, the [`MAX_FRAME_DEPTH`] frame cap, as a
+//! count of skipped calls whose returns pop nothing.
 
 use ipds::analysis::{BranchStatus, ProgramAnalysis};
 use ipds::ir::{FuncId, Program};
@@ -260,6 +261,48 @@ fn tampered(program: &Program, inputs: &[Input], golden_steps: u64, seed: u64) -
     rec.events
 }
 
+const STATUSES: [BranchStatus; 3] = [
+    BranchStatus::Taken,
+    BranchStatus::NotTaken,
+    BranchStatus::Unknown,
+];
+
+/// The golden stream with a BSV fault at a seeded position, as a replayed
+/// checker-state fault checks it: the events before the trigger, then a
+/// `FaultBsv` whose slot is reduced modulo the innermost open frame's BSV
+/// size (followed, one time in four, by a second one with the next status,
+/// as the fault engine rotates a status the slot already holds), then the
+/// rest.
+fn bsv_faulted(analysis: &ProgramAnalysis, golden: &[GuestEvent], seed: u64) -> Vec<GuestEvent> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let at = rng.gen_range(1..golden.len() + 1);
+    let mut open = Vec::new();
+    for event in &golden[..at] {
+        match *event {
+            GuestEvent::Call(func) => open.push(func),
+            GuestEvent::Return => _ = open.pop(),
+            _ => {}
+        }
+    }
+    let top = open.last().expect("main stays open until the stream ends");
+    let slot = (rng.next_u64() % u64::from(analysis.of(*top).hash.space())) as u32;
+    let status = rng.gen_range(0..3usize);
+    let mut faults = vec![GuestEvent::FaultBsv {
+        slot,
+        status: STATUSES[status],
+    }];
+    if rng.gen_range(0..4u32) == 0 {
+        faults.push(GuestEvent::FaultBsv {
+            slot,
+            status: STATUSES[(status + 1) % 3],
+        });
+    }
+    let mut stream = golden[..at].to_vec();
+    stream.extend(faults);
+    stream.extend_from_slice(&golden[at..]);
+    stream
+}
+
 /// A golden stream with seeded protocol damage: dropped events, extra
 /// returns, foreign PCs and calls to unknown functions.
 fn mangled(golden: &[GuestEvent], functions: usize, seed: u64) -> Vec<GuestEvent> {
@@ -308,6 +351,26 @@ fn reference_agrees_on_golden_and_tampered_streams() {
         }
     }
     assert!(alarming >= 40, "only {alarming} tampered streams alarmed");
+}
+
+#[test]
+fn reference_agrees_on_bsv_faulted_streams() {
+    let mut alarming = 0;
+    for w in ipds::workloads::all() {
+        let p = Protected::compile(&w).unwrap();
+        for seed in [1, 2006] {
+            let (stream, _) = golden(&p.program, &w.inputs(seed));
+            for k in 0..24 {
+                let stream = bsv_faulted(&p.analysis, &stream, seed * 1000 + k);
+                let what = format!("{} seed {seed} BSV fault {k}", w.name);
+                alarming += usize::from(!agree(&p.analysis, &stream, &what).1.is_empty());
+            }
+        }
+    }
+    assert!(
+        alarming >= 12,
+        "only {alarming} BSV-faulted streams alarmed"
+    );
 }
 
 #[test]
